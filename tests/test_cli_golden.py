@@ -1,0 +1,81 @@
+"""Frozen CLI output: every report-producing command, both formats.
+
+``golden/cli_stdout.json`` holds the exact stdout, stderr and exit code of
+each command line in ``GRID``.  Replaying the file guards the promise that
+refactors of the invariant pipeline leave the output byte-identical.
+
+Regenerate the file only for an announced output change:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from broughton.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli_stdout.json"
+
+# (p, q) pairs: admissible with d = 1, 2, 3, a unit and repeated roots of q,
+# irrational factors, then the two ways to be inadmissible.
+PAIRS = (
+    ("x^2", "x*(x+2)"),
+    ("x^3*(x-1)^3", "x*(x+3)"),
+    ("2*x^2*(x+1/2)^4", "x^2*(x-1)"),
+    ("3/2*x*(x-1)", "x*(x+5)^2"),
+    ("(x^2-2)^2", "x^2-2"),
+    ("x", "x+1"),
+    ("x", "x*(x+1)"),
+)
+ZAHID = ((1, 1), (2, 3), (4, 2), (6, 4))
+DIVISORS = ("x^2", "(x+1)^4*(x-2)^2", "2*(x^2+1)^3*x^6", "x^3-x", "5")
+FORMATS = ("json", "text")
+
+
+def grid():
+    for fmt in FORMATS:
+        for command in ("check", "betti", "charvar", "report"):
+            for p, q in PAIRS:
+                yield [command, p, q, "--format", fmt]
+        for a, b in ZAHID:
+            yield ["zahid", str(a), str(b), "--format", fmt]
+        for p in DIVISORS:
+            yield ["divisor", p, "--format", fmt]
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": list(argv), "exit": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
+def load():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_the_grid():
+    assert [entry["argv"] for entry in load()] == list(grid())
+
+
+def test_golden_has_every_exit_kind():
+    codes = {(entry["argv"][0], entry["exit"]) for entry in load()}
+    for command in ("check", "betti", "charvar"):
+        assert (command, 0) in codes and (command, 2) in codes
+
+
+def test_cli_output_is_byte_identical():
+    for entry in load():
+        assert run(entry["argv"]) == entry, " ".join(entry["argv"])
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(
+        json.dumps([run(argv) for argv in grid()], indent=2, ensure_ascii=True) + "\n",
+        encoding="utf-8",
+    )
