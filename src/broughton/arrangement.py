@@ -24,6 +24,13 @@ computations on p and q alone:
 
 Everything is exact; torsion characters are rational points of the
 character torus and stay rational.
+
+The report derives every invariant of an admissible pair from one
+squarefree decomposition each of p and q: the hypotheses from gcds of the
+radicals, s = deg rad q, t = deg rad p + deg rad q - deg gcd(rad p, rad q),
+and the divisor and d from the parts of p.  On admissible pairs the
+irreducibility flags follow from hypothesis 2 rather than being computed
+separately.
 """
 
 from __future__ import annotations
@@ -32,8 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import build_f, build_g, is_irreducible_y_linear
-from .squarefree import distinct_root_count, power_index, squarefree_decompose
+from .squarefree import SquarefreeDecomposition, power_index, squarefree_decompose
 from .unipoly import UniPoly, gcd
 
 
@@ -140,14 +146,40 @@ def check_hypotheses(p: UniPoly, q: UniPoly) -> Hypotheses:
     )
 
 
-def _checked(p: UniPoly, q: UniPoly) -> Hypotheses:
-    hypotheses = check_hypotheses(p, q)
-    if not hypotheses.satisfied:
+def _fiber_divisor(decomposition: SquarefreeDecomposition) -> FiberDivisor:
+    return FiberDivisor(
+        value=Fraction(-1),
+        unit=decomposition.unit,
+        components=decomposition.parts,
+        divisor_multiplicity=decomposition.multiplicity_gcd,
+    )
+
+
+_ADMISSIBLE = Hypotheses(common_root_pq=True, no_common_root_p1_q=True, satisfied=True)
+
+
+def _admissible_invariants(p: UniPoly, q: UniPoly):
+    """Betti numbers and fiber divisor of an admissible pair, or raise.
+
+    One squarefree decomposition each of p and q carries everything: p and
+    q share a root iff their radicals do, p + 1 and q share none iff
+    gcd(rad q, (p + 1) mod rad q) is constant, and rad(p*q) is the lcm of
+    the two radicals, so t needs no decomposition of the product.
+    """
+    _require_nonconstant(p, "p")
+    _require_nonconstant(q, "q")
+    p_parts = squarefree_decompose(p)
+    rad_p = p_parts.radical()
+    rad_q = squarefree_decompose(q).radical()
+    shared = gcd(rad_p, rad_q).degree
+    if shared == 0 or gcd(rad_q, (p + 1) % rad_q).degree != 0:
         raise HypothesesViolated(
             "the pair (p, q) is not admissible: need a common root of p and "
             "q and no common root of p + 1 and q"
         )
-    return hypotheses
+    s = rad_q.degree
+    t = rad_p.degree + s - shared
+    return BettiNumbers(b0=1, b1=2, b2=s + t, s=s, t=t), _fiber_divisor(p_parts)
 
 
 def betti(p: UniPoly, q: UniPoly) -> BettiNumbers:
@@ -156,10 +188,7 @@ def betti(p: UniPoly, q: UniPoly) -> BettiNumbers:
     b1 counts the two curves; b2 = s + t where s is the number of distinct
     roots of q and t the number of distinct roots of p*q.
     """
-    _checked(p, q)
-    s = distinct_root_count(q)
-    t = distinct_root_count(p * q)
-    return BettiNumbers(b0=1, b1=2, b2=s + t, s=s, t=t)
+    return _admissible_invariants(p, q)[0]
 
 
 def special_fiber_divisor(p: UniPoly) -> FiberDivisor:
@@ -170,16 +199,7 @@ def special_fiber_divisor(p: UniPoly) -> FiberDivisor:
     reduced and does not contribute to the divisor gcd beyond the lines.
     """
     _require_nonconstant(p, "p")
-    decomposition = squarefree_decompose(p)
-    d = 0
-    for _, multiplicity in decomposition.parts:
-        d = math.gcd(d, multiplicity)
-    return FiberDivisor(
-        value=Fraction(-1),
-        unit=decomposition.unit,
-        components=decomposition.parts,
-        divisor_multiplicity=d,
-    )
+    return _fiber_divisor(squarefree_decompose(p))
 
 
 def orbifold_group(p: UniPoly) -> int:
@@ -203,10 +223,9 @@ def characteristic_variety(p: UniPoly, q: UniPoly) -> CharVarietyReport:
     Each is stored exactly: torsion character (j/d, 0), direction (0, 1).
     For d = 1 the list is empty.
     """
-    hypotheses = _checked(p, q)
-    betti_numbers = betti(p, q)
-    divisor = special_fiber_divisor(p)
-    d = power_index(p).d
+    betti_numbers, divisor = _admissible_invariants(p, q)
+    hypotheses = _ADMISSIBLE
+    d = divisor.divisor_multiplicity
     components = tuple(
         TranslatedTorus(
             torsion=TorsionCharacter(a0=Fraction(j, d), a1=Fraction(0)),
@@ -215,8 +234,10 @@ def characteristic_variety(p: UniPoly, q: UniPoly) -> CharVarietyReport:
         for j in range(1, d)
     )
     flags = (
-        is_irreducible_y_linear(build_f(p, q)),
-        is_irreducible_y_linear(build_g(q)),
+        # f is irreducible iff gcd(p*q, p + 1) = gcd(q, p + 1) = 1: hypothesis 2.
+        hypotheses.no_common_root_p1_q,
+        # g = q*y - 1 has coprime coefficients q and -1: always irreducible.
+        True,
     )
     return CharVarietyReport(
         hypotheses=hypotheses,
@@ -235,5 +256,5 @@ def resonance(p: UniPoly, q: UniPoly) -> bool:
     Always true here: the cup product on first cohomology is nontrivial for
     these complements, which kills every resonance component.
     """
-    _checked(p, q)
+    _admissible_invariants(p, q)
     return True

@@ -31,21 +31,13 @@ from .unipoly import (
     UniPoly,
     ZERO,
     _bareiss_determinant,
+    _coerce,
     _scalar,
     exact_div,
     gcd,
     render_terms,
     sylvester_rows,
 )
-
-
-def _as_unipoly(value):
-    if isinstance(value, UniPoly):
-        return value
-    s = _scalar(value)
-    if s is None:
-        return None
-    return UniPoly((s,))
 
 
 class BiPoly:
@@ -56,7 +48,7 @@ class BiPoly:
     def __init__(self, coeffs=()):
         items = []
         for c in coeffs:
-            u = _as_unipoly(c)
+            u = _coerce(c)
             if u is None:
                 raise TypeError(f"coefficient {c!r} is not a polynomial in x")
             items.append(u)
@@ -237,7 +229,7 @@ class BiPoly:
 def _coerce_bi(value):
     if isinstance(value, BiPoly):
         return value
-    u = _as_unipoly(value)
+    u = _coerce(value)
     if u is None:
         return None
     return BiPoly((u,))

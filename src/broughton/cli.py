@@ -21,6 +21,7 @@ from .decompose import connectivity_certificate, uni_decompose_at
 from .parser import ParseError, parse_uni, print_canonical
 from .report import (
     SCHEMA_VERSION,
+    _yes,
     build_report,
     render_json,
     render_text,
@@ -39,10 +40,6 @@ def _emit(args, mapping: dict, text_lines) -> None:
         print(render_json(mapping))
     elif not args.quiet:
         print("\n".join(text_lines))
-
-
-def _yes(flag: bool) -> str:
-    return "yes" if flag else "no"
 
 
 def cmd_check(args) -> int:

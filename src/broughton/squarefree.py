@@ -37,6 +37,18 @@ class SquarefreeDecomposition:
             acc = acc * factor ** multiplicity
         return acc
 
+    def radical(self) -> UniPoly:
+        """Monic product of the distinct factors; ONE for a constant."""
+        acc = ONE
+        for factor, _ in self.parts:
+            acc = acc * factor
+        return acc
+
+    @property
+    def multiplicity_gcd(self) -> int:
+        """The power index: gcd of the multiplicities, 0 for a constant."""
+        return math.gcd(*(multiplicity for _, multiplicity in self.parts))
+
 
 @dataclass(frozen=True)
 class PowerIndex:
@@ -82,10 +94,7 @@ def radical(a: UniPoly) -> UniPoly:
     """Monic product of the distinct irreducible factors of ``a``."""
     if not a or a.is_constant():
         raise ValueError("radical needs a nonconstant polynomial")
-    acc = ONE
-    for factor, _ in squarefree_decompose(a).parts:
-        acc = acc * factor
-    return acc
+    return squarefree_decompose(a).radical()
 
 
 def distinct_root_count(a: UniPoly) -> int:
@@ -110,9 +119,7 @@ def power_index(a: UniPoly) -> PowerIndex:
     if not a or a.is_constant():
         raise ValueError("power index needs a nonconstant polynomial")
     decomposition = squarefree_decompose(a)
-    d = 0
-    for _, multiplicity in decomposition.parts:
-        d = math.gcd(d, multiplicity)
+    d = decomposition.multiplicity_gcd
     base = ONE
     for factor, multiplicity in decomposition.parts:
         base = base * factor ** (multiplicity // d)
