@@ -1,8 +1,9 @@
-"""Frozen CLI output: every report-producing command, both formats.
+"""Frozen CLI output: every command, both formats.
 
 ``golden/cli_stdout.json`` holds the exact stdout, stderr and exit code of
 each command line in ``GRID``.  Replaying the file guards the promise that
-refactors of the invariant pipeline leave the output byte-identical.
+refactors of the invariant pipeline and of the resultant kernel behind
+``connectivity`` leave the output byte-identical.
 
 Regenerate the file only for an announced output change:
 
@@ -33,6 +34,24 @@ PAIRS = (
 )
 ZAHID = ((1, 1), (2, 3), (4, 2), (6, 4))
 DIVISORS = ("x^2", "(x+1)^4*(x-2)^2", "2*(x^2+1)^3*x^6", "x^3-x", "5")
+# (p, m, n, c) for connectivity: integer and rational p and c, m, n <= 3,
+# then m = 1, which the certificate rejects.
+CONNECTIVITY = (
+    ("x", 2, 2, "1"),
+    ("x^2+1", 2, 3, "-2"),
+    ("1/2*x-3", 3, 2, "3/2"),
+    ("x^2-x", 3, 3, "-1/3"),
+    ("2*x^2", 3, 3, "5"),
+    ("x", 1, 2, "1"),
+)
+# (p, inner degree) for decompose: two hits, a miss, a degree that does
+# not divide deg p.
+DECOMPOSE = (
+    ("x^4+2*x^2+1", 2),
+    ("(x^3-1/2*x)^2+3", 3),
+    ("x^4+x", 2),
+    ("x^4+1", 3),
+)
 FORMATS = ("json", "text")
 
 
@@ -45,6 +64,11 @@ def grid():
             yield ["zahid", str(a), str(b), "--format", fmt]
         for p in DIVISORS:
             yield ["divisor", p, "--format", fmt]
+        for p, m, n, c in CONNECTIVITY:
+            yield ["connectivity", p, "--m", str(m), "--n", str(n), f"--c={c}",
+                   "--format", fmt]
+        for p, e in DECOMPOSE:
+            yield ["decompose", p, "--inner-degree", str(e), "--format", fmt]
 
 
 def run(argv):
@@ -65,7 +89,7 @@ def test_golden_covers_the_grid():
 
 def test_golden_has_every_exit_kind():
     codes = {(entry["argv"][0], entry["exit"]) for entry in load()}
-    for command in ("check", "betti", "charvar"):
+    for command in ("check", "betti", "charvar", "connectivity", "decompose"):
         assert (command, 0) in codes and (command, 2) in codes
 
 
