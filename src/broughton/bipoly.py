@@ -16,8 +16,12 @@ The constructions:
                       generic fiber of a candidate decomposition map stays
                       connected
 
-Elimination is by Sylvester resultants computed fraction-free, so a
-resultant of polynomials over Q[x] lands in Q[x] with no rounding anywhere.
+Elimination is by Sylvester resultants in y, computed by evaluation and
+interpolation on integers: denominators are cleared once, x runs over the
+integers 0..D for a degree bound D, each point takes one integer Bareiss
+determinant, and the values are interpolated back to a polynomial in x.
+Nothing is rounded, so a resultant of polynomials over Q[x] lands in Q[x]
+exactly.
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ from .unipoly import (
     UniPoly,
     ZERO,
     _bareiss_determinant,
+    _clear_denominators,
     _coerce,
+    _power,
     _scalar,
-    exact_div,
     gcd,
     render_terms,
     sylvester_rows,
@@ -175,20 +180,7 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int) or isinstance(exponent, bool):
-            return NotImplemented
-        if exponent < 0:
-            raise ValueError("polynomial powers need a nonnegative exponent")
-        result = BiPoly((ONE,))
-        square = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * square
-            k >>= 1
-            if k:
-                square = square * square
-        return result
+        return _power(self, exponent, BI_ONE)
 
     # -- calculus, evaluation, variable games --------------------------------
 
@@ -287,16 +279,59 @@ class SingularLocusCheck(NamedTuple):
     eliminants: tuple
 
 
+def _horner(coeffs, t: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def _interpolate_naturals(values) -> list:
+    """Integer coefficients, low to high, of the integer polynomial f of
+    degree below ``len(values)`` with f(t) = values[t] for t = 0, 1, ...
+
+    Newton's forward-difference form f = sum_k (Delta^k f(0) / k!) *
+    x(x-1)...(x-k+1).  For f with integer coefficients every
+    Delta^k f(0) is k! times an integer (Delta^k x^j at 0 is k! times a
+    Stirling number), so the divisions are exact; the falling factorials
+    are expanded by a Horner pass from the top.
+    """
+    newton = []
+    row = list(values)
+    factorial = 1
+    for k in range(len(values)):
+        if k:
+            factorial *= k
+        newton.append(row[0] // factorial)
+        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
+    coeffs = []
+    for k in range(len(newton) - 1, -1, -1):
+        # coeffs <- coeffs * (x - k) + newton[k]
+        shifted = [0] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] -= k * c
+        shifted[0] += newton[k]
+        coeffs = shifted
+    return coeffs
+
+
 def resultant_y(a: BiPoly, b: BiPoly) -> UniPoly:
     """Resultant eliminating y, as a polynomial in x.
 
-    Sylvester determinant with the a-block on top, computed fraction-free
-    over Q[x].  Vanishes identically exactly when a and b share a factor of
-    positive y-degree, or when both leading y-coefficients vanish at every
-    point (impossible over a field for nonzero inputs, but the pointwise
-    specialization Res(a(t, y), b(t, y)) can drop when lead coefficients
-    vanish at t, which is why the determinant is taken over Q[x] itself).
-    Inputs must be nonzero and not both of y-degree zero.
+    Sylvester determinant with the a-block on top, taken over Q[x] itself.
+    Vanishes identically exactly when a and b share a factor of positive
+    y-degree.  Inputs must be nonzero and not both of y-degree zero.
+
+    Computed by evaluation and interpolation (Collins 1971).  With
+    m = deg_y a, n = deg_y b and a = A/L_a, b = B/L_b for integer A, B,
+    Res(a, b) = Res(A, B) / (L_a**n * L_b**m).  Every term of the
+    determinant multiplies n entries of A and m of B, so Res(A, B) has
+    degree at most D = n*deg_x A + m*deg_x B.  Its values at x = 0..D are
+    integer Bareiss determinants of the fixed-shape Sylvester matrix with
+    entries evaluated at the point.  Evaluation is a ring homomorphism, so
+    this is exact even where a leading y-coefficient vanishes at the point
+    (the pointwise resultant of the specialized polynomials would drop
+    there, which is why the matrix shape stays fixed).
     """
     if not a or not b:
         raise ValueError("resultant_y requires two nonzero polynomials")
@@ -304,12 +339,16 @@ def resultant_y(a: BiPoly, b: BiPoly) -> UniPoly:
     n = b.degree_y
     if m == 0 and n == 0:
         raise ValueError("resultant_y needs y to appear in at least one input")
-    if m == 0:
-        return a.coefficient(0) ** n
-    if n == 0:
-        return b.coefficient(0) ** m
-    rows = sylvester_rows(a.coeffs, b.coeffs, ZERO)
-    return _bareiss_determinant(rows, ZERO, ONE, exact_div)
+    a_ints, scale_a = _clear_denominators([c.coeffs for c in a.coeffs])
+    b_ints, scale_b = _clear_denominators([c.coeffs for c in b.coeffs])
+    bound = n * a.degree_x + m * b.degree_x
+    values = [
+        _bareiss_determinant(sylvester_rows(
+            [_horner(c, t) for c in a_ints], [_horner(c, t) for c in b_ints]))
+        for t in range(bound + 1)
+    ]
+    scale = scale_a ** n * scale_b ** m
+    return UniPoly(Fraction(c, scale) for c in _interpolate_naturals(values))
 
 
 def is_irreducible_y_linear(a: BiPoly) -> bool:

@@ -81,11 +81,21 @@ def squarefree_decompose(a: UniPoly) -> SquarefreeDecomposition:
     parts = []
     multiplicity = 1
     while w.degree > 0:
-        f = gcd(w, z) if z else w.monic()
+        # At this step z = sum over the remaining parts f_i of
+        # (i - multiplicity) * f_i' * w / f_i.  The parts are coprime and
+        # squarefree, so z = c * w' for a constant c exactly when one part
+        # is left, of multiplicity multiplicity + c; stop there instead of
+        # stepping through c gcds with a constant (c = 0 when z vanishes).
+        dw = w.derivative()
+        ratio = z.leading_coefficient / dw.leading_coefficient
+        if z == dw * ratio:
+            parts.append((w.monic(), multiplicity + int(ratio)))
+            break
+        f = gcd(w, z)
         if f.degree > 0:
             parts.append((f, multiplicity))
         w = exact_div(w, f)
-        z = exact_div(z, f) - w.derivative() if z else z
+        z = exact_div(z, f) - w.derivative()
         multiplicity += 1
     return SquarefreeDecomposition(unit=unit, parts=tuple(parts))
 

@@ -16,6 +16,7 @@ hold without a bogus integer standing in for "minus infinity".
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Rational = Fraction
@@ -207,20 +208,7 @@ class UniPoly:
         return UniPoly(tuple(c / s for c in self._coeffs))
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int) or isinstance(exponent, bool):
-            return NotImplemented
-        if exponent < 0:
-            raise ValueError("polynomial powers need a nonnegative exponent")
-        result = ONE
-        square = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * square
-            k >>= 1
-            if k:
-                square = square * square
-        return result
+        return _power(self, exponent, ONE)
 
     def __divmod__(self, other):
         other = _coerce(other)
@@ -292,6 +280,27 @@ class UniPoly:
         return UniPoly(tuple(c / lead for c in self._coeffs))
 
 
+def _power(base, exponent, one):
+    """``base ** exponent`` by square-and-multiply, starting from ``one``.
+
+    Shared by the polynomial classes, which differ only in their identity.
+    """
+    if not isinstance(exponent, int) or isinstance(exponent, bool):
+        return NotImplemented
+    if exponent < 0:
+        raise ValueError("polynomial powers need a nonnegative exponent")
+    result = one
+    square = base
+    k = exponent
+    while k:
+        if k & 1:
+            result = result * square
+        k >>= 1
+        if k:
+            square = square * square
+    return result
+
+
 def _coerce(value):
     if isinstance(value, UniPoly):
         return value
@@ -335,20 +344,30 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def _bareiss_determinant(rows, zero, one, div):
-    """Fraction-free determinant (Bareiss) over an integral domain.
+def _clear_denominators(columns):
+    """Integer multiples of Fraction coefficient sequences.
 
-    ``rows`` is a square matrix as lists; ``div`` performs the exact
-    divisions the algorithm guarantees.  Row swaps handle zero pivots and
-    only flip the sign.  Works unchanged for Fraction entries and for
-    UniPoly entries.
+    Returns ``(integers, scale)`` where ``scale`` is the least common
+    multiple of every denominator in ``columns`` and ``integers`` holds
+    ``scale`` times each sequence, as lists of ints.
+    """
+    scale = math.lcm(*(c.denominator for column in columns for c in column))
+    return [[c.numerator * (scale // c.denominator) for c in column]
+            for column in columns], scale
+
+
+def _bareiss_determinant(rows) -> int:
+    """Fraction-free determinant (Bareiss) of a square integer matrix.
+
+    Every division the elimination performs is exact, so it runs on plain
+    ints with ``//``.  Row swaps handle zero pivots and only flip the sign.
     """
     n = len(rows)
     if n == 0:
-        return one
+        return 1
     m = [list(r) for r in rows]
     sign = 1
-    prev = one
+    prev = 1
     for k in range(n - 1):
         if not m[k][k]:
             for i in range(k + 1, n):
@@ -357,21 +376,25 @@ def _bareiss_determinant(rows, zero, one, div):
                     sign = -sign
                     break
             else:
-                return zero
-        pivot = m[k][k]
+                return 0
+        pivot_row = m[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
             row_i = m[i]
             head = row_i[k]
             for j in range(k + 1, n):
-                row_i[j] = div(row_i[j] * pivot - head * m[k][j], prev)
-            row_i[k] = zero
+                row_i[j] = (row_i[j] * pivot - head * pivot_row[j]) // prev
         prev = pivot
     det = m[n - 1][n - 1]
     return -det if sign < 0 else det
 
 
-def sylvester_rows(a_coeffs, b_coeffs, zero):
-    """Sylvester matrix rows, a-block first, coefficients high to low."""
+def sylvester_rows(a_coeffs, b_coeffs):
+    """Integer Sylvester matrix rows, a-block first, coefficients high to low.
+
+    The shape comes from the sequence lengths alone, so a vanishing leading
+    entry keeps its place.
+    """
     m = len(a_coeffs) - 1
     n = len(b_coeffs) - 1
     dim = m + n
@@ -379,11 +402,11 @@ def sylvester_rows(a_coeffs, b_coeffs, zero):
     high_a = list(reversed(a_coeffs))
     high_b = list(reversed(b_coeffs))
     for shift in range(n):
-        row = [zero] * dim
+        row = [0] * dim
         row[shift:shift + m + 1] = high_a
         rows.append(row)
     for shift in range(m):
-        row = [zero] * dim
+        row = [0] * dim
         row[shift:shift + n + 1] = high_b
         rows.append(row)
     return rows
@@ -399,16 +422,15 @@ def resultant(a: UniPoly, b: UniPoly) -> Fraction:
 
     over the roots ``alpha`` of ``a`` counted with multiplicity.  It
     vanishes exactly when the two polynomials share a nonconstant factor.
+
+    With a = A/L_a and b = B/L_b for integer A, B, scaling the deg(b) rows
+    of the a-block and the deg(a) rows of the b-block gives
+    Res(a, b) = Res(A, B) / (L_a**deg(b) * L_b**deg(a)), and Res(A, B) is
+    one integer Bareiss determinant.
     """
     if not a or not b:
         raise ValueError("resultant requires two nonzero polynomials")
-    m = len(a._coeffs) - 1
-    n = len(b._coeffs) - 1
-    if m == 0 and n == 0:
-        return Fraction(1)
-    if m == 0:
-        return a._coeffs[0] ** n
-    if n == 0:
-        return b._coeffs[0] ** m
-    rows = sylvester_rows(a._coeffs, b._coeffs, Fraction(0))
-    return _bareiss_determinant(rows, Fraction(0), Fraction(1), lambda x, y: x / y)
+    (a_ints,), scale_a = _clear_denominators([a._coeffs])
+    (b_ints,), scale_b = _clear_denominators([b._coeffs])
+    det = _bareiss_determinant(sylvester_rows(a_ints, b_ints))
+    return Fraction(det, scale_a ** (len(b_ints) - 1) * scale_b ** (len(a_ints) - 1))

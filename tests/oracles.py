@@ -8,6 +8,7 @@ schoolbook one, so agreement with the package is meaningful.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -127,6 +128,108 @@ def b_from_uni(coeffs, variable):
     if variable == "x":
         return b_trim({(i, 0): Fraction(c) for i, c in enumerate(coeffs)})
     return b_trim({(0, j): Fraction(c) for j, c in enumerate(coeffs)})
+
+
+# -- resultants: Sylvester determinants by fraction-free elimination --------
+
+def l_sub(a, b):
+    return l_add(a, l_neg(b))
+
+
+def l_exact_div(a, b):
+    """Quotient of a polynomial division known to be exact, by long
+    division; raises ArithmeticError if a remainder is left."""
+    a, b = l_trim(a), l_trim(b)
+    rem = list(a)
+    quotient = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(quotient) - 1, -1, -1):
+        c = rem[i + len(b) - 1] / b[-1]
+        quotient[i] = c
+        for j, bc in enumerate(b):
+            rem[i + j] -= c * bc
+    if l_trim(rem):
+        raise ArithmeticError("inexact polynomial division")
+    return l_trim(quotient)
+
+
+def bareiss_determinant(rows, zero, one, mul, sub, div):
+    """Fraction-free determinant (Bareiss) over an integral domain given by
+    its zero, one and operations; ``div`` performs the exact divisions the
+    algorithm guarantees.  Entries equal to zero must be falsy.  Row swaps
+    handle zero pivots and only flip the sign."""
+    n = len(rows)
+    if n == 0:
+        return one
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = one
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return zero
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            head = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = div(sub(mul(row_i[j], pivot), mul(head, m[k][j])), prev)
+            row_i[k] = zero
+        prev = pivot
+    det = m[n - 1][n - 1]
+    return sub(zero, det) if sign < 0 else det
+
+
+def sylvester_rows(a_coeffs, b_coeffs, zero):
+    """Sylvester matrix rows, a-block first, coefficients high to low."""
+    m = len(a_coeffs) - 1
+    n = len(b_coeffs) - 1
+    rows = []
+    for shift in range(n):
+        row = [zero] * (m + n)
+        row[shift:shift + m + 1] = a_coeffs[::-1]
+        rows.append(row)
+    for shift in range(m):
+        row = [zero] * (m + n)
+        row[shift:shift + n + 1] = b_coeffs[::-1]
+        rows.append(row)
+    return rows
+
+
+def l_resultant(a, b):
+    """Res(a, b) of two nonzero coefficient lists: the Sylvester
+    determinant with the a-block on top, by Bareiss over the rationals."""
+    rows = sylvester_rows(l_trim(a), l_trim(b), Fraction(0))
+    return bareiss_determinant(rows, Fraction(0), Fraction(1),
+                               operator.mul, operator.sub, operator.truediv)
+
+
+def b_resultant_y(a, b):
+    """Res_y(a, b) of two nonzero bivariate dicts, as an x-coefficient
+    list: the Sylvester determinant in y (a-block on top) with entries in
+    Q[x], by Bareiss with exact polynomial division."""
+    rows = sylvester_rows(b_y_columns(a), b_y_columns(b), [])
+    return bareiss_determinant(rows, [], [Fraction(1)], l_mul, l_sub, l_exact_div)
+
+
+def b_y_columns(a):
+    """Coefficient lists in x of y**0, ..., y**deg_y of a nonzero dict."""
+    height = max(j for _, j in a) + 1
+    columns = [[] for _ in range(height)]
+    for (i, j), v in a.items():
+        column = columns[j]
+        column.extend([Fraction(0)] * (i + 1 - len(column)))
+        column[i] += v
+    return [l_trim(column) for column in columns]
+
+
+def b_swap(a):
+    """Exchange the variables: returns b with b(x, y) = a(y, x)."""
+    return {(j, i): v for (i, j), v in a.items()}
 
 
 # -- brute-force functional decomposition ------------------------------------

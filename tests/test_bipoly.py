@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from broughton.bipoly import (
     BiPoly,
@@ -19,7 +21,15 @@ from broughton.bipoly import (
     singular_locus_finite,
 )
 from broughton.unipoly import ONE, UniPoly, ZERO, gcd, resultant
-from oracles import b_add, b_mul, b_pow, l_from_roots, random_coeffs
+from oracles import (
+    b_add,
+    b_mul,
+    b_pow,
+    b_resultant_y,
+    b_swap,
+    l_from_roots,
+    random_coeffs,
+)
 
 F = Fraction
 
@@ -176,6 +186,67 @@ class TestResultant:
             specialized = resultant(a.eval_x(t), b.eval_x(t))
             assert resultant_y(a, b)(t) == specialized
             done += 1
+
+
+nonzero_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
+
+
+def bi_dicts(max_x=2, max_y=2, min_size=0):
+    """Oracle dicts {(x power, y power): nonzero Fraction}."""
+    keys = st.tuples(st.integers(0, max_x), st.integers(0, max_y))
+    return st.dictionaries(keys, nonzero_rationals, min_size=min_size, max_size=6)
+
+
+@st.composite
+def vanishing_lead_dicts(draw):
+    """y-degree 1 or 2, with leading y-coefficient u * prod (x - r) over
+    roots r in 0..3, among the points where resultant_y evaluates x."""
+    roots = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    lead = l_from_roots([(r, 1) for r in roots], unit=draw(nonzero_rationals))
+    height = draw(st.integers(1, 2))
+    rest = draw(bi_dicts(max_y=height - 1))
+    return b_add(rest, {(i, height): c for i, c in enumerate(lead)})
+
+
+def check_against_oracle(a, b):
+    """resultant_y equals the Fraction oracle on (a, b) and, where defined,
+    on the x <-> y swapped pair (the x-eliminant of the originals)."""
+    for left, right in ((a, b), (b_swap(a), b_swap(b))):
+        if max(j for _, j in left) == 0 and max(j for _, j in right) == 0:
+            continue
+        got = resultant_y(bi_from_dict(left), bi_from_dict(right))
+        assert list(got.coeffs) == b_resultant_y(left, right)
+
+
+@given(bi_dicts(min_size=1), bi_dicts(min_size=1))
+@settings(deadline=None)
+def test_resultant_y_matches_fraction_oracle(a, b):
+    check_against_oracle(a, b)
+
+
+@given(vanishing_lead_dicts(), st.one_of(vanishing_lead_dicts(), bi_dicts(min_size=1)))
+@settings(deadline=None)
+def test_resultant_y_matches_oracle_where_leading_coefficients_vanish(a, b):
+    check_against_oracle(a, b)
+
+
+@given(
+    bi_dicts(max_x=1, max_y=1, min_size=1),
+    bi_dicts(max_x=1, max_y=1, min_size=1),
+    bi_dicts(max_x=1, max_y=1, min_size=1).filter(lambda w: any(j for _, j in w)),
+)
+@settings(deadline=None)
+def test_resultant_y_vanishes_with_oracle_on_common_factors(a, b, w):
+    a, b = b_mul(w, a), b_mul(w, b)
+    assert resultant_y(bi_from_dict(a), bi_from_dict(b)) == ZERO
+    check_against_oracle(a, b)
+
+
+@given(bi_dicts(max_y=0, min_size=1), bi_dicts(min_size=1))
+@settings(deadline=None)
+def test_resultant_y_matches_oracle_with_a_y_free_side(a, b):
+    check_against_oracle(a, b)
+    check_against_oracle(b, a)
 
 
 class TestIrreducibility:

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from broughton import squarefree
 from broughton.squarefree import (
     distinct_root_count,
     power_index,
@@ -119,6 +120,32 @@ def test_planted_profile_recovery_and_reconstruction():
             assert factor == expected_factor
 
         assert result.reconstruct() == poly
+
+
+def test_last_part_ends_the_loop_without_constant_gcds(monkeypatch):
+    # Once one part is left, Yun's loop stops instead of taking one
+    # gcd with a constant per remaining multiplicity level.
+    calls = []
+    real_gcd = squarefree.gcd
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(squarefree, "gcd", counting_gcd)
+    assert squarefree_decompose(X ** 120).parts == ((X, 120),)
+    assert len(calls) <= 3
+
+    half = F(1, 2)
+    pinned = (
+        (3 * (X - 1) ** 3 * (X + 2) ** 7 * (X ** 2 + 1),
+         ((X ** 2 + 1, 1), (X - 1, 3), (X + 2, 7))),
+        (X ** 2 * (X ** 2 - half) ** 5, ((X, 2), (X ** 2 - half, 5))),
+        (-(X ** 2 - 1) ** 4, ((X ** 2 - 1, 4),)),
+        (X * (X + half) ** 2 * (X - 3) ** 40, ((X, 1), (X + half, 2), (X - 3, 40))),
+    )
+    for poly, parts in pinned:
+        assert squarefree_decompose(poly).parts == parts
 
 
 def test_parts_invariants():

@@ -20,7 +20,7 @@ from broughton.unipoly import (
     gcd,
     resultant,
 )
-from oracles import l_eval, l_from_roots, l_mul, random_coeffs
+from oracles import l_eval, l_from_roots, l_mul, l_resultant, random_coeffs
 
 F = Fraction
 
@@ -196,6 +196,20 @@ def test_resultant_matches_product_formula_exactly():
         for root in roots:
             expected *= l_eval(b_coeffs, root)
         assert resultant(a, b) == expected
+
+
+@given(nonzero_polys, nonzero_polys)
+@settings(deadline=None)
+def test_resultant_matches_fraction_oracle(a, b):
+    assert resultant(a, b) == l_resultant(a.coeffs, b.coeffs)
+
+
+@given(nonzero_polys, nonzero_polys,
+       st.lists(rationals, min_size=2, max_size=3).map(UniPoly).filter(lambda w: w.degree >= 1))
+@settings(deadline=None)
+def test_resultant_vanishes_with_oracle_on_common_factors(a, b, w):
+    a, b = a * w, b * w
+    assert resultant(a, b) == 0 == l_resultant(a.coeffs, b.coeffs)
 
 
 def test_resultant_vanishes_exactly_on_shared_factors():
