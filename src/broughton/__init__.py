@@ -70,9 +70,7 @@ from .squarefree import (
 )
 from .unipoly import (
     NEG_INF,
-    Rational,
     UniPoly,
-    divrem,
     exact_div,
     gcd,
     resultant,

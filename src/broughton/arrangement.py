@@ -163,8 +163,8 @@ def _admissible_invariants(p: UniPoly, q: UniPoly):
 
     One squarefree decomposition each of p and q carries everything: p and
     q share a root iff their radicals do, p + 1 and q share none iff
-    gcd(rad q, (p + 1) mod rad q) is constant, and rad(p*q) is the lcm of
-    the two radicals, so t needs no decomposition of the product.
+    gcd(rad q, p + 1) is constant, and rad(p*q) is the lcm of the two
+    radicals, so t needs no decomposition of the product.
     """
     _require_nonconstant(p, "p")
     _require_nonconstant(q, "q")
@@ -172,7 +172,7 @@ def _admissible_invariants(p: UniPoly, q: UniPoly):
     rad_p = p_parts.radical()
     rad_q = squarefree_decompose(q).radical()
     shared = gcd(rad_p, rad_q).degree
-    if shared == 0 or gcd(rad_q, (p + 1) % rad_q).degree != 0:
+    if shared == 0 or gcd(rad_q, p + 1).degree != 0:
         raise HypothesesViolated(
             "the pair (p, q) is not admissible: need a common root of p and "
             "q and no common root of p + 1 and q"

@@ -147,7 +147,7 @@ class BiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return BiPoly(tuple(-c for c in self._coeffs))
+        return BiPoly([-c for c in self._coeffs])
 
     def __sub__(self, other):
         other = _coerce_bi(other)
@@ -185,14 +185,14 @@ class BiPoly:
     # -- calculus, evaluation, variable games --------------------------------
 
     def partial_x(self) -> "BiPoly":
-        return BiPoly(tuple(c.derivative() for c in self._coeffs))
+        return BiPoly([c.derivative() for c in self._coeffs])
 
     def partial_y(self) -> "BiPoly":
-        return BiPoly(tuple(j * c for j, c in enumerate(self._coeffs) if j))
+        return BiPoly([j * c for j, c in enumerate(self._coeffs) if j])
 
     def eval_x(self, point) -> UniPoly:
         """Specialize x, leaving a univariate polynomial in y."""
-        return UniPoly(tuple(c(point) for c in self._coeffs))
+        return UniPoly([c(point) for c in self._coeffs])
 
     def eval_y(self, point) -> UniPoly:
         """Specialize y, leaving a univariate polynomial in x."""
@@ -214,7 +214,7 @@ class BiPoly:
         width = 1 + max(c.degree for c in self._coeffs if c)
         swapped = []
         for i in range(width):
-            swapped.append(UniPoly(tuple(c.coefficient(i) for c in self._coeffs)))
+            swapped.append(UniPoly([c.coefficient(i) for c in self._coeffs]))
         return BiPoly(swapped)
 
 
@@ -315,6 +315,28 @@ def _interpolate_naturals(values) -> list:
     return coeffs
 
 
+def _x_degree_bound(a: BiPoly, b: BiPoly) -> int:
+    """Upper bound on deg_x Res_y(a, b), with m = deg_y a, n = deg_y b.
+
+    If deg_x a_i <= alpha + w*i and deg_x b_j <= gamma + w*j for the
+    coefficients a_i, b_j of y**i, y**j, then every term of the Sylvester
+    determinant has x-degree at most n*alpha + m*gamma + w*m*n: the
+    y-weights its entries carry sum to m*n whatever the permutation.  The
+    least such bound over integers |w| <= max(deg_x a, deg_x b) is
+    returned; w = 0 gives n*deg_x a + m*deg_x b.
+    """
+    m, n = a.degree_y, b.degree_y
+    degrees_a = [(i, c.degree) for i, c in enumerate(a.coeffs) if c]
+    degrees_b = [(j, c.degree) for j, c in enumerate(b.coeffs) if c]
+    width = max(a.degree_x, b.degree_x)
+    return min(
+        n * max(d - w * i for i, d in degrees_a)
+        + m * max(d - w * j for j, d in degrees_b)
+        + w * m * n
+        for w in range(-width, width + 1)
+    )
+
+
 def resultant_y(a: BiPoly, b: BiPoly) -> UniPoly:
     """Resultant eliminating y, as a polynomial in x.
 
@@ -324,9 +346,8 @@ def resultant_y(a: BiPoly, b: BiPoly) -> UniPoly:
 
     Computed by evaluation and interpolation (Collins 1971).  With
     m = deg_y a, n = deg_y b and a = A/L_a, b = B/L_b for integer A, B,
-    Res(a, b) = Res(A, B) / (L_a**n * L_b**m).  Every term of the
-    determinant multiplies n entries of A and m of B, so Res(A, B) has
-    degree at most D = n*deg_x A + m*deg_x B.  Its values at x = 0..D are
+    Res(a, b) = Res(A, B) / (L_a**n * L_b**m).  Res(A, B) has degree at
+    most D = ``_x_degree_bound(a, b)``, and its values at x = 0..D are
     integer Bareiss determinants of the fixed-shape Sylvester matrix with
     entries evaluated at the point.  Evaluation is a ring homomorphism, so
     this is exact even where a leading y-coefficient vanishes at the point
@@ -341,7 +362,7 @@ def resultant_y(a: BiPoly, b: BiPoly) -> UniPoly:
         raise ValueError("resultant_y needs y to appear in at least one input")
     a_ints, scale_a = _clear_denominators([c.coeffs for c in a.coeffs])
     b_ints, scale_b = _clear_denominators([c.coeffs for c in b.coeffs])
-    bound = n * a.degree_x + m * b.degree_x
+    bound = _x_degree_bound(a, b)
     values = [
         _bareiss_determinant(sylvester_rows(
             [_horner(c, t) for c in a_ints], [_horner(c, t) for c in b_ints]))

@@ -47,7 +47,7 @@ class SquarefreeDecomposition:
     @property
     def multiplicity_gcd(self) -> int:
         """The power index: gcd of the multiplicities, 0 for a constant."""
-        return math.gcd(*(multiplicity for _, multiplicity in self.parts))
+        return math.gcd(*[multiplicity for _, multiplicity in self.parts])
 
 
 @dataclass(frozen=True)

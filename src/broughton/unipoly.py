@@ -16,10 +16,9 @@ hold without a bogus integer standing in for "minus infinity".
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-
-Rational = Fraction
 
 #: Degree of the zero polynomial.  Compares below every integer.
 NEG_INF = float("-inf")
@@ -168,7 +167,7 @@ class UniPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(tuple(-c for c in self._coeffs))
+        return UniPoly([-c for c in self._coeffs])
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -205,7 +204,7 @@ class UniPoly:
             return NotImplemented
         if not s:
             raise ZeroDivisionError("division of a polynomial by scalar zero")
-        return UniPoly(tuple(c / s for c in self._coeffs))
+        return UniPoly([c / s for c in self._coeffs])
 
     def __pow__(self, exponent):
         return _power(self, exponent, ONE)
@@ -247,7 +246,7 @@ class UniPoly:
 
     def derivative(self) -> "UniPoly":
         """Formal derivative."""
-        return UniPoly(tuple(i * c for i, c in enumerate(self._coeffs) if i))
+        return UniPoly([i * c for i, c in enumerate(self._coeffs) if i])
 
     def __call__(self, point) -> Fraction:
         """Evaluate at a rational point by Horner's rule."""
@@ -277,7 +276,7 @@ class UniPoly:
         lead = self._coeffs[-1]
         if lead == 1:
             return self
-        return UniPoly(tuple(c / lead for c in self._coeffs))
+        return UniPoly([c / lead for c in self._coeffs])
 
 
 def _power(base, exponent, one):
@@ -315,11 +314,6 @@ ONE = UniPoly((1,))
 X = UniPoly((0, 1))
 
 
-def divrem(a: UniPoly, b: UniPoly):
-    """Quotient and remainder with deg r < deg b.  b must be nonzero."""
-    return divmod(a, b)
-
-
 def exact_div(a: UniPoly, b: UniPoly) -> UniPoly:
     """Division known to be exact; raises if a remainder appears."""
     q, r = divmod(a, b)
@@ -329,19 +323,154 @@ def exact_div(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic greatest common divisor by the Euclidean remainder sequence.
+    """Monic greatest common divisor, from gcds modulo word-size primes.
 
-    Remainders are rescaled to monic at every step, which keeps coefficient
-    growth tame without changing the ideal they generate.  The gcd of a
-    nonzero polynomial and zero is the monic associate of the former; both
-    arguments zero is rejected since no monic generator exists.
+    The inputs are scaled to primitive integer polynomials A and B, which
+    changes their gcd only by a constant, and G denotes the gcd of A and B
+    over the integers (Brown 1971; von zur Gathen and Gerhard, *Modern
+    Computer Algebra*, ch. 6).  For each 62-bit prime p that divides
+    neither leading coefficient, Euclid on ints gives the monic gcd of
+    A mod p and B mod p.  Since lc G divides lc A, G mod p keeps its
+    degree and divides both images, so that gcd has degree at least
+    deg G: a constant image proves the inputs coprime, and most calls stop
+    at the first prime.  An image of higher degree than the least seen
+    comes from an unlucky prime and is dropped.  The others, scaled by
+    gcd(lc A, lc B) so that all are images of one integer multiple of G,
+    are combined by the Chinese remainder theorem and lifted to the
+    symmetric range.  Once a further prime leaves the lift unchanged, its
+    primitive part H is accepted only if it divides A and B exactly over
+    the integers; then H divides G and has at least its degree, so H is
+    G up to sign.  A failed check draws more primes.
+
+    The gcd of a nonzero polynomial and zero is the monic associate of the
+    former; both arguments zero is rejected since no monic generator exists.
     """
-    if not a and not b:
-        raise ValueError("gcd(0, 0) is undefined")
+    if not a or not b:
+        if not a and not b:
+            raise ValueError("gcd(0, 0) is undefined")
+        return (a or b).monic()
+    (ints_a, ints_b), _ = _clear_denominators([a._coeffs, b._coeffs])
+    ints_a, ints_b = _primitive(ints_a), _primitive(ints_b)
+    if len(ints_a) == 1 or len(ints_b) == 1:
+        return ONE
+    lead_a, lead_b = ints_a[-1], ints_b[-1]
+    scale = math.gcd(lead_a, lead_b)
+    degree = min(len(ints_a), len(ints_b))  # above every image's degree
+    for p in map(_prime, itertools.count()):
+        if not lead_a % p or not lead_b % p:
+            continue
+        image = _gcd_mod([c % p for c in ints_a], [c % p for c in ints_b], p)
+        d = len(image) - 1
+        if d == 0:
+            return ONE
+        if d > degree:
+            continue
+        image = [c * scale % p for c in image]
+        if d < degree:
+            degree = d
+            modulus = p
+            lift = [c - p if c > p // 2 else c for c in image]
+            continue
+        combined = _crt(lift, modulus, image, p)
+        modulus *= p
+        if combined == lift:
+            candidate = _primitive(lift)
+            if _divides(candidate, ints_a) and _divides(candidate, ints_b):
+                return UniPoly(candidate).monic()
+        lift = combined
+
+
+def _primitive(ints):
+    """Integer coefficients divided by their content."""
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
+
+
+_PRIMES = []
+
+
+def _prime(index: int) -> int:
+    """The ``index``-th prime below 2**62, counting down from the largest.
+
+    Found on first use and kept, so importing the module costs nothing.
+    """
+    while len(_PRIMES) <= index:
+        n = _PRIMES[-1] - 2 if _PRIMES else (1 << 62) - 1
+        while not _is_prime(n):
+            n -= 2
+        _PRIMES.append(n)
+    return _PRIMES[index]
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for odd n > 37 with the twelve prime bases up to 37,
+    which no composite below 3.18e23 passes."""
+    d = n - 1
+    s = 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _gcd_mod(a, b, p):
+    """Monic gcd modulo the prime p by Euclid.
+
+    ``a`` and ``b`` are coefficient lists, low to high, reduced mod p and
+    with nonzero leading entries; ``a`` is overwritten.
+    """
     while b:
-        r = a % b
-        a, b = b, (r.monic() if r else r)
-    return a.monic()
+        inverse = pow(b[-1], -1, p)
+        b = [c * inverse % p for c in b]
+        top = len(b) - 1
+        for i in range(len(a) - 1 - top, -1, -1):
+            c = a[i + top]
+            if c:
+                a[i:i + top] = [(x - c * y) % p for x, y in zip(a[i:i + top], b)]
+        del a[top:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return a
+
+
+def _crt(lift, modulus, image, p):
+    """The symmetric residues mod modulus*p that agree with ``lift``
+    (symmetric mod ``modulus``) and with ``image`` mod the prime p."""
+    inverse = pow(modulus, -1, p)
+    combined_modulus = modulus * p
+    half = combined_modulus // 2
+    out = []
+    for h, r in zip(lift, image):
+        c = h + modulus * ((r - h) * inverse % p)
+        out.append(c - combined_modulus if c > half else c)
+    return out
+
+
+def _divides(d, a) -> bool:
+    """Whether the primitive integer polynomial ``d`` of positive degree
+    divides ``a`` over the integers (by Gauss's lemma, also over Q)."""
+    rem = list(a)
+    top = len(d) - 1
+    lead = d[-1]
+    for i in range(len(a) - 1 - top, -1, -1):
+        c, r = divmod(rem[i + top], lead)
+        if r:
+            return False
+        if c:
+            for j in range(top):
+                rem[i + j] -= c * d[j]
+    return not any(rem[:top])
 
 
 def _clear_denominators(columns):
@@ -351,7 +480,7 @@ def _clear_denominators(columns):
     multiple of every denominator in ``columns`` and ``integers`` holds
     ``scale`` times each sequence, as lists of ints.
     """
-    scale = math.lcm(*(c.denominator for column in columns for c in column))
+    scale = math.lcm(*[c.denominator for column in columns for c in column])
     return [[c.numerator * (scale // c.denominator) for c in column]
             for column in columns], scale
 

@@ -130,15 +130,14 @@ def b_from_uni(coeffs, variable):
     return b_trim({(0, j): Fraction(c) for j, c in enumerate(coeffs)})
 
 
-# -- resultants: Sylvester determinants by fraction-free elimination --------
+# -- division, Euclid and Sylvester determinants ------------------------------
 
 def l_sub(a, b):
     return l_add(a, l_neg(b))
 
 
-def l_exact_div(a, b):
-    """Quotient of a polynomial division known to be exact, by long
-    division; raises ArithmeticError if a remainder is left."""
+def l_divmod(a, b):
+    """Quotient and remainder of schoolbook long division by nonzero b."""
     a, b = l_trim(a), l_trim(b)
     rem = list(a)
     quotient = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
@@ -147,9 +146,33 @@ def l_exact_div(a, b):
         quotient[i] = c
         for j, bc in enumerate(b):
             rem[i + j] -= c * bc
-    if l_trim(rem):
+    return l_trim(quotient), l_trim(rem)
+
+
+def l_exact_div(a, b):
+    """Quotient of a polynomial division known to be exact; raises
+    ArithmeticError if a remainder is left."""
+    quotient, rem = l_divmod(a, b)
+    if rem:
         raise ArithmeticError("inexact polynomial division")
-    return l_trim(quotient)
+    return quotient
+
+
+def l_monic(a):
+    return [c / a[-1] for c in a]
+
+
+def l_gcd(a, b):
+    """Monic gcd of two coefficient lists, not both zero, by the Euclidean
+    remainder sequence over the rationals, each remainder made monic."""
+    a, b = l_trim(a), l_trim(b)
+    if not a and not b:
+        raise ValueError("gcd(0, 0) is undefined")
+    while b:
+        a, b = b, l_divmod(a, b)[1]
+        if b:
+            b = l_monic(b)
+    return l_monic(a)
 
 
 def bareiss_determinant(rows, zero, one, mul, sub, div):

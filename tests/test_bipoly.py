@@ -13,6 +13,7 @@ from broughton.bipoly import (
     BiPoly,
     X,
     Y,
+    _x_degree_bound,
     build_f,
     build_g,
     build_h,
@@ -158,6 +159,17 @@ class TestResultant:
             resultant_y(BiPoly(), Y)
         with pytest.raises(ValueError):
             resultant_y(BiPoly((P(0, 1),)), BiPoly((P(1, 1),)))
+
+    def test_degree_bound_of_the_connectivity_anchor(self):
+        # h = ((x^2 + 1)*y - 1)^5 + y^5.  The weighted bound needs 47 points
+        # for Res_y(h_x, h_y), of degree 6, where n*deg_x a + m*deg_x b
+        # needs 87; on the swapped pair both bounds are the exact 86.
+        h = build_h(P(1, 0, 1), 5, 5, 1)
+        hx, hy = h.partial_x(), h.partial_y()
+        assert _x_degree_bound(hx, hy) == 46
+        assert resultant_y(hx, hy).degree == 6
+        swapped = (hx.swap_vars(), hy.swap_vars())
+        assert _x_degree_bound(*swapped) == 86 == resultant_y(*swapped).degree
 
     def test_vanishes_exactly_on_planted_common_factors(self):
         rng = random.Random(555)

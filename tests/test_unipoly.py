@@ -15,12 +15,12 @@ from broughton.unipoly import (
     UniPoly,
     X,
     ZERO,
-    divrem,
+    _prime,
     exact_div,
     gcd,
     resultant,
 )
-from oracles import l_eval, l_from_roots, l_mul, l_resultant, random_coeffs
+from oracles import l_eval, l_from_roots, l_gcd, l_mul, l_resultant, random_coeffs
 
 F = Fraction
 
@@ -46,9 +46,9 @@ class TestExamples:
         assert P(2, 1) * P(3, 1) == P(6, 5, 1)
 
     def test_divrem(self):
-        assert divrem(P(1, 0, 0, 1), P(1, 1)) == (P(1, -1, 1), ZERO)
-        assert divrem(X, X * X) == (ZERO, X)
-        assert divrem(P(1, 0, 1), X) == (X, ONE)
+        assert divmod(P(1, 0, 0, 1), P(1, 1)) == (P(1, -1, 1), ZERO)
+        assert divmod(X, X * X) == (ZERO, X)
+        assert divmod(P(1, 0, 1), X) == (X, ONE)
 
     def test_gcd(self):
         assert gcd(P(-1, 1) * P(1, 1), P(-1, 1) ** 2) == P(-1, 1)
@@ -93,7 +93,7 @@ class TestExamples:
 class TestErrors:
     def test_division_by_zero_polynomial(self):
         with pytest.raises(ZeroDivisionError):
-            divrem(P(1, 2), ZERO)
+            divmod(P(1, 2), ZERO)
 
     def test_gcd_of_two_zeros(self):
         with pytest.raises(ValueError):
@@ -142,7 +142,7 @@ def test_degree_laws(a, b):
 @given(polys, nonzero_polys)
 @settings(max_examples=200, deadline=None)
 def test_divrem_roundtrip(a, b):
-    q, r = divrem(a, b)
+    q, r = divmod(a, b)
     assert q * b + r == a
     assert r.degree < b.degree
 
@@ -166,6 +166,63 @@ def test_gcd_sees_planted_common_factor():
             continue
         d = gcd(a, b)
         assert d % common.monic() == ZERO
+
+
+def check_gcd_against_oracle(a, b):
+    """gcd equals Fraction Euclid on (a, b) and on (b, a)."""
+    for left, right in ((a, b), (b, a)):
+        assert gcd(left, right) == UniPoly(l_gcd(left.coeffs, right.coeffs))
+
+
+@given(polys, polys)
+@settings(max_examples=200, deadline=None)
+def test_gcd_matches_fraction_euclid(a, b):
+    if a or b:
+        check_gcd_against_oracle(a, b)
+
+
+large_polys = st.lists(st.integers(-10**30, 10**30), min_size=2, max_size=4).map(UniPoly)
+
+
+@given(large_polys.filter(lambda w: w.degree >= 1),
+       st.one_of(polys, large_polys), st.one_of(polys, large_polys))
+@settings(deadline=None)
+def test_gcd_matches_fraction_euclid_on_large_planted_factors(w, a, b):
+    # A common factor with 100-bit coefficients takes several 62-bit
+    # primes to lift; zero cofactors give a zero side.
+    a, b = w * a, w * b
+    if a or b:
+        check_gcd_against_oracle(a, b)
+
+
+@given(polys, st.one_of(st.just(ZERO), rationals.filter(bool).map(UniPoly.constant)))
+@settings(deadline=None)
+def test_gcd_matches_fraction_euclid_with_a_zero_or_constant_side(a, c):
+    if a or c:
+        check_gcd_against_oracle(a, c)
+
+
+def test_gcd_matches_fraction_euclid_at_unlucky_primes():
+    # Planted on the first primes the modular gcd draws.
+    p, p2 = _prime(0), _prime(1)
+    cases = [
+        # Coprime, but the image at p has degree 1.
+        (X + p, X),
+        # The image at p has degree 2, later ones the true degree 1.
+        ((X + p) * (X + 1), X * (X + 1)),
+        # The image at p2 has degree 2 after p gave 1, and is dropped.
+        ((X + p2) * (X + 1), X * (X + 1)),
+        # p divides a leading coefficient, so it is skipped.
+        (p * X ** 2 + 1, X),
+        # The gcd p*x + 1 is the constant 1 mod p: without the skip, the
+        # images at p would be coprime and the degree-0 exit wrong.
+        ((p * X + 1) * X, (p * X + 1) * (X + 2)),
+        # p and p2 both give x(x - 3), a stable lift that the trial
+        # division has to reject.
+        ((X + p * p2) * (X - 3), X * (X - 3)),
+    ]
+    for a, b in cases:
+        check_gcd_against_oracle(a, b)
 
 
 @given(polys, polys, rationals)
