@@ -7,73 +7,101 @@ invariants: admissibility hypotheses, Betti numbers, the multiple-fiber
 divisor and orbifold group of the associated pencil, functional
 decomposition of univariate polynomials, and resultant-based connectivity
 certificates.
+
+Importing the package loads none of its submodules.  Each public name in
+``__all__`` is resolved on first access (PEP 562) from the submodule that
+defines it, and so is each of those submodules' names, so the command
+line pays only for the modules a command runs.
 """
 
-from .arrangement import (
-    BettiNumbers,
-    CharVarietyReport,
-    FiberDivisor,
-    Hypotheses,
-    HypothesesViolated,
-    TorsionCharacter,
-    TranslatedTorus,
-    betti,
-    characteristic_variety,
-    check_hypotheses,
-    orbifold_group,
-    resonance,
-    special_fiber_divisor,
-)
-from .bipoly import (
-    BiPoly,
-    SingularLocusCheck,
-    build_f,
-    build_g,
-    build_h,
-    is_irreducible_y_linear,
-    resultant_y,
-    singular_locus_finite,
-)
-from .decompose import (
-    CONNECTED_CERTIFIED,
-    INCONCLUSIVE,
-    ConnectivityCertificate,
-    Decomposition,
-    connectivity_certificate,
-    is_decomposable,
-    uni_decompose_at,
-)
-from .parser import (
-    ExponentRangeError,
-    ParseError,
-    UnknownVariableError,
-    parse_bi,
-    parse_uni,
-    print_canonical,
-)
-from .report import (
-    ReportDocument,
-    SCHEMA_VERSION,
-    build_report,
-    render_json,
-    render_text,
-    report_mapping,
-    zahid_polynomials,
-)
-from .squarefree import (
-    PowerIndex,
-    SquarefreeDecomposition,
-    distinct_root_count,
-    power_index,
-    radical,
-    squarefree_decompose,
-)
-from .unipoly import (
-    NEG_INF,
-    UniPoly,
-    exact_div,
-    gcd,
-    resultant,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS_BY_MODULE = {
+    "arrangement": (
+        "BettiNumbers",
+        "CharVarietyReport",
+        "FiberDivisor",
+        "Hypotheses",
+        "HypothesesViolated",
+        "TorsionCharacter",
+        "TranslatedTorus",
+        "betti",
+        "characteristic_variety",
+        "check_hypotheses",
+        "orbifold_group",
+        "resonance",
+        "special_fiber_divisor",
+    ),
+    "bipoly": (
+        "BiPoly",
+        "SingularLocusCheck",
+        "build_f",
+        "build_g",
+        "build_h",
+        "is_irreducible_y_linear",
+        "resultant_y",
+        "singular_locus_finite",
+    ),
+    "decompose": (
+        "CONNECTED_CERTIFIED",
+        "INCONCLUSIVE",
+        "ConnectivityCertificate",
+        "Decomposition",
+        "connectivity_certificate",
+        "is_decomposable",
+        "uni_decompose_at",
+    ),
+    "parser": (
+        "ExponentRangeError",
+        "ParseError",
+        "UnknownVariableError",
+        "parse_bi",
+        "parse_uni",
+        "print_canonical",
+    ),
+    "report": (
+        "ReportDocument",
+        "SCHEMA_VERSION",
+        "build_report",
+        "render_json",
+        "render_text",
+        "report_mapping",
+        "zahid_polynomials",
+    ),
+    "squarefree": (
+        "PowerIndex",
+        "SquarefreeDecomposition",
+        "distinct_root_count",
+        "power_index",
+        "radical",
+        "squarefree_decompose",
+    ),
+    "unipoly": (
+        "NEG_INF",
+        "UniPoly",
+        "exact_div",
+        "gcd",
+        "resultant",
+    ),
+}
+_EXPORTS = {
+    name: module for module, names in _EXPORTS_BY_MODULE.items() for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name in _EXPORTS_BY_MODULE:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -36,8 +36,8 @@ separately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .squarefree import SquarefreeDecomposition, power_index, squarefree_decompose
 from .unipoly import UniPoly, gcd
@@ -47,21 +47,43 @@ class HypothesesViolated(ValueError):
     """The admissibility hypotheses on (p, q) fail."""
 
 
-@dataclass(frozen=True)
-class Hypotheses:
-    """Admissibility of the pair: both clauses and their conjunction."""
+class _Checked:
+    """Base for a named-tuple record whose fields must pass ``_check``.
 
+    Placed before the named tuple among the bases, it runs the check on
+    every construction, by position or keyword, and through ``_make`` and
+    ``_replace``; a failing check raises ValueError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        record = super().__new__(cls, *args, **kwargs)
+        record._check()
+        return record
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _HypothesesFields(NamedTuple):
     common_root_pq: bool
     no_common_root_p1_q: bool
     satisfied: bool
 
-    def __post_init__(self):
+
+class Hypotheses(_Checked, _HypothesesFields):
+    """Admissibility of the pair: both clauses and their conjunction."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.satisfied != (self.common_root_pq and self.no_common_root_p1_q):
             raise ValueError("satisfied must be the conjunction of the clauses")
 
 
-@dataclass(frozen=True)
-class BettiNumbers:
+class BettiNumbers(NamedTuple):
     b0: int
     b1: int
     b2: int
@@ -69,8 +91,7 @@ class BettiNumbers:
     t: int
 
 
-@dataclass(frozen=True)
-class FiberDivisor:
+class FiberDivisor(NamedTuple):
     """Divisor of the special fiber of the pencil of f at value -1.
 
     Components are the squarefree factors of p with their multiplicities;
@@ -84,34 +105,39 @@ class FiberDivisor:
     divisor_multiplicity: int
 
 
-@dataclass(frozen=True)
-class TorsionCharacter:
-    """A torsion point (exp(2*pi*i*a0), exp(2*pi*i*a1)) of the torus."""
-
+class _TorsionCharacterFields(NamedTuple):
     a0: Fraction
     a1: Fraction
 
-    def __post_init__(self):
+
+class TorsionCharacter(_Checked, _TorsionCharacterFields):
+    """A torsion point (exp(2*pi*i*a0), exp(2*pi*i*a1)) of the torus."""
+
+    __slots__ = ()
+
+    def _check(self):
         for a in (self.a0, self.a1):
             if not isinstance(a, Fraction) or not (0 <= a < 1):
                 raise ValueError("torsion coordinates live in [0, 1)")
 
 
-@dataclass(frozen=True)
-class TranslatedTorus:
-    """A torsion translate of a one-parameter subtorus of (C*)^2."""
-
+class _TranslatedTorusFields(NamedTuple):
     torsion: TorsionCharacter
     direction: tuple
 
-    def __post_init__(self):
+
+class TranslatedTorus(_Checked, _TranslatedTorusFields):
+    """A torsion translate of a one-parameter subtorus of (C*)^2."""
+
+    __slots__ = ()
+
+    def _check(self):
         n0, n1 = self.direction
         if (n0, n1) == (0, 0) or math.gcd(abs(n0), abs(n1)) != 1:
             raise ValueError("direction must be a primitive integer vector")
 
 
-@dataclass(frozen=True)
-class CharVarietyReport:
+class _CharVarietyReportFields(NamedTuple):
     hypotheses: Hypotheses
     betti: BettiNumbers
     divisor: FiberDivisor
@@ -120,7 +146,11 @@ class CharVarietyReport:
     resonance_trivial: bool
     irreducibility_flags: tuple
 
-    def __post_init__(self):
+
+class CharVarietyReport(_Checked, _CharVarietyReportFields):
+    __slots__ = ()
+
+    def _check(self):
         if len(self.components) != self.orbifold_order - 1:
             raise ValueError("component count must be orbifold order minus one")
 

@@ -8,6 +8,13 @@ certificate comes back inconclusive.
 Output is text by default; ``--format json`` prints a deterministic JSON
 document instead, and ``--quiet`` silences the text rendering (exit codes
 and JSON are unaffected).
+
+Each process loads only what its command runs.  At import this module
+pulls in the parser and the univariate layer, which every command needs;
+each ``cmd_*`` imports the rest after parsing its arguments, so a parse
+error loads nothing more.  decompose and connectivity never load the
+arrangement layer, the report commands never load ``bipoly`` or
+``decompose``, and ``json`` is loaded only to render JSON.
 """
 
 from __future__ import annotations
@@ -16,18 +23,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .arrangement import betti, check_hypotheses, special_fiber_divisor
-from .decompose import connectivity_certificate, uni_decompose_at
 from .parser import ParseError, parse_uni, print_canonical
-from .report import (
-    SCHEMA_VERSION,
-    _yes,
-    build_report,
-    render_json,
-    render_text,
-    report_mapping,
-    zahid_polynomials,
-)
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 1
@@ -36,6 +32,8 @@ EXIT_INCONCLUSIVE = 3
 
 
 def _emit(args, mapping: dict, text_lines) -> None:
+    from .report import render_json
+
     if args.format == "json":
         print(render_json(mapping))
     elif not args.quiet:
@@ -45,47 +43,32 @@ def _emit(args, mapping: dict, text_lines) -> None:
 def cmd_check(args) -> int:
     p = parse_uni(args.p)
     q = parse_uni(args.q)
+    from .arrangement import check_hypotheses
+    from .report import command_mapping, hypotheses_mapping, hypotheses_text
+
     hypotheses = check_hypotheses(p, q)
-    mapping = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "check",
-        "inputs": {"p": print_canonical(p), "q": print_canonical(q)},
-        "hypotheses": {
-            "common_root_pq": hypotheses.common_root_pq,
-            "no_common_root_p1_q": hypotheses.no_common_root_p1_q,
-            "satisfied": hypotheses.satisfied,
-        },
-    }
-    lines = [
-        f"common root of p and q: {_yes(hypotheses.common_root_pq)}",
-        f"no common root of p+1 and q: {_yes(hypotheses.no_common_root_p1_q)}",
-        f"admissible: {_yes(hypotheses.satisfied)}",
-    ]
-    _emit(args, mapping, lines)
+    mapping = command_mapping(
+        "check",
+        {"p": print_canonical(p), "q": print_canonical(q)},
+        hypotheses=hypotheses_mapping(hypotheses),
+    )
+    _emit(args, mapping, hypotheses_text(hypotheses))
     return EXIT_OK if hypotheses.satisfied else EXIT_PRECONDITION
 
 
 def cmd_betti(args) -> int:
     p = parse_uni(args.p)
     q = parse_uni(args.q)
+    from .arrangement import betti
+    from .report import betti_mapping, betti_text, command_mapping
+
     numbers = betti(p, q)
-    mapping = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "betti",
-        "inputs": {"p": print_canonical(p), "q": print_canonical(q)},
-        "betti": {
-            "b0": numbers.b0,
-            "b1": numbers.b1,
-            "b2": numbers.b2,
-            "s": numbers.s,
-            "t": numbers.t,
-        },
-    }
-    lines = [
-        f"b0 = {numbers.b0}, b1 = {numbers.b1}, b2 = {numbers.b2} "
-        f"(s = {numbers.s}, t = {numbers.t})"
-    ]
-    _emit(args, mapping, lines)
+    mapping = command_mapping(
+        "betti",
+        {"p": print_canonical(p), "q": print_canonical(q)},
+        betti=betti_mapping(numbers),
+    )
+    _emit(args, mapping, [betti_text(numbers)])
     return EXIT_OK
 
 
@@ -96,6 +79,8 @@ def cmd_charvar(args) -> int:
 
 
 def _emit_report(args, p, q) -> int:
+    from .report import build_report, render_json, render_text, report_mapping
+
     document = build_report(p, q)
     if args.format == "json":
         print(render_json(report_mapping(document)))
@@ -105,27 +90,21 @@ def _emit_report(args, p, q) -> int:
 
 
 def cmd_zahid(args) -> int:
+    from .report import zahid_polynomials
+
     p, q = zahid_polynomials(args.p_exponent, args.q_factors)
     return _emit_report(args, p, q)
 
 
 def cmd_divisor(args) -> int:
     p = parse_uni(args.p)
+    from .arrangement import special_fiber_divisor
+    from .report import command_mapping, divisor_mapping
+
     divisor = special_fiber_divisor(p)
-    mapping = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "divisor",
-        "inputs": {"p": print_canonical(p)},
-        "divisor": {
-            "value": f"{divisor.value.numerator}/{divisor.value.denominator}",
-            "unit": f"{divisor.unit.numerator}/{divisor.unit.denominator}",
-            "components": [
-                {"factor": print_canonical(factor), "multiplicity": multiplicity}
-                for factor, multiplicity in divisor.components
-            ],
-            "divisor_multiplicity": divisor.divisor_multiplicity,
-        },
-    }
+    mapping = command_mapping(
+        "divisor", {"p": print_canonical(p)}, divisor=divisor_mapping(divisor)
+    )
     pieces = " * ".join(
         f"({print_canonical(factor)})^{multiplicity}"
         for factor, multiplicity in divisor.components
@@ -140,19 +119,21 @@ def cmd_divisor(args) -> int:
 
 def cmd_decompose(args) -> int:
     p = parse_uni(args.p)
+    from .decompose import uni_decompose_at
+    from .report import command_mapping
+
     result = uni_decompose_at(p, args.inner_degree)
-    mapping = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "decompose",
-        "inputs": {"p": print_canonical(p)},
-        "inner_degree": args.inner_degree,
-        "decomposition": None
+    mapping = command_mapping(
+        "decompose",
+        {"p": print_canonical(p)},
+        inner_degree=args.inner_degree,
+        decomposition=None
         if result is None
         else {
             "outer": print_canonical(result.outer),
             "inner": print_canonical(result.inner),
         },
-    }
+    )
     if result is None:
         lines = [f"no decomposition with inner degree {args.inner_degree}"]
     else:
@@ -170,25 +151,22 @@ def cmd_connectivity(args) -> int:
         c = Fraction(args.c)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"invalid rational constant {args.c!r}", 0)
+    from .decompose import connectivity_certificate
+    from .report import _rat, command_mapping
+
     certificate = connectivity_certificate(p, args.m, args.n, c)
     r_x, r_y = certificate.eliminants
-    mapping = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "connectivity",
-        "inputs": {
-            "p": print_canonical(p),
-            "m": args.m,
-            "n": args.n,
-            "c": f"{c.numerator}/{c.denominator}",
-        },
-        "certificate": {
+    mapping = command_mapping(
+        "connectivity",
+        {"p": print_canonical(p), "m": args.m, "n": args.n, "c": _rat(c)},
+        certificate={
             "status": certificate.status,
             "singular_locus_finite": certificate.singular_finite,
             "eliminant_x": print_canonical(r_x),
             "eliminant_y": print_canonical(r_y),
             "notes": certificate.notes,
         },
-    }
+    )
     lines = [
         f"status: {certificate.status}",
         f"singular locus finite: {certificate.singular_finite}",

@@ -21,8 +21,8 @@ checked by the two resultant eliminants of the partial derivatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bipoly import build_h, singular_locus_finite
 from .unipoly import UniPoly, _scalar
@@ -31,16 +31,14 @@ CONNECTED_CERTIFIED = "connected-certified"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """P = outer(inner) with inner monic, inner(0) = 0, both degrees >= 2."""
 
     outer: UniPoly
     inner: UniPoly
 
 
-@dataclass(frozen=True)
-class ConnectivityCertificate:
+class ConnectivityCertificate(NamedTuple):
     """Verdict of the singular-locus route, with the eliminants as witness."""
 
     status: str

@@ -24,11 +24,13 @@ token kinds that would have been acceptable there.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import bipoly
 from . import unipoly
-from .bipoly import BiPoly
 from .unipoly import UniPoly
+
+if TYPE_CHECKING:
+    from .bipoly import BiPoly
 
 MAX_EXPONENT = 4096
 
@@ -213,7 +215,9 @@ def parse_uni(text: str) -> UniPoly:
 
 def parse_bi(text: str) -> BiPoly:
     """Parse an expression in the variables x and y to a BiPoly."""
-    value = _parse(text, {"x": bipoly.X, "y": bipoly.Y})
+    from .bipoly import BiPoly, X, Y
+
+    value = _parse(text, {"x": X, "y": Y})
     if isinstance(value, BiPoly):
         return value
     if isinstance(value, UniPoly):
@@ -224,6 +228,12 @@ def parse_bi(text: str) -> BiPoly:
 def print_canonical(a) -> str:
     """Canonical text form: descending powers, explicit signs, and '*'
     between all factors, so that parsing the output returns ``a``."""
-    if isinstance(a, (UniPoly, BiPoly)):
+    if isinstance(a, UniPoly):
+        return str(a)
+    # A BiPoly argument means bipoly is loaded already; a UniPoly never
+    # loads it.
+    from .bipoly import BiPoly
+
+    if isinstance(a, BiPoly):
         return str(a)
     raise TypeError(f"cannot print {type(a).__name__} canonically")

@@ -13,13 +13,14 @@ the notes, each marked "cited, not verified".
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
-from .arrangement import CharVarietyReport, characteristic_variety
 from .parser import print_canonical
 from .unipoly import UniPoly, X
+
+if TYPE_CHECKING:
+    from .arrangement import BettiNumbers, CharVarietyReport, FiberDivisor, Hypotheses
 
 SCHEMA_VERSION = "1"
 
@@ -47,8 +48,7 @@ _NOTE_NO_COMPONENTS = (
 )
 
 
-@dataclass(frozen=True)
-class ReportDocument:
+class ReportDocument(NamedTuple):
     """Everything the charvar command reports for one admissible pair."""
 
     schema_version: str
@@ -76,6 +76,10 @@ def zahid_polynomials(p_exponent: int, q_factors: int):
 
 def build_report(p: UniPoly, q: UniPoly) -> ReportDocument:
     """Assemble the full document for an admissible pair."""
+    # Imported here so that decompose and connectivity, which render
+    # through this module, do not load the arrangement layer.
+    from .arrangement import characteristic_variety
+
     body = characteristic_variety(p, q)
     notes = [_NOTE_MAPS, _NOTE_COHOMOLOGY, _NOTE_RESONANCE, _NOTE_ISOLATED]
     if body.orbifold_order == 1:
@@ -92,33 +96,58 @@ def _rat(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def command_mapping(command: str, inputs: dict, **blocks) -> dict:
+    """A command's JSON document: version, command, inputs, then blocks."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "inputs": inputs,
+        **blocks,
+    }
+
+
+def hypotheses_mapping(hypotheses: Hypotheses) -> dict:
+    """The hypotheses block of the JSON documents."""
+    return {
+        "common_root_pq": hypotheses.common_root_pq,
+        "no_common_root_p1_q": hypotheses.no_common_root_p1_q,
+        "satisfied": hypotheses.satisfied,
+    }
+
+
+def betti_mapping(numbers: BettiNumbers) -> dict:
+    """The Betti block of the JSON documents."""
+    return {
+        "b0": numbers.b0,
+        "b1": numbers.b1,
+        "b2": numbers.b2,
+        "s": numbers.s,
+        "t": numbers.t,
+    }
+
+
+def divisor_mapping(divisor: FiberDivisor) -> dict:
+    """The divisor block of the JSON documents."""
+    return {
+        "value": _rat(divisor.value),
+        "unit": _rat(divisor.unit),
+        "components": [
+            {"factor": print_canonical(factor), "multiplicity": multiplicity}
+            for factor, multiplicity in divisor.components
+        ],
+        "divisor_multiplicity": divisor.divisor_multiplicity,
+    }
+
+
 def report_mapping(document: ReportDocument) -> dict:
     """Flatten a document to JSON-ready primitives in a fixed key order."""
     body = document.body
     return {
         "schema_version": document.schema_version,
         "inputs": dict(document.inputs),
-        "hypotheses": {
-            "common_root_pq": body.hypotheses.common_root_pq,
-            "no_common_root_p1_q": body.hypotheses.no_common_root_p1_q,
-            "satisfied": body.hypotheses.satisfied,
-        },
-        "betti": {
-            "b0": body.betti.b0,
-            "b1": body.betti.b1,
-            "b2": body.betti.b2,
-            "s": body.betti.s,
-            "t": body.betti.t,
-        },
-        "divisor": {
-            "value": _rat(body.divisor.value),
-            "unit": _rat(body.divisor.unit),
-            "components": [
-                {"factor": print_canonical(factor), "multiplicity": multiplicity}
-                for factor, multiplicity in body.divisor.components
-            ],
-            "divisor_multiplicity": body.divisor.divisor_multiplicity,
-        },
+        "hypotheses": hypotheses_mapping(body.hypotheses),
+        "betti": betti_mapping(body.betti),
+        "divisor": divisor_mapping(body.divisor),
         "orbifold_order": body.orbifold_order,
         "components": [
             {
@@ -138,6 +167,8 @@ def report_mapping(document: ReportDocument) -> dict:
 
 def render_json(mapping: dict) -> str:
     """Deterministic JSON text: fixed insertion order, two-space indent."""
+    import json  # here, so that text output never loads it
+
     return json.dumps(mapping, indent=2, ensure_ascii=True)
 
 
@@ -145,14 +176,10 @@ def render_text(document: ReportDocument) -> str:
     """Human-readable rendering of the same facts."""
     body = document.body
     inputs = dict(document.inputs)
-    hyp = body.hypotheses
     lines = [
         f"inputs: p = {inputs['p']}, q = {inputs['q']}",
-        "hypotheses: common root of p and q: "
-        f"{_yes(hyp.common_root_pq)}; no common root of p+1 and q: "
-        f"{_yes(hyp.no_common_root_p1_q)}; admissible: {_yes(hyp.satisfied)}",
-        f"betti numbers: b0 = {body.betti.b0}, b1 = {body.betti.b1}, "
-        f"b2 = {body.betti.b2} (s = {body.betti.s}, t = {body.betti.t})",
+        f"hypotheses: {'; '.join(hypotheses_text(body.hypotheses))}",
+        f"betti numbers: {betti_text(body.betti)}",
         f"special fiber at -1: {_divisor_text(body.divisor)} "
         f"(multiplicity gcd {body.divisor.divisor_multiplicity})",
         f"orbifold group: Z/{body.orbifold_order}",
@@ -175,6 +202,23 @@ def render_text(document: ReportDocument) -> str:
     for note in document.notes:
         lines.append(f"  - {note}")
     return "\n".join(lines)
+
+
+def hypotheses_text(hypotheses: Hypotheses) -> list:
+    """The two clauses and the verdict, one phrase each."""
+    return [
+        f"common root of p and q: {_yes(hypotheses.common_root_pq)}",
+        f"no common root of p+1 and q: {_yes(hypotheses.no_common_root_p1_q)}",
+        f"admissible: {_yes(hypotheses.satisfied)}",
+    ]
+
+
+def betti_text(numbers: BettiNumbers) -> str:
+    """The Betti numbers with s and t, as one phrase."""
+    return (
+        f"b0 = {numbers.b0}, b1 = {numbers.b1}, b2 = {numbers.b2} "
+        f"(s = {numbers.s}, t = {numbers.t})"
+    )
 
 
 def _yes(flag: bool) -> str:

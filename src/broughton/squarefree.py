@@ -17,14 +17,13 @@ of the associated pencil.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .unipoly import ONE, UniPoly, exact_div, gcd
 
 
-@dataclass(frozen=True)
-class SquarefreeDecomposition:
+class SquarefreeDecomposition(NamedTuple):
     """Unit and (factor, multiplicity) parts, multiplicities increasing."""
 
     unit: Fraction
@@ -50,8 +49,7 @@ class SquarefreeDecomposition:
         return math.gcd(*[multiplicity for _, multiplicity in self.parts])
 
 
-@dataclass(frozen=True)
-class PowerIndex:
+class PowerIndex(NamedTuple):
     """Maximal d with input = unit * base**d, base monic with exponent-gcd 1."""
 
     d: int

@@ -10,6 +10,8 @@ import pytest
 
 from broughton.arrangement import (
     BettiNumbers,
+    CharVarietyReport,
+    Hypotheses,
     HypothesesViolated,
     TorsionCharacter,
     TranslatedTorus,
@@ -71,8 +73,6 @@ class TestHypotheses:
         assert tangled.satisfied is False
 
     def test_consistency_field_is_enforced(self):
-        from broughton.arrangement import Hypotheses
-
         with pytest.raises(ValueError):
             Hypotheses(common_root_pq=True, no_common_root_p1_q=True, satisfied=False)
 
@@ -219,6 +219,49 @@ class TestCharacteristicVariety:
             TranslatedTorus(TorsionCharacter(F(0), F(0)), (0, 2))
         with pytest.raises(ValueError):
             TranslatedTorus(TorsionCharacter(F(0), F(0)), (0, 0))
+
+        # Every validated record checks its fields however it is built:
+        # by position, by keyword, and through _make and _replace.
+        report = characteristic_variety(X ** 3, X)
+        torus = report.components[0]
+        bad_fields = (
+            (Hypotheses, report.hypotheses, {"satisfied": False}),
+            (TorsionCharacter, torus.torsion, {"a1": F(1)}),
+            (TorsionCharacter, torus.torsion, {"a0": 0}),
+            (TranslatedTorus, torus, {"direction": (2, 4)}),
+            (CharVarietyReport, report, {"components": ()}),
+        )
+        for cls, good, change in bad_fields:
+            assert cls(*good) == good
+            assert cls(**good._asdict()) == good
+            fields = {**good._asdict(), **change}
+            with pytest.raises(ValueError):
+                cls(*fields.values())
+            with pytest.raises(ValueError):
+                cls(**fields)
+            with pytest.raises(ValueError):
+                cls._make(fields.values())
+            with pytest.raises(ValueError):
+                good._replace(**change)
+
+    def test_records_are_frozen_and_hash_by_value(self):
+        p, q = X ** 2 * (X - 1) ** 2, X * (X + 2)
+        first, second = characteristic_variety(p, q), characteristic_variety(p, q)
+        records = (
+            (first, second),
+            (first.hypotheses, second.hypotheses),
+            (first.betti, second.betti),
+            (first.divisor, second.divisor),
+            (first.components[0], second.components[0]),
+            (first.components[0].torsion, second.components[0].torsion),
+        )
+        for record, twin in records:
+            assert record == twin and hash(record) == hash(twin)
+            assert record == tuple(record)
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], twin[0])
+            with pytest.raises(AttributeError):
+                record.extra = 1
 
 
 def test_resonance_is_trivial_for_admissible_pairs():

@@ -8,7 +8,6 @@ import sys
 
 import pytest
 
-import broughton.cli as cli
 from broughton.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -16,6 +15,7 @@ from broughton.cli import (
     EXIT_PRECONDITION,
     main,
 )
+from broughton import decompose
 from broughton.decompose import ConnectivityCertificate, INCONCLUSIVE
 from broughton.unipoly import ZERO
 
@@ -76,7 +76,8 @@ class TestExitCodes:
             eliminants=(ZERO, ZERO),
             notes="forced for the exit-code path",
         )
-        monkeypatch.setattr(cli, "connectivity_certificate",
+        # cmd_connectivity imports the name from decompose when it runs.
+        monkeypatch.setattr(decompose, "connectivity_certificate",
                             lambda *a, **k: fake)
         code, out, _ = run(capsys, "connectivity", "x", "--m", "2", "--n", "2",
                            "--c", "1")

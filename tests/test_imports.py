@@ -1,0 +1,153 @@
+"""What importing the package and running one command loads.
+
+Each command line runs in a fresh interpreter that writes no bytecode
+cache, as a ``broughton`` process does where sources are not precompiled,
+and reports the modules that importing ``broughton.cli`` and running the
+command added to ``sys.modules``.
+"""
+
+from __future__ import annotations
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import broughton
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CHILD = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "from broughton.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print()\n"
+    "print(code, *sorted(set(sys.modules) - before))\n"
+)
+
+COMMANDS = {
+    "check": ["x^2", "x*(x+2)"],
+    "betti": ["x^2", "x*(x+2)"],
+    "charvar": ["x^3", "x"],
+    "report": ["x^3", "x"],
+    "divisor": ["(x+1)^2*x"],
+    "zahid": ["4", "2"],
+    "decompose": ["x^4+2*x^2+1", "--inner-degree", "2"],
+    "connectivity": ["x^2+1", "--m", "2", "--n", "3", "--c=-2"],
+}
+REPORTING = ("check", "betti", "charvar", "report", "divisor", "zahid")
+
+
+def last_line(code, *argv):
+    """Last stdout line of ``python -c code argv`` run on this checkout."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return child.stdout.splitlines()[-1]
+
+
+def loaded_by(*argv):
+    """Exit code and the modules a fresh ``broughton`` process added."""
+    code, *modules = last_line(CHILD, *argv).split()
+    return int(code), set(modules)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_loads_only_what_it_runs(command, fmt):
+    code, modules = loaded_by(command, *COMMANDS[command], "--format", fmt)
+    assert code == 0
+    assert "dataclasses" not in modules
+    assert "broughton.report" in modules
+    if command in REPORTING:
+        assert "broughton.arrangement" in modules
+        assert "broughton.bipoly" not in modules
+        assert "broughton.decompose" not in modules
+    else:
+        assert "broughton.decompose" in modules
+        assert "broughton.arrangement" not in modules
+        assert "broughton.squarefree" not in modules
+    assert ("json" in modules) == (fmt == "json")
+
+
+def test_parse_error_loads_only_the_parser():
+    code, modules = loaded_by("check", "x^", "x")
+    assert code == 1
+    assert {name for name in modules if name.startswith("broughton")} == {
+        "broughton",
+        "broughton.cli",
+        "broughton.parser",
+        "broughton.unipoly",
+    }
+    assert "dataclasses" not in modules
+
+
+# The names the package exported when it imported every submodule.
+EXPORTS = {
+    "arrangement": (
+        "BettiNumbers", "CharVarietyReport", "FiberDivisor", "Hypotheses",
+        "HypothesesViolated", "TorsionCharacter", "TranslatedTorus", "betti",
+        "characteristic_variety", "check_hypotheses", "orbifold_group",
+        "resonance", "special_fiber_divisor",
+    ),
+    "bipoly": (
+        "BiPoly", "SingularLocusCheck", "build_f", "build_g", "build_h",
+        "is_irreducible_y_linear", "resultant_y", "singular_locus_finite",
+    ),
+    "decompose": (
+        "CONNECTED_CERTIFIED", "INCONCLUSIVE", "ConnectivityCertificate",
+        "Decomposition", "connectivity_certificate", "is_decomposable",
+        "uni_decompose_at",
+    ),
+    "parser": (
+        "ExponentRangeError", "ParseError", "UnknownVariableError", "parse_bi",
+        "parse_uni", "print_canonical",
+    ),
+    "report": (
+        "ReportDocument", "SCHEMA_VERSION", "build_report", "render_json",
+        "render_text", "report_mapping", "zahid_polynomials",
+    ),
+    "squarefree": (
+        "PowerIndex", "SquarefreeDecomposition", "distinct_root_count",
+        "power_index", "radical", "squarefree_decompose",
+    ),
+    "unipoly": ("NEG_INF", "UniPoly", "exact_div", "gcd", "resultant"),
+}
+
+
+def test_lazy_exports_match_the_submodules():
+    names = [name for group in EXPORTS.values() for name in group]
+    assert sorted(broughton.__all__) == sorted(names)
+    assert set(names) <= set(dir(broughton))
+    for module_name, group in EXPORTS.items():
+        module = importlib.import_module(f"broughton.{module_name}")
+        assert getattr(broughton, module_name) is module
+        for name in group:
+            assert getattr(broughton, name) is getattr(module, name), name
+
+    namespace = {}
+    exec("from broughton import *", namespace)
+    for name in names:
+        assert namespace[name] is getattr(broughton, name), name
+
+    with pytest.raises(AttributeError):
+        broughton.no_such_name
+    with pytest.raises(ImportError):
+        exec("from broughton import no_such_name", {})
+    assert broughton.__version__ == "0.1.0"
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = (
+        "import sys\n"
+        "import broughton\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('broughton')))\n"
+    )
+    assert last_line(code) == "broughton"
