@@ -31,16 +31,12 @@ _EXPORTS_BY_MODULE = {
         "characteristic_variety",
         "check_hypotheses",
         "orbifold_group",
-        "resonance",
         "special_fiber_divisor",
     ),
     "bipoly": (
         "BiPoly",
         "SingularLocusCheck",
-        "build_f",
-        "build_g",
         "build_h",
-        "is_irreducible_y_linear",
         "resultant_y",
         "singular_locus_finite",
     ),
@@ -71,11 +67,7 @@ _EXPORTS_BY_MODULE = {
         "zahid_polynomials",
     ),
     "squarefree": (
-        "PowerIndex",
         "SquarefreeDecomposition",
-        "distinct_root_count",
-        "power_index",
-        "radical",
         "squarefree_decompose",
     ),
     "unipoly": (
@@ -83,7 +75,6 @@ _EXPORTS_BY_MODULE = {
         "UniPoly",
         "exact_div",
         "gcd",
-        "resultant",
     ),
 }
 _EXPORTS = {

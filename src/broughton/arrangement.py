@@ -39,7 +39,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .squarefree import SquarefreeDecomposition, power_index, squarefree_decompose
+from .squarefree import SquarefreeDecomposition, squarefree_decompose
 from .unipoly import UniPoly, gcd
 
 
@@ -239,7 +239,7 @@ def orbifold_group(p: UniPoly) -> int:
     power index d of p, so the group is Z/d.
     """
     _require_nonconstant(p, "p")
-    return power_index(p).d
+    return squarefree_decompose(p).multiplicity_gcd
 
 
 def characteristic_variety(p: UniPoly, q: UniPoly) -> CharVarietyReport:
@@ -278,13 +278,3 @@ def characteristic_variety(p: UniPoly, q: UniPoly) -> CharVarietyReport:
         resonance_trivial=True,
         irreducibility_flags=flags,
     )
-
-
-def resonance(p: UniPoly, q: UniPoly) -> bool:
-    """Triviality of the first resonance variety for an admissible pair.
-
-    Always true here: the cup product on first cohomology is nontrivial for
-    these complements, which kills every resonance component.
-    """
-    _admissible_invariants(p, q)
-    return True

@@ -1,20 +1,16 @@
-"""Bivariate polynomials and the curve-arrangement constructions.
+"""Bivariate polynomials, the auxiliary surface and its singular locus.
 
 A :class:`BiPoly` is a polynomial in two variables x and y with rational
 coefficients, stored as a tuple of :class:`UniPoly` coefficients indexed by
 the power of y (no trailing zero entry).  That layout matches how the
-arrangement polynomials are used: everything of interest here is shallow in
-y and the eliminations all project onto the x-line.
+polynomials are used: everything of interest here is shallow in y and the
+eliminations all project onto the x-line.
 
-The constructions:
-
-    build_g(q)        g = q(x)*y - 1, the smooth fiber curve
-    build_f(p, q)     f = p(x)*q(x)*y - (p(x) + 1), the shifted curve, so
-                      that f*g + 1 factors through p(x)*(y*q(x) - 1)
-    build_h(p, m, n, c)   h = (p(u)*v - 1)**m + c*v**n, the auxiliary
-                      polynomial whose singular locus certifies that the
-                      generic fiber of a candidate decomposition map stays
-                      connected
+The one construction is ``build_h(p, m, n, c)``, the auxiliary polynomial
+h = (p(u)*v - 1)**m + c*v**n whose singular locus certifies that the
+generic fiber of a candidate decomposition map stays connected.  The
+arrangement curves f and g are never built: every invariant of the
+arrangement is read off p and q directly.
 
 Elimination is by Sylvester resultants in y, computed by evaluation and
 interpolation on integers: denominators are cleared once, x runs over the
@@ -34,14 +30,11 @@ from .unipoly import (
     ONE,
     UniPoly,
     ZERO,
-    _bareiss_determinant,
     _clear_denominators,
     _coerce,
     _power,
     _scalar,
-    gcd,
     render_terms,
-    sylvester_rows,
 )
 
 
@@ -194,16 +187,6 @@ class BiPoly:
         """Specialize x, leaving a univariate polynomial in y."""
         return UniPoly([c(point) for c in self._coeffs])
 
-    def eval_y(self, point) -> UniPoly:
-        """Specialize y, leaving a univariate polynomial in x."""
-        t = _scalar(point)
-        if t is None:
-            raise TypeError(f"evaluation point {point!r} is not rational")
-        acc = ZERO
-        for c in reversed(self._coeffs):
-            acc = acc * t + c
-        return acc
-
     def __call__(self, x_point, y_point) -> Fraction:
         return self.eval_x(x_point)(y_point)
 
@@ -233,26 +216,6 @@ X = BiPoly((UniPoly((0, 1)),))
 Y = BiPoly((ZERO, ONE))
 
 
-def build_g(q: UniPoly) -> BiPoly:
-    """The curve g = q(x)*y - 1.  Needs nonconstant q."""
-    if not isinstance(q, UniPoly) or q.is_constant():
-        raise ValueError("build_g needs a nonconstant polynomial q")
-    return BiPoly((UniPoly((-1,)), q))
-
-
-def build_f(p: UniPoly, q: UniPoly) -> BiPoly:
-    """The shifted curve f = p*q*y - (p + 1), both inputs nonconstant.
-
-    Satisfies f = p*(q*y - 1) - 1, so f + 1 is the product of the vertical
-    component p and the fiber curve g.
-    """
-    if not isinstance(p, UniPoly) or p.is_constant():
-        raise ValueError("build_f needs a nonconstant polynomial p")
-    if not isinstance(q, UniPoly) or q.is_constant():
-        raise ValueError("build_f needs a nonconstant polynomial q")
-    return BiPoly((-(p + 1), p * q))
-
-
 def build_h(p: UniPoly, m: int, n: int, c: Fraction) -> BiPoly:
     """The auxiliary polynomial h = (p(x)*y - 1)**m + c*y**n.
 
@@ -277,6 +240,62 @@ class SingularLocusCheck(NamedTuple):
 
     finite: bool
     eliminants: tuple
+
+
+def _sylvester_rows(a_coeffs, b_coeffs):
+    """Integer Sylvester matrix rows, a-block first, coefficients high to low.
+
+    The shape comes from the sequence lengths alone, so a vanishing leading
+    entry keeps its place.
+    """
+    m = len(a_coeffs) - 1
+    n = len(b_coeffs) - 1
+    dim = m + n
+    rows = []
+    high_a = list(reversed(a_coeffs))
+    high_b = list(reversed(b_coeffs))
+    for shift in range(n):
+        row = [0] * dim
+        row[shift:shift + m + 1] = high_a
+        rows.append(row)
+    for shift in range(m):
+        row = [0] * dim
+        row[shift:shift + n + 1] = high_b
+        rows.append(row)
+    return rows
+
+
+def _bareiss_determinant(rows) -> int:
+    """Fraction-free determinant (Bareiss) of a square integer matrix.
+
+    Every division the elimination performs is exact, so it runs on plain
+    ints with ``//``.  Row swaps handle zero pivots and only flip the sign.
+    """
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            head = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - head * pivot_row[j]) // prev
+        prev = pivot
+    det = m[n - 1][n - 1]
+    return -det if sign < 0 else det
 
 
 def _horner(coeffs, t: int) -> int:
@@ -364,28 +383,12 @@ def resultant_y(a: BiPoly, b: BiPoly) -> UniPoly:
     b_ints, scale_b = _clear_denominators([c.coeffs for c in b.coeffs])
     bound = _x_degree_bound(a, b)
     values = [
-        _bareiss_determinant(sylvester_rows(
+        _bareiss_determinant(_sylvester_rows(
             [_horner(c, t) for c in a_ints], [_horner(c, t) for c in b_ints]))
         for t in range(bound + 1)
     ]
     scale = scale_a ** n * scale_b ** m
     return UniPoly(Fraction(c, scale) for c in _interpolate_naturals(values))
-
-
-def is_irreducible_y_linear(a: BiPoly) -> bool:
-    """Irreducibility test for polynomials of y-degree exactly one.
-
-    A(x)*y + B(x) is irreducible over the complex numbers exactly when A
-    and B share no nonconstant factor: any factorization would have to put
-    a common x-factor in front.
-    """
-    if a.degree_y != 1:
-        raise ValueError("irreducibility test needs y-degree exactly one")
-    lead = a.coefficient(1)
-    rest = a.coefficient(0)
-    if not rest:
-        return lead.is_constant()
-    return gcd(lead, rest).is_constant()
 
 
 def _eliminant(a: BiPoly, b: BiPoly) -> UniPoly:

@@ -75,42 +75,32 @@ def cmd_betti(args) -> int:
 def cmd_charvar(args) -> int:
     p = parse_uni(args.p)
     q = parse_uni(args.q)
-    return _emit_report(args, p, q)
-
-
-def _emit_report(args, p, q) -> int:
-    from .report import build_report, render_json, render_text, report_mapping
+    from .report import build_report, render_text, report_mapping
 
     document = build_report(p, q)
-    if args.format == "json":
-        print(render_json(report_mapping(document)))
-    elif not args.quiet:
-        print(render_text(document))
+    _emit(args, report_mapping(document), [render_text(document)])
     return EXIT_OK
 
 
 def cmd_zahid(args) -> int:
-    from .report import zahid_polynomials
+    from .report import build_report, render_text, report_mapping, zahid_polynomials
 
-    p, q = zahid_polynomials(args.p_exponent, args.q_factors)
-    return _emit_report(args, p, q)
+    document = build_report(*zahid_polynomials(args.p_exponent, args.q_factors))
+    _emit(args, report_mapping(document), [render_text(document)])
+    return EXIT_OK
 
 
 def cmd_divisor(args) -> int:
     p = parse_uni(args.p)
     from .arrangement import special_fiber_divisor
-    from .report import command_mapping, divisor_mapping
+    from .report import command_mapping, divisor_mapping, divisor_text
 
     divisor = special_fiber_divisor(p)
     mapping = command_mapping(
         "divisor", {"p": print_canonical(p)}, divisor=divisor_mapping(divisor)
     )
-    pieces = " * ".join(
-        f"({print_canonical(factor)})^{multiplicity}"
-        for factor, multiplicity in divisor.components
-    )
     lines = [
-        f"special fiber at -1: {pieces}",
+        f"special fiber at -1: {divisor_text(divisor)}",
         f"divisor multiplicity: {divisor.divisor_multiplicity}",
     ]
     _emit(args, mapping, lines)

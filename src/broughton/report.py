@@ -180,7 +180,7 @@ def render_text(document: ReportDocument) -> str:
         f"inputs: p = {inputs['p']}, q = {inputs['q']}",
         f"hypotheses: {'; '.join(hypotheses_text(body.hypotheses))}",
         f"betti numbers: {betti_text(body.betti)}",
-        f"special fiber at -1: {_divisor_text(body.divisor)} "
+        f"special fiber at -1: {divisor_text(body.divisor)} "
         f"(multiplicity gcd {body.divisor.divisor_multiplicity})",
         f"orbifold group: Z/{body.orbifold_order}",
         f"characteristic variety: {len(body.components)} positive-dimensional "
@@ -225,7 +225,9 @@ def _yes(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _divisor_text(divisor) -> str:
+def divisor_text(divisor: FiberDivisor) -> str:
+    """The fiber as unit * (factor)^multiplicity * ..., a unit of one and
+    exponents of one left out."""
     pieces = []
     if divisor.unit != 1:
         pieces.append(_rat(divisor.unit))

@@ -7,7 +7,8 @@ Everything the arrangement layer needs to know about a defining polynomial
 
 with monic, squarefree, pairwise coprime ``fi`` and strictly increasing
 multiplicities ``mi``.  Yun's algorithm computes it with gcds alone; in
-characteristic zero it recovers every multiplicity exactly.  The power
+characteristic zero it recovers every multiplicity exactly.  The radical
+f1*f2*...*fk has one simple root per distinct root of ``p``, and the power
 index d = gcd(m1, ..., mk) measures how far ``p`` is a perfect power: over
 the complex numbers p = (unit root adjusted) base**d with d maximal, and d
 is what drives both the multiple-fiber multiplicity and the orbifold group
@@ -49,14 +50,6 @@ class SquarefreeDecomposition(NamedTuple):
         return math.gcd(*[multiplicity for _, multiplicity in self.parts])
 
 
-class PowerIndex(NamedTuple):
-    """Maximal d with input = unit * base**d, base monic with exponent-gcd 1."""
-
-    d: int
-    base: UniPoly
-    unit: Fraction
-
-
 def squarefree_decompose(a: UniPoly) -> SquarefreeDecomposition:
     """Yun's squarefree decomposition.
 
@@ -96,39 +89,3 @@ def squarefree_decompose(a: UniPoly) -> SquarefreeDecomposition:
         z = exact_div(z, f) - w.derivative()
         multiplicity += 1
     return SquarefreeDecomposition(unit=unit, parts=tuple(parts))
-
-
-def radical(a: UniPoly) -> UniPoly:
-    """Monic product of the distinct irreducible factors of ``a``."""
-    if not a or a.is_constant():
-        raise ValueError("radical needs a nonconstant polynomial")
-    return squarefree_decompose(a).radical()
-
-
-def distinct_root_count(a: UniPoly) -> int:
-    """Number of distinct complex roots of a nonzero polynomial.
-
-    Equals the degree of the radical, since a squarefree polynomial over a
-    characteristic-zero field has exactly ``degree`` distinct roots.
-    """
-    if not a:
-        raise ValueError("the zero polynomial has every point as a root")
-    if a.is_constant():
-        return 0
-    return sum(factor.degree for factor, _ in squarefree_decompose(a).parts)
-
-
-def power_index(a: UniPoly) -> PowerIndex:
-    """Largest d with a = unit * base**d for a monic polynomial base.
-
-    Over the complex numbers the unit is itself always a d-th power, so d
-    depends only on the gcd of the squarefree multiplicities.
-    """
-    if not a or a.is_constant():
-        raise ValueError("power index needs a nonconstant polynomial")
-    decomposition = squarefree_decompose(a)
-    d = decomposition.multiplicity_gcd
-    base = ONE
-    for factor, multiplicity in decomposition.parts:
-        base = base * factor ** (multiplicity // d)
-    return PowerIndex(d=d, base=base, unit=decomposition.unit)

@@ -483,83 +483,3 @@ def _clear_denominators(columns):
     scale = math.lcm(*[c.denominator for column in columns for c in column])
     return [[c.numerator * (scale // c.denominator) for c in column]
             for column in columns], scale
-
-
-def _bareiss_determinant(rows) -> int:
-    """Fraction-free determinant (Bareiss) of a square integer matrix.
-
-    Every division the elimination performs is exact, so it runs on plain
-    ints with ``//``.  Row swaps handle zero pivots and only flip the sign.
-    """
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot_row = m[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - head * pivot_row[j]) // prev
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-def sylvester_rows(a_coeffs, b_coeffs):
-    """Integer Sylvester matrix rows, a-block first, coefficients high to low.
-
-    The shape comes from the sequence lengths alone, so a vanishing leading
-    entry keeps its place.
-    """
-    m = len(a_coeffs) - 1
-    n = len(b_coeffs) - 1
-    dim = m + n
-    rows = []
-    high_a = list(reversed(a_coeffs))
-    high_b = list(reversed(b_coeffs))
-    for shift in range(n):
-        row = [0] * dim
-        row[shift:shift + m + 1] = high_a
-        rows.append(row)
-    for shift in range(m):
-        row = [0] * dim
-        row[shift:shift + n + 1] = high_b
-        rows.append(row)
-    return rows
-
-
-def resultant(a: UniPoly, b: UniPoly) -> Fraction:
-    """Resultant of two nonzero polynomials.
-
-    Convention: determinant of the Sylvester matrix whose upper block holds
-    the coefficients of ``a``.  Equivalently
-
-        resultant(a, b) = lc(a)**deg(b) * product of b(alpha)
-
-    over the roots ``alpha`` of ``a`` counted with multiplicity.  It
-    vanishes exactly when the two polynomials share a nonconstant factor.
-
-    With a = A/L_a and b = B/L_b for integer A, B, scaling the deg(b) rows
-    of the a-block and the deg(a) rows of the b-block gives
-    Res(a, b) = Res(A, B) / (L_a**deg(b) * L_b**deg(a)), and Res(A, B) is
-    one integer Bareiss determinant.
-    """
-    if not a or not b:
-        raise ValueError("resultant requires two nonzero polynomials")
-    (a_ints,), scale_a = _clear_denominators([a._coeffs])
-    (b_ints,), scale_b = _clear_denominators([b._coeffs])
-    det = _bareiss_determinant(sylvester_rows(a_ints, b_ints))
-    return Fraction(det, scale_a ** (len(b_ints) - 1) * scale_b ** (len(a_ints) - 1))

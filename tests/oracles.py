@@ -255,6 +255,34 @@ def b_swap(a):
     return {(j, i): v for (i, j), v in a.items()}
 
 
+# -- the arrangement curves and their irreducibility --------------------------
+
+def b_build_g(q):
+    """The fiber curve g = q(x)*y - 1 of a coefficient list q."""
+    return b_add({(i, 1): Fraction(c) for i, c in enumerate(q)}, {(0, 0): Fraction(-1)})
+
+
+def b_build_f(p, q):
+    """The shifted curve f = p(x)*q(x)*y - (p(x) + 1) of coefficient lists."""
+    lead = {(i, 1): c for i, c in enumerate(l_mul(p, q))}
+    return b_add(lead, b_from_uni(l_neg(l_add(p, [Fraction(1)])), "x"))
+
+
+def b_is_irreducible_y_linear(a):
+    """Irreducibility of a bivariate dict A(x)*y + B(x) of y-degree one.
+
+    Any factorization over the complex numbers puts a common x-factor of A
+    and B in front, so the form is irreducible exactly when gcd(A, B) is
+    constant (for B = 0, when A is)."""
+    columns = b_y_columns(a)
+    if len(columns) != 2:
+        raise ValueError("the irreducibility test needs y-degree exactly one")
+    rest, lead = columns
+    if not rest:
+        return len(lead) == 1
+    return len(l_gcd(lead, rest)) == 1
+
+
 # -- brute-force functional decomposition ------------------------------------
 
 def brute_decompose(coeffs, e):

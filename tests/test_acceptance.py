@@ -22,7 +22,7 @@ from broughton.arrangement import (
     orbifold_group,
     special_fiber_divisor,
 )
-from broughton.bipoly import BiPoly, build_f, is_irreducible_y_linear
+from broughton.bipoly import BiPoly
 from broughton.decompose import (
     CONNECTED_CERTIFIED,
     connectivity_certificate,
@@ -31,9 +31,11 @@ from broughton.decompose import (
 )
 from broughton.parser import ParseError, parse_bi, parse_uni, print_canonical
 from broughton.report import build_report, zahid_polynomials
-from broughton.squarefree import power_index, squarefree_decompose
-from broughton.unipoly import UniPoly, X, ZERO, gcd
+from broughton.squarefree import squarefree_decompose
+from broughton.unipoly import ONE, UniPoly, X, ZERO, gcd
 from oracles import (
+    b_build_f,
+    b_is_irreducible_y_linear,
     brute_decompose,
     l_compose,
     l_from_roots,
@@ -158,9 +160,12 @@ def test_criterion_4_squarefree_profile_recovery():
                 )
             assert decomposition.unit == unit
             assert decomposition.reconstruct() == poly
-            index = power_index(poly)
-            assert index.d == math.gcd(*(m for _, m in pairs))
-            assert index.unit * index.base ** index.d == poly
+            d = decomposition.multiplicity_gcd
+            assert d == math.gcd(*(m for _, m in pairs))
+            base = ONE
+            for factor, multiplicity in decomposition.parts:
+                base = base * factor ** (multiplicity // d)
+            assert decomposition.unit * base ** d == poly
 
 
 def test_criterion_5_divisor_orbifold_consistency():
@@ -170,7 +175,7 @@ def test_criterion_5_divisor_orbifold_consistency():
             roots = rng.sample(range(-5, 6), rng.randint(1, 3))
             pairs = [(F(r), rng.randint(1, 6)) for r in roots]
             poly = from_roots(pairs)
-            d = power_index(poly).d
+            d = math.gcd(*(m for _, m in pairs))
             assert special_fiber_divisor(poly).divisor_multiplicity == d
             assert orbifold_group(poly) == d
 
@@ -229,7 +234,8 @@ def test_criterion_8_hypothesis_matches_irreducibility():
             p = UniPoly(random_coeffs(rng, rng.randint(1, 4)))
             q = UniPoly(random_coeffs(rng, rng.randint(1, 4)))
             expect = gcd(p + 1, q).degree == 0
-            assert is_irreducible_y_linear(build_f(p, q)) is expect
+            f = b_build_f(list(p.coeffs), list(q.coeffs))
+            assert b_is_irreducible_y_linear(f) is expect
             assert check_hypotheses(p, q).no_common_root_p1_q is expect
 
 

@@ -3,6 +3,7 @@ fiber divisor, orbifold order, and the characteristic-variety components."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,13 +20,16 @@ from broughton.arrangement import (
     characteristic_variety,
     check_hypotheses,
     orbifold_group,
-    resonance,
     special_fiber_divisor,
 )
-from broughton.bipoly import build_f, is_irreducible_y_linear
-from broughton.squarefree import distinct_root_count, power_index
 from broughton.unipoly import UniPoly, X, gcd
-from oracles import l_from_roots, random_fraction
+from oracles import (
+    b_build_f,
+    b_is_irreducible_y_linear,
+    l_from_roots,
+    random_fraction,
+    trial_root_count,
+)
 
 F = Fraction
 
@@ -40,18 +44,32 @@ def from_roots(pairs, unit=1):
 
 def random_admissible_pair(rng):
     """Planted admissible pair: p and q share the root 0, and q's other
-    roots are kept away from the roots of p + 1 by construction."""
+    roots are kept away from the roots of p + 1 by construction.  Every
+    root lies in ``CANDIDATES``.  Returns p, q and the planted (root,
+    multiplicity) pairs of p."""
     shared = F(0)
     p_extra = [(F(rng.randint(1, 4)), rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
-    p = from_roots([(shared, rng.randint(1, 3))] + p_extra)
+    p_parts = [(shared, rng.randint(1, 3))] + p_extra
+    p = from_roots(p_parts)
     # The roots of p + 1 are not controlled, so retry q until the second
     # clause holds; misses are rare.
     for _ in range(100):
         q_extra = [(F(-rng.randint(1, 5)), 1) for _ in range(rng.randint(0, 2))]
         q = from_roots([(shared, 1)] + q_extra)
         if gcd(p + 1, q).degree == 0:
-            return p, q
+            return p, q, p_parts
     raise AssertionError("could not plant an admissible pair")
+
+
+CANDIDATES = range(-5, 5)
+
+
+def planted_power_index(pairs):
+    """gcd of the planted multiplicities, a root drawn twice counted once."""
+    totals = {}
+    for root, multiplicity in pairs:
+        totals[root] = totals.get(root, 0) + multiplicity
+    return math.gcd(*totals.values())
 
 
 class TestHypotheses:
@@ -83,7 +101,7 @@ class TestHypotheses:
             check_hypotheses(X, P(0))
 
     def test_violations_raise_for_downstream_invariants(self):
-        for func in (betti, characteristic_variety, resonance):
+        for func in (betti, characteristic_variety):
             with pytest.raises(HypothesesViolated):
                 func(X, X + 1)
 
@@ -97,7 +115,8 @@ class TestHypotheses:
             if p.is_constant() or q.is_constant():
                 continue
             expect = gcd(p + 1, q).degree == 0
-            assert is_irreducible_y_linear(build_f(p, q)) is expect
+            f = b_build_f(list(p.coeffs), list(q.coeffs))
+            assert b_is_irreducible_y_linear(f) is expect
             assert check_hypotheses(p, q).no_common_root_p1_q is expect
 
 
@@ -111,14 +130,18 @@ class TestBetti:
     def test_distinct_root_bounds(self):
         rng = random.Random(414)
         for _ in range(60):
-            p, q = random_admissible_pair(rng)
+            p, q, _ = random_admissible_pair(rng)
             numbers = betti(p, q)
             assert numbers.b0 == 1 and numbers.b1 == 2
             assert numbers.b2 == numbers.s + numbers.t
-            assert numbers.s == distinct_root_count(q)
-            assert numbers.t == distinct_root_count(p * q)
+            s = trial_root_count(q.coeffs, CANDIDATES)
+            t = trial_root_count((p * q).coeffs, CANDIDATES)
+            assert (numbers.s, numbers.t) == (s, t)
+            # Euler characteristic of the complement.
+            assert numbers.b0 - numbers.b1 + numbers.b2 == s + t - 1
             # p*q sees every root of q, plus at most the extra roots of p.
-            assert numbers.s <= numbers.t <= numbers.s + distinct_root_count(p)
+            p_roots = trial_root_count(p.coeffs, CANDIDATES)
+            assert numbers.s <= numbers.t <= numbers.s + p_roots
 
     def test_scaling_q_by_a_unit_changes_nothing(self):
         p, q = P(0, 0, 1), P(0, 2, 1)
@@ -156,7 +179,7 @@ class TestFiberDivisor:
                 assert multiplicity % divisor.divisor_multiplicity == 0
                 rebuilt = rebuilt * factor ** multiplicity
             assert rebuilt == p
-            assert divisor.divisor_multiplicity == power_index(p).d
+            assert divisor.divisor_multiplicity == planted_power_index(parts)
 
 
 class TestOrbifold:
@@ -174,6 +197,7 @@ class TestOrbifold:
                 for _ in range(rng.randint(1, 3))
             ]
             p = from_roots(parts)
+            assert orbifold_group(p) == planted_power_index(parts)
             assert orbifold_group(p) == special_fiber_divisor(p).divisor_multiplicity
 
 
@@ -197,9 +221,9 @@ class TestCharacteristicVariety:
     def test_component_count_tracks_power_index(self):
         rng = random.Random(444)
         for _ in range(40):
-            p, q = random_admissible_pair(rng)
+            p, q, p_parts = random_admissible_pair(rng)
             report = characteristic_variety(p, q)
-            d = power_index(p).d
+            d = planted_power_index(p_parts)
             assert report.orbifold_order == d
             assert len(report.components) == d - 1
             for j, torus in enumerate(report.components, start=1):
@@ -265,8 +289,8 @@ class TestCharacteristicVariety:
 
 
 def test_resonance_is_trivial_for_admissible_pairs():
-    assert resonance(X ** 2, X) is True
+    assert characteristic_variety(X ** 2, X).resonance_trivial is True
     rng = random.Random(454)
     for _ in range(20):
-        p, q = random_admissible_pair(rng)
-        assert resonance(p, q) is True
+        p, q, _ = random_admissible_pair(rng)
+        assert characteristic_variety(p, q).resonance_trivial is True

@@ -1,34 +1,36 @@
-"""Bivariate layer: constructions, partials, elimination, irreducibility."""
+"""Bivariate layer: the auxiliary surface, partials, elimination."""
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from broughton.bipoly import (
     BiPoly,
     X,
     Y,
+    _bareiss_determinant,
     _x_degree_bound,
-    build_f,
-    build_g,
     build_h,
-    is_irreducible_y_linear,
     resultant_y,
     singular_locus_finite,
 )
-from broughton.unipoly import ONE, UniPoly, ZERO, gcd, resultant
+from broughton.unipoly import ONE, UniPoly, ZERO
 from oracles import (
     b_add,
     b_mul,
     b_pow,
     b_resultant_y,
     b_swap,
+    bareiss_determinant,
+    l_eval,
     l_from_roots,
+    l_resultant,
     random_coeffs,
 )
 
@@ -59,32 +61,6 @@ def random_bipoly(rng, max_x=3, max_y=3):
 
 
 class TestBuilders:
-    def test_build_g(self):
-        assert build_g(P(0, 1)) == BiPoly((P(-1), P(0, 1)))
-        assert build_g(P(0, 2, 1)) == BiPoly((P(-1), P(0, 2, 1)))
-        with pytest.raises(ValueError):
-            build_g(ONE)
-
-    def test_build_f(self):
-        x = P(0, 1)
-        assert build_f(x, x) == BiPoly((-(x + 1), x * x))
-        cube = P(0, 0, 0, 1)
-        assert build_f(cube, x) == BiPoly((-(cube + 1), P(0, 0, 0, 0, 1)))
-        with pytest.raises(ValueError):
-            build_f(P(2), x)
-        with pytest.raises(ValueError):
-            build_f(x, P(2))
-
-    def test_build_f_is_p_times_g_minus_one(self):
-        rng = random.Random(111)
-        for _ in range(40):
-            p = UniPoly(random_coeffs(rng, rng.randint(1, 4)))
-            q = UniPoly(random_coeffs(rng, rng.randint(1, 4)))
-            f = build_f(p, q)
-            g = build_g(q)
-            assert f == p * g - 1
-            assert f.total_degree > g.total_degree
-
     def test_build_h_expansions(self):
         x = P(0, 1)
         # (x*y - 1)**1 + 1*y**1 = x*y + y - 1
@@ -142,15 +118,15 @@ class TestResultant:
         rng = random.Random(444)
         for _ in range(20):
             q = UniPoly(random_coeffs(rng, rng.randint(1, 4)))
-            g = build_g(q)
+            g = BiPoly((P(-1), q))  # q(x)*y - 1
             assert resultant_y(g, Y) == ONE
 
     def test_equal_arguments_vanish(self):
-        a = build_f(P(0, 1), P(0, 1))
+        a = BiPoly((P(-1, -1), P(0, 0, 1)))
         assert resultant_y(a, a) == ZERO
 
     def test_elimination_example(self):
-        f = build_f(P(0, 1), P(0, 1))  # x^2*y - (x + 1)
+        f = BiPoly((P(-1, -1), P(0, 0, 1)))  # x^2*y - (x + 1)
         line = Y - 1
         assert resultant_y(f, line) == -P(-1, -1, 1)
 
@@ -195,9 +171,56 @@ class TestResultant:
             t = F(rng.randint(-4, 4))
             if not a.coefficient(a.degree_y)(t) or not b.coefficient(b.degree_y)(t):
                 continue
-            specialized = resultant(a.eval_x(t), b.eval_x(t))
+            specialized = l_resultant(a.eval_x(t).coeffs, b.eval_x(t).coeffs)
             assert resultant_y(a, b)(t) == specialized
             done += 1
+
+
+def test_resultant_y_matches_product_formula_on_y_polynomials():
+    # Without x, Res_y(a, b) = lc(a)**deg(b) * prod b(alpha) over the roots
+    # of a, checked on polynomials with planted rational roots.  This pins
+    # the sign convention globally, not just up to sign.
+    rng = random.Random(202)
+    for _ in range(80):
+        roots = [F(rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))]
+        lead = F(rng.choice([1, 2, -3]), rng.choice([1, 2]))
+        a = l_from_roots([(root, 1) for root in roots], unit=lead)
+        b = random_coeffs(rng, rng.randint(0, 3))
+        expected = lead ** (len(b) - 1)
+        for root in roots:
+            expected *= l_eval(b, root)
+        assert resultant_y(BiPoly(a), BiPoly(b)) == expected
+
+
+def fraction_determinant(rows):
+    return bareiss_determinant([[F(v) for v in row] for row in rows], F(0), F(1),
+                               operator.mul, operator.sub, operator.truediv)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices up to 5 x 5, half their entries zero, so that
+    zero pivots and row swaps are common; some are made singular by
+    repeating a row as a multiple of another."""
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[j] = [draw(st.integers(-3, 3)) * v for v in rows[i]]
+    return rows
+
+
+@given(integer_matrices())
+@example([[0, 1], [1, 0]])  # zero first pivot: one swap
+@example([[1, 1, 0], [1, 1, 1], [0, 1, 1]])  # zero pivot after a step
+@example([[0, 2, 1], [0, 5, 3], [0, 1, 4]])  # zero column: singular
+@example([[2, 4], [1, 2]])  # dependent rows: singular, no zero column
+@example([[0, 0, 3], [0, 2, 0], [1, 0, 0]])  # two swaps
+@example([])
+@settings(deadline=None)
+def test_bareiss_determinant_matches_fraction_oracle(rows):
+    assert _bareiss_determinant(rows) == fraction_determinant(rows)
 
 
 nonzero_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
@@ -259,31 +282,6 @@ def test_resultant_y_vanishes_with_oracle_on_common_factors(a, b, w):
 def test_resultant_y_matches_oracle_with_a_y_free_side(a, b):
     check_against_oracle(a, b)
     check_against_oracle(b, a)
-
-
-class TestIrreducibility:
-    def test_examples(self):
-        x = P(0, 1)
-        assert is_irreducible_y_linear(build_f(x, x)) is True
-        assert is_irreducible_y_linear(BiPoly((-x, x))) is False
-        rng = random.Random(777)
-        for _ in range(20):
-            q = UniPoly(random_coeffs(rng, rng.randint(1, 4)))
-            assert is_irreducible_y_linear(build_g(q)) is True
-
-    def test_wrong_y_degree_rejected(self):
-        with pytest.raises(ValueError):
-            is_irreducible_y_linear(Y ** 2)
-        with pytest.raises(ValueError):
-            is_irreducible_y_linear(BiPoly((P(0, 1),)))
-
-    def test_matches_gcd_criterion(self):
-        rng = random.Random(888)
-        for _ in range(60):
-            p = UniPoly(random_coeffs(rng, rng.randint(1, 4)))
-            q = UniPoly(random_coeffs(rng, rng.randint(1, 4)))
-            expected = gcd(p + 1, q).degree == 0
-            assert is_irreducible_y_linear(build_f(p, q)) is expected
 
 
 class TestSingularLocus:

@@ -7,7 +7,10 @@ refactors of the invariant pipeline and of the resultant kernel behind
 
 Regenerate the file only for an announced output change:
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py --regenerate
+
+Run as a script with any other arguments, or none, it writes nothing and
+exits with status 2.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from broughton.cli import main
@@ -98,8 +104,32 @@ def test_cli_output_is_byte_identical():
         assert run(entry["argv"]) == entry, " ".join(entry["argv"])
 
 
-if __name__ == "__main__":
+def test_script_rewrites_the_file_only_on_request():
+    before = GOLDEN.read_bytes()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")])
+    )
+    for argv in (["--help"], [], ["--regenerate", "extra"]):
+        child = subprocess.run([sys.executable, __file__, *argv], capture_output=True,
+                               text=True, env=env, timeout=60)
+        assert child.returncode == 2, argv
+        assert "--regenerate" in child.stderr
+        assert GOLDEN.read_bytes() == before
+
+
+def script(argv) -> int:
+    if argv != ["--regenerate"]:
+        print(f"usage: {Path(__file__).name} --regenerate\n"
+              f"rewrites {GOLDEN.name} from the current code; nothing else is accepted",
+              file=sys.stderr)
+        return 2
     GOLDEN.write_text(
         json.dumps([run(argv) for argv in grid()], indent=2, ensure_ascii=True) + "\n",
         encoding="utf-8",
     )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(script(sys.argv[1:]))

@@ -3,8 +3,10 @@
 ``characteristic_variety`` and ``betti`` read every invariant off one
 squarefree decomposition each of p and q.  Here they are compared, on
 random pairs with planted rational roots and multiplicities, with what
-the standalone entry points compute on their own, and with the planted
-root data itself.
+the standalone entry points compute on their own, with the planted root
+data itself, and with the independent oracles: trial division for the
+root counts, a Euclid gcd over the rationals for the irreducibility of
+the two curves.
 """
 
 from __future__ import annotations
@@ -21,10 +23,16 @@ from broughton.arrangement import (
     check_hypotheses,
     special_fiber_divisor,
 )
-from broughton.bipoly import build_f, build_g, is_irreducible_y_linear
-from broughton.squarefree import distinct_root_count, power_index
 from broughton.unipoly import UniPoly
-from oracles import l_eval, l_from_roots
+from oracles import (
+    b_build_f,
+    b_build_g,
+    b_is_irreducible_y_linear,
+    l_eval,
+    l_from_roots,
+    l_mul,
+    trial_root_count,
+)
 
 roots = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 units = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
@@ -76,20 +84,31 @@ def test_pipeline_equals_separate_calls(planted):
 
     assert report.hypotheses == check_hypotheses(p, q)
     assert report.hypotheses.satisfied
-    s, t = distinct_root_count(q), distinct_root_count(p * q)
-    assert (report.betti.s, report.betti.t, report.betti.b2) == (s, t, s + t)
-    assert betti(p, q) == report.betti
-    assert report.orbifold_order == power_index(p).d
+    # Every root is planted and rational, so trial division finds them all.
+    candidates = set(p_roots) | set(q_roots)
+    s = trial_root_count(q.coeffs, candidates)
+    t = trial_root_count(l_mul(p.coeffs, q.coeffs), candidates)
+    numbers = report.betti
+    assert (numbers.s, numbers.t, numbers.b2) == (s, t, s + t)
+    assert numbers.b0 - numbers.b1 + numbers.b2 == s + t - 1
+    assert betti(p, q) == numbers
     assert report.divisor == special_fiber_divisor(p)
-    assert report.irreducibility_flags == (
-        is_irreducible_y_linear(build_f(p, q)),
-        is_irreducible_y_linear(build_g(q)),
-    )
 
     # The planted roots are an oracle of their own.
     assert s == len(q_roots)
     assert t == len(set(p_roots) | set(q_roots))
     assert report.orbifold_order == math.gcd(*p_roots.values())
+
+
+@settings(max_examples=120, deadline=None)
+@given(planted_pairs("admissible"))
+def test_irreducibility_flags_match_oracle(planted):
+    p, q, _, _ = planted
+    p_coeffs, q_coeffs = list(p.coeffs), list(q.coeffs)
+    assert characteristic_variety(p, q).irreducibility_flags == (
+        b_is_irreducible_y_linear(b_build_f(p_coeffs, q_coeffs)),
+        b_is_irreducible_y_linear(b_build_g(q_coeffs)),
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,4 +136,5 @@ def test_f_irreducible_iff_second_hypothesis(pair):
     # The report's f flag relies on this identity; it holds for every
     # nonconstant pair, admissible or not.
     p, q = pair
-    assert is_irreducible_y_linear(build_f(p, q)) is check_hypotheses(p, q).no_common_root_p1_q
+    f = b_build_f(list(p.coeffs), list(q.coeffs))
+    assert b_is_irreducible_y_linear(f) is check_hypotheses(p, q).no_common_root_p1_q

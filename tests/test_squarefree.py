@@ -1,4 +1,4 @@
-"""Squarefree decomposition, radical, root counting, power index."""
+"""Squarefree decomposition, its radical and its power index."""
 
 from __future__ import annotations
 
@@ -9,12 +9,8 @@ from fractions import Fraction
 import pytest
 
 from broughton import squarefree
-from broughton.squarefree import (
-    distinct_root_count,
-    power_index,
-    radical,
-    squarefree_decompose,
-)
+from broughton.arrangement import orbifold_group
+from broughton.squarefree import squarefree_decompose
 from broughton.unipoly import ONE, UniPoly, X, ZERO, gcd
 from oracles import l_from_roots
 
@@ -23,6 +19,14 @@ F = Fraction
 
 def P(*coeffs):
     return UniPoly(coeffs)
+
+
+def radical(a):
+    return squarefree_decompose(a).radical()
+
+
+def power_index(a):
+    return squarefree_decompose(a).multiplicity_gcd
 
 
 def planted(rng, max_roots=4, max_multiplicity=4, unit_choices=(1,)):
@@ -60,24 +64,21 @@ class TestExamples:
     def test_radical(self):
         assert radical(X ** 2 * P(2, 1)) == P(0, 2, 1)
         assert radical(P(-1, 1) ** 4) == P(-1, 1)
+        assert radical(3 * P(0, 1, 1) ** 3) == P(0, 1, 1)
 
     def test_distinct_root_count(self):
-        assert distinct_root_count(X ** 3) == 1
-        assert distinct_root_count(X ** 2 * P(2, 1)) == 2
-        assert distinct_root_count(P(1, 0, 1)) == 2
-        assert distinct_root_count(P(9)) == 0
+        # The radical has one simple root per distinct root.
+        assert radical(X ** 3).degree == 1
+        assert radical(X ** 2 * P(2, 1)).degree == 2
+        assert radical(P(1, 0, 1)).degree == 2
+        assert radical(P(9)).degree == 0
 
     def test_power_index(self):
-        assert power_index(X ** 6) == power_index(X ** 6)
-        result = power_index(X ** 6)
-        assert (result.d, result.base, result.unit) == (6, X, 1)
-        result = power_index(P(0, 1, 1) ** 3)
-        assert (result.d, result.base) == (3, P(0, 1, 1))
-        result = power_index(X ** 2 * P(2, 1))
-        assert result.d == 1
-        assert result.base == X ** 2 * P(2, 1)
-        result = power_index(X ** 4 * P(2, 1) ** 2)
-        assert (result.d, result.base) == (2, X ** 2 * P(2, 1))
+        assert power_index(X ** 6) == 6
+        assert power_index(P(0, 1, 1) ** 3) == 3
+        assert power_index(X ** 2 * P(2, 1)) == 1
+        assert power_index(X ** 4 * P(2, 1) ** 2) == 2
+        assert power_index(-4 * X ** 4 * P(2, 1) ** 2) == 2
 
 
 class TestErrors:
@@ -85,15 +86,15 @@ class TestErrors:
         with pytest.raises(ValueError):
             squarefree_decompose(ZERO)
         with pytest.raises(ValueError):
-            distinct_root_count(ZERO)
+            orbifold_group(ZERO)
 
     def test_constant_inputs(self):
+        # A constant has no parts: radical one, multiplicity gcd zero, and
+        # the entry point that returns the power index rejects it.
+        assert radical(P(3)) == ONE
+        assert power_index(P(3)) == 0
         with pytest.raises(ValueError):
-            radical(P(3))
-        with pytest.raises(ValueError):
-            power_index(P(3))
-        with pytest.raises(ValueError):
-            radical(ZERO)
+            orbifold_group(P(3))
 
 
 def test_planted_profile_recovery_and_reconstruction():
@@ -166,27 +167,32 @@ def test_parts_invariants():
 def test_radical_is_idempotent_and_monic():
     rng = random.Random(737)
     for _ in range(60):
-        _, _, poly = planted(rng)
+        pairs, _, poly = planted(rng)
         rad = radical(poly)
         assert rad.leading_coefficient == 1
         assert radical(rad) == rad
-        assert distinct_root_count(poly) == rad.degree
+        assert rad.degree == len(pairs)
 
 
 def test_power_index_maximality_and_consistency():
     rng = random.Random(848)
     for _ in range(60):
-        _, _, poly = planted(rng, max_roots=3, max_multiplicity=3)
-        result = power_index(poly)
-        assert result.base ** result.d * result.unit == poly
-        assert power_index(result.base).d == 1
+        pairs, _, poly = planted(rng, max_roots=3, max_multiplicity=3)
+        decomposition = squarefree_decompose(poly)
+        d = decomposition.multiplicity_gcd
+        assert d == math.gcd(*(m for _, m in pairs))
+        base = ONE
+        for factor, multiplicity in decomposition.parts:
+            base = base * factor ** (multiplicity // d)
+        assert base ** d * decomposition.unit == poly
+        assert power_index(base) == 1
 
         k = rng.randint(2, 4)
-        assert power_index(poly ** k).d % k == 0
+        assert power_index(poly ** k) % k == 0
 
 
 def test_power_index_of_explicit_powers():
     base = P(3, 1) * P(-2, 1)
     for d in (1, 2, 3, 5, 8):
-        assert power_index(base ** d).d == d
-    assert power_index(5 * X ** 6).d == 6
+        assert power_index(base ** d) == d
+    assert power_index(5 * X ** 6) == 6

@@ -1,4 +1,4 @@
-"""Core exact-arithmetic layer: ring operations, division, gcd, resultant."""
+"""Core exact-arithmetic layer: ring operations, division, gcd."""
 
 from __future__ import annotations
 
@@ -18,9 +18,8 @@ from broughton.unipoly import (
     _prime,
     exact_div,
     gcd,
-    resultant,
 )
-from oracles import l_eval, l_from_roots, l_gcd, l_mul, l_resultant, random_coeffs
+from oracles import l_gcd, l_mul, random_coeffs
 
 F = Fraction
 
@@ -75,14 +74,6 @@ class TestExamples:
         assert P(3, 1, 4) ** 0 == ONE
         assert X ** 6 == P(0, 0, 0, 0, 0, 0, 1)
 
-    def test_resultant_values(self):
-        assert resultant(P(-1, 0, 1), P(-2, 1)) == 3
-        assert resultant(P(-1, 1), P(-1, 1)) == 0
-        # The sign follows from the a-block-first convention and the
-        # product formula lc(a)^deg(b) * prod b(alpha): here b(0) = -5.
-        assert abs(resultant(X, P(-5, 1))) == 5
-        assert resultant(X, P(-5, 1)) == -5
-
     def test_degree_of_zero_is_a_sentinel(self):
         assert ZERO.degree is NEG_INF
         assert NEG_INF < 0
@@ -98,12 +89,6 @@ class TestErrors:
     def test_gcd_of_two_zeros(self):
         with pytest.raises(ValueError):
             gcd(ZERO, ZERO)
-
-    def test_resultant_needs_nonzero(self):
-        with pytest.raises(ValueError):
-            resultant(ZERO, X)
-        with pytest.raises(ValueError):
-            resultant(X, ZERO)
 
     def test_negative_power(self):
         with pytest.raises(ValueError):
@@ -236,55 +221,6 @@ def test_eval_is_a_ring_homomorphism(a, b, t):
 @settings(deadline=None)
 def test_compose_evaluates_pointwise(a, c, t):
     assert a.compose(c)(t) == a(c(t))
-
-
-def test_resultant_matches_product_formula_exactly():
-    # resultant(a, b) = lc(a)**deg(b) * prod b(alpha) over the roots of a,
-    # checked on polynomials with planted rational roots.  This pins the
-    # sign convention globally, not just up to sign.
-    rng = random.Random(202)
-    for _ in range(80):
-        roots = [F(rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))]
-        lead = F(rng.choice([1, 2, -3]), rng.choice([1, 2]))
-        a = UniPoly(l_from_roots([(root, 1) for root in roots], unit=lead))
-        b_coeffs = random_coeffs(rng, rng.randint(0, 3))
-        b = UniPoly(b_coeffs)
-        expected = lead ** b.degree
-        for root in roots:
-            expected *= l_eval(b_coeffs, root)
-        assert resultant(a, b) == expected
-
-
-@given(nonzero_polys, nonzero_polys)
-@settings(deadline=None)
-def test_resultant_matches_fraction_oracle(a, b):
-    assert resultant(a, b) == l_resultant(a.coeffs, b.coeffs)
-
-
-@given(nonzero_polys, nonzero_polys,
-       st.lists(rationals, min_size=2, max_size=3).map(UniPoly).filter(lambda w: w.degree >= 1))
-@settings(deadline=None)
-def test_resultant_vanishes_with_oracle_on_common_factors(a, b, w):
-    a, b = a * w, b * w
-    assert resultant(a, b) == 0 == l_resultant(a.coeffs, b.coeffs)
-
-
-def test_resultant_vanishes_exactly_on_shared_factors():
-    rng = random.Random(303)
-    for _ in range(60):
-        shared_root = rng.randint(-3, 3)
-        other_a = [r for r in range(-5, 6) if r != shared_root]
-        roots_a = [shared_root] + rng.sample(other_a, rng.randint(0, 2))
-        roots_b = [shared_root] + rng.sample(other_a, rng.randint(0, 2))
-        a = UniPoly(l_from_roots([(r, 1) for r in roots_a]))
-        b = UniPoly(l_from_roots([(r, 1) for r in roots_b]))
-        assert resultant(a, b) == 0
-        assert gcd(a, b).degree >= 1
-
-        disjoint_b = [r + 10 for r in roots_b]
-        b2 = UniPoly(l_from_roots([(r, 1) for r in disjoint_b]))
-        assert resultant(a, b2) != 0
-        assert gcd(a, b2) == ONE
 
 
 def test_multiplication_against_schoolbook_oracle():
