@@ -53,7 +53,6 @@ _EXPORTS_BY_MODULE = {
         "ExponentRangeError",
         "ParseError",
         "UnknownVariableError",
-        "parse_bi",
         "parse_uni",
         "print_canonical",
     ),

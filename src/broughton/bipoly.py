@@ -1,15 +1,19 @@
-"""Bivariate polynomials, the auxiliary surface and its singular locus.
+"""The auxiliary surface of the connectivity certificate and its singular
+locus.
 
 A :class:`BiPoly` is a polynomial in two variables x and y with rational
 coefficients, stored as a tuple of :class:`UniPoly` coefficients indexed by
-the power of y (no trailing zero entry).  That layout matches how the
-polynomials are used: everything of interest here is shallow in y and the
-eliminations all project onto the x-line.
+the power of y (no trailing zero entry).  It is not a ring: it carries only
+what the certificate runs, namely degrees, the two partial derivatives and
+the exchange of variables.  Everything of interest here is shallow in y
+and the eliminations all project onto the x-line.
 
 The one construction is ``build_h(p, m, n, c)``, the auxiliary polynomial
-h = (p(u)*v - 1)**m + c*v**n whose singular locus certifies that the
-generic fiber of a candidate decomposition map stays connected.  The
-arrangement curves f and g are never built: every invariant of the
+h = (p(x)*y - 1)**m + c*y**n whose singular locus certifies that the
+generic fiber of a candidate decomposition map stays connected.  Its
+y-coefficients come straight from the binomial theorem,
+C(m, k) * (-1)**(m - k) * p**k at y**k for k <= m, with c added at y**n.
+The arrangement curves f and g are never built: every invariant of the
 arrangement is read off p and q directly.
 
 Elimination is by Sylvester resultants in y, computed by evaluation and
@@ -22,6 +26,7 @@ exactly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -32,9 +37,7 @@ from .unipoly import (
     ZERO,
     _clear_denominators,
     _coerce,
-    _power,
     _scalar,
-    render_terms,
 )
 
 
@@ -69,126 +72,17 @@ class BiPoly:
             return NEG_INF
         return max(c.degree for c in self._coeffs)
 
-    @property
-    def total_degree(self):
-        if not self._coeffs:
-            return NEG_INF
-        return max(c.degree + j for j, c in enumerate(self._coeffs) if c)
-
-    def coefficient(self, j: int) -> UniPoly:
-        """Coefficient of y**j as a polynomial in x."""
-        if 0 <= j < len(self._coeffs):
-            return self._coeffs[j]
-        return ZERO
-
     def is_constant(self) -> bool:
         return self.degree_y <= 0 and self.degree_x <= 0
 
-    # -- value protocol ----------------------------------------------------
-
     def __bool__(self):
         return bool(self._coeffs)
-
-    def __eq__(self, other):
-        coerced = _coerce_bi(other)
-        if coerced is None:
-            return NotImplemented
-        return self._coeffs == coerced._coeffs
-
-    def __hash__(self):
-        if not self._coeffs:
-            return hash(0)
-        if len(self._coeffs) == 1:
-            return hash(self._coeffs[0])
-        return hash(self._coeffs)
-
-    def __repr__(self):
-        return f"BiPoly({self})"
-
-    def __str__(self):
-        if not self._coeffs:
-            return "0"
-        terms = []
-        for j in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[j]
-            for i in range(len(c.coeffs) - 1, -1, -1):
-                value = c.coeffs[i]
-                if not value:
-                    continue
-                powers = []
-                if i:
-                    powers.append(("x", i))
-                if j:
-                    powers.append(("y", j))
-                terms.append((value, powers))
-        return render_terms(terms)
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other):
-        other = _coerce_bi(other)
-        if other is None:
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] = out[j] + c
-        return BiPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiPoly([-c for c in self._coeffs])
-
-    def __sub__(self, other):
-        other = _coerce_bi(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_bi(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _coerce_bi(other)
-        if other is None:
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return BiPoly()
-        out = [ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] = out[i + j] + ca * cb
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent):
-        return _power(self, exponent, BI_ONE)
-
-    # -- calculus, evaluation, variable games --------------------------------
 
     def partial_x(self) -> "BiPoly":
         return BiPoly([c.derivative() for c in self._coeffs])
 
     def partial_y(self) -> "BiPoly":
         return BiPoly([j * c for j, c in enumerate(self._coeffs) if j])
-
-    def eval_x(self, point) -> UniPoly:
-        """Specialize x, leaving a univariate polynomial in y."""
-        return UniPoly([c(point) for c in self._coeffs])
-
-    def __call__(self, x_point, y_point) -> Fraction:
-        return self.eval_x(x_point)(y_point)
 
     def swap_vars(self) -> "BiPoly":
         """Exchange the two variables: returns b with b(x, y) = self(y, x)."""
@@ -201,24 +95,11 @@ class BiPoly:
         return BiPoly(swapped)
 
 
-def _coerce_bi(value):
-    if isinstance(value, BiPoly):
-        return value
-    u = _coerce(value)
-    if u is None:
-        return None
-    return BiPoly((u,))
-
-
-BI_ZERO = BiPoly()
-BI_ONE = BiPoly((ONE,))
-X = BiPoly((UniPoly((0, 1)),))
-Y = BiPoly((ZERO, ONE))
-
-
 def build_h(p: UniPoly, m: int, n: int, c: Fraction) -> BiPoly:
     """The auxiliary polynomial h = (p(x)*y - 1)**m + c*y**n.
 
+    By the binomial theorem the coefficient of y**k is
+    C(m, k) * (-1)**(m - k) * p**k for k <= m, and c is added at y**n.
     Exponents must be at least one and c nonzero; p may be any polynomial.
     """
     if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 1:
@@ -230,9 +111,14 @@ def build_h(p: UniPoly, m: int, n: int, c: Fraction) -> BiPoly:
         raise ValueError("build_h needs a nonzero constant c")
     if not isinstance(p, UniPoly):
         raise TypeError("build_h needs a UniPoly first argument")
-    base = BiPoly((UniPoly((-1,)), p))
-    bump = BiPoly((ZERO,) * n + (UniPoly((scale,)),))
-    return base ** m + bump
+    coeffs = [ZERO] * (max(m, n) + 1)
+    power = ONE
+    for k in range(m + 1):
+        coeffs[k] = power * ((-1) ** (m - k) * math.comb(m, k))
+        if k < m:
+            power = power * p
+    coeffs[n] = coeffs[n] + scale
+    return BiPoly(coeffs)
 
 
 class SingularLocusCheck(NamedTuple):

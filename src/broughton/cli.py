@@ -13,8 +13,9 @@ Each process loads only what its command runs.  At import this module
 pulls in the parser and the univariate layer, which every command needs;
 each ``cmd_*`` imports the rest after parsing its arguments, so a parse
 error loads nothing more.  decompose and connectivity never load the
-arrangement layer, the report commands never load ``bipoly`` or
-``decompose``, and ``json`` is loaded only to render JSON.
+arrangement layer, only connectivity loads ``bipoly``, the report
+commands never load ``decompose``, and ``json`` is loaded only to render
+JSON.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bipoly import build_h, singular_locus_finite
 from .unipoly import UniPoly, _scalar
 
 CONNECTED_CERTIFIED = "connected-certified"
@@ -129,6 +128,9 @@ def connectivity_certificate(
     scale = _scalar(c)
     if scale is None or not scale:
         raise ValueError("connectivity certificate needs a nonzero rational c")
+    # Imported here so that decompose never loads the bivariate layer.
+    from .bipoly import build_h, singular_locus_finite
+
     h = build_h(p, m, n, scale)
     check = singular_locus_finite(h)
     if check.finite:

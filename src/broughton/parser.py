@@ -14,7 +14,7 @@ Whitespace separates tokens and is otherwise ignored.  There is no
 implicit multiplication ("2x" is a syntax error), '^' binds tighter than
 unary minus and is non-associative (towers need parentheses), '/' occurs
 only inside rational literals, and exponents are literal naturals of at
-most 4096.  parse_uni admits the variable x, parse_bi admits x and y.
+most 4096.  The one variable is x.
 
 Parsing is total: any string either yields a polynomial or raises
 :class:`ParseError` with the offset of the offending character and the
@@ -24,13 +24,8 @@ token kinds that would have been acceptable there.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
-from . import unipoly
-from .unipoly import UniPoly
-
-if TYPE_CHECKING:
-    from .bipoly import BiPoly
+from .unipoly import UniPoly, X
 
 MAX_EXPONENT = 4096
 
@@ -199,41 +194,19 @@ class _Parser:
         return result
 
 
-def _parse(text: str, env: dict):
-    if not isinstance(text, str):
-        raise TypeError("polynomial source must be a string")
-    return _Parser(text, env).parse()
-
-
 def parse_uni(text: str) -> UniPoly:
     """Parse an expression in the variable x to a UniPoly."""
-    value = _parse(text, {"x": unipoly.X})
+    if not isinstance(text, str):
+        raise TypeError("polynomial source must be a string")
+    value = _Parser(text, {"x": X}).parse()
     if isinstance(value, UniPoly):
         return value
     return UniPoly.constant(value)
-
-
-def parse_bi(text: str) -> BiPoly:
-    """Parse an expression in the variables x and y to a BiPoly."""
-    from .bipoly import BiPoly, X, Y
-
-    value = _parse(text, {"x": X, "y": Y})
-    if isinstance(value, BiPoly):
-        return value
-    if isinstance(value, UniPoly):
-        return BiPoly((value,))
-    return BiPoly((UniPoly.constant(value),))
 
 
 def print_canonical(a) -> str:
     """Canonical text form: descending powers, explicit signs, and '*'
     between all factors, so that parsing the output returns ``a``."""
     if isinstance(a, UniPoly):
-        return str(a)
-    # A BiPoly argument means bipoly is loaded already; a UniPoly never
-    # loads it.
-    from .bipoly import BiPoly
-
-    if isinstance(a, BiPoly):
         return str(a)
     raise TypeError(f"cannot print {type(a).__name__} canonically")

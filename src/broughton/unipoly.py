@@ -33,33 +33,6 @@ def _scalar(value):
     return None
 
 
-def _power_str(var: str, exp: int) -> str:
-    return var if exp == 1 else f"{var}^{exp}"
-
-
-def render_terms(terms) -> str:
-    """Join (coefficient, variable powers) pairs into canonical text.
-
-    ``terms`` is a sequence of ``(coeff, vars)`` with ``coeff`` a nonzero
-    Fraction and ``vars`` a list of ``(name, exponent > 0)`` pairs, already
-    in print order.  Signs are explicit, ``1`` coefficients are dropped in
-    front of variables, and factors are joined with ``*`` so the result
-    parses back under the expression grammar.
-    """
-    rendered = []
-    for position, (coeff, powers) in enumerate(terms):
-        pieces = [_power_str(var, exp) for var, exp in powers]
-        magnitude = abs(coeff)
-        if not pieces or magnitude != 1:
-            pieces.insert(0, str(magnitude))
-        body = "*".join(pieces)
-        if position == 0:
-            rendered.append(body if coeff > 0 else "-" + body)
-        else:
-            rendered.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(rendered)
-
-
 class UniPoly:
     """Dense univariate polynomial over the rationals.
 
@@ -143,12 +116,25 @@ class UniPoly:
     def __str__(self):
         if not self._coeffs:
             return "0"
-        terms = []
+        # Descending powers, explicit signs, no 1 in front of a power of x,
+        # and '*' between factors, so that the text parses back.
+        rendered = []
         for exp in range(len(self._coeffs) - 1, -1, -1):
             c = self._coeffs[exp]
-            if c:
-                terms.append((c, [("x", exp)] if exp else []))
-        return render_terms(terms)
+            if not c:
+                continue
+            magnitude = abs(c)
+            if not exp:
+                body = str(magnitude)
+            else:
+                body = "x" if exp == 1 else f"x^{exp}"
+                if magnitude != 1:
+                    body = f"{magnitude}*{body}"
+            if rendered:
+                rendered.append(("+ " if c > 0 else "- ") + body)
+            else:
+                rendered.append(body if c > 0 else "-" + body)
+        return " ".join(rendered)
 
     # -- ring operations ---------------------------------------------------
 
@@ -207,7 +193,20 @@ class UniPoly:
         return UniPoly([c / s for c in self._coeffs])
 
     def __pow__(self, exponent):
-        return _power(self, exponent, ONE)
+        """Square-and-multiply power with a nonnegative int exponent."""
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
+            return NotImplemented
+        if exponent < 0:
+            raise ValueError("polynomial powers need a nonnegative exponent")
+        result = ONE
+        square = self
+        while exponent:
+            if exponent & 1:
+                result = result * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
+        return result
 
     def __divmod__(self, other):
         other = _coerce(other)
@@ -277,27 +276,6 @@ class UniPoly:
         if lead == 1:
             return self
         return UniPoly([c / lead for c in self._coeffs])
-
-
-def _power(base, exponent, one):
-    """``base ** exponent`` by square-and-multiply, starting from ``one``.
-
-    Shared by the polynomial classes, which differ only in their identity.
-    """
-    if not isinstance(exponent, int) or isinstance(exponent, bool):
-        return NotImplemented
-    if exponent < 0:
-        raise ValueError("polynomial powers need a nonnegative exponent")
-    result = one
-    square = base
-    k = exponent
-    while k:
-        if k & 1:
-            result = result * square
-        k >>= 1
-        if k:
-            square = square * square
-    return result
 
 
 def _coerce(value):

@@ -122,6 +122,14 @@ def b_eval(a, x0, y0):
     return sum((v * x0 ** i * y0 ** j for (i, j), v in a.items()), Fraction(0))
 
 
+def b_partial_x(a):
+    return {(i - 1, j): i * v for (i, j), v in a.items() if i}
+
+
+def b_partial_y(a):
+    return {(i, j - 1): j * v for (i, j), v in a.items() if j}
+
+
 def b_from_uni(coeffs, variable):
     """Lift a univariate coefficient list into x or y."""
     assert variable in ("x", "y")

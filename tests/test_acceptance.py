@@ -22,14 +22,13 @@ from broughton.arrangement import (
     orbifold_group,
     special_fiber_divisor,
 )
-from broughton.bipoly import BiPoly
 from broughton.decompose import (
     CONNECTED_CERTIFIED,
     connectivity_certificate,
     is_decomposable,
     uni_decompose_at,
 )
-from broughton.parser import ParseError, parse_bi, parse_uni, print_canonical
+from broughton.parser import ParseError, parse_uni, print_canonical
 from broughton.report import build_report, zahid_polynomials
 from broughton.squarefree import squarefree_decompose
 from broughton.unipoly import ONE, UniPoly, X, ZERO, gcd
@@ -245,21 +244,13 @@ def test_criterion_9_parser_roundtrip_and_fuzz():
         for _ in range(250):
             poly = UniPoly(random_coeffs(rng, rng.randint(0, 6)))
             assert parse_uni(print_canonical(poly)) == poly
-        for _ in range(250):
-            rows = tuple(
-                UniPoly(random_coeffs(rng, rng.randint(0, 3)))
-                if rng.random() < 0.8 else UniPoly(())
-                for _ in range(rng.randint(1, 4))
-            )
-            poly = BiPoly(rows)
-            assert parse_bi(print_canonical(poly)) == poly
         alphabet = "xyz0123456789+-*/^()., #\t"
         for _ in range(10_000):
             text = "".join(
                 rng.choice(alphabet) for _ in range(rng.randint(0, 32))
             )
             try:
-                parse_bi(text)
+                parse_uni(text)
             except ParseError:
                 pass
 

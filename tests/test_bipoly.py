@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from broughton.bipoly import (
     BiPoly,
-    X,
-    Y,
     _bareiss_determinant,
     _x_degree_bound,
     build_h,
@@ -23,7 +21,10 @@ from broughton.bipoly import (
 from broughton.unipoly import ONE, UniPoly, ZERO
 from oracles import (
     b_add,
+    b_eval,
     b_mul,
+    b_partial_x,
+    b_partial_y,
     b_pow,
     b_resultant_y,
     b_swap,
@@ -53,23 +54,39 @@ def bi_from_dict(d):
     return BiPoly(columns)
 
 
-def random_bipoly(rng, max_x=3, max_y=3):
-    coeffs = []
-    for _ in range(rng.randint(1, max_y + 1)):
-        coeffs.append(UniPoly(random_coeffs(rng, rng.randint(0, max_x))))
-    return BiPoly(coeffs)
+def bi_to_dict(a):
+    """Glue: the oracle {(i, j): coeff} dict of a BiPoly."""
+    return {
+        (i, j): value
+        for j, column in enumerate(a.coeffs)
+        for i, value in enumerate(column.coeffs)
+        if value
+    }
+
+
+def random_dict(rng, max_x=3, max_y=3):
+    """Oracle dict with 1..max_y+1 rows in y, each of x-degree <= max_x."""
+    d = {}
+    for j in range(rng.randint(1, max_y + 1)):
+        for i, value in enumerate(random_coeffs(rng, rng.randint(0, max_x))):
+            if value:
+                d[(i, j)] = value
+    return d
+
+
+Y = BiPoly((0, 1))  # y
 
 
 class TestBuilders:
     def test_build_h_expansions(self):
         x = P(0, 1)
         # (x*y - 1)**1 + 1*y**1 = x*y + y - 1
-        assert build_h(x, 1, 1, F(1)) == BiPoly((P(-1), P(1, 1)))
+        assert build_h(x, 1, 1, F(1)).coeffs == (P(-1), P(1, 1))
         # (x*y - 1)**2 + y**2 via the independent bivariate oracle
         expected = b_add(
             b_pow({(1, 1): F(1), (0, 0): F(-1)}, 2), {(0, 2): F(1)}
         )
-        assert build_h(x, 2, 2, F(1)) == bi_from_dict(expected)
+        assert build_h(x, 2, 2, F(1)).coeffs == bi_from_dict(expected).coeffs
 
     def test_build_h_rejects_bad_parameters(self):
         x = P(0, 1)
@@ -84,33 +101,28 @@ class TestBuilders:
 class TestCalculus:
     def test_partials_of_example_surface(self):
         h = build_h(P(0, 1), 2, 2, F(1))
-        # d/dy: 2x(xy - 1) + 2y ; d/dx: 2y(xy - 1)
-        base = BiPoly((P(-1), P(0, 1)))
-        assert h.partial_y() == 2 * BiPoly((P(0, 1),)) * base + 2 * Y
-        assert h.partial_x() == 2 * Y * base
+        # d/dy: 2x(xy - 1) + 2y = 2(x^2 + 1)y - 2x ; d/dx: 2y(xy - 1)
+        assert h.partial_y().coeffs == (P(0, -2), P(2, 0, 2))
+        assert h.partial_x().coeffs == (ZERO, P(-2), P(0, 2))
 
     def test_partials_against_oracle(self):
         rng = random.Random(222)
         for _ in range(30):
-            a = random_bipoly(rng)
-            d = {
-                (i, j): a.coefficient(j).coefficient(i)
-                for j in range(a.degree_y + 1)
-                for i in range(a.coefficient(j).degree + 1)
-                if a.coefficient(j).coefficient(i)
-            }
-            dx = {(i - 1, j): i * c for (i, j), c in d.items() if i}
-            dy = {(i, j - 1): j * c for (i, j), c in d.items() if j}
-            assert a.partial_x() == bi_from_dict(dx)
-            assert a.partial_y() == bi_from_dict(dy)
+            d = random_dict(rng)
+            a = bi_from_dict(d)
+            assert bi_to_dict(a.partial_x()) == b_partial_x(d)
+            assert bi_to_dict(a.partial_y()) == b_partial_y(d)
 
     def test_swap_vars(self):
         rng = random.Random(333)
         for _ in range(30):
-            a = random_bipoly(rng)
-            assert a.swap_vars().swap_vars() == a
+            d = random_dict(rng)
+            a = bi_from_dict(d)
+            swapped = bi_to_dict(a.swap_vars())
+            assert swapped == b_swap(d)
+            assert a.swap_vars().swap_vars().coeffs == a.coeffs
             s, t = F(rng.randint(-3, 3)), F(rng.randint(-3, 3))
-            assert a.swap_vars()(s, t) == a(t, s)
+            assert b_eval(swapped, s, t) == b_eval(d, t, s)
 
 
 class TestResultant:
@@ -127,7 +139,7 @@ class TestResultant:
 
     def test_elimination_example(self):
         f = BiPoly((P(-1, -1), P(0, 0, 1)))  # x^2*y - (x + 1)
-        line = Y - 1
+        line = BiPoly((-1, 1))  # y - 1
         assert resultant_y(f, line) == -P(-1, -1, 1)
 
     def test_rejects_degenerate_inputs(self):
@@ -150,9 +162,11 @@ class TestResultant:
     def test_vanishes_exactly_on_planted_common_factors(self):
         rng = random.Random(555)
         for _ in range(25):
-            w = BiPoly((UniPoly(random_coeffs(rng, 1)), UniPoly(random_coeffs(rng, 1))))
-            a = w * random_bipoly(rng, max_x=2, max_y=1)
-            b = w * random_bipoly(rng, max_x=2, max_y=1)
+            w = {(i, j): value
+                 for j in range(2)
+                 for i, value in enumerate(random_coeffs(rng, 1)) if value}
+            a = bi_from_dict(b_mul(w, random_dict(rng, max_x=2, max_y=1)))
+            b = bi_from_dict(b_mul(w, random_dict(rng, max_x=2, max_y=1)))
             if a.degree_y < 1 or b.degree_y < 1:
                 continue
             assert resultant_y(a, b) == ZERO
@@ -164,14 +178,14 @@ class TestResultant:
         rng = random.Random(666)
         done = 0
         while done < 40:
-            a = random_bipoly(rng)
-            b = random_bipoly(rng)
+            a = bi_from_dict(random_dict(rng))
+            b = bi_from_dict(random_dict(rng))
             if a.degree_y < 1 or b.degree_y < 1:
                 continue
             t = F(rng.randint(-4, 4))
-            if not a.coefficient(a.degree_y)(t) or not b.coefficient(b.degree_y)(t):
+            if not a.coeffs[a.degree_y](t) or not b.coeffs[b.degree_y](t):
                 continue
-            specialized = l_resultant(a.eval_x(t).coeffs, b.eval_x(t).coeffs)
+            specialized = l_resultant([c(t) for c in a.coeffs], [c(t) for c in b.coeffs])
             assert resultant_y(a, b)(t) == specialized
             done += 1
 
@@ -284,6 +298,9 @@ def test_resultant_y_matches_oracle_with_a_y_free_side(a, b):
     check_against_oracle(b, a)
 
 
+CIRCLE = BiPoly((P(0, 0, 1), ZERO, ONE))  # x^2 + y^2
+
+
 class TestSingularLocus:
     def test_certified_example(self):
         check = singular_locus_finite(build_h(P(0, 1), 2, 2, F(1)))
@@ -292,12 +309,11 @@ class TestSingularLocus:
         assert r_x and r_y
 
     def test_nonreduced_square_is_not_certified(self):
-        check = singular_locus_finite((X * Y) ** 2)
+        check = singular_locus_finite(bi_from_dict({(2, 2): F(1)}))  # (xy)^2
         assert check.finite is False
 
     def test_smooth_quadric(self):
-        h = X ** 2 + Y ** 2
-        check = singular_locus_finite(h)
+        check = singular_locus_finite(CIRCLE)
         assert check.finite is True
 
     def test_constant_rejected(self):
@@ -307,7 +323,7 @@ class TestSingularLocus:
     def test_eliminant_roots_cover_singular_points(self):
         # The eliminants must vanish at the projections of every singular
         # point: x**2 + y**2 is singular exactly at the origin.
-        check = singular_locus_finite(X ** 2 + Y ** 2)
+        check = singular_locus_finite(CIRCLE)
         r_x, r_y = check.eliminants
         assert r_x(0) == 0
         assert r_y(0) == 0

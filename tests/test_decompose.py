@@ -6,7 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from broughton.bipoly import build_h
 from broughton.decompose import (
     CONNECTED_CERTIFIED,
     INCONCLUSIVE,
@@ -15,7 +17,20 @@ from broughton.decompose import (
     uni_decompose_at,
 )
 from broughton.unipoly import ONE, UniPoly, X, ZERO
-from oracles import brute_decompose, l_compose, random_coeffs, random_fraction
+from oracles import (
+    b_add,
+    b_build_g,
+    b_partial_x,
+    b_partial_y,
+    b_pow,
+    b_resultant_y,
+    b_swap,
+    b_y_columns,
+    brute_decompose,
+    l_compose,
+    random_coeffs,
+    random_fraction,
+)
 
 F = Fraction
 
@@ -127,6 +142,19 @@ def test_against_brute_force_coefficient_solver():
                 assert mine.inner == UniPoly(q_coeffs)
 
 
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def certificate_inputs(draw):
+    """(p, m, n, c): p of degree 1 or 2 as a coefficient list, 2 <= m, n <= 3,
+    c a nonzero rational."""
+    degree = draw(st.integers(1, 2))
+    p = draw(st.lists(small_rationals, min_size=degree, max_size=degree))
+    p.append(draw(small_rationals.filter(bool)))
+    return p, draw(st.integers(2, 3)), draw(st.integers(2, 3)), draw(small_rationals.filter(bool))
+
+
 class TestConnectivityCertificate:
     def test_spec_grid_samples(self):
         for p, m, n, c in (
@@ -155,3 +183,19 @@ class TestConnectivityCertificate:
     def test_status_vocabulary(self):
         assert CONNECTED_CERTIFIED == "connected-certified"
         assert INCONCLUSIVE == "inconclusive"
+
+    @given(certificate_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_whole_path_matches_bivariate_oracle(self, inputs):
+        # h = (p y - 1)^m + c y^n expanded by the oracle's own ring, then
+        # both eliminants by its Fraction Bareiss over Q[x] and Q[y].
+        p, m, n, c = inputs
+        h = b_add(b_pow(b_build_g(p), m), {(0, n): c})
+        built = build_h(UniPoly(p), m, n, c)
+        assert [list(column.coeffs) for column in built.coeffs] == b_y_columns(h)
+        hx, hy = b_partial_x(h), b_partial_y(h)
+        certificate = connectivity_certificate(UniPoly(p), m, n, c)
+        r_x, r_y = certificate.eliminants
+        assert list(r_x.coeffs) == b_resultant_y(hx, hy)
+        assert list(r_y.coeffs) == b_resultant_y(b_swap(hx), b_swap(hy))
+        assert certificate.singular_finite == (bool(r_x) and bool(r_y))

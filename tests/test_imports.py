@@ -74,6 +74,8 @@ def test_command_loads_only_what_it_runs(command, fmt):
         assert "broughton.decompose" in modules
         assert "broughton.arrangement" not in modules
         assert "broughton.squarefree" not in modules
+        # Only the certificate runs bivariate code.
+        assert ("broughton.bipoly" in modules) == (command == "connectivity")
     assert ("json" in modules) == (fmt == "json")
 
 
@@ -107,8 +109,8 @@ EXPORTS = {
         "uni_decompose_at",
     ),
     "parser": (
-        "ExponentRangeError", "ParseError", "UnknownVariableError", "parse_bi",
-        "parse_uni", "print_canonical",
+        "ExponentRangeError", "ParseError", "UnknownVariableError", "parse_uni",
+        "print_canonical",
     ),
     "report": (
         "ReportDocument", "SCHEMA_VERSION", "build_report", "render_json",
@@ -118,13 +120,19 @@ EXPORTS = {
     "unipoly": ("NEG_INF", "UniPoly", "exact_div", "gcd"),
 }
 
-# Second routes to an invariant that the package no longer has, with what
-# replaces each: CharVarietyReport.resonance_trivial; the irreducibility
+# Names the package no longer has, with what replaces each: second routes
+# to an invariant (CharVarietyReport.resonance_trivial; the irreducibility
 # flags of characteristic_variety; SquarefreeDecomposition.radical() and
-# .multiplicity_gcd, or orbifold_group; resultant_y.
+# .multiplicity_gcd, or orbifold_group; resultant_y), and the bivariate
+# ring and its parser (a BiPoly built from its y-coefficient tuple; no
+# bivariate parser).
 REMOVED = {
     "arrangement": ("resonance",),
-    "bipoly": ("build_f", "build_g", "is_irreducible_y_linear"),
+    "bipoly": (
+        "build_f", "build_g", "is_irreducible_y_linear", "X", "Y", "BI_ZERO",
+        "BI_ONE",
+    ),
+    "parser": ("parse_bi",),
     "squarefree": ("PowerIndex", "distinct_root_count", "power_index", "radical"),
     "unipoly": ("resultant",),
 }

@@ -8,19 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from broughton.bipoly import BI_ZERO, BiPoly
-from broughton.bipoly import X as BX, Y as BY
 from broughton.parser import (
     MAX_EXPONENT,
     ExponentRangeError,
     ParseError,
     UnknownVariableError,
-    parse_bi,
     parse_uni,
     print_canonical,
 )
 from broughton.unipoly import UniPoly, X, ZERO
-from oracles import random_coeffs
 
 F = Fraction
 
@@ -36,9 +32,6 @@ class TestGrammar:
         assert parse_uni("7") == UniPoly.constant(7)
         assert parse_uni("3/6") == UniPoly.constant(F(1, 2))
         assert parse_uni("0") == ZERO
-        assert parse_bi("x*y - 1") == BX * BY - 1
-        assert parse_bi("x^2") == BX ** 2
-        assert parse_bi("5") == BiPoly((UniPoly.constant(5),))
 
     def test_whitespace_is_insignificant(self):
         assert parse_uni("  x  +   1 ") == parse_uni("x+1")
@@ -125,9 +118,6 @@ class TestErrors:
             parse_uni("y")
         assert info.value.offset == 0
         assert "allowed: x" in str(info.value)
-        assert parse_bi("y") == BY
-        with pytest.raises(UnknownVariableError):
-            parse_bi("z + 1")
 
     def test_error_hierarchy(self):
         for cls in (UnknownVariableError, ExponentRangeError):
@@ -154,8 +144,6 @@ class TestPrinting:
     def test_canonical_examples(self):
         assert print_canonical(ZERO) == "0"
         assert print_canonical(P(-1, 0, 1, 1)) == "x^3 + x^2 - 1"
-        assert print_canonical(BX * BY - 1) == "x*y - 1"
-        assert print_canonical(BI_ZERO) == "0"
 
     def test_rejects_bare_scalars(self):
         with pytest.raises(TypeError):
@@ -169,26 +157,20 @@ def test_uni_roundtrip(coeffs):
     assert parse_uni(print_canonical(poly)) == poly
 
 
-def test_bi_roundtrip():
-    rng = random.Random(303)
-    for _ in range(150):
-        rows = tuple(
-            UniPoly(random_coeffs(rng, rng.randint(0, 3)))
-            if rng.random() < 0.8 else UniPoly(())
-            for _ in range(rng.randint(1, 4))
-        )
-        poly = BiPoly(rows)
-        assert parse_bi(print_canonical(poly)) == poly
-
-
 def test_fuzz_total_behavior():
-    # Any input either parses or raises ParseError; nothing else escapes.
+    # Any input either parses to a UniPoly or raises ParseError; nothing
+    # else escapes.  The one variable is x: no input with a y parses, and
+    # an input that parses fails on the variable once y replaces x.
     rng = random.Random(313)
     alphabet = "xy01234567890+-*/^() .$a"
     for _ in range(2000):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24)))
         try:
-            value = parse_bi(text)
+            value = parse_uni(text)
         except ParseError:
             continue
-        assert isinstance(value, BiPoly)
+        assert isinstance(value, UniPoly)
+        assert "y" not in text
+        if "x" in text:
+            with pytest.raises(UnknownVariableError):
+                parse_uni(text.replace("x", "y"))
