@@ -33,13 +33,8 @@ _EXPORTS_BY_MODULE = {
         "orbifold_group",
         "special_fiber_divisor",
     ),
-    "bipoly": (
-        "BiPoly",
-        "SingularLocusCheck",
-        "build_h",
-        "resultant_y",
-        "singular_locus_finite",
-    ),
+    # Internal to connectivity_certificate, which checks its inputs.
+    "bipoly": (),
     "decompose": (
         "CONNECTED_CERTIFIED",
         "INCONCLUSIVE",
@@ -54,7 +49,6 @@ _EXPORTS_BY_MODULE = {
         "ParseError",
         "UnknownVariableError",
         "parse_uni",
-        "print_canonical",
     ),
     "report": (
         "ReportDocument",

@@ -1,5 +1,9 @@
-"""The auxiliary surface of the connectivity certificate and its singular
-locus.
+"""The auxiliary surface of the connectivity certificate and its
+eliminants.
+
+This module is internal to :func:`broughton.decompose.connectivity_certificate`,
+which checks every argument before anything here runs; nothing here
+checks its inputs again.
 
 A :class:`BiPoly` is a polynomial in two variables x and y with rational
 coefficients, stored as a tuple of :class:`UniPoly` coefficients indexed by
@@ -28,7 +32,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
 from .unipoly import (
     NEG_INF,
@@ -37,7 +40,6 @@ from .unipoly import (
     ZERO,
     _clear_denominators,
     _coerce,
-    _scalar,
 )
 
 
@@ -72,12 +74,6 @@ class BiPoly:
             return NEG_INF
         return max(c.degree for c in self._coeffs)
 
-    def is_constant(self) -> bool:
-        return self.degree_y <= 0 and self.degree_x <= 0
-
-    def __bool__(self):
-        return bool(self._coeffs)
-
     def partial_x(self) -> "BiPoly":
         return BiPoly([c.derivative() for c in self._coeffs])
 
@@ -100,32 +96,16 @@ def build_h(p: UniPoly, m: int, n: int, c: Fraction) -> BiPoly:
 
     By the binomial theorem the coefficient of y**k is
     C(m, k) * (-1)**(m - k) * p**k for k <= m, and c is added at y**n.
-    Exponents must be at least one and c nonzero; p may be any polynomial.
+    The arguments are taken as the certificate has checked them.
     """
-    if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 1:
-        raise ValueError("build_h needs integer exponents m >= 1 and n >= 1")
-    scale = _scalar(c)
-    if scale is None:
-        raise TypeError(f"{c!r} is not a rational scalar")
-    if not scale:
-        raise ValueError("build_h needs a nonzero constant c")
-    if not isinstance(p, UniPoly):
-        raise TypeError("build_h needs a UniPoly first argument")
     coeffs = [ZERO] * (max(m, n) + 1)
     power = ONE
     for k in range(m + 1):
         coeffs[k] = power * ((-1) ** (m - k) * math.comb(m, k))
         if k < m:
             power = power * p
-    coeffs[n] = coeffs[n] + scale
+    coeffs[n] = coeffs[n] + c
     return BiPoly(coeffs)
-
-
-class SingularLocusCheck(NamedTuple):
-    """Outcome of the finiteness test, with the two eliminants as witness."""
-
-    finite: bool
-    eliminants: tuple
 
 
 def _sylvester_rows(a_coeffs, b_coeffs):
@@ -247,7 +227,8 @@ def resultant_y(a: BiPoly, b: BiPoly) -> UniPoly:
 
     Sylvester determinant with the a-block on top, taken over Q[x] itself.
     Vanishes identically exactly when a and b share a factor of positive
-    y-degree.  Inputs must be nonzero and not both of y-degree zero.
+    y-degree.  When neither input involves y the Sylvester matrix is
+    empty and the resultant is one.
 
     Computed by evaluation and interpolation (Collins 1971).  With
     m = deg_y a, n = deg_y b and a = A/L_a, b = B/L_b for integer A, B,
@@ -259,12 +240,8 @@ def resultant_y(a: BiPoly, b: BiPoly) -> UniPoly:
     (the pointwise resultant of the specialized polynomials would drop
     there, which is why the matrix shape stays fixed).
     """
-    if not a or not b:
-        raise ValueError("resultant_y requires two nonzero polynomials")
     m = a.degree_y
     n = b.degree_y
-    if m == 0 and n == 0:
-        raise ValueError("resultant_y needs y to appear in at least one input")
     a_ints, scale_a = _clear_denominators([c.coeffs for c in a.coeffs])
     b_ints, scale_b = _clear_denominators([c.coeffs for c in b.coeffs])
     bound = _x_degree_bound(a, b)
@@ -276,34 +253,3 @@ def resultant_y(a: BiPoly, b: BiPoly) -> UniPoly:
     scale = scale_a ** n * scale_b ** m
     return UniPoly(Fraction(c, scale) for c in _interpolate_naturals(values))
 
-
-def _eliminant(a: BiPoly, b: BiPoly) -> UniPoly:
-    """resultant_y with the all-y-free corner settled by convention.
-
-    Two polynomials without y impose their conditions on x alone; the
-    empty Sylvester determinant in y is one, leaving the x-resultant (taken
-    on the swapped side) to decide finiteness.
-    """
-    if a.degree_y == 0 and b.degree_y == 0:
-        return ONE
-    return resultant_y(a, b)
-
-
-def singular_locus_finite(h: BiPoly) -> SingularLocusCheck:
-    """Decide whether the affine singular locus of h is finite.
-
-    Computes the two eliminants r_x = Res_y(h_x, h_y) and
-    r_y = Res_x(h_x, h_y).  Common zeros of the partials project into the
-    zero sets of the eliminants, so if both are nonzero the singular locus
-    sits inside a finite grid.  A zero eliminant leaves the question open
-    (finite = False reports "not certified", not "infinite").
-    """
-    if h.is_constant():
-        raise ValueError("singular locus needs a nonconstant polynomial")
-    hx = h.partial_x()
-    hy = h.partial_y()
-    if not hx or not hy:
-        return SingularLocusCheck(finite=False, eliminants=(ZERO, ZERO))
-    r_x = _eliminant(hx, hy)
-    r_y = _eliminant(hx.swap_vars(), hy.swap_vars())
-    return SingularLocusCheck(finite=bool(r_x) and bool(r_y), eliminants=(r_x, r_y))

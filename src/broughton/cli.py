@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
-from .parser import ParseError, parse_uni, print_canonical
+from .parser import ParseError, parse_uni
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 1
@@ -50,7 +49,7 @@ def cmd_check(args) -> int:
     hypotheses = check_hypotheses(p, q)
     mapping = command_mapping(
         "check",
-        {"p": print_canonical(p), "q": print_canonical(q)},
+        {"p": str(p), "q": str(q)},
         hypotheses=hypotheses_mapping(hypotheses),
     )
     _emit(args, mapping, hypotheses_text(hypotheses))
@@ -66,7 +65,7 @@ def cmd_betti(args) -> int:
     numbers = betti(p, q)
     mapping = command_mapping(
         "betti",
-        {"p": print_canonical(p), "q": print_canonical(q)},
+        {"p": str(p), "q": str(q)},
         betti=betti_mapping(numbers),
     )
     _emit(args, mapping, [betti_text(numbers)])
@@ -98,7 +97,7 @@ def cmd_divisor(args) -> int:
 
     divisor = special_fiber_divisor(p)
     mapping = command_mapping(
-        "divisor", {"p": print_canonical(p)}, divisor=divisor_mapping(divisor)
+        "divisor", {"p": str(p)}, divisor=divisor_mapping(divisor)
     )
     lines = [
         f"special fiber at -1: {divisor_text(divisor)}",
@@ -116,21 +115,21 @@ def cmd_decompose(args) -> int:
     result = uni_decompose_at(p, args.inner_degree)
     mapping = command_mapping(
         "decompose",
-        {"p": print_canonical(p)},
+        {"p": str(p)},
         inner_degree=args.inner_degree,
         decomposition=None
         if result is None
         else {
-            "outer": print_canonical(result.outer),
-            "inner": print_canonical(result.inner),
+            "outer": str(result.outer),
+            "inner": str(result.inner),
         },
     )
     if result is None:
         lines = [f"no decomposition with inner degree {args.inner_degree}"]
     else:
         lines = [
-            f"outer: {print_canonical(result.outer)}",
-            f"inner: {print_canonical(result.inner)}",
+            f"outer: {result.outer}",
+            f"inner: {result.inner}",
         ]
     _emit(args, mapping, lines)
     return EXIT_OK
@@ -139,9 +138,12 @@ def cmd_decompose(args) -> int:
 def cmd_connectivity(args) -> int:
     p = parse_uni(args.p)
     try:
-        c = Fraction(args.c)
-    except (ValueError, ZeroDivisionError):
+        constant = parse_uni(args.c)
+    except ParseError:
+        constant = None
+    if constant is None or not constant.is_constant():
         raise ParseError(f"invalid rational constant {args.c!r}", 0)
+    c = constant.coefficient(0)
     from .decompose import connectivity_certificate
     from .report import _rat, command_mapping
 
@@ -149,19 +151,19 @@ def cmd_connectivity(args) -> int:
     r_x, r_y = certificate.eliminants
     mapping = command_mapping(
         "connectivity",
-        {"p": print_canonical(p), "m": args.m, "n": args.n, "c": _rat(c)},
+        {"p": str(p), "m": args.m, "n": args.n, "c": _rat(c)},
         certificate={
             "status": certificate.status,
             "singular_locus_finite": certificate.singular_finite,
-            "eliminant_x": print_canonical(r_x),
-            "eliminant_y": print_canonical(r_y),
+            "eliminant_x": str(r_x),
+            "eliminant_y": str(r_y),
             "notes": certificate.notes,
         },
     )
     lines = [
         f"status: {certificate.status}",
         f"singular locus finite: {certificate.singular_finite}",
-        f"eliminants: {print_canonical(r_x)} ; {print_canonical(r_y)}",
+        f"eliminants: {r_x} ; {r_y}",
     ]
     _emit(args, mapping, lines)
     return EXIT_OK if certificate.singular_finite else EXIT_INCONCLUSIVE
@@ -222,8 +224,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--c", required=True,
-                    help="nonzero rational constant, e.g. -2 or 3/2; "
-                         "spell negative fractions as --c=-3/2")
+                    help="nonzero constant in the polynomial expression "
+                         "grammar, e.g. -2, 3/2 or (1/2)^2; spell negative "
+                         "fractions as --c=-3/2")
     sp.set_defaults(func=cmd_connectivity)
 
     sp = sub.add_parser("zahid", parents=[common],

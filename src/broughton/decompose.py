@@ -17,6 +17,8 @@ family the candidate obstruction is captured by the auxiliary surface
 h = (p(u)v - 1)**m + c v**n: when its affine singular locus is finite the
 generic fiber is connected and no decomposition can appear.  Finiteness is
 checked by the two resultant eliminants of the partial derivatives.
+:func:`connectivity_certificate` is the one public entry to the bivariate
+layer (``bipoly``) and the one place its inputs are checked.
 """
 
 from __future__ import annotations
@@ -118,8 +120,13 @@ def connectivity_certificate(
     Only the exponent range m >= 2, n >= 2 is accepted: the certificate
     argument needs both branch exponents genuinely plural, and the
     remaining cases are settled by direct classification rather than by
-    this computation.  The verdict is one-sided: a finite singular locus
-    certifies connectivity, anything else stays inconclusive.
+    this computation.
+
+    The eliminants are r_x = Res_y(h_x, h_y) and r_y = Res_x(h_x, h_y).
+    Common zeros of the partials project into their zero sets, so when both
+    are nonzero the singular locus sits inside a finite grid.  The verdict
+    is one-sided: a finite singular locus certifies connectivity, and a
+    vanished eliminant leaves it inconclusive, not disconnected.
     """
     if not isinstance(p, UniPoly) or p.is_constant():
         raise ValueError("connectivity certificate needs a nonconstant p")
@@ -129,11 +136,15 @@ def connectivity_certificate(
     if scale is None or not scale:
         raise ValueError("connectivity certificate needs a nonzero rational c")
     # Imported here so that decompose never loads the bivariate layer.
-    from .bipoly import build_h, singular_locus_finite
+    from .bipoly import build_h, resultant_y
 
     h = build_h(p, m, n, scale)
-    check = singular_locus_finite(h)
-    if check.finite:
+    hx = h.partial_x()
+    hy = h.partial_y()
+    r_x = resultant_y(hx, hy)
+    r_y = resultant_y(hx.swap_vars(), hy.swap_vars())
+    finite = bool(r_x) and bool(r_y)
+    if finite:
         status = CONNECTED_CERTIFIED
         notes = (
             "both partial-derivative eliminants are nonzero, so the singular "
@@ -149,7 +160,7 @@ def connectivity_certificate(
         )
     return ConnectivityCertificate(
         status=status,
-        singular_finite=check.finite,
-        eliminants=check.eliminants,
+        singular_finite=finite,
+        eliminants=(r_x, r_y),
         notes=notes,
     )

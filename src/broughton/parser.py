@@ -1,4 +1,4 @@
-"""Parser and printer for the polynomial expression language.
+"""Parser for the polynomial expression language.
 
 The input grammar, which is the public contract for every polynomial
 argument accepted on the command line:
@@ -8,7 +8,7 @@ argument accepted on the command line:
     unary  := '-' unary | atom
     atom   := NUMBER | VAR | atom '^' NAT | '(' expr ')'
     NUMBER := NAT ('/' NAT)?
-    NAT    := digit+
+    NAT    := digit+        (ASCII 0-9 only)
 
 Whitespace separates tokens and is otherwise ignored.  There is no
 implicit multiplication ("2x" is a syntax error), '^' binds tighter than
@@ -18,7 +18,8 @@ most 4096.  The one variable is x.
 
 Parsing is total: any string either yields a polynomial or raises
 :class:`ParseError` with the offset of the offending character and the
-token kinds that would have been acceptable there.
+token kinds that would have been acceptable there.  The canonical printed
+form is ``str`` of the polynomial, which parses back to an equal one.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ class ExponentRangeError(ParseError):
 
 
 _OPERATORS = "+-*/^()"
+_DIGITS = "0123456789"
 
 
 def _tokenize(text: str):
@@ -65,9 +67,9 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < size and text[i].isdigit():
+            while i < size and text[i] in _DIGITS:
                 i += 1
             tokens.append(("nat", int(text[start:i]), start))
             continue
@@ -87,10 +89,9 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, env: dict):
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.env = env
         self.depth = 0
 
     def peek(self):
@@ -141,12 +142,11 @@ class _Parser:
             base = self.number(value)
         elif kind == "name":
             self.advance()
-            if value not in self.env:
-                allowed = ", ".join(sorted(self.env))
+            if value != "x":
                 raise UnknownVariableError(
-                    f"unknown variable {value!r} (allowed: {allowed})", offset
+                    f"unknown variable {value!r} (allowed: x)", offset
                 )
-            base = self.env[value]
+            base = X
         elif kind == "(":
             self.advance()
             self.depth += 1
@@ -198,15 +198,8 @@ def parse_uni(text: str) -> UniPoly:
     """Parse an expression in the variable x to a UniPoly."""
     if not isinstance(text, str):
         raise TypeError("polynomial source must be a string")
-    value = _Parser(text, {"x": X}).parse()
+    value = _Parser(text).parse()
     if isinstance(value, UniPoly):
         return value
     return UniPoly.constant(value)
 
-
-def print_canonical(a) -> str:
-    """Canonical text form: descending powers, explicit signs, and '*'
-    between all factors, so that parsing the output returns ``a``."""
-    if isinstance(a, UniPoly):
-        return str(a)
-    raise TypeError(f"cannot print {type(a).__name__} canonically")

@@ -16,7 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .parser import print_canonical
 from .unipoly import UniPoly, X
 
 if TYPE_CHECKING:
@@ -86,7 +85,7 @@ def build_report(p: UniPoly, q: UniPoly) -> ReportDocument:
         notes.append(_NOTE_NO_COMPONENTS)
     return ReportDocument(
         schema_version=SCHEMA_VERSION,
-        inputs=(("p", print_canonical(p)), ("q", print_canonical(q))),
+        inputs=(("p", str(p)), ("q", str(q))),
         body=body,
         notes=tuple(notes),
     )
@@ -132,7 +131,7 @@ def divisor_mapping(divisor: FiberDivisor) -> dict:
         "value": _rat(divisor.value),
         "unit": _rat(divisor.unit),
         "components": [
-            {"factor": print_canonical(factor), "multiplicity": multiplicity}
+            {"factor": str(factor), "multiplicity": multiplicity}
             for factor, multiplicity in divisor.components
         ],
         "divisor_multiplicity": divisor.divisor_multiplicity,
@@ -232,6 +231,6 @@ def divisor_text(divisor: FiberDivisor) -> str:
     if divisor.unit != 1:
         pieces.append(_rat(divisor.unit))
     for factor, multiplicity in divisor.components:
-        text = print_canonical(factor)
+        text = str(factor)
         pieces.append(f"({text})^{multiplicity}" if multiplicity > 1 else f"({text})")
     return " * ".join(pieces)

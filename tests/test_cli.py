@@ -15,8 +15,7 @@ from broughton.cli import (
     EXIT_PRECONDITION,
     main,
 )
-from broughton import decompose
-from broughton.decompose import ConnectivityCertificate, INCONCLUSIVE
+from broughton import bipoly
 from broughton.unipoly import ZERO
 
 
@@ -69,20 +68,46 @@ class TestExitCodes:
         assert code == EXIT_PRECONDITION
 
     def test_inconclusive_certificate(self, capsys, monkeypatch):
-        # No admissible parameters reach this branch today, so force it.
-        fake = ConnectivityCertificate(
-            status=INCONCLUSIVE,
-            singular_finite=False,
-            eliminants=(ZERO, ZERO),
-            notes="forced for the exit-code path",
-        )
-        # cmd_connectivity imports the name from decompose when it runs.
-        monkeypatch.setattr(decompose, "connectivity_certificate",
-                            lambda *a, **k: fake)
+        # No admissible parameters reach this branch today, so one eliminant
+        # is forced to vanish; the real certificate then decides the verdict.
+        real = bipoly.resultant_y
+        calls = []
+
+        def first_vanishes(a, b):
+            calls.append(None)
+            return ZERO if len(calls) == 1 else real(a, b)
+
+        monkeypatch.setattr(bipoly, "resultant_y", first_vanishes)
         code, out, _ = run(capsys, "connectivity", "x", "--m", "2", "--n", "2",
                            "--c", "1")
         assert code == EXIT_INCONCLUSIVE
         assert "status: inconclusive" in out
+        assert "singular locus finite: False" in out
+
+    def test_non_ascii_digits_are_a_parse_error(self, capsys):
+        for text in ("x^\u00b2", "x^\u0661\u0662", "\u0661/\u0662*x"):
+            code, out, err = run(capsys, "check", text, "x")
+            assert code == EXIT_PARSE_ERROR, text
+            assert out == ""
+            assert err.startswith("error: unexpected character")
+
+    @pytest.mark.parametrize("value", ["0.5", "1e3", "1_0", " 3/2 x", "x", "1/0",
+                                       "nope", "", "2x"])
+    def test_constant_outside_the_grammar_is_a_parse_error(self, capsys, value):
+        code, out, err = run(capsys, "connectivity", "x", "--m", "2", "--n", "2",
+                             "--c", value)
+        assert code == EXIT_PARSE_ERROR
+        assert out == ""
+        assert err == f"error: invalid rational constant {value!r} (offset 0)\n"
+
+    @pytest.mark.parametrize("value, rendered", [
+        ("-3/2", "-3/2"), ("(1/2)^2", "1/4"), (" 3/2 ", "3/2"), ("2*3 - 1", "5/1"),
+    ])
+    def test_constant_in_the_grammar_is_accepted(self, capsys, value, rendered):
+        code, out, _ = run(capsys, "connectivity", "x", "--m", "2", "--n", "2",
+                           f"--c={value}", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["inputs"]["c"] == rendered
 
 
 class TestCommands:

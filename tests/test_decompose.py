@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from broughton import bipoly
 from broughton.bipoly import build_h
 from broughton.decompose import (
     CONNECTED_CERTIFIED,
@@ -179,6 +180,36 @@ class TestConnectivityCertificate:
             connectivity_certificate(x, 2, 2, F(0))
         with pytest.raises(ValueError):
             connectivity_certificate(P(3), 2, 2, F(1))
+        # The certificate is the one check; build_h takes what it passes.
+        for m, n in ((2.0, 2), (2, 3.0), (True, 2), (2, True)):
+            with pytest.raises(ValueError):
+                connectivity_certificate(x, m, n, F(1))
+        for c in (1.5, "1", "3/2", True, None):
+            with pytest.raises(ValueError):
+                connectivity_certificate(x, 2, 2, c)
+        for p in ([0, 1], "x", F(1), None):
+            with pytest.raises(ValueError):
+                connectivity_certificate(p, 2, 2, F(1))
+
+    def test_vanished_eliminant_is_inconclusive(self, monkeypatch):
+        # No admissible input is known to reach this branch, so the second
+        # eliminant taken, r_y = Res_x(h_x, h_y), is forced to vanish.
+        real = bipoly.resultant_y
+        calls = []
+
+        def second_vanishes(a, b):
+            calls.append((a, b))
+            return ZERO if len(calls) == 2 else real(a, b)
+
+        monkeypatch.setattr(bipoly, "resultant_y", second_vanishes)
+        certificate = connectivity_certificate(P(0, 1), 2, 2, F(1))
+        assert len(calls) == 2
+        assert certificate.status == INCONCLUSIVE
+        assert certificate.singular_finite is False
+        r_x, r_y = certificate.eliminants
+        assert r_x != ZERO and r_y == ZERO
+        assert "vanished identically" in certificate.notes
+        assert "nothing is concluded" in certificate.notes
 
     def test_status_vocabulary(self):
         assert CONNECTED_CERTIFIED == "connected-certified"

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from broughton.parser import (
     MAX_EXPONENT,
@@ -14,7 +14,6 @@ from broughton.parser import (
     ParseError,
     UnknownVariableError,
     parse_uni,
-    print_canonical,
 )
 from broughton.unipoly import UniPoly, X, ZERO
 
@@ -92,6 +91,13 @@ class TestErrors:
         assert self.offset_of("x$") == 1
         assert self.offset_of("x + 1.5") == 5
 
+    def test_only_ascii_digits_are_naturals(self):
+        # Superscripts and other Unicode digits are not NAT digits.
+        assert self.offset_of("x^\u00b2") == 2
+        assert self.offset_of("x^\u0661\u0662") == 2
+        assert self.offset_of("\u0661/\u0662*x") == 0
+        assert self.offset_of("1\u0662") == 1
+
     def test_rational_literals(self):
         with pytest.raises(ParseError) as info:
             parse_uni("1/0")
@@ -142,19 +148,28 @@ class TestErrors:
 
 class TestPrinting:
     def test_canonical_examples(self):
-        assert print_canonical(ZERO) == "0"
-        assert print_canonical(P(-1, 0, 1, 1)) == "x^3 + x^2 - 1"
-
-    def test_rejects_bare_scalars(self):
-        with pytest.raises(TypeError):
-            print_canonical(F(1, 2))
+        assert str(ZERO) == "0"
+        assert str(P(-1, 0, 1, 1)) == "x^3 + x^2 - 1"
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.fractions(max_denominator=30), max_size=7))
 def test_uni_roundtrip(coeffs):
     poly = UniPoly(coeffs)
-    assert parse_uni(print_canonical(poly)) == poly
+    assert parse_uni(str(poly)) == poly
+
+
+@settings(deadline=None)
+@given(st.text(max_size=8))
+@example("x^\u00b2")
+@example("x^\u0661\u0662")
+@example("\u0661/\u0662*x")
+def test_any_text_parses_or_raises_parse_error(text):
+    try:
+        value = parse_uni(text)
+    except ParseError:
+        return
+    assert isinstance(value, UniPoly)
 
 
 def test_fuzz_total_behavior():
