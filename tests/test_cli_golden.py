@@ -39,7 +39,10 @@ PAIRS = (
     ("x", "x*(x+1)"),
 )
 ZAHID = ((1, 1), (2, 3), (4, 2), (6, 4))
-DIVISORS = ("x^2", "(x+1)^4*(x-2)^2", "2*(x^2+1)^3*x^6", "x^3-x", "5")
+# The last divisor expands to degree 65 with 7^40 denominators, so its
+# products span many bytes per coefficient.
+DIVISORS = ("x^2", "(x+1)^4*(x-2)^2", "2*(x^2+1)^3*x^6", "x^3-x", "5",
+            "(x-3/7)^40*(2*x+5)^25")
 # (p, m, n, c) for connectivity: integer and rational p and c, m, n <= 3,
 # then m = 1, which the certificate rejects.
 CONNECTIVITY = (
@@ -51,12 +54,13 @@ CONNECTIVITY = (
     ("x", 1, 2, "1"),
 )
 # (p, inner degree) for decompose: two hits, a miss, a degree that does
-# not divide deg p.
+# not divide deg p, then a rational hit with outer degree 4.
 DECOMPOSE = (
     ("x^4+2*x^2+1", 2),
     ("(x^3-1/2*x)^2+3", 3),
     ("x^4+x", 2),
     ("x^4+1", 3),
+    ("(x^2-2/3*x)^4 - 5/2*(x^2-2/3*x) + 1", 2),
 )
 FORMATS = ("json", "text")
 
