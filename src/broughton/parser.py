@@ -8,13 +8,15 @@ argument accepted on the command line:
     unary  := '-' unary | atom
     atom   := NUMBER | VAR | atom '^' NAT | '(' expr ')'
     NUMBER := NAT ('/' NAT)?
-    NAT    := digit+        (ASCII 0-9 only)
+    NAT    := digit+        (ASCII 0-9 only, at most 4300 digits)
 
 Whitespace separates tokens and is otherwise ignored.  There is no
 implicit multiplication ("2x" is a syntax error), '^' binds tighter than
 unary minus and is non-associative (towers need parentheses), '/' occurs
 only inside rational literals, and exponents are literal naturals of at
-most 4096.  The one variable is x.
+most 4096.  A natural has at most 4300 digits, the default limit of
+``int()`` on Python 3.11 and later, enforced here on every version.  The
+one variable is x.
 
 Parsing is total: any string either yields a polynomial or raises
 :class:`ParseError` with the offset of the offending character and the
@@ -29,6 +31,7 @@ from fractions import Fraction
 from .unipoly import UniPoly, X
 
 MAX_EXPONENT = 4096
+MAX_NAT_DIGITS = 4300
 
 # Each nesting level costs a few interpreter stack frames, so the guard
 # must trip well before CPython's default recursion limit would.
@@ -71,6 +74,11 @@ def _tokenize(text: str):
             start = i
             while i < size and text[i] in _DIGITS:
                 i += 1
+            if i - start > MAX_NAT_DIGITS:
+                raise ParseError(
+                    f"natural number of {i - start} digits exceeds the limit "
+                    f"{MAX_NAT_DIGITS}", start
+                )
             tokens.append(("nat", int(text[start:i]), start))
             continue
         if ch.isalpha() or ch == "_":

@@ -12,6 +12,19 @@ than an integer, so the degree laws
     deg(a+b) <= max(deg(a), deg(b))
 
 hold without a bogus integer standing in for "minus infinity".
+
+The costly kernels run on integers, with the Fractions only at their
+ends.  Multiplication clears each operand's denominators and multiplies
+by Kronecker substitution: both integer polynomials are evaluated at a
+power of two wide enough to hold every coefficient of the product (their
+absolute values are at most max|A| * max|B| * min(len A, len B), plus
+one bit for the sign), multiplied as two big integers, and read back in
+that base (von zur Gathen and Gerhard, *Modern Computer Algebra*, 8.4;
+Harvey 2009).  Powers, ``compose`` and the parser all multiply this way.
+:func:`exact_div` divides the integer numerator by the primitive part of
+the divisor over the integers, which Gauss's lemma makes exact whenever
+the rational division is.  :func:`gcd` works modulo word-size primes and
+checks its lift with the same integer trial division.
 """
 
 from __future__ import annotations
@@ -168,19 +181,42 @@ class UniPoly:
         return other + (-self)
 
     def __mul__(self, other):
+        """Product by Kronecker substitution on integers.
+
+        Each operand is scaled to integers A = L_a*a and B = L_b*b by the
+        least common multiple of its denominators.  Every coefficient of
+        A*B is a sum of at most min(len A, len B) products, so its absolute
+        value is at most bound = max|A| * max|B| * min(len A, len B).  A
+        byte-aligned slot of w bits with 2**(w - 1) > bound holds each one
+        in [0, 2**w) after adding the offset 2**(w - 1), so evaluating A
+        and B at x = 2**w, one big-integer multiply and reading the product
+        back in base 2**w give A*B exactly (von zur Gathen and Gerhard,
+        *Modern Computer Algebra*, 8.4; Harvey 2009, "Faster polynomial
+        multiplication via multipoint Kronecker substitution").  Packing
+        and unpacking go through ``int.to_bytes``/``int.from_bytes`` and
+        cost time linear in the size of the integers.  Each coefficient is
+        divided by L_a*L_b once.
+        """
         other = _coerce(other)
         if other is None:
             return NotImplemented
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return UniPoly(out)
+        (ints_a,), scale_a = _clear_denominators([a])
+        (ints_b,), scale_b = _clear_denominators([b])
+        bound = max(map(abs, ints_a)) * max(map(abs, ints_b)) * min(len(a), len(b))
+        size = bound.bit_length() // 8 + 1  # bytes; 2**(8*size - 1) > bound
+        packed_a = _pack(ints_a, size)
+        packed_b = packed_a if other is self else _pack(ints_b, size)
+        count = len(a) + len(b) - 1
+        half = 1 << (8 * size - 1)
+        offset = int.from_bytes(half.to_bytes(size, "little") * count, "little")
+        digits = (packed_a * packed_b + offset).to_bytes(count * size, "little")
+        scale = scale_a * scale_b
+        from_bytes = int.from_bytes
+        return UniPoly([Fraction(from_bytes(digits[k:k + size], "little") - half, scale)
+                        for k in range(0, count * size, size)])
 
     __rmul__ = __mul__
 
@@ -293,11 +329,29 @@ X = UniPoly((0, 1))
 
 
 def exact_div(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Division known to be exact; raises if a remainder appears."""
-    q, r = divmod(a, b)
-    if r:
+    """Division known to be exact; raises ArithmeticError if a remainder
+    appears and ZeroDivisionError for a zero divisor.
+
+    Write a = A/L_a and b = (cont B/L_b) * B' with A and B' integer and
+    B' primitive.  If b divides a, then B' divides A over the rationals,
+    and by Gauss's lemma the quotient A/B' has integer coefficients.  So
+    the division runs over the integers, each quotient coefficient an exact
+    ``divmod`` by lc B'; a nonzero remainder there or in the low
+    coefficients proves that b does not divide a.  The quotient is then
+    scaled once by L_b/(L_a * cont B).
+    """
+    if not b:
+        raise ZeroDivisionError("polynomial division by the zero polynomial")
+    if not a:
+        return ZERO
+    (ints_a,), scale_a = _clear_denominators([a._coeffs])
+    (ints_b,), scale_b = _clear_denominators([b._coeffs])
+    primitive = _primitive(ints_b)
+    quotient = _exact_quotient(ints_a, primitive)
+    if quotient is None:
         raise ArithmeticError(f"inexact division: {a} by {b}")
-    return q
+    scale = scale_a * (ints_b[-1] // primitive[-1])  # L_a * cont B
+    return UniPoly([Fraction(c * scale_b, scale) for c in quotient])
 
 
 def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -353,7 +407,8 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         modulus *= p
         if combined == lift:
             candidate = _primitive(lift)
-            if _divides(candidate, ints_a) and _divides(candidate, ints_b):
+            if (_exact_quotient(ints_a, candidate) is not None
+                    and _exact_quotient(ints_b, candidate) is not None):
                 return UniPoly(candidate).monic()
         lift = combined
 
@@ -435,20 +490,39 @@ def _crt(lift, modulus, image, p):
     return out
 
 
-def _divides(d, a) -> bool:
-    """Whether the primitive integer polynomial ``d`` of positive degree
-    divides ``a`` over the integers (by Gauss's lemma, also over Q)."""
+def _exact_quotient(a, d):
+    """Quotient of the integer polynomial ``a`` by ``d`` over the integers,
+    or None if a remainder appears.
+
+    Coefficients are int lists, low to high, and ``d`` is nonzero with a
+    nonzero leading entry.  For a primitive ``d`` a None also rules out
+    division over the rationals (Gauss's lemma).
+    """
     rem = list(a)
     top = len(d) - 1
     lead = d[-1]
+    low = d[:top]
+    quotient = [0] * max(len(a) - top, 0)
     for i in range(len(a) - 1 - top, -1, -1):
         c, r = divmod(rem[i + top], lead)
         if r:
-            return False
+            return None
         if c:
-            for j in range(top):
-                rem[i + j] -= c * d[j]
-    return not any(rem[:top])
+            quotient[i] = c
+            rem[i:i + top] = [x - c * y for x, y in zip(rem[i:i + top], low)]
+    if any(rem[:top]):
+        return None
+    return quotient
+
+
+def _pack(ints, size):
+    """The integer sum(c * 256**(size*i)) for the coefficients ``ints``,
+    each of absolute value below 256**size: the positive and the negative
+    parts are packed into bytes separately and then subtracted."""
+    zero = bytes(size)
+    positive = b"".join([c.to_bytes(size, "little") if c > 0 else zero for c in ints])
+    negative = b"".join([(-c).to_bytes(size, "little") if c < 0 else zero for c in ints])
+    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
 
 
 def _clear_denominators(columns):

@@ -91,6 +91,13 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("error: unexpected character")
 
+    def test_natural_over_the_digit_limit_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "check", "1" * 4301 + "*x", "x")
+        assert code == EXIT_PARSE_ERROR
+        assert out == ""
+        assert err == ("error: natural number of 4301 digits exceeds the limit 4300"
+                       " (offset 0)\n")
+
     @pytest.mark.parametrize("value", ["0.5", "1e3", "1_0", " 3/2 x", "x", "1/0",
                                        "nope", "", "2x"])
     def test_constant_outside_the_grammar_is_a_parse_error(self, capsys, value):

@@ -98,6 +98,18 @@ class TestErrors:
         assert self.offset_of("\u0661/\u0662*x") == 0
         assert self.offset_of("1\u0662") == 1
 
+    def test_natural_digit_limit(self):
+        # 4300 digits is the default int() limit on Python 3.11 and later;
+        # the parser enforces it on every version, before calling int().
+        longest = "1" * 4300
+        assert parse_uni(f"{longest}*x") == int(longest) * X
+        assert parse_uni(f"1/{longest}") == UniPoly.constant(Fraction(1, int(longest)))
+        assert self.offset_of("1" * 4301 + "*x") == 0
+        assert self.offset_of("x + " + "2" * 4301) == 4
+        assert self.offset_of("1/" + "7" * 4301) == 2
+        with pytest.raises(ParseError, match="4301 digits exceeds the limit 4300"):
+            parse_uni("x^" + "0" * 4301)
+
     def test_rational_literals(self):
         with pytest.raises(ParseError) as info:
             parse_uni("1/0")

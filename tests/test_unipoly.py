@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from broughton.unipoly import (
@@ -19,7 +19,15 @@ from broughton.unipoly import (
     exact_div,
     gcd,
 )
-from oracles import l_gcd, l_mul, random_coeffs
+from oracles import (
+    l_compose,
+    l_divmod,
+    l_exact_div,
+    l_gcd,
+    l_mul,
+    l_pow,
+    random_coeffs,
+)
 
 F = Fraction
 
@@ -223,13 +231,112 @@ def test_compose_evaluates_pointwise(a, c, t):
     assert a.compose(c)(t) == a(c(t))
 
 
-def test_multiplication_against_schoolbook_oracle():
-    rng = random.Random(404)
-    for _ in range(50):
-        a_coeffs = random_coeffs(rng, rng.randint(0, 5))
-        b_coeffs = random_coeffs(rng, rng.randint(0, 5))
-        product = UniPoly(a_coeffs) * UniPoly(b_coeffs)
-        assert list(product.coeffs) == l_mul(a_coeffs, b_coeffs)
+# Operands for the Kronecker kernel's slot-width edge cases: negative
+# coefficients, zeros drawn often enough to leave empty slots, one
+# 10**40-sized coefficient among small ones, constants, and denominators
+# that are powers of 3 or of 7, so that the operands' denominators differ.
+sparse_polys = st.lists(st.one_of(st.just(F(0)), rationals), max_size=8).map(UniPoly)
+
+
+@st.composite
+def one_huge_polys(draw):
+    coeffs = draw(st.lists(rationals, min_size=1, max_size=6))
+    i = draw(st.integers(0, len(coeffs) - 1))
+    coeffs[i] = F(draw(st.integers(-10**40, 10**40)), draw(st.integers(1, 9)))
+    return UniPoly(coeffs)
+
+
+def over(base):
+    """Polynomials whose denominators are powers of ``base``."""
+    return st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(0, 12)),
+                    max_size=6).map(lambda pairs: UniPoly([F(n, base ** k) for n, k in pairs]))
+
+
+constants = st.one_of(rationals, st.integers(-10**40, 10**40)).map(UniPoly.constant)
+mul_operands = st.one_of(polys, sparse_polys, one_huge_polys(), constants, over(3), over(7))
+
+# Products whose coefficient bound has a bit length that is a multiple of
+# 8: a slot without its sign bit overflows on each of them.
+SLOT_EDGES = (
+    (P(255), P(1, 1)),
+    (P(-255, 0, 255), ONE),
+    (P(8, 8), P(8, 8)),
+    (P(-128, 0, -1), P(1, 0, 0, 1)),
+)
+
+
+@given(mul_operands, mul_operands)
+@settings(max_examples=300, deadline=None)
+@example(*SLOT_EDGES[0])
+@example(*SLOT_EDGES[1])
+@example(*SLOT_EDGES[2])
+@example(*SLOT_EDGES[3])
+def test_multiplication_against_schoolbook_oracle(a, b):
+    assert list((a * b).coeffs) == l_mul(a.coeffs, b.coeffs)
+    # Squaring packs the operand once.
+    assert list((a * a).coeffs) == l_mul(a.coeffs, a.coeffs)
+
+
+@given(st.one_of(polys, one_huge_polys(), over(7)), st.integers(0, 6))
+@settings(deadline=None)
+@example(P(8, 8), 2)
+def test_pow_matches_repeated_multiplication_oracle(a, k):
+    assert list((a ** k).coeffs) == l_pow(a.coeffs, k)
+
+
+@given(st.one_of(polys, sparse_polys), st.one_of(polys, one_huge_polys(), over(3)))
+@settings(deadline=None)
+@example(P(0, 0, 1), P(8, 8))
+def test_compose_matches_horner_oracle(a, c):
+    assert list(a.compose(c).coeffs) == l_compose(a.coeffs, c.coeffs)
+
+
+# Nonzero divisors with content: an integer polynomial times k/den.
+divisors_with_content = st.builds(
+    lambda ints, k, den: UniPoly([F(c * k, den) for c in ints]),
+    st.lists(st.integers(-50, 50), min_size=1, max_size=5).filter(lambda c: c[-1]),
+    st.integers(1, 10**12), st.integers(1, 10**6),
+)
+divisors = st.one_of(nonzero_polys, divisors_with_content, over(7).filter(bool))
+
+
+@given(st.one_of(polys, one_huge_polys(), over(3)), divisors)
+@settings(max_examples=300, deadline=None)
+@example(P(1, 1), P(F(6, 5), F(12, 5)))
+def test_exact_div_recovers_the_cofactor(a, b):
+    # The product comes from the oracle, so only the division is tested.
+    product = UniPoly(l_mul(a.coeffs, b.coeffs))
+    quotient = exact_div(product, b)
+    assert quotient == a
+    assert list(quotient.coeffs) == l_exact_div(product.coeffs, b.coeffs)
+
+
+@given(polys, divisors.filter(lambda b: b.degree >= 1), rationals.filter(bool))
+@settings(deadline=None)
+def test_exact_div_rejects_a_remainder_in_the_constant_term(a, b, c):
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        exact_div(UniPoly(l_mul(a.coeffs, b.coeffs)) + c, b)
+
+
+@given(nonzero_polys, divisors)
+@settings(max_examples=200, deadline=None)
+@example(P(1, 3), P(1, 2))
+@example(P(1, 1), P(0, 0, 1))
+def test_exact_div_raises_exactly_when_a_remainder_is_left(a, b):
+    # Covers deg b > deg a and every b that does not divide a.
+    if l_divmod(a.coeffs, b.coeffs)[1]:
+        with pytest.raises(ArithmeticError, match="inexact division"):
+            exact_div(a, b)
+    else:
+        assert exact_div(a, b) * b == a
+
+
+@given(divisors)
+@settings(deadline=None)
+def test_exact_div_of_zero_and_by_zero(b):
+    assert exact_div(ZERO, b) == ZERO
+    with pytest.raises(ZeroDivisionError):
+        exact_div(b, ZERO)
 
 
 def test_immutability_and_hash():
