@@ -255,22 +255,14 @@ def over(base):
 constants = st.one_of(rationals, st.integers(-10**40, 10**40)).map(UniPoly.constant)
 mul_operands = st.one_of(polys, sparse_polys, one_huge_polys(), constants, over(3), over(7))
 
-# Products whose coefficient bound has a bit length that is a multiple of
-# 8: a slot without its sign bit overflows on each of them.
-SLOT_EDGES = (
-    (P(255), P(1, 1)),
-    (P(-255, 0, 255), ONE),
-    (P(8, 8), P(8, 8)),
-    (P(-128, 0, -1), P(1, 0, 0, 1)),
-)
-
-
+# The examples' coefficient bounds have a bit length that is a multiple
+# of 8: a slot without its sign bit overflows on each of them.
 @given(mul_operands, mul_operands)
 @settings(max_examples=300, deadline=None)
-@example(*SLOT_EDGES[0])
-@example(*SLOT_EDGES[1])
-@example(*SLOT_EDGES[2])
-@example(*SLOT_EDGES[3])
+@example(P(255), P(1, 1))
+@example(P(-255, 0, 255), ONE)
+@example(P(8, 8), P(8, 8))
+@example(P(-128, 0, -1), P(1, 0, 0, 1))
 def test_multiplication_against_schoolbook_oracle(a, b):
     assert list((a * b).coeffs) == l_mul(a.coeffs, b.coeffs)
     # Squaring packs the operand once.
