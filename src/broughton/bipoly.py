@@ -21,11 +21,22 @@ The arrangement curves f and g are never built: every invariant of the
 arrangement is read off p and q directly.
 
 Elimination is by Sylvester resultants in y, computed by evaluation and
-interpolation on integers: denominators are cleared once, x runs over the
-integers 0..D for a degree bound D, each point takes one integer Bareiss
-determinant, and the values are interpolated back to a polynomial in x.
-Nothing is rounded, so a resultant of polynomials over Q[x] lands in Q[x]
-exactly.
+interpolation modulo one prime (Collins 1971): denominators are cleared
+once, every coefficient of the integer resultant is bounded by the
+Hadamard-type bound H = (sum_i |A_i|_1**2)**(n/2) * (sum_j |B_j|_1**2)**(m/2)
+over the integer y-coefficients A_i, B_j, and the work runs modulo the
+smallest Mersenne prime 2**e - 1 above 2*H from a constant table of proven
+exponents (61, 89, 107, 127, 521, 607, 1279, 2203, ...; past its end, a
+product of table primes joined by the Chinese remainder theorem).  x runs
+over 0..D for a degree bound D; at each point the resultant of the
+specialized polynomials comes from Euclid mod the prime where both leading
+coefficients survive, and from Gaussian elimination on the fixed-shape
+Sylvester matrix where one vanishes (or where Euclid's remainder drops in
+degree at that point alone).  The values are interpolated mod the
+prime and lifted to the symmetric range.  The result is exact by the bound
+alone: unlike a gcd, a resultant has no cheap check, so a wrong bound would
+give a wrong answer, not an error.  The kernels live in
+:mod:`broughton.modular`.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .modular import integer_resultant
 from .unipoly import (
     NEG_INF,
     ONE,
@@ -108,98 +120,6 @@ def build_h(p: UniPoly, m: int, n: int, c: Fraction) -> BiPoly:
     return BiPoly(coeffs)
 
 
-def _sylvester_rows(a_coeffs, b_coeffs):
-    """Integer Sylvester matrix rows, a-block first, coefficients high to low.
-
-    The shape comes from the sequence lengths alone, so a vanishing leading
-    entry keeps its place.
-    """
-    m = len(a_coeffs) - 1
-    n = len(b_coeffs) - 1
-    dim = m + n
-    rows = []
-    high_a = list(reversed(a_coeffs))
-    high_b = list(reversed(b_coeffs))
-    for shift in range(n):
-        row = [0] * dim
-        row[shift:shift + m + 1] = high_a
-        rows.append(row)
-    for shift in range(m):
-        row = [0] * dim
-        row[shift:shift + n + 1] = high_b
-        rows.append(row)
-    return rows
-
-
-def _bareiss_determinant(rows) -> int:
-    """Fraction-free determinant (Bareiss) of a square integer matrix.
-
-    Every division the elimination performs is exact, so it runs on plain
-    ints with ``//``.  Row swaps handle zero pivots and only flip the sign.
-    """
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot_row = m[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - head * pivot_row[j]) // prev
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-def _horner(coeffs, t: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
-
-
-def _interpolate_naturals(values) -> list:
-    """Integer coefficients, low to high, of the integer polynomial f of
-    degree below ``len(values)`` with f(t) = values[t] for t = 0, 1, ...
-
-    Newton's forward-difference form f = sum_k (Delta^k f(0) / k!) *
-    x(x-1)...(x-k+1).  For f with integer coefficients every
-    Delta^k f(0) is k! times an integer (Delta^k x^j at 0 is k! times a
-    Stirling number), so the divisions are exact; the falling factorials
-    are expanded by a Horner pass from the top.
-    """
-    newton = []
-    row = list(values)
-    factorial = 1
-    for k in range(len(values)):
-        if k:
-            factorial *= k
-        newton.append(row[0] // factorial)
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-    coeffs = []
-    for k in range(len(newton) - 1, -1, -1):
-        # coeffs <- coeffs * (x - k) + newton[k]
-        shifted = [0] + coeffs
-        for i, c in enumerate(coeffs):
-            shifted[i] -= k * c
-        shifted[0] += newton[k]
-        coeffs = shifted
-    return coeffs
-
-
 def _x_degree_bound(a: BiPoly, b: BiPoly) -> int:
     """Upper bound on deg_x Res_y(a, b), with m = deg_y a, n = deg_y b.
 
@@ -208,18 +128,29 @@ def _x_degree_bound(a: BiPoly, b: BiPoly) -> int:
     determinant has x-degree at most n*alpha + m*gamma + w*m*n: the
     y-weights its entries carry sum to m*n whatever the permutation.  The
     least such bound over integers |w| <= max(deg_x a, deg_x b) is
-    returned; w = 0 gives n*deg_x a + m*deg_x b.
+    returned; w = 0 gives n*deg_x a + m*deg_x b.  The bound is a convex
+    function of w, a sum of maxima of affine ones, so a walk from w = 0
+    that stops at the first step which does not lower it finds the least.
     """
     m, n = a.degree_y, b.degree_y
     degrees_a = [(i, c.degree) for i, c in enumerate(a.coeffs) if c]
     degrees_b = [(j, c.degree) for j, c in enumerate(b.coeffs) if c]
     width = max(a.degree_x, b.degree_x)
-    return min(
-        n * max(d - w * i for i, d in degrees_a)
-        + m * max(d - w * j for j, d in degrees_b)
-        + w * m * n
-        for w in range(-width, width + 1)
-    )
+
+    def bound(w):
+        return (n * max([d - w * i for i, d in degrees_a])
+                + m * max([d - w * j for j, d in degrees_b])
+                + w * m * n)
+
+    best = bound(0)
+    for step in (1, -1):
+        w = step
+        while abs(w) <= width and (value := bound(w)) < best:
+            best = value
+            w += step
+        if w != step:
+            break
+    return best
 
 
 def resultant_y(a: BiPoly, b: BiPoly) -> UniPoly:
@@ -230,26 +161,29 @@ def resultant_y(a: BiPoly, b: BiPoly) -> UniPoly:
     y-degree.  When neither input involves y the Sylvester matrix is
     empty and the resultant is one.
 
-    Computed by evaluation and interpolation (Collins 1971).  With
-    m = deg_y a, n = deg_y b and a = A/L_a, b = B/L_b for integer A, B,
-    Res(a, b) = Res(A, B) / (L_a**n * L_b**m).  Res(A, B) has degree at
-    most D = ``_x_degree_bound(a, b)``, and its values at x = 0..D are
-    integer Bareiss determinants of the fixed-shape Sylvester matrix with
-    entries evaluated at the point.  Evaluation is a ring homomorphism, so
-    this is exact even where a leading y-coefficient vanishes at the point
-    (the pointwise resultant of the specialized polynomials would drop
-    there, which is why the matrix shape stays fixed).
+    With m = deg_y a, n = deg_y b and a = A/L_a, b = B/L_b for integer A,
+    B, Res(a, b) = Res(A, B) / (L_a**n * L_b**m).  Every coefficient of
+    Res(A, B) is at most H = (sum_i |A_i|_1**2)**(n/2) *
+    (sum_j |B_j|_1**2)**(m/2) in absolute value, where A_i and B_j are the
+    integer y-coefficients: on |x| = 1 Hadamard's inequality bounds the
+    determinant by H, and then Cauchy's estimate bounds each coefficient.
+    Res(A, B) is computed modulo the smallest
+    Mersenne prime 2**e - 1 above 2*H, e from a constant table of proven
+    exponents (61, 89, 107, 127, 521, 607, 1279, ...; a product of the
+    largest ones by the Chinese remainder theorem past its end), and lifted
+    to the symmetric range, so the result is exact only by that bound.
+    Res(A, B) has degree at most D = ``_x_degree_bound(a, b)``.  At each
+    x = 0..D the value is the resultant of the specialized y-polynomials
+    by Euclid mod the prime where both leading coefficients survive, and
+    otherwise the determinant of the fixed-shape Sylvester matrix by
+    Gaussian elimination mod the prime, which is exact because evaluation
+    is a ring homomorphism.  Newton interpolation mod the prime gives the
+    coefficients (Collins 1971).  See :mod:`broughton.modular`.
     """
     m = a.degree_y
     n = b.degree_y
     a_ints, scale_a = _clear_denominators([c.coeffs for c in a.coeffs])
     b_ints, scale_b = _clear_denominators([c.coeffs for c in b.coeffs])
-    bound = _x_degree_bound(a, b)
-    values = [
-        _bareiss_determinant(_sylvester_rows(
-            [_horner(c, t) for c in a_ints], [_horner(c, t) for c in b_ints]))
-        for t in range(bound + 1)
-    ]
+    ints = integer_resultant(a_ints, b_ints, _x_degree_bound(a, b))
     scale = scale_a ** n * scale_b ** m
-    return UniPoly(Fraction(c, scale) for c in _interpolate_naturals(values))
-
+    return UniPoly([Fraction(c, scale) for c in ints])

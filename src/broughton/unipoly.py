@@ -24,7 +24,8 @@ Harvey 2009).  Powers, ``compose`` and the parser all multiply this way.
 :func:`exact_div` divides the integer numerator by the primitive part of
 the divisor over the integers, which Gauss's lemma makes exact whenever
 the rational division is.  :func:`gcd` works modulo word-size primes and
-checks its lift with the same integer trial division.
+checks its lift with the same integer trial division; its modular kernels
+live in :mod:`broughton.modular`, loaded by the first gcd.
 """
 
 from __future__ import annotations
@@ -195,7 +196,8 @@ class UniPoly:
         multiplication via multipoint Kronecker substitution").  Packing
         and unpacking go through ``int.to_bytes``/``int.from_bytes`` and
         cost time linear in the size of the integers.  Each coefficient is
-        divided by L_a*L_b once.
+        divided by L_a*L_b once.  A constant on either side scales the other
+        operand coefficient-wise instead, with nothing to pack.
         """
         other = _coerce(other)
         if other is None:
@@ -203,6 +205,11 @@ class UniPoly:
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return ZERO
+        if len(a) == 1 or len(b) == 1:
+            if len(a) == 1:
+                a, b = b, a
+            s = b[0]
+            return UniPoly([c * s for c in a])
         (ints_a,), scale_a = _clear_denominators([a])
         (ints_b,), scale_b = _clear_denominators([b])
         bound = max(map(abs, ints_a)) * max(map(abs, ints_b)) * min(len(a), len(b))
@@ -385,6 +392,8 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     ints_a, ints_b = _primitive(ints_a), _primitive(ints_b)
     if len(ints_a) == 1 or len(ints_b) == 1:
         return ONE
+    from .modular import _crt, _gcd_mod, _prime
+
     lead_a, lead_b = ints_a[-1], ints_b[-1]
     scale = math.gcd(lead_a, lead_b)
     degree = min(len(ints_a), len(ints_b))  # above every image's degree
@@ -417,77 +426,6 @@ def _primitive(ints):
     """Integer coefficients divided by their content."""
     content = math.gcd(*ints)
     return [c // content for c in ints]
-
-
-_PRIMES = []
-
-
-def _prime(index: int) -> int:
-    """The ``index``-th prime below 2**62, counting down from the largest.
-
-    Found on first use and kept, so importing the module costs nothing.
-    """
-    while len(_PRIMES) <= index:
-        n = _PRIMES[-1] - 2 if _PRIMES else (1 << 62) - 1
-        while not _is_prime(n):
-            n -= 2
-        _PRIMES.append(n)
-    return _PRIMES[index]
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin for odd n > 37 with the twelve prime bases up to 37,
-    which no composite below 3.18e23 passes."""
-    d = n - 1
-    s = 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(base, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _gcd_mod(a, b, p):
-    """Monic gcd modulo the prime p by Euclid.
-
-    ``a`` and ``b`` are coefficient lists, low to high, reduced mod p and
-    with nonzero leading entries; ``a`` is overwritten.
-    """
-    while b:
-        inverse = pow(b[-1], -1, p)
-        b = [c * inverse % p for c in b]
-        top = len(b) - 1
-        for i in range(len(a) - 1 - top, -1, -1):
-            c = a[i + top]
-            if c:
-                a[i:i + top] = [(x - c * y) % p for x, y in zip(a[i:i + top], b)]
-        del a[top:]
-        while a and not a[-1]:
-            a.pop()
-        a, b = b, a
-    return a
-
-
-def _crt(lift, modulus, image, p):
-    """The symmetric residues mod modulus*p that agree with ``lift``
-    (symmetric mod ``modulus``) and with ``image`` mod the prime p."""
-    inverse = pow(modulus, -1, p)
-    combined_modulus = modulus * p
-    half = combined_modulus // 2
-    out = []
-    for h, r in zip(lift, image):
-        c = h + modulus * ((r - h) * inverse % p)
-        out.append(c - combined_modulus if c > half else c)
-    return out
 
 
 def _exact_quotient(a, d):

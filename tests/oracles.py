@@ -263,6 +263,83 @@ def b_swap(a):
     return {(j, i): v for (i, j), v in a.items()}
 
 
+# -- the integer evaluation-interpolation resultant ---------------------------
+
+def integer_bareiss_determinant(rows):
+    """Fraction-free determinant (Bareiss) of a square integer matrix.
+
+    Every division the elimination performs is exact, so it runs on plain
+    ints with ``//``.  Row swaps handle zero pivots and only flip the sign.
+    """
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            head = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - head * pivot_row[j]) // prev
+        prev = pivot
+    det = m[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def interpolate_naturals(values):
+    """Integer coefficients, low to high, of the integer polynomial f of
+    degree below ``len(values)`` with f(t) = values[t] for t = 0, 1, ...
+
+    Newton's forward-difference form f = sum_k (Delta^k f(0) / k!) *
+    x(x-1)...(x-k+1).  For f with integer coefficients every
+    Delta^k f(0) is k! times an integer (Delta^k x^j at 0 is k! times a
+    Stirling number), so the divisions are exact; the falling factorials
+    are expanded by a Horner pass from the top.
+    """
+    newton = []
+    row = list(values)
+    factorial = 1
+    for k in range(len(values)):
+        if k:
+            factorial *= k
+        newton.append(row[0] // factorial)
+        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
+    coeffs = []
+    for k in range(len(newton) - 1, -1, -1):
+        # coeffs <- coeffs * (x - k) + newton[k]
+        shifted = [0] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] -= k * c
+        shifted[0] += newton[k]
+        coeffs = shifted
+    return l_trim(coeffs)
+
+
+def integer_resultant_y(a, b, degree):
+    """Res_y(A, B) of integer polynomials given as lists of integer
+    x-coefficient lists by power of y, for a bound ``degree`` on its
+    x-degree: integer Bareiss determinants of the fixed-shape Sylvester
+    matrix at x = 0..degree, interpolated exactly (Collins 1971)."""
+    values = []
+    for t in range(degree + 1):
+        a_t = [sum(c * t ** i for i, c in enumerate(column)) for column in a]
+        b_t = [sum(c * t ** i for i, c in enumerate(column)) for column in b]
+        values.append(integer_bareiss_determinant(sylvester_rows(a_t, b_t, 0)))
+    return interpolate_naturals(values)
+
+
 # -- the arrangement curves and their irreducibility --------------------------
 
 def b_build_g(q):

@@ -6,17 +6,18 @@ import operator
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from broughton.bipoly import (
-    BiPoly,
-    _bareiss_determinant,
-    _x_degree_bound,
-    build_h,
-    resultant_y,
+from broughton.bipoly import BiPoly, _x_degree_bound, build_h, resultant_y
+from broughton.modular import (
+    MERSENNE_EXPONENTS,
+    _resultant_by_primes,
+    hadamard_square,
+    mersenne_exponents,
 )
-from broughton.unipoly import ONE, UniPoly, ZERO
+from broughton.unipoly import ONE, UniPoly, ZERO, _clear_denominators
 from oracles import (
     b_add,
     b_eval,
@@ -26,10 +27,16 @@ from oracles import (
     b_pow,
     b_resultant_y,
     b_swap,
+    b_y_columns,
     bareiss_determinant,
+    integer_bareiss_determinant,
+    integer_resultant_y,
+    interpolate_naturals,
     l_eval,
     l_from_roots,
+    l_mul,
     l_resultant,
+    l_trim,
     random_coeffs,
 )
 
@@ -222,7 +229,14 @@ def integer_matrices(draw):
 @example([])
 @settings(deadline=None)
 def test_bareiss_determinant_matches_fraction_oracle(rows):
-    assert _bareiss_determinant(rows) == fraction_determinant(rows)
+    assert integer_bareiss_determinant(rows) == fraction_determinant(rows)
+
+
+@given(st.lists(st.integers(-10**6, 10**6), max_size=8), st.integers(0, 4))
+def test_interpolate_naturals_recovers_integer_polynomials(coeffs, extra):
+    # Any number of points above the degree gives the polynomial back.
+    values = [int(l_eval(coeffs, t)) for t in range(len(coeffs) + extra)]
+    assert interpolate_naturals(values) == l_trim(coeffs)
 
 
 nonzero_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
@@ -284,6 +298,221 @@ def test_resultant_y_vanishes_with_oracle_on_common_factors(a, b, w):
 def test_resultant_y_matches_oracle_with_a_y_free_side(a, b):
     check_against_oracle(a, b)
     check_against_oracle(b, a)
+
+
+def exhaustive_degree_bound(a, b):
+    """The least weighted degree bound, trying every |w| <= max deg_x."""
+    m, n = a.degree_y, b.degree_y
+    degrees_a = [(i, c.degree) for i, c in enumerate(a.coeffs) if c]
+    degrees_b = [(j, c.degree) for j, c in enumerate(b.coeffs) if c]
+    width = max(a.degree_x, b.degree_x)
+    return min(n * max(d - w * i for i, d in degrees_a)
+               + m * max(d - w * j for j, d in degrees_b) + w * m * n
+               for w in range(-width, width + 1))
+
+
+@given(bi_dicts(max_x=5, max_y=4, min_size=1), bi_dicts(max_x=5, max_y=4, min_size=1))
+def test_degree_bound_walk_finds_the_least_weighted_bound(a, b):
+    a, b = bi_from_dict(a), bi_from_dict(b)
+    assert _x_degree_bound(a, b) == exhaustive_degree_bound(a, b)
+
+
+# -- the modular kernel -------------------------------------------------------
+
+def integer_columns(d):
+    """The integer x-coefficient lists by power of y of an integer dict."""
+    return [[int(c) for c in column] for column in b_y_columns(d)]
+
+
+def chosen_prime(a, b):
+    """The modulus resultant_y works in for integer dicts a and b."""
+    bits = (hadamard_square(integer_columns(a), integer_columns(b)).bit_length() + 3) // 2
+    exponents = mersenne_exponents(bits)
+    assert len(exponents) == 1
+    return (1 << exponents[0]) - 1
+
+
+X_X1_X3 = l_from_roots([(0, 1), (1, 1), (3, 1)])  # x(x - 1)(x - 3)
+
+
+@st.composite
+def vanishing_x_x1_x3_pairs(draw):
+    """A leading y-coefficient with the factor x(x - 1)(x - 3), so that it
+    vanishes at three of the points x = 0..D; the other side's sometimes
+    too."""
+    def side():
+        height = draw(st.integers(1, 2))
+        cofactor = draw(st.lists(nonzero_rationals, min_size=1, max_size=2))
+        lead = l_mul(X_X1_X3, cofactor)
+        rest = draw(bi_dicts(max_y=height - 1))
+        return b_add(rest, {(i, height): c for i, c in enumerate(lead) if c})
+    a = side()
+    b = side() if draw(st.booleans()) else draw(bi_dicts(min_size=1))
+    return a, b
+
+
+@st.composite
+def multiple_of_modulus_pairs(draw):
+    """a of y-degree 1 or 2 with every coefficient a multiple of the prime
+    that resultant_y picks, and b free of y: the bound then depends on b
+    alone, a's leading coefficient vanishes at every point, and each point
+    takes the Sylvester-matrix fallback."""
+    height = draw(st.integers(1, 2))
+    b = {(i, 0): F(c) for i, c in enumerate(draw(
+        st.lists(st.integers(-9, 9), min_size=1, max_size=3))) if c}
+    if not b:
+        b = {(0, 0): F(draw(st.sampled_from([-2, 1, 3])))}
+    shape = {(0, height): F(1)}  # any a of this y-degree has the same bound
+    prime = chosen_prime(shape, b)
+    keys = st.tuples(st.integers(0, 2), st.integers(0, height - 1))
+    a = draw(st.dictionaries(keys, st.integers(-3, 3).filter(bool), max_size=4))
+    a = {key: F(prime * c) for key, c in a.items()}
+    for i, c in enumerate(draw(st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=2))):
+        a[(i, height)] = F(prime * c)
+    return a, b
+
+
+@st.composite
+def common_factor_pairs(draw):
+    w = draw(bi_dicts(max_x=1, max_y=1, min_size=1).filter(lambda d: any(j for _, j in d)))
+    a = draw(bi_dicts(max_x=1, max_y=1, min_size=1))
+    b = draw(bi_dicts(max_x=1, max_y=1, min_size=1))
+    return b_mul(w, a), b_mul(w, b)
+
+
+y_free_pairs = st.tuples(bi_dicts(max_y=0, min_size=1), bi_dicts(max_y=0, min_size=1))
+
+
+@given(st.one_of(vanishing_x_x1_x3_pairs(), multiple_of_modulus_pairs(),
+                 common_factor_pairs(), y_free_pairs))
+@settings(deadline=None)
+def test_modular_resultant_y_matches_fraction_bareiss(pair):
+    a, b = pair
+    got = resultant_y(bi_from_dict(a), bi_from_dict(b))
+    assert list(got.coeffs) == b_resultant_y(a, b)
+
+
+def test_multiples_of_the_modulus_vanish_at_every_point():
+    # The property's Sylvester-fallback case really has a leading
+    # coefficient that is zero modulo the prime at every point.
+    b = {(0, 0): F(3), (1, 0): F(-2)}
+    prime = chosen_prime({(0, 1): F(1)}, b)
+    a = {(0, 0): F(prime), (2, 1): F(-2 * prime)}
+    assert prime == (1 << 61) - 1
+    assert resultant_y(bi_from_dict(a), bi_from_dict(b)) == UniPoly([3, -2])
+
+
+def integer_dict(columns):
+    """The oracle dict of integer x-coefficient lists by power of y."""
+    return {(i, j): F(c) for j, column in enumerate(columns)
+            for i, c in enumerate(column) if c}
+
+
+@given(bi_dicts(min_size=1), bi_dicts(min_size=1))
+@settings(deadline=None)
+def test_hadamard_bound_dominates_every_coefficient(a, b):
+    a_ints, _ = _clear_denominators(b_y_columns(a))
+    b_ints, _ = _clear_denominators(b_y_columns(b))
+    square = hadamard_square(a_ints, b_ints)
+    for c in b_resultant_y(integer_dict(a_ints), integer_dict(b_ints)):
+        assert c * c <= square
+
+
+def test_hadamard_bound_is_reached_by_a_diagonal_matrix():
+    # Res_y(2y + 0, 3) = 3 and Res_y(5, y) = 5: one row each, nothing to
+    # lose in Hadamard's inequality.
+    assert hadamard_square([[], [2]], [[3]]) == 9
+    assert hadamard_square([[5]], [[], [1]]) == 25
+
+
+@pytest.mark.parametrize("index", range(len(MERSENNE_EXPONENTS)))
+def test_prime_choice_at_each_table_boundary(index):
+    e = MERSENNE_EXPONENTS[index]
+    # 2**e - 1 >= 2**bits exactly when bits < e.
+    assert mersenne_exponents(e - 1) == [e]
+    if index + 1 < len(MERSENNE_EXPONENTS):
+        assert mersenne_exponents(e) == [MERSENNE_EXPONENTS[index + 1]]
+    if not index:
+        assert mersenne_exponents(0) == [e]
+
+
+def test_prime_choice_beyond_the_table_takes_a_product():
+    top, second, third = MERSENNE_EXPONENTS[-1], MERSENNE_EXPONENTS[-2], MERSENNE_EXPONENTS[-3]
+    # Each prime 2**e - 1 contributes e - 1 bits for sure.
+    assert mersenne_exponents(top) == [top, second]
+    assert mersenne_exponents(top + second - 2) == [top, second]
+    assert mersenne_exponents(top + second - 1) == [top, second, third]
+    capacity = sum(e - 1 for e in MERSENNE_EXPONENTS)
+    assert mersenne_exponents(capacity) == list(reversed(MERSENNE_EXPONENTS))
+    with pytest.raises(ArithmeticError):
+        mersenne_exponents(capacity + 1)
+
+
+def lucas_lehmer(e):
+    """Whether 2**e - 1 is prime, for an odd prime e."""
+    prime = (1 << e) - 1
+    s = 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % prime
+    return s == 0
+
+
+def test_small_table_entries_are_mersenne_primes():
+    for e in MERSENNE_EXPONENTS:
+        if e < 5000:
+            assert lucas_lehmer(e), e
+    # The test itself rejects composites: 2**67 - 1 = 193707721 * 761838257287.
+    assert not lucas_lehmer(67)
+
+
+@given(bi_dicts(max_x=2, max_y=2, min_size=1), bi_dicts(max_x=2, max_y=2, min_size=1))
+@settings(deadline=None)
+def test_crt_over_two_primes_matches_one_prime(a, b):
+    a_ints, _ = _clear_denominators(b_y_columns(a))
+    b_ints, _ = _clear_denominators(b_y_columns(b))
+    degree = _x_degree_bound(bi_from_dict(a), bi_from_dict(b))
+    if hadamard_square(a_ints, b_ints).bit_length() > 2 * 127 - 4:
+        return
+    one = _resultant_by_primes(a_ints, b_ints, degree, [127])
+    assert _resultant_by_primes(a_ints, b_ints, degree, [61, 89]) == one
+    assert one == integer_resultant_y(a_ints, b_ints, degree)
+
+
+@given(bi_dicts(max_x=2, max_y=2, min_size=1), bi_dicts(max_x=2, max_y=2, min_size=1),
+       st.booleans())
+@settings(deadline=None)
+def test_image_modulo_a_prime_below_the_bound_is_a_residue(a, b, scale_a):
+    # Scaling one leading y-coefficient by the prime makes it vanish at
+    # every point, so the image comes from the Sylvester matrix alone, with
+    # a row swap wherever the other side's lead survives.
+    prime = (1 << 61) - 1
+    a_ints, _ = _clear_denominators(b_y_columns(a))
+    b_ints, _ = _clear_denominators(b_y_columns(b))
+    side = a_ints if scale_a else b_ints
+    side[-1] = [prime * c for c in side[-1]]
+    degree = _x_degree_bound(bi_from_dict(a), bi_from_dict(b))
+    image = _resultant_by_primes(a_ints, b_ints, degree, [61])
+    exact = integer_resultant_y(a_ints, b_ints, degree)
+    width = max(len(image), len(exact))
+    image += [0] * (width - len(image))
+    exact += [0] * (width - len(exact))
+    assert all((c - d) % prime == 0 for c, d in zip(image, exact))
+
+
+@pytest.mark.parametrize("p, m, n, c", [
+    ([1, 0, 1], 5, 5, 1),
+    ([1, 1, 0, 1], 4, 3, F(-2)),
+    ([F(1, 2), F(-3, 7), 2], 3, 4, F(3, 2)),
+])
+def test_certificate_eliminants_match_integer_bareiss_route(p, m, n, c):
+    h = build_h(UniPoly(p), m, n, F(c))
+    hx, hy = h.partial_x(), h.partial_y()
+    for a, b in ((hx, hy), (hx.swap_vars(), hy.swap_vars())):
+        a_ints, scale_a = _clear_denominators([col.coeffs for col in a.coeffs])
+        b_ints, scale_b = _clear_denominators([col.coeffs for col in b.coeffs])
+        exact = integer_resultant_y(a_ints, b_ints, _x_degree_bound(a, b))
+        scale = scale_a ** b.degree_y * scale_b ** a.degree_y
+        assert resultant_y(a, b) == UniPoly([F(v, scale) for v in exact])
 
 
 CIRCLE = BiPoly((P(0, 0, 1), ZERO, ONE))  # x^2 + y^2

@@ -76,10 +76,14 @@ def test_command_loads_only_what_it_runs(command, fmt):
         assert "broughton.squarefree" not in modules
         # Only the certificate runs bivariate code.
         assert ("broughton.bipoly" in modules) == (command == "connectivity")
+    # The modular kernels load with the first gcd or resultant, which
+    # every command but decompose runs.
+    assert ("broughton.modular" in modules) == (command != "decompose")
     assert ("json" in modules) == (fmt == "json")
 
 
 def test_parse_error_loads_only_the_parser():
+    # Not the modular kernels either: a parse error never compiles them.
     code, modules = loaded_by("check", "x^", "x")
     assert code == 1
     assert {name for name in modules if name.startswith("broughton")} == {
@@ -121,17 +125,21 @@ EXPORTS = {
 # flags of characteristic_variety; SquarefreeDecomposition.radical() and
 # .multiplicity_gcd, or orbifold_group; resultant_y), the bivariate
 # ring and its parser (a BiPoly built from its y-coefficient tuple; no
-# bivariate parser), the singular-locus wrapper (connectivity_certificate)
-# and the canonical printer (str).
+# bivariate parser), the singular-locus wrapper (connectivity_certificate),
+# the canonical printer (str), the integer Bareiss route of resultant_y (the
+# modular kernel; the old route is an oracle in tests/oracles.py) and the
+# gcd's prime and CRT helpers (moved to broughton.modular).
 REMOVED = {
     "arrangement": ("resonance",),
     "bipoly": (
         "build_f", "build_g", "is_irreducible_y_linear", "X", "Y", "BI_ZERO",
         "BI_ONE", "SingularLocusCheck", "singular_locus_finite", "_eliminant",
+        "_bareiss_determinant", "_interpolate_naturals", "_sylvester_rows",
+        "_horner",
     ),
     "parser": ("parse_bi", "print_canonical"),
     "squarefree": ("PowerIndex", "distinct_root_count", "power_index", "radical"),
-    "unipoly": ("resultant",),
+    "unipoly": ("resultant", "_prime", "_is_prime", "_gcd_mod", "_crt"),
 }
 
 

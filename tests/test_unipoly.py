@@ -15,10 +15,10 @@ from broughton.unipoly import (
     UniPoly,
     X,
     ZERO,
-    _prime,
     exact_div,
     gcd,
 )
+from broughton.modular import _prime
 from oracles import (
     l_compose,
     l_divmod,
@@ -255,14 +255,20 @@ def over(base):
 constants = st.one_of(rationals, st.integers(-10**40, 10**40)).map(UniPoly.constant)
 mul_operands = st.one_of(polys, sparse_polys, one_huge_polys(), constants, over(3), over(7))
 
-# The examples' coefficient bounds have a bit length that is a multiple
-# of 8: a slot without its sign bit overflows on each of them.
+# The first four examples' coefficient bounds have a bit length that is a
+# multiple of 8: a slot without its sign bit overflows on each of them.
+# The others have a constant on one side, which scales the other side
+# coefficient-wise instead of packing it.
 @given(mul_operands, mul_operands)
 @settings(max_examples=300, deadline=None)
-@example(P(255), P(1, 1))
-@example(P(-255, 0, 255), ONE)
+@example(P(85, 85, 85), P(1, 1, 1))
+@example(P(-85, -85, -85), P(1, 1, 1))
 @example(P(8, 8), P(8, 8))
 @example(P(-128, 0, -1), P(1, 0, 0, 1))
+@example(P(255), P(1, 1))
+@example(P(-255, 0, 255), ONE)
+@example(P(F(3, 7)), P(F(1, 2), 0, -4))
+@example(P(F(1, 2), 0, -4), P(-10**40))
 def test_multiplication_against_schoolbook_oracle(a, b):
     assert list((a * b).coeffs) == l_mul(a.coeffs, b.coeffs)
     # Squaring packs the operand once.
