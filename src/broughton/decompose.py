@@ -14,15 +14,24 @@ proof that no pair exists at that inner degree.
 
 The certificate route does not decompose anything.  For the arrangement
 family the candidate obstruction is captured by the auxiliary surface
-h = (p(u)v - 1)**m + c v**n: when its affine singular locus is finite the
+h = (p(x)*y - 1)**m + c*y**n: when its affine singular locus is finite the
 generic fiber is connected and no decomposition can appear.  Finiteness is
-checked by the two resultant eliminants of the partial derivatives.
-:func:`connectivity_certificate` is the one public entry to the bivariate
-layer (``bipoly``) and the one place its inputs are checked.
+checked by the two resultant eliminants of the partial derivatives, which
+factor because h_x = m*p'*y*(p*y - 1)**(m - 1) does: r_x is p'**N * p**e
+times a nonzero constant, and r_y a nonzero monomial times the product of
+G(p(xi), y) over the critical points xi of p, where G(p(x), y) = h_y.  Both
+are nonzero for every accepted input: p' != 0 for a nonconstant p, and each
+G(p(xi), y) has the constant term +-m*p(xi) in y, or is c*n*y**(n - 1)
+where p(xi) = 0.  So the verdict is always "connected-certified";
+:func:`connectivity_certificate` gives the formulas and the small
+resultants of :mod:`broughton.bipoly` that compute them.
+That function is the one public entry to the bivariate layer (``bipoly``)
+and the one place its inputs are checked.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -115,7 +124,7 @@ def connectivity_certificate(
     p: UniPoly, m: int, n: int, c: Fraction
 ) -> ConnectivityCertificate:
     """Certify connectivity of the generic fiber of the map behind
-    h = (p(u)v - 1)**m + c v**n.
+    h = (p(x)*y - 1)**m + c*y**n.
 
     Only the exponent range m >= 2, n >= 2 is accepted: the certificate
     argument needs both branch exponents genuinely plural, and the
@@ -124,9 +133,27 @@ def connectivity_certificate(
 
     The eliminants are r_x = Res_y(h_x, h_y) and r_y = Res_x(h_x, h_y).
     Common zeros of the partials project into their zero sets, so when both
-    are nonzero the singular locus sits inside a finite grid.  The verdict
-    is one-sided: a finite singular locus certifies connectivity, and a
-    vanished eliminant leaves it inconclusive, not disconnected.
+    are nonzero the singular locus sits inside a finite grid.  Neither is
+    taken from h itself.  With d = deg p, N = max(m, n) - 1 and
+    e = (m - 1)*(N - n + 1) + 1, the factorization
+    h_x = m*p'*y*(p*y - 1)**(m - 1) gives
+
+        r_x = (-1)**(m - 1) * m**(N + 1) * (c*n)**(m - 1) * p'**N * p**e,
+        r_y = (m*lc(p')*y)**(m*d) * ((lc(p)*y)**(m*d) * (c*n*y**(n - 1))**d)**(m - 1)
+              * Res_v(chi, G),
+
+    where chi(v) = Res_x(p', v - p) / lc(p')**d = prod (v - p(xi)) over the
+    roots xi of p', and G(v, y) = m*v*(v*y - 1)**(m - 1) + c*n*y**(n - 1)
+    with h_y(x, y) = G(p(x), y).  Only the last two resultants are computed.
+
+    Both eliminants are nonzero for every accepted input.  r_x is, because
+    p' is nonzero for a nonconstant p, c is nonzero and m, n >= 2.  r_y is a
+    nonzero monomial times Res_v(chi, G) = prod G(p(xi), y), and each factor
+    is nonzero: where p(xi) != 0 its constant term in y is
+    (-1)**(m - 1) * m * p(xi), since n >= 2, and where p(xi) = 0 it is
+    c*n*y**(n - 1).  So the verdict is always "connected-certified".  The
+    one-sided reading of a vanished eliminant, "inconclusive" rather than
+    disconnected, is kept as the contract of the status field.
     """
     if not isinstance(p, UniPoly) or p.is_constant():
         raise ValueError("connectivity certificate needs a nonconstant p")
@@ -136,13 +163,27 @@ def connectivity_certificate(
     if scale is None or not scale:
         raise ValueError("connectivity certificate needs a nonzero rational c")
     # Imported here so that decompose never loads the bivariate layer.
-    from .bipoly import build_h, resultant_y
+    from .bipoly import BiPoly, resultant_y
 
-    h = build_h(p, m, n, scale)
-    hx = h.partial_x()
-    hy = h.partial_y()
-    r_x = resultant_y(hx, hy)
-    r_y = resultant_y(hx.swap_vars(), hy.swap_vars())
+    d = p.degree
+    top = max(m, n) - 1
+    slope = p.derivative()
+    cn = scale * n
+    r_x = slope ** top * p ** ((m - 1) * (top - n + 1) + 1) * (
+        (-1) ** (m - 1) * m ** (top + 1) * cn ** (m - 1))
+    # A BiPoly holds coefficients by powers of the variable resultant_y
+    # eliminates: x in p' and v - p, over Q[v]; then v in chi and G, over
+    # Q[y].  v - p has the coefficient v - p(0) at x**0.
+    v_minus_p = BiPoly([UniPoly([-p.coefficient(0), 1])] + [-a for a in p.coeffs[1:]])
+    chi = resultant_y(BiPoly(slope.coeffs), v_minus_p) / slope.leading_coefficient ** d
+    g = BiPoly([UniPoly([0] * (n - 1) + [cn])] + [
+        UniPoly([0] * k + [(-1) ** (m - 1 - k) * m * math.comb(m - 1, k)])
+        for k in range(m)
+    ])
+    shift = m * d + (m - 1) * (m * d + (n - 1) * d)
+    unit = (m * slope.leading_coefficient) ** (m * d) * (
+        p.leading_coefficient ** (m * d) * cn ** d) ** (m - 1)
+    r_y = UniPoly([0] * shift + [unit]) * resultant_y(BiPoly(chi.coeffs), g)
     finite = bool(r_x) and bool(r_y)
     if finite:
         status = CONNECTED_CERTIFIED

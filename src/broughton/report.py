@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .unipoly import UniPoly, X
+from .unipoly import UniPoly, X, _decimal
 
 if TYPE_CHECKING:
     from .arrangement import BettiNumbers, CharVarietyReport, FiberDivisor, Hypotheses
@@ -92,7 +92,7 @@ def build_report(p: UniPoly, q: UniPoly) -> ReportDocument:
 
 
 def _rat(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
 def command_mapping(command: str, inputs: dict, **blocks) -> dict:

@@ -138,12 +138,15 @@ class UniPoly:
             if not c:
                 continue
             magnitude = abs(c)
+            text = _decimal(magnitude.numerator)
+            if magnitude.denominator != 1:
+                text += "/" + _decimal(magnitude.denominator)
             if not exp:
-                body = str(magnitude)
+                body = text
             else:
                 body = "x" if exp == 1 else f"x^{exp}"
                 if magnitude != 1:
-                    body = f"{magnitude}*{body}"
+                    body = f"{text}*{body}"
             if rendered:
                 rendered.append(("+ " if c > 0 else "- ") + body)
             else:
@@ -319,6 +322,44 @@ class UniPoly:
         if lead == 1:
             return self
         return UniPoly([c / lead for c in self._coeffs])
+
+
+#: Integers below this in absolute value convert by ``str`` everywhere.
+_PIECE = 10 ** 2048
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of the int ``n``, however many there are.
+
+    CPython 3.11 and later refuse ``str`` of an int of more than 4300
+    digits.  Dividing by 10**(2048 * 2**k) for the largest such power
+    below n, and each part again by the next smaller one, splits n into
+    pieces of fewer than 2048 digits, which ``str`` converts; every low
+    part is padded with zeros to its full width.
+
+    >>> _decimal(-10 ** 5000) == "-1" + "0" * 5000
+    True
+    """
+    if abs(n) < _PIECE:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    powers = [(2048, _PIECE)]  # (w, 10**w), w doubling
+    while powers[-1][1] <= n:
+        width, power = powers[-1]
+        powers.append((2 * width, power * power))
+
+    def digits(n, k):
+        # n < powers[k][1]; the caller pads the low parts
+        if not k:
+            return str(n)
+        width, power = powers[k - 1]
+        high, low = divmod(n, power)
+        if not high:
+            return digits(low, k - 1)
+        return digits(high, k - 1) + digits(low, k - 1).zfill(width)
+
+    return digits(n, len(powers) - 1)
 
 
 def _coerce(value):

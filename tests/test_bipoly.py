@@ -1,4 +1,4 @@
-"""Bivariate layer: the auxiliary surface, partials, elimination."""
+"""Bivariate layer: the resultant in y and its modular kernel."""
 
 from __future__ import annotations
 
@@ -10,17 +10,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from broughton.bipoly import BiPoly, _x_degree_bound, build_h, resultant_y
-from broughton.modular import (
+from broughton.bipoly import (
     MERSENNE_EXPONENTS,
+    BiPoly,
     _resultant_by_primes,
     hadamard_square,
     mersenne_exponents,
+    resultant_y,
 )
+from broughton.decompose import connectivity_certificate
 from broughton.unipoly import ONE, UniPoly, ZERO, _clear_denominators
 from oracles import (
     b_add,
-    b_eval,
+    b_build_g,
     b_mul,
     b_partial_x,
     b_partial_y,
@@ -59,14 +61,15 @@ def bi_from_dict(d):
     return BiPoly(columns)
 
 
-def bi_to_dict(a):
-    """Glue: the oracle {(i, j): coeff} dict of a BiPoly."""
-    return {
-        (i, j): value
-        for j, column in enumerate(a.coeffs)
-        for i, value in enumerate(column.coeffs)
-        if value
-    }
+def h_dict(p, m, n, c):
+    """The certificate's surface (p(x)*y - 1)**m + c*y**n, expanded by the
+    oracle's own ring."""
+    return b_add(b_pow(b_build_g(p), m), {(0, n): F(c)})
+
+
+def x_degree_bound(a, b):
+    """The degree bound resultant_y interpolates to: n*deg_x a + m*deg_x b."""
+    return a.degree_y * b.degree_x + b.degree_y * a.degree_x
 
 
 def random_dict(rng, max_x=3, max_y=3):
@@ -80,45 +83,6 @@ def random_dict(rng, max_x=3, max_y=3):
 
 
 Y = BiPoly((0, 1))  # y
-
-
-class TestBuilders:
-    def test_build_h_expansions(self):
-        x = P(0, 1)
-        # (x*y - 1)**1 + 1*y**1 = x*y + y - 1
-        assert build_h(x, 1, 1, F(1)).coeffs == (P(-1), P(1, 1))
-        # (x*y - 1)**2 + y**2 via the independent bivariate oracle
-        expected = b_add(
-            b_pow({(1, 1): F(1), (0, 0): F(-1)}, 2), {(0, 2): F(1)}
-        )
-        assert build_h(x, 2, 2, F(1)).coeffs == bi_from_dict(expected).coeffs
-
-
-class TestCalculus:
-    def test_partials_of_example_surface(self):
-        h = build_h(P(0, 1), 2, 2, F(1))
-        # d/dy: 2x(xy - 1) + 2y = 2(x^2 + 1)y - 2x ; d/dx: 2y(xy - 1)
-        assert h.partial_y().coeffs == (P(0, -2), P(2, 0, 2))
-        assert h.partial_x().coeffs == (ZERO, P(-2), P(0, 2))
-
-    def test_partials_against_oracle(self):
-        rng = random.Random(222)
-        for _ in range(30):
-            d = random_dict(rng)
-            a = bi_from_dict(d)
-            assert bi_to_dict(a.partial_x()) == b_partial_x(d)
-            assert bi_to_dict(a.partial_y()) == b_partial_y(d)
-
-    def test_swap_vars(self):
-        rng = random.Random(333)
-        for _ in range(30):
-            d = random_dict(rng)
-            a = bi_from_dict(d)
-            swapped = bi_to_dict(a.swap_vars())
-            assert swapped == b_swap(d)
-            assert a.swap_vars().swap_vars().coeffs == a.coeffs
-            s, t = F(rng.randint(-3, 3)), F(rng.randint(-3, 3))
-            assert b_eval(swapped, s, t) == b_eval(d, t, s)
 
 
 class TestResultant:
@@ -144,15 +108,18 @@ class TestResultant:
         assert resultant_y(BiPoly((P(3),)), BiPoly((P(0, 0, 2),))) == ONE
 
     def test_degree_bound_of_the_connectivity_anchor(self):
-        # h = ((x^2 + 1)*y - 1)^5 + y^5.  The weighted bound needs 47 points
-        # for Res_y(h_x, h_y), of degree 6, where n*deg_x a + m*deg_x b
-        # needs 87; on the swapped pair both bounds are the exact 86.
-        h = build_h(P(1, 0, 1), 5, 5, 1)
-        hx, hy = h.partial_x(), h.partial_y()
-        assert _x_degree_bound(hx, hy) == 46
-        assert resultant_y(hx, hy).degree == 6
-        swapped = (hx.swap_vars(), hy.swap_vars())
-        assert _x_degree_bound(*swapped) == 86 == resultant_y(*swapped).degree
+        # p = x^3 + x + 1 with m = 5, n = 4: the certificate's two
+        # resultants chi(v) = Res_x(p', v - p) and Res_v(chi, G) have the
+        # degrees d - 1 = 2 and (d - 1)*N = 8 that the bound interpolates to.
+        slope = BiPoly((1, 0, 3))  # p' = 3x^2 + 1, in the eliminated variable
+        v_minus_p = BiPoly((P(-1, 1), -1, 0, -1))
+        assert x_degree_bound(slope, v_minus_p) == 2
+        chi = resultant_y(slope, v_minus_p) / 27
+        assert chi == P(F(31, 27), -2, 1)
+        g = BiPoly((P(0, 0, 0, 4), 5, P(0, -20), P(0, 0, 30), P(0, 0, 0, -20),
+                    P(0, 0, 0, 0, 5)))  # 5v(vy - 1)^4 + 4y^3
+        assert x_degree_bound(BiPoly(chi.coeffs), g) == 8
+        assert resultant_y(BiPoly(chi.coeffs), g).degree == 8
 
     def test_vanishes_exactly_on_planted_common_factors(self):
         rng = random.Random(555)
@@ -298,23 +265,6 @@ def test_resultant_y_vanishes_with_oracle_on_common_factors(a, b, w):
 def test_resultant_y_matches_oracle_with_a_y_free_side(a, b):
     check_against_oracle(a, b)
     check_against_oracle(b, a)
-
-
-def exhaustive_degree_bound(a, b):
-    """The least weighted degree bound, trying every |w| <= max deg_x."""
-    m, n = a.degree_y, b.degree_y
-    degrees_a = [(i, c.degree) for i, c in enumerate(a.coeffs) if c]
-    degrees_b = [(j, c.degree) for j, c in enumerate(b.coeffs) if c]
-    width = max(a.degree_x, b.degree_x)
-    return min(n * max(d - w * i for i, d in degrees_a)
-               + m * max(d - w * j for j, d in degrees_b) + w * m * n
-               for w in range(-width, width + 1))
-
-
-@given(bi_dicts(max_x=5, max_y=4, min_size=1), bi_dicts(max_x=5, max_y=4, min_size=1))
-def test_degree_bound_walk_finds_the_least_weighted_bound(a, b):
-    a, b = bi_from_dict(a), bi_from_dict(b)
-    assert _x_degree_bound(a, b) == exhaustive_degree_bound(a, b)
 
 
 # -- the modular kernel -------------------------------------------------------
@@ -470,7 +420,7 @@ def test_small_table_entries_are_mersenne_primes():
 def test_crt_over_two_primes_matches_one_prime(a, b):
     a_ints, _ = _clear_denominators(b_y_columns(a))
     b_ints, _ = _clear_denominators(b_y_columns(b))
-    degree = _x_degree_bound(bi_from_dict(a), bi_from_dict(b))
+    degree = x_degree_bound(bi_from_dict(a), bi_from_dict(b))
     if hadamard_square(a_ints, b_ints).bit_length() > 2 * 127 - 4:
         return
     one = _resultant_by_primes(a_ints, b_ints, degree, [127])
@@ -490,7 +440,7 @@ def test_image_modulo_a_prime_below_the_bound_is_a_residue(a, b, scale_a):
     b_ints, _ = _clear_denominators(b_y_columns(b))
     side = a_ints if scale_a else b_ints
     side[-1] = [prime * c for c in side[-1]]
-    degree = _x_degree_bound(bi_from_dict(a), bi_from_dict(b))
+    degree = x_degree_bound(bi_from_dict(a), bi_from_dict(b))
     image = _resultant_by_primes(a_ints, b_ints, degree, [61])
     exact = integer_resultant_y(a_ints, b_ints, degree)
     width = max(len(image), len(exact))
@@ -505,32 +455,40 @@ def test_image_modulo_a_prime_below_the_bound_is_a_residue(a, b, scale_a):
     ([F(1, 2), F(-3, 7), 2], 3, 4, F(3, 2)),
 ])
 def test_certificate_eliminants_match_integer_bareiss_route(p, m, n, c):
-    h = build_h(UniPoly(p), m, n, F(c))
-    hx, hy = h.partial_x(), h.partial_y()
-    for a, b in ((hx, hy), (hx.swap_vars(), hy.swap_vars())):
+    # Both eliminants of the factored route against integer Bareiss
+    # determinants of the full Sylvester matrices of the partials of h.
+    h = h_dict(p, m, n, c)
+    hx, hy = b_partial_x(h), b_partial_y(h)
+    certificate = connectivity_certificate(UniPoly(p), m, n, F(c))
+    for a, b, eliminant in ((hx, hy, certificate.eliminants[0]),
+                            (b_swap(hx), b_swap(hy), certificate.eliminants[1])):
+        a, b = bi_from_dict(a), bi_from_dict(b)
         a_ints, scale_a = _clear_denominators([col.coeffs for col in a.coeffs])
         b_ints, scale_b = _clear_denominators([col.coeffs for col in b.coeffs])
-        exact = integer_resultant_y(a_ints, b_ints, _x_degree_bound(a, b))
+        exact = integer_resultant_y(a_ints, b_ints, x_degree_bound(a, b))
         scale = scale_a ** b.degree_y * scale_b ** a.degree_y
-        assert resultant_y(a, b) == UniPoly([F(v, scale) for v in exact])
+        expected = UniPoly([F(v, scale) for v in exact])
+        assert eliminant == expected
+        assert resultant_y(a, b) == expected
 
 
-CIRCLE = BiPoly((P(0, 0, 1), ZERO, ONE))  # x^2 + y^2
+CIRCLE = {(2, 0): F(1), (0, 2): F(1)}  # x^2 + y^2
 
 
 def eliminants(h):
-    """Res_y and Res_x of the partials of h, as the certificate takes them."""
-    hx, hy = h.partial_x(), h.partial_y()
-    return resultant_y(hx, hy), resultant_y(hx.swap_vars(), hy.swap_vars())
+    """Res_y and Res_x of the partials of the dict h, by resultant_y."""
+    hx, hy = b_partial_x(h), b_partial_y(h)
+    return (resultant_y(bi_from_dict(hx), bi_from_dict(hy)),
+            resultant_y(bi_from_dict(b_swap(hx)), bi_from_dict(b_swap(hy))))
 
 
 class TestSingularLocus:
     def test_certified_example(self):
-        r_x, r_y = eliminants(build_h(P(0, 1), 2, 2, F(1)))
+        r_x, r_y = eliminants(h_dict([0, 1], 2, 2, 1))
         assert r_x and r_y
 
     def test_nonreduced_square_is_not_certified(self):
-        r_x, r_y = eliminants(bi_from_dict({(2, 2): F(1)}))  # (xy)^2
+        r_x, r_y = eliminants({(2, 2): F(1)})  # (xy)^2
         assert r_x == ZERO and r_y == ZERO
 
     def test_smooth_quadric(self):

@@ -68,16 +68,17 @@ class TestExitCodes:
         assert code == EXIT_PRECONDITION
 
     def test_inconclusive_certificate(self, capsys, monkeypatch):
-        # No admissible parameters reach this branch today, so one eliminant
-        # is forced to vanish; the real certificate then decides the verdict.
+        # No accepted parameters reach this branch, so the eliminant r_y is
+        # forced to vanish through its resultant Res_v(chi, G), the second
+        # resultant_y call; the real certificate then decides the verdict.
         real = bipoly.resultant_y
         calls = []
 
-        def first_vanishes(a, b):
+        def second_vanishes(a, b):
             calls.append(None)
-            return ZERO if len(calls) == 1 else real(a, b)
+            return ZERO if len(calls) == 2 else real(a, b)
 
-        monkeypatch.setattr(bipoly, "resultant_y", first_vanishes)
+        monkeypatch.setattr(bipoly, "resultant_y", second_vanishes)
         code, out, _ = run(capsys, "connectivity", "x", "--m", "2", "--n", "2",
                            "--c", "1")
         assert code == EXIT_INCONCLUSIVE
@@ -158,6 +159,13 @@ class TestCommands:
             {"factor": "x", "multiplicity": 4},
         ]
         assert payload["divisor"]["divisor_multiplicity"] == 2
+
+    def test_divisor_renders_integers_past_the_digit_limit(self, capsys):
+        # The unit 10^4400 has more digits than str(int) converts on
+        # Python 3.11 and later.
+        code, out, _ = run(capsys, "divisor", "(10^2200*x+1)^2", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["divisor"]["unit"] == "1" + "0" * 4400 + "/1"
 
     def test_decompose_found_and_missing(self, capsys):
         code, out, _ = run(capsys, "decompose", "x^4 + 2*x^2 + 1",

@@ -6,10 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from broughton import bipoly
-from broughton.bipoly import build_h
 from broughton.decompose import (
     CONNECTED_CERTIFIED,
     INCONCLUSIVE,
@@ -17,7 +16,7 @@ from broughton.decompose import (
     is_decomposable,
     uni_decompose_at,
 )
-from broughton.unipoly import ONE, UniPoly, X, ZERO
+from broughton.unipoly import UniPoly, X, ZERO
 from oracles import (
     b_add,
     b_build_g,
@@ -26,7 +25,6 @@ from oracles import (
     b_pow,
     b_resultant_y,
     b_swap,
-    b_y_columns,
     brute_decompose,
     l_compose,
     random_coeffs,
@@ -180,7 +178,7 @@ class TestConnectivityCertificate:
             connectivity_certificate(x, 2, 2, F(0))
         with pytest.raises(ValueError):
             connectivity_certificate(P(3), 2, 2, F(1))
-        # The certificate is the one check; build_h takes what it passes.
+        # The certificate is the one check; bipoly takes what it passes.
         for m, n in ((2.0, 2), (2, 3.0), (True, 2), (2, True)):
             with pytest.raises(ValueError):
                 connectivity_certificate(x, m, n, F(1))
@@ -192,8 +190,9 @@ class TestConnectivityCertificate:
                 connectivity_certificate(p, 2, 2, F(1))
 
     def test_vanished_eliminant_is_inconclusive(self, monkeypatch):
-        # No admissible input is known to reach this branch, so the second
-        # eliminant taken, r_y = Res_x(h_x, h_y), is forced to vanish.
+        # No accepted input reaches this branch (see the docstring's
+        # proof), so the second resultant_y call, Res_v(chi, G), is forced
+        # to vanish, and with it r_y = Res_x(h_x, h_y).
         real = bipoly.resultant_y
         calls = []
 
@@ -216,17 +215,50 @@ class TestConnectivityCertificate:
         assert INCONCLUSIVE == "inconclusive"
 
     @given(certificate_inputs())
+    @example(([1, 1], 2, 3, F(1)))  # d = 1: chi is the constant 1
+    @example(([0, 1, 1], 3, 3, F(-2)))  # m = n
+    @example(([1, 0, 1], 4, 2, F(1, 2)))  # m > n
+    @example(([2, -1, 1], 2, 4, F(3)))  # n > m
+    @example(([0, 0, 1], 3, 2, F(1)))  # p = x^2: critical value 0, G(0, y) = c*n*y^(n-1)
+    @example(([0, 0, 0, 1], 2, 3, F(-1)))  # p = x^3: a repeated critical point
+    @example(([1, F(-1, 3), F(2, 5)], 3, 2, F(-3, 2)))  # rational lc(p)
     @settings(max_examples=40, deadline=None)
     def test_whole_path_matches_bivariate_oracle(self, inputs):
         # h = (p y - 1)^m + c y^n expanded by the oracle's own ring, then
         # both eliminants by its Fraction Bareiss over Q[x] and Q[y].
         p, m, n, c = inputs
         h = b_add(b_pow(b_build_g(p), m), {(0, n): c})
-        built = build_h(UniPoly(p), m, n, c)
-        assert [list(column.coeffs) for column in built.coeffs] == b_y_columns(h)
         hx, hy = b_partial_x(h), b_partial_y(h)
         certificate = connectivity_certificate(UniPoly(p), m, n, c)
         r_x, r_y = certificate.eliminants
         assert list(r_x.coeffs) == b_resultant_y(hx, hy)
         assert list(r_y.coeffs) == b_resultant_y(b_swap(hx), b_swap(hy))
         assert certificate.singular_finite == (bool(r_x) and bool(r_y))
+
+
+nonzero_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+
+@st.composite
+def accepted_inputs(draw):
+    """(p, m, n, c): p of degree 1 to 3 with rational coefficients, a
+    nonzero leading one, 2 <= m, n <= 8, c a nonzero rational."""
+    degree = draw(st.integers(1, 3))
+    coefficients = st.one_of(st.just(F(0)), nonzero_rationals)
+    p = draw(st.lists(coefficients, min_size=degree, max_size=degree))
+    p.append(draw(nonzero_rationals))
+    return p, draw(st.integers(2, 8)), draw(st.integers(2, 8)), draw(nonzero_rationals)
+
+
+@given(accepted_inputs())
+@example(([0, 0, 1], 8, 2, F(1)))  # critical value 0
+@example(([0, 0, 0, -1], 2, 8, F(-1)))  # repeated critical point at 0
+@example(([0, 3, 0, 1], 8, 8, F(-1)))  # critical values +-2i, m = n
+@settings(max_examples=60, deadline=None)
+def test_every_accepted_input_is_certified(inputs):
+    # Both eliminants are nonzero for every input the certificate accepts
+    # (the proof is in its docstring), so the verdict never varies.
+    p, m, n, c = inputs
+    certificate = connectivity_certificate(UniPoly(p), m, n, c)
+    assert certificate.status == CONNECTED_CERTIFIED
+    assert certificate.singular_finite is True

@@ -76,14 +76,15 @@ def test_command_loads_only_what_it_runs(command, fmt):
         assert "broughton.squarefree" not in modules
         # Only the certificate runs bivariate code.
         assert ("broughton.bipoly" in modules) == (command == "connectivity")
-    # The modular kernels load with the first gcd or resultant, which
-    # every command but decompose runs.
+    # The gcd's modular helpers load with the first gcd, or with the
+    # resultant kernel, which lifts by their CRT; every command but
+    # decompose runs one of the two.
     assert ("broughton.modular" in modules) == (command != "decompose")
     assert ("json" in modules) == (fmt == "json")
 
 
 def test_parse_error_loads_only_the_parser():
-    # Not the modular kernels either: a parse error never compiles them.
+    # Not the modular helpers either: a parse error never compiles them.
     code, modules = loaded_by("check", "x^", "x")
     assert code == 1
     assert {name for name in modules if name.startswith("broughton")} == {
@@ -127,15 +128,24 @@ EXPORTS = {
 # ring and its parser (a BiPoly built from its y-coefficient tuple; no
 # bivariate parser), the singular-locus wrapper (connectivity_certificate),
 # the canonical printer (str), the integer Bareiss route of resultant_y (the
-# modular kernel; the old route is an oracle in tests/oracles.py) and the
-# gcd's prime and CRT helpers (moved to broughton.modular).
+# modular kernel; the old route is an oracle in tests/oracles.py), the gcd's
+# prime and CRT helpers (moved to broughton.modular), the full surface h and
+# its degree-bound walk (the certificate factors both eliminants instead; the
+# dict oracles in tests/oracles.py build h) and the resultant kernel, which
+# moved from broughton.modular to the certificate's own broughton.bipoly so
+# that a gcd compiles only its helpers.
 REMOVED = {
     "arrangement": ("resonance",),
     "bipoly": (
         "build_f", "build_g", "is_irreducible_y_linear", "X", "Y", "BI_ZERO",
         "BI_ONE", "SingularLocusCheck", "singular_locus_finite", "_eliminant",
         "_bareiss_determinant", "_interpolate_naturals", "_sylvester_rows",
-        "_horner",
+        "_horner", "build_h", "_x_degree_bound",
+    ),
+    "modular": (
+        "MERSENNE_EXPONENTS", "mersenne_exponents", "hadamard_square",
+        "integer_resultant", "_resultant_by_primes", "_resultant_values",
+        "_take", "_euclid_resultants", "_sylvester_determinant", "_interpolate",
     ),
     "parser": ("parse_bi", "print_canonical"),
     "squarefree": ("PowerIndex", "distinct_root_count", "power_index", "radical"),
@@ -167,8 +177,13 @@ def test_lazy_exports_match_the_submodules():
 
 # Names the package no longer exports but their module keeps: bipoly's
 # helpers check nothing, and connectivity_certificate, which checks its
-# inputs, is the one public entry to them.
-INTERNAL = {"bipoly": ("BiPoly", "build_h", "resultant_y")}
+# inputs, is the one public entry to them.  The resultant kernel lives there
+# too, and modular keeps only what the gcd calls.
+INTERNAL = {
+    "bipoly": ("BiPoly", "resultant_y", "integer_resultant", "mersenne_exponents",
+               "hadamard_square"),
+    "modular": ("_prime", "_is_prime", "_gcd_mod", "_crt"),
+}
 
 
 @pytest.mark.parametrize(
@@ -190,6 +205,14 @@ def test_removed_names_are_gone(module_name, name):
     else:
         with pytest.raises(AttributeError):
             getattr(module, name)
+
+
+def test_bipoly_keeps_no_calculus_of_the_surface():
+    # The certificate never builds h, so it differentiates nothing and
+    # exchanges no variables.
+    from broughton.bipoly import BiPoly
+    for name in ("partial_x", "partial_y", "swap_vars"):
+        assert not hasattr(BiPoly, name), name
 
 
 def test_importing_the_package_loads_no_submodule():
