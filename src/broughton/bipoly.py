@@ -47,11 +47,10 @@ check, so a wrong bound would give a wrong answer, not an error.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
 
 from .modular import _crt
-from .unipoly import NEG_INF, UniPoly, _clear_denominators, _coerce
+from .unipoly import NEG_INF, UniPoly, _coerce, _integer_columns, _make
 
 
 class BiPoly:
@@ -110,11 +109,10 @@ def resultant_y(a: BiPoly, b: BiPoly) -> UniPoly:
     """
     m = a.degree_y
     n = b.degree_y
-    a_ints, scale_a = _clear_denominators([c.coeffs for c in a.coeffs])
-    b_ints, scale_b = _clear_denominators([c.coeffs for c in b.coeffs])
+    a_ints, scale_a = _integer_columns(a.coeffs)
+    b_ints, scale_b = _integer_columns(b.coeffs)
     ints = integer_resultant(a_ints, b_ints, n * a.degree_x + m * b.degree_x)
-    scale = scale_a ** n * scale_b ** m
-    return UniPoly([Fraction(c, scale) for c in ints])
+    return _make(ints, scale_a ** n * scale_b ** m)
 
 
 # -- the modular resultant kernel ---------------------------------------------

@@ -7,7 +7,9 @@ certificate comes back inconclusive.
 
 Output is text by default; ``--format json`` prints a deterministic JSON
 document instead, and ``--quiet`` silences the text rendering (exit codes
-and JSON are unaffected).
+and JSON are unaffected).  Only the chosen format is built: a JSON run
+never renders the text lines, a text run never builds the mapping, and a
+quiet text run renders nothing.
 
 Each process loads only what its command runs.  At import this module
 pulls in the parser and the univariate layer, which every command needs;
@@ -31,13 +33,19 @@ EXIT_PRECONDITION = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _emit(args, mapping: dict, text_lines) -> None:
-    from .report import render_json
+def _emit(args, mapping, text_lines) -> None:
+    """Print a command's output in the chosen format.
 
+    ``mapping`` and ``text_lines`` are zero-argument callables that build
+    the JSON mapping and the text lines; only the one for ``--format``
+    runs, and with ``--quiet`` text neither does.
+    """
     if args.format == "json":
-        print(render_json(mapping))
+        from .report import render_json
+
+        print(render_json(mapping()))
     elif not args.quiet:
-        print("\n".join(text_lines))
+        print("\n".join(text_lines()))
 
 
 def cmd_check(args) -> int:
@@ -47,12 +55,15 @@ def cmd_check(args) -> int:
     from .report import command_mapping, hypotheses_mapping, hypotheses_text
 
     hypotheses = check_hypotheses(p, q)
-    mapping = command_mapping(
-        "check",
-        {"p": str(p), "q": str(q)},
-        hypotheses=hypotheses_mapping(hypotheses),
+    _emit(
+        args,
+        lambda: command_mapping(
+            "check",
+            {"p": str(p), "q": str(q)},
+            hypotheses=hypotheses_mapping(hypotheses),
+        ),
+        lambda: hypotheses_text(hypotheses),
     )
-    _emit(args, mapping, hypotheses_text(hypotheses))
     return EXIT_OK if hypotheses.satisfied else EXIT_PRECONDITION
 
 
@@ -63,12 +74,15 @@ def cmd_betti(args) -> int:
     from .report import betti_mapping, betti_text, command_mapping
 
     numbers = betti(p, q)
-    mapping = command_mapping(
-        "betti",
-        {"p": str(p), "q": str(q)},
-        betti=betti_mapping(numbers),
+    _emit(
+        args,
+        lambda: command_mapping(
+            "betti",
+            {"p": str(p), "q": str(q)},
+            betti=betti_mapping(numbers),
+        ),
+        lambda: [betti_text(numbers)],
     )
-    _emit(args, mapping, [betti_text(numbers)])
     return EXIT_OK
 
 
@@ -78,7 +92,7 @@ def cmd_charvar(args) -> int:
     from .report import build_report, render_text, report_mapping
 
     document = build_report(p, q)
-    _emit(args, report_mapping(document), [render_text(document)])
+    _emit(args, lambda: report_mapping(document), lambda: [render_text(document)])
     return EXIT_OK
 
 
@@ -86,7 +100,7 @@ def cmd_zahid(args) -> int:
     from .report import build_report, render_text, report_mapping, zahid_polynomials
 
     document = build_report(*zahid_polynomials(args.p_exponent, args.q_factors))
-    _emit(args, report_mapping(document), [render_text(document)])
+    _emit(args, lambda: report_mapping(document), lambda: [render_text(document)])
     return EXIT_OK
 
 
@@ -96,14 +110,16 @@ def cmd_divisor(args) -> int:
     from .report import command_mapping, divisor_mapping, divisor_text
 
     divisor = special_fiber_divisor(p)
-    mapping = command_mapping(
-        "divisor", {"p": str(p)}, divisor=divisor_mapping(divisor)
+    _emit(
+        args,
+        lambda: command_mapping(
+            "divisor", {"p": str(p)}, divisor=divisor_mapping(divisor)
+        ),
+        lambda: [
+            f"special fiber at -1: {divisor_text(divisor)}",
+            f"divisor multiplicity: {divisor.divisor_multiplicity}",
+        ],
     )
-    lines = [
-        f"special fiber at -1: {divisor_text(divisor)}",
-        f"divisor multiplicity: {divisor.divisor_multiplicity}",
-    ]
-    _emit(args, mapping, lines)
     return EXIT_OK
 
 
@@ -113,24 +129,28 @@ def cmd_decompose(args) -> int:
     from .report import command_mapping
 
     result = uni_decompose_at(p, args.inner_degree)
-    mapping = command_mapping(
-        "decompose",
-        {"p": str(p)},
-        inner_degree=args.inner_degree,
-        decomposition=None
-        if result is None
-        else {
-            "outer": str(result.outer),
-            "inner": str(result.inner),
-        },
-    )
-    if result is None:
-        lines = [f"no decomposition with inner degree {args.inner_degree}"]
-    else:
-        lines = [
+
+    def mapping():
+        return command_mapping(
+            "decompose",
+            {"p": str(p)},
+            inner_degree=args.inner_degree,
+            decomposition=None
+            if result is None
+            else {
+                "outer": str(result.outer),
+                "inner": str(result.inner),
+            },
+        )
+
+    def lines():
+        if result is None:
+            return [f"no decomposition with inner degree {args.inner_degree}"]
+        return [
             f"outer: {result.outer}",
             f"inner: {result.inner}",
         ]
+
     _emit(args, mapping, lines)
     return EXIT_OK
 
@@ -149,23 +169,25 @@ def cmd_connectivity(args) -> int:
 
     certificate = connectivity_certificate(p, args.m, args.n, c)
     r_x, r_y = certificate.eliminants
-    mapping = command_mapping(
-        "connectivity",
-        {"p": str(p), "m": args.m, "n": args.n, "c": _rat(c)},
-        certificate={
-            "status": certificate.status,
-            "singular_locus_finite": certificate.singular_finite,
-            "eliminant_x": str(r_x),
-            "eliminant_y": str(r_y),
-            "notes": certificate.notes,
-        },
+    _emit(
+        args,
+        lambda: command_mapping(
+            "connectivity",
+            {"p": str(p), "m": args.m, "n": args.n, "c": _rat(c)},
+            certificate={
+                "status": certificate.status,
+                "singular_locus_finite": certificate.singular_finite,
+                "eliminant_x": str(r_x),
+                "eliminant_y": str(r_y),
+                "notes": certificate.notes,
+            },
+        ),
+        lambda: [
+            f"status: {certificate.status}",
+            f"singular locus finite: {certificate.singular_finite}",
+            f"eliminants: {r_x} ; {r_y}",
+        ],
     )
-    lines = [
-        f"status: {certificate.status}",
-        f"singular locus finite: {certificate.singular_finite}",
-        f"eliminants: {r_x} ; {r_y}",
-    ]
-    _emit(args, mapping, lines)
     return EXIT_OK if certificate.singular_finite else EXIT_INCONCLUSIVE
 
 

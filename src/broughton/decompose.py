@@ -35,7 +35,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .unipoly import UniPoly, _scalar
+from .unipoly import UniPoly, X, _constants, _scalar
 
 CONNECTED_CERTIFIED = "connected-certified"
 INCONCLUSIVE = "inconclusive"
@@ -174,8 +174,10 @@ def connectivity_certificate(
     # A BiPoly holds coefficients by powers of the variable resultant_y
     # eliminates: x in p' and v - p, over Q[v]; then v in chi and G, over
     # Q[y].  v - p has the coefficient v - p(0) at x**0.
-    v_minus_p = BiPoly([UniPoly([-p.coefficient(0), 1])] + [-a for a in p.coeffs[1:]])
-    chi = resultant_y(BiPoly(slope.coeffs), v_minus_p) / slope.leading_coefficient ** d
+    v_minus_p = _constants(-p)
+    v_minus_p[0] += X
+    chi = resultant_y(BiPoly(_constants(slope)), BiPoly(v_minus_p))
+    chi = chi / slope.leading_coefficient ** d
     g = BiPoly([UniPoly([0] * (n - 1) + [cn])] + [
         UniPoly([0] * k + [(-1) ** (m - 1 - k) * m * math.comb(m - 1, k)])
         for k in range(m)
@@ -183,7 +185,7 @@ def connectivity_certificate(
     shift = m * d + (m - 1) * (m * d + (n - 1) * d)
     unit = (m * slope.leading_coefficient) ** (m * d) * (
         p.leading_coefficient ** (m * d) * cn ** d) ** (m - 1)
-    r_y = UniPoly([0] * shift + [unit]) * resultant_y(BiPoly(chi.coeffs), g)
+    r_y = UniPoly([0] * shift + [unit]) * resultant_y(BiPoly(_constants(chi)), g)
     finite = bool(r_x) and bool(r_y)
     if finite:
         status = CONNECTED_CERTIFIED

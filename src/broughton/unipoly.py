@@ -1,9 +1,11 @@
 """Exact arithmetic for univariate polynomials with rational coefficients.
 
-A polynomial is an immutable tuple of ``fractions.Fraction`` coefficients,
-index ``i`` holding the coefficient of ``x**i``.  The stored tuple never has
-a trailing zero, so the zero polynomial stores nothing and equality is plain
-tuple equality.  Every operation is exact; no floats enter at any point.
+A polynomial is stored as integer numerators over one denominator: a tuple
+``_num`` of ints, index ``i`` holding the numerator of the coefficient of
+``x**i``, and one int ``_den > 0``, with gcd(_den, *_num) == 1 and no
+trailing zero in ``_num``.  That form is unique, so the zero polynomial
+stores nothing and equality is plain tuple equality.  Every operation is
+exact; no floats enter at any point.
 
 The degree of the zero polynomial is the sentinel :data:`NEG_INF` rather
 than an integer, so the degree laws
@@ -13,19 +15,22 @@ than an integer, so the degree laws
 
 hold without a bogus integer standing in for "minus infinity".
 
-The costly kernels run on integers, with the Fractions only at their
-ends.  Multiplication clears each operand's denominators and multiplies
-by Kronecker substitution: both integer polynomials are evaluated at a
-power of two wide enough to hold every coefficient of the product (their
-absolute values are at most max|A| * max|B| * min(len A, len B), plus
-one bit for the sign), multiplied as two big integers, and read back in
-that base (von zur Gathen and Gerhard, *Modern Computer Algebra*, 8.4;
-Harvey 2009).  Powers, ``compose`` and the parser all multiply this way.
-:func:`exact_div` divides the integer numerator by the primitive part of
-the divisor over the integers, which Gauss's lemma makes exact whenever
-the rational division is.  :func:`gcd` works modulo word-size primes and
-checks its lift with the same integer trial division; its modular kernels
-live in :mod:`broughton.modular`, loaded by the first gcd.
+Every operation works on the numerators and the denominator as ints.
+``Fraction`` appears only at the edges: the constructor accepts ints and
+Fractions, and :attr:`UniPoly.coeffs`, :meth:`UniPoly.coefficient`,
+:attr:`UniPoly.leading_coefficient` and evaluation return Fractions.
+Multiplication is by Kronecker substitution: both numerator polynomials
+are evaluated at a power of two wide enough to hold every coefficient of
+the product (their absolute values are at most max|A| * max|B| *
+min(len A, len B), plus one bit for the sign), multiplied as two big
+integers, and read back in that base (von zur Gathen and Gerhard, *Modern
+Computer Algebra*, 8.4; Harvey 2009).  Powers, ``compose`` and the parser
+all multiply this way.  :func:`exact_div` divides the numerator by the
+primitive part of the divisor's numerator over the integers, which
+Gauss's lemma makes exact whenever the rational division is.  :func:`gcd`
+works modulo word-size primes and checks its lift with the same integer
+trial division; its modular kernels live in :mod:`broughton.modular`,
+loaded by the first gcd.  Only ``divmod`` still runs a Fraction loop.
 """
 
 from __future__ import annotations
@@ -39,11 +44,10 @@ NEG_INF = float("-inf")
 
 
 def _scalar(value):
-    """Coerce ``value`` to Fraction, or return None if it is not a scalar."""
-    if isinstance(value, Fraction):
+    """``value`` if it is a rational scalar (an int or a Fraction, not a
+    bool), else None."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
     return None
 
 
@@ -58,94 +62,104 @@ class UniPoly:
     True
     >>> p(2)
     Fraction(3, 1)
+
+    Polynomials equal as rational functions are equal whatever their route:
+
+    >>> UniPoly([Fraction(1, 2), 1]) == UniPoly([1, 2]) / 2
+    True
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
-        items = []
-        for c in coeffs:
-            s = _scalar(c)
-            if s is None:
+        items = list(coeffs)
+        for c in items:
+            if _scalar(c) is None:
                 raise TypeError(f"coefficient {c!r} is not a rational scalar")
-            items.append(s)
-        while items and not items[-1]:
-            items.pop()
-        self._coeffs = tuple(items)
+        # Each denominator is in lowest terms, so every prime power of
+        # their lcm leaves some numerator unscaled and prime to it: the
+        # numerators and the lcm are already coprime.
+        den = math.lcm(*[c.denominator for c in items])
+        num = [c.numerator * (den // c.denominator) for c in items]
+        while num and not num[-1]:
+            num.pop()
+        self._num = tuple(num)
+        self._den = den
 
     @classmethod
     def constant(cls, value) -> "UniPoly":
         s = _scalar(value)
         if s is None:
             raise TypeError(f"{value!r} is not a rational scalar")
-        return cls((s,))
+        return _make([s.numerator], s.denominator)
 
     @property
     def coeffs(self) -> tuple:
-        """Coefficient tuple, low degree first, no trailing zero."""
-        return self._coeffs
+        """Fraction coefficients, low degree first, no trailing zero."""
+        den = self._den
+        return tuple([Fraction(c, den) for c in self._num])
 
     @property
     def degree(self):
         """Degree as an int, or NEG_INF for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INF
+        return len(self._num) - 1 if self._num else NEG_INF
 
     @property
     def leading_coefficient(self) -> Fraction:
         """Leading coefficient; zero for the zero polynomial."""
-        return self._coeffs[-1] if self._coeffs else Fraction(0)
+        return Fraction(self._num[-1], self._den) if self._num else Fraction(0)
 
     def coefficient(self, i: int) -> Fraction:
         """Coefficient of x**i (zero beyond the stored degree)."""
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
+        if 0 <= i < len(self._num):
+            return Fraction(self._num[i], self._den)
         return Fraction(0)
 
     def is_constant(self) -> bool:
-        return len(self._coeffs) <= 1
+        return len(self._num) <= 1
 
     # -- value protocol ----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def __eq__(self, other):
         coerced = _coerce(other)
         if coerced is None:
             return NotImplemented
-        return self._coeffs == coerced._coeffs
+        return self._num == coerced._num and self._den == coerced._den
 
     def __hash__(self):
         # Constants hash like the number they equal, so p == 3 implies
         # hash(p) == hash(3) and mixed-type dict keys stay coherent.
-        if not self._coeffs:
-            return hash(0)
-        if len(self._coeffs) == 1:
-            return hash(self._coeffs[0])
-        return hash(self._coeffs)
+        if len(self._num) <= 1:
+            return hash(self.coefficient(0))
+        return hash((self._num, self._den))
 
     def __repr__(self):
         return f"UniPoly({self})"
 
     def __str__(self):
-        if not self._coeffs:
+        num, den = self._num, self._den
+        if not num:
             return "0"
         # Descending powers, explicit signs, no 1 in front of a power of x,
         # and '*' between factors, so that the text parses back.
         rendered = []
-        for exp in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[exp]
+        for exp in range(len(num) - 1, -1, -1):
+            c = num[exp]
             if not c:
                 continue
-            magnitude = abs(c)
-            text = _decimal(magnitude.numerator)
-            if magnitude.denominator != 1:
-                text += "/" + _decimal(magnitude.denominator)
+            common = math.gcd(c, den)
+            top, bottom = abs(c) // common, den // common
+            text = _decimal(top)
+            if bottom != 1:
+                text += "/" + _decimal(bottom)
             if not exp:
                 body = text
             else:
                 body = "x" if exp == 1 else f"x^{exp}"
-                if magnitude != 1:
+                if top != 1 or bottom != 1:
                     body = f"{text}*{body}"
             if rendered:
                 rendered.append(("+ " if c > 0 else "- ") + body)
@@ -159,18 +173,29 @@ class UniPoly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b = self._num, other._num
+        den_a, den_b = self._den, other._den
+        if den_a == den_b:
+            den = den_a
+        else:
+            # Bring both over lcm(den_a, den_b).
+            common = math.gcd(den_a, den_b)
+            scale_a, scale_b = den_b // common, den_a // common
+            den = den_a * scale_a
+            if scale_a != 1:
+                a = [c * scale_a for c in a]
+            if scale_b != 1:
+                b = [c * scale_b for c in b]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        return _make(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly([-c for c in self._coeffs])
+        return _make([-c for c in self._num], self._den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -185,48 +210,22 @@ class UniPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        """Product by Kronecker substitution on integers.
-
-        Each operand is scaled to integers A = L_a*a and B = L_b*b by the
-        least common multiple of its denominators.  Every coefficient of
-        A*B is a sum of at most min(len A, len B) products, so its absolute
-        value is at most bound = max|A| * max|B| * min(len A, len B).  A
-        byte-aligned slot of w bits with 2**(w - 1) > bound holds each one
-        in [0, 2**w) after adding the offset 2**(w - 1), so evaluating A
-        and B at x = 2**w, one big-integer multiply and reading the product
-        back in base 2**w give A*B exactly (von zur Gathen and Gerhard,
-        *Modern Computer Algebra*, 8.4; Harvey 2009, "Faster polynomial
-        multiplication via multipoint Kronecker substitution").  Packing
-        and unpacking go through ``int.to_bytes``/``int.from_bytes`` and
-        cost time linear in the size of the integers.  Each coefficient is
-        divided by L_a*L_b once.  A constant on either side scales the other
-        operand coefficient-wise instead, with nothing to pack.
-        """
+        """Product: the numerators multiply by :func:`_mul_ints`, the
+        denominators as ints.  A constant on either side scales the other
+        operand coefficient-wise instead, with nothing to pack."""
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b = self._num, other._num
         if not a or not b:
             return ZERO
+        den = self._den * other._den
         if len(a) == 1 or len(b) == 1:
             if len(a) == 1:
                 a, b = b, a
             s = b[0]
-            return UniPoly([c * s for c in a])
-        (ints_a,), scale_a = _clear_denominators([a])
-        (ints_b,), scale_b = _clear_denominators([b])
-        bound = max(map(abs, ints_a)) * max(map(abs, ints_b)) * min(len(a), len(b))
-        size = bound.bit_length() // 8 + 1  # bytes; 2**(8*size - 1) > bound
-        packed_a = _pack(ints_a, size)
-        packed_b = packed_a if other is self else _pack(ints_b, size)
-        count = len(a) + len(b) - 1
-        half = 1 << (8 * size - 1)
-        offset = int.from_bytes(half.to_bytes(size, "little") * count, "little")
-        digits = (packed_a * packed_b + offset).to_bytes(count * size, "little")
-        scale = scale_a * scale_b
-        from_bytes = int.from_bytes
-        return UniPoly([Fraction(from_bytes(digits[k:k + size], "little") - half, scale)
-                        for k in range(0, count * size, size)])
+            return _make([c * s for c in a], den)
+        return _make(_mul_ints(a, b), den)
 
     __rmul__ = __mul__
 
@@ -236,23 +235,30 @@ class UniPoly:
             return NotImplemented
         if not s:
             raise ZeroDivisionError("division of a polynomial by scalar zero")
-        return UniPoly([c / s for c in self._coeffs])
+        scale = s.denominator
+        return _make([c * scale for c in self._num], self._den * s.numerator)
 
     def __pow__(self, exponent):
-        """Square-and-multiply power with a nonnegative int exponent."""
+        """Square-and-multiply power with a nonnegative int exponent, on the
+        numerator by :func:`_mul_ints` and on the denominator as an int."""
         if not isinstance(exponent, int) or isinstance(exponent, bool):
             return NotImplemented
         if exponent < 0:
             raise ValueError("polynomial powers need a nonnegative exponent")
-        result = ONE
-        square = self
-        while exponent:
-            if exponent & 1:
-                result = result * square
-            exponent >>= 1
-            if exponent:
-                square = square * square
-        return result
+        if not exponent:
+            return ONE
+        if len(self._num) <= 1:
+            return _make([c ** exponent for c in self._num], self._den ** exponent)
+        result = None
+        square = self._num
+        k = exponent
+        while k:
+            if k & 1:
+                result = square if result is None else _mul_ints(result, square)
+            k >>= 1
+            if k:
+                square = _mul_ints(square, square)
+        return _make(list(result), self._den ** exponent)
 
     def __divmod__(self, other):
         other = _coerce(other)
@@ -260,18 +266,19 @@ class UniPoly:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("polynomial division by the zero polynomial")
-        db = len(other._coeffs) - 1
-        rem = list(self._coeffs)
+        divisor = other.coeffs
+        db = len(divisor) - 1
+        rem = list(self.coeffs)
         if len(rem) <= db:
             return ZERO, self
-        inv_lead = 1 / other._coeffs[-1]
+        inv_lead = 1 / divisor[-1]
         quot = [Fraction(0)] * (len(rem) - db)
         for i in range(len(quot) - 1, -1, -1):
             c = rem[i + db] * inv_lead
             if not c:
                 continue
             quot[i] = c
-            for j, bc in enumerate(other._coeffs):
+            for j, bc in enumerate(divisor):
                 rem[i + j] -= c * bc
         return UniPoly(quot), UniPoly(rem[:db])
 
@@ -291,17 +298,24 @@ class UniPoly:
 
     def derivative(self) -> "UniPoly":
         """Formal derivative."""
-        return UniPoly([i * c for i, c in enumerate(self._coeffs) if i])
+        return _make([i * c for i, c in enumerate(self._num) if i], self._den)
 
     def __call__(self, point) -> Fraction:
-        """Evaluate at a rational point by Horner's rule."""
+        """Evaluate at a rational point t = n/d by Horner's rule on ints.
+
+        The loop computes d**k * den * p(t) = sum num_i * n**i * d**(k - i)
+        for k = deg p, and one Fraction divides it out at the end."""
         t = _scalar(point)
         if t is None:
             raise TypeError(f"evaluation point {point!r} is not rational")
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * t + c
-        return acc
+        n, d = t.numerator, t.denominator
+        num = self._num
+        acc = num[-1] if num else 0
+        power = 1
+        for c in num[-2::-1]:
+            power *= d
+            acc = acc * n + c * power
+        return Fraction(acc, self._den * power)
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """Substitute ``inner`` for the variable: returns self(inner)."""
@@ -309,19 +323,55 @@ class UniPoly:
         if inner is None:
             raise TypeError("compose needs a polynomial or rational scalar")
         acc = ZERO
-        for c in reversed(self._coeffs):
-            acc = acc * inner + UniPoly.constant(c)
-        return acc
+        for c in reversed(self._num):
+            acc = acc * inner + c
+        return acc / self._den
 
     def monic(self) -> "UniPoly":
         """Scale to leading coefficient one.  The zero polynomial has no
         monic associate, so that input is rejected."""
-        if not self._coeffs:
+        if not self._num:
             raise ValueError("the zero polynomial has no monic associate")
-        lead = self._coeffs[-1]
-        if lead == 1:
+        lead = self._num[-1]
+        if lead == self._den:
             return self
-        return UniPoly([c / lead for c in self._coeffs])
+        return _make(list(self._num), lead)
+
+
+def _make(num, den=1) -> UniPoly:
+    """The polynomial sum(num[i] * x**i) / den in canonical form.
+
+    ``num`` is a list of ints that the caller hands over (its trailing
+    zeros are popped in place) and ``den`` a nonzero int.  Every result
+    that is not built from scalars by the constructor comes from here."""
+    while num and not num[-1]:
+        num.pop()
+    if den != 1:
+        if den < 0:
+            den = -den
+            num = [-c for c in num]
+        common = math.gcd(den, *num)
+        if common != 1:
+            den //= common
+            num = [c // common for c in num]
+    poly = object.__new__(UniPoly)
+    poly._num = tuple(num)
+    poly._den = den
+    return poly
+
+
+def _constants(poly: UniPoly) -> list:
+    """The coefficients of ``poly`` as constant polynomials, low degree
+    first."""
+    return [_make([c], poly._den) for c in poly._num]
+
+
+def _integer_columns(polys) -> tuple:
+    """``(integers, scale)``: ``scale`` is the lcm of the denominators of the
+    UniPolys ``polys`` and ``integers`` holds ``scale`` times each of them,
+    as lists of ints."""
+    scale = math.lcm(*[p._den for p in polys])
+    return [[c * (scale // p._den) for c in p._num] for p in polys], scale
 
 
 #: Integers below this in absolute value convert by ``str`` everywhere.
@@ -368,12 +418,12 @@ def _coerce(value):
     s = _scalar(value)
     if s is None:
         return None
-    return UniPoly((s,))
+    return _make([s.numerator], s.denominator)
 
 
-ZERO = UniPoly()
-ONE = UniPoly((1,))
-X = UniPoly((0, 1))
+ZERO = _make([])
+ONE = _make([1])
+X = _make([0, 1])
 
 
 def exact_div(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -392,14 +442,13 @@ def exact_div(a: UniPoly, b: UniPoly) -> UniPoly:
         raise ZeroDivisionError("polynomial division by the zero polynomial")
     if not a:
         return ZERO
-    (ints_a,), scale_a = _clear_denominators([a._coeffs])
-    (ints_b,), scale_b = _clear_denominators([b._coeffs])
-    primitive = _primitive(ints_b)
-    quotient = _exact_quotient(ints_a, primitive)
+    primitive = _primitive(b._num)
+    quotient = _exact_quotient(a._num, primitive)
     if quotient is None:
         raise ArithmeticError(f"inexact division: {a} by {b}")
-    scale = scale_a * (ints_b[-1] // primitive[-1])  # L_a * cont B
-    return UniPoly([Fraction(c * scale_b, scale) for c in quotient])
+    if b._den != 1:
+        quotient = [c * b._den for c in quotient]
+    return _make(quotient, a._den * (b._num[-1] // primitive[-1]))  # L_a * cont B
 
 
 def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -429,8 +478,7 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         if not a and not b:
             raise ValueError("gcd(0, 0) is undefined")
         return (a or b).monic()
-    (ints_a, ints_b), _ = _clear_denominators([a._coeffs, b._coeffs])
-    ints_a, ints_b = _primitive(ints_a), _primitive(ints_b)
+    ints_a, ints_b = _primitive(a._num), _primitive(b._num)
     if len(ints_a) == 1 or len(ints_b) == 1:
         return ONE
     from .modular import _crt, _gcd_mod, _prime
@@ -459,7 +507,7 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
             candidate = _primitive(lift)
             if (_exact_quotient(ints_a, candidate) is not None
                     and _exact_quotient(ints_b, candidate) is not None):
-                return UniPoly(candidate).monic()
+                return _make(candidate, candidate[-1])  # monic
         lift = combined
 
 
@@ -494,6 +542,36 @@ def _exact_quotient(a, d):
     return quotient
 
 
+def _mul_ints(a, b):
+    """Product of the integer polynomials ``a`` and ``b`` (int sequences,
+    low degree first, each with a nonzero last entry) by Kronecker
+    substitution, as a list of ints.
+
+    Every coefficient of a*b is a sum of at most min(len a, len b)
+    products, so its absolute value is at most bound = max|a| * max|b| *
+    min(len a, len b).  A byte-aligned slot of w bits with
+    2**(w - 1) > bound holds each one in [0, 2**w) after adding the offset
+    2**(w - 1), so evaluating a and b at x = 2**w, one big-integer multiply
+    and reading the product back in base 2**w give a*b exactly (von zur
+    Gathen and Gerhard, *Modern Computer Algebra*, 8.4; Harvey 2009,
+    "Faster polynomial multiplication via multipoint Kronecker
+    substitution").  Packing and unpacking go through
+    ``int.to_bytes``/``int.from_bytes`` and cost time linear in the size
+    of the integers.  A square (``b is a``) packs its operand once.
+    """
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    size = bound.bit_length() // 8 + 1  # bytes; 2**(8*size - 1) > bound
+    packed_a = _pack(a, size)
+    packed_b = packed_a if b is a else _pack(b, size)
+    count = len(a) + len(b) - 1
+    half = 1 << (8 * size - 1)
+    offset = int.from_bytes(half.to_bytes(size, "little") * count, "little")
+    digits = (packed_a * packed_b + offset).to_bytes(count * size, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(digits[k:k + size], "little") - half
+            for k in range(0, count * size, size)]
+
+
 def _pack(ints, size):
     """The integer sum(c * 256**(size*i)) for the coefficients ``ints``,
     each of absolute value below 256**size: the positive and the negative
@@ -502,15 +580,3 @@ def _pack(ints, size):
     positive = b"".join([c.to_bytes(size, "little") if c > 0 else zero for c in ints])
     negative = b"".join([(-c).to_bytes(size, "little") if c < 0 else zero for c in ints])
     return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
-
-
-def _clear_denominators(columns):
-    """Integer multiples of Fraction coefficient sequences.
-
-    Returns ``(integers, scale)`` where ``scale`` is the least common
-    multiple of every denominator in ``columns`` and ``integers`` holds
-    ``scale`` times each sequence, as lists of ints.
-    """
-    scale = math.lcm(*[c.denominator for column in columns for c in column])
-    return [[c.numerator * (scale // c.denominator) for c in column]
-            for column in columns], scale

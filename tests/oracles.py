@@ -8,6 +8,7 @@ schoolbook one, so agreement with the package is meaningful.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -256,6 +257,17 @@ def b_y_columns(a):
         column.extend([Fraction(0)] * (i + 1 - len(column)))
         column[i] += v
     return [l_trim(column) for column in columns]
+
+
+def clear_denominators(columns):
+    """``(integers, scale)``: ``scale`` is the lcm of every denominator in the
+    Fraction sequences ``columns`` and ``integers`` holds ``scale`` times
+    each sequence, as lists of ints."""
+    scale = 1
+    for column in columns:
+        for c in column:
+            scale = scale * c.denominator // math.gcd(scale, c.denominator)
+    return [[int(c * scale) for c in column] for column in columns], scale
 
 
 def b_swap(a):

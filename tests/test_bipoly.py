@@ -19,7 +19,7 @@ from broughton.bipoly import (
     resultant_y,
 )
 from broughton.decompose import connectivity_certificate
-from broughton.unipoly import ONE, UniPoly, ZERO, _clear_denominators
+from broughton.unipoly import ONE, UniPoly, ZERO
 from oracles import (
     b_add,
     b_build_g,
@@ -31,6 +31,7 @@ from oracles import (
     b_swap,
     b_y_columns,
     bareiss_determinant,
+    clear_denominators,
     integer_bareiss_determinant,
     integer_resultant_y,
     interpolate_naturals,
@@ -361,8 +362,8 @@ def integer_dict(columns):
 @given(bi_dicts(min_size=1), bi_dicts(min_size=1))
 @settings(deadline=None)
 def test_hadamard_bound_dominates_every_coefficient(a, b):
-    a_ints, _ = _clear_denominators(b_y_columns(a))
-    b_ints, _ = _clear_denominators(b_y_columns(b))
+    a_ints, _ = clear_denominators(b_y_columns(a))
+    b_ints, _ = clear_denominators(b_y_columns(b))
     square = hadamard_square(a_ints, b_ints)
     for c in b_resultant_y(integer_dict(a_ints), integer_dict(b_ints)):
         assert c * c <= square
@@ -418,8 +419,8 @@ def test_small_table_entries_are_mersenne_primes():
 @given(bi_dicts(max_x=2, max_y=2, min_size=1), bi_dicts(max_x=2, max_y=2, min_size=1))
 @settings(deadline=None)
 def test_crt_over_two_primes_matches_one_prime(a, b):
-    a_ints, _ = _clear_denominators(b_y_columns(a))
-    b_ints, _ = _clear_denominators(b_y_columns(b))
+    a_ints, _ = clear_denominators(b_y_columns(a))
+    b_ints, _ = clear_denominators(b_y_columns(b))
     degree = x_degree_bound(bi_from_dict(a), bi_from_dict(b))
     if hadamard_square(a_ints, b_ints).bit_length() > 2 * 127 - 4:
         return
@@ -436,8 +437,8 @@ def test_image_modulo_a_prime_below_the_bound_is_a_residue(a, b, scale_a):
     # every point, so the image comes from the Sylvester matrix alone, with
     # a row swap wherever the other side's lead survives.
     prime = (1 << 61) - 1
-    a_ints, _ = _clear_denominators(b_y_columns(a))
-    b_ints, _ = _clear_denominators(b_y_columns(b))
+    a_ints, _ = clear_denominators(b_y_columns(a))
+    b_ints, _ = clear_denominators(b_y_columns(b))
     side = a_ints if scale_a else b_ints
     side[-1] = [prime * c for c in side[-1]]
     degree = x_degree_bound(bi_from_dict(a), bi_from_dict(b))
@@ -463,8 +464,8 @@ def test_certificate_eliminants_match_integer_bareiss_route(p, m, n, c):
     for a, b, eliminant in ((hx, hy, certificate.eliminants[0]),
                             (b_swap(hx), b_swap(hy), certificate.eliminants[1])):
         a, b = bi_from_dict(a), bi_from_dict(b)
-        a_ints, scale_a = _clear_denominators([col.coeffs for col in a.coeffs])
-        b_ints, scale_b = _clear_denominators([col.coeffs for col in b.coeffs])
+        a_ints, scale_a = clear_denominators([col.coeffs for col in a.coeffs])
+        b_ints, scale_b = clear_denominators([col.coeffs for col in b.coeffs])
         exact = integer_resultant_y(a_ints, b_ints, x_degree_bound(a, b))
         scale = scale_a ** b.degree_y * scale_b ** a.degree_y
         expected = UniPoly([F(v, scale) for v in exact])

@@ -15,7 +15,7 @@ from broughton.cli import (
     EXIT_PRECONDITION,
     main,
 )
-from broughton import bipoly
+from broughton import bipoly, report
 from broughton.unipoly import ZERO
 
 
@@ -217,6 +217,23 @@ class TestOutputDiscipline:
                            "--format", "json")
         assert code == EXIT_OK
         assert json.loads(out)["betti"]["b2"] == 2
+
+    def test_only_the_chosen_format_is_built(self, capsys, monkeypatch):
+        argv = ("charvar", "x^3", "x*(x+2)")
+        _, json_out, _ = run(capsys, *argv, "--format", "json")
+        _, text_out, _ = run(capsys, *argv, "--format", "text")
+
+        def other_format(*_):
+            raise AssertionError("rendered a format that was not asked for")
+
+        monkeypatch.setattr(report, "render_text", other_format)
+        assert run(capsys, *argv, "--format", "json") == (EXIT_OK, json_out, "")
+        monkeypatch.setattr(report, "report_mapping", other_format)
+        # A quiet text run builds neither.
+        assert run(capsys, *argv, "--quiet") == (EXIT_OK, "", "")
+        monkeypatch.undo()
+        monkeypatch.setattr(report, "report_mapping", other_format)
+        assert run(capsys, *argv, "--format", "text") == (EXIT_OK, text_out, "")
 
     def test_json_is_byte_identical_across_runs(self, capsys):
         _, first, _ = run(capsys, "zahid", "4", "2", "--format", "json")

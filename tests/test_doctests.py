@@ -15,5 +15,5 @@ def test_docstring_examples():
     ]
     results = [doctest.testmod(importlib.import_module(name)) for name in names]
     assert sum(result.failed for result in results) == 0
-    # unipoly (3), squarefree (1) and decompose (1) carry examples.
+    # unipoly (5), squarefree (1) and decompose (1) carry examples.
     assert sum(result.attempted for result in results) >= 5

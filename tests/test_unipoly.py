@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,10 +20,12 @@ from broughton.unipoly import (
     gcd,
 )
 from broughton.modular import _prime
+from broughton.parser import parse_uni
 from oracles import (
     l_compose,
     l_divmod,
     l_exact_div,
+    l_eval,
     l_gcd,
     l_mul,
     l_pow,
@@ -344,3 +347,79 @@ def test_immutability_and_hash():
     assert P(5) == 5 and hash(P(5)) == hash(5)
     with pytest.raises(AttributeError):
         p.coeffs = ()
+
+
+# -- the stored form: integer numerators over one denominator ----------------
+
+def assert_canonical(p):
+    """No trailing zero, a positive denominator prime to every numerator."""
+    assert type(p._num) is tuple and all(type(c) is int for c in p._num)
+    assert type(p._den) is int and p._den > 0
+    assert math.gcd(p._den, *p._num) == 1
+    assert not p._num or p._num[-1]
+
+
+@given(mul_operands, mul_operands, rationals.filter(bool), st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+@example(P(F(1, 2), F(1, 2)), P(F(-1, 2), F(1, 2)), F(1, 2), 2)
+@example(P(F(1, 3), 1), P(F(2, 3), -1), F(-3), 3)
+def test_every_result_is_canonical(a, b, s, k):
+    # The examples cancel: 1/2 + 1/2, 1/3 + 2/3 and the x terms.
+    results = [a + b, a - b, b - a, -a, a * b, a * a, a * s, s - a, a + s, a / s,
+               a ** k, a.derivative(), a.compose(b)]
+    if a:
+        results += [a.monic(), exact_div(a * b, a)]
+    if a or b:
+        results.append(gcd(a, b))
+    for r in results:
+        assert_canonical(r)
+
+
+@given(mul_operands, mul_operands)
+@settings(deadline=None)
+def test_parsed_polynomials_are_canonical(a, b):
+    for text in (str(a), f"({a})*({b}) - ({b})^2", f"-({a}) + 3/6*x^2"):
+        parsed = parse_uni(text)
+        assert_canonical(parsed)
+    assert parse_uni(str(a)) == a
+
+
+@given(st.lists(rationals, max_size=6), st.integers(1, 10**6), st.integers(-5, 5))
+@settings(deadline=None)
+@example([F(1, 2), 1], 2, 0)  # UniPoly([1, 2]) / 2
+@example([F(2, 4), F(6, 8)], 4, -1)
+def test_routes_to_one_polynomial_compare_and_hash_equal(coeffs, k, shift):
+    # The constructor, scaling, adding and multiplying out must all land
+    # on the same stored form.
+    p = UniPoly(coeffs)
+    routes = [
+        UniPoly(coeffs + [0, F(0)]),
+        UniPoly([c * k for c in coeffs]) / k,
+        (p * k) / k,
+        (p + shift) - shift,
+        p.compose(X),
+        exact_div(p * (X + shift), X + shift),
+    ]
+    for q in routes:
+        assert q == p
+        assert hash(q) == hash(p)
+        assert q._num == p._num and q._den == p._den
+
+
+@given(st.one_of(rationals, st.integers(-10**40, 10**40),
+                 st.fractions(max_denominator=10**12)))
+@settings(deadline=None)
+def test_constants_hash_like_their_number(value):
+    c = UniPoly.constant(value)
+    assert c == value
+    assert hash(c) == hash(value) == hash(UniPoly([value]))
+    assert hash(c * X - value * X) == hash(0)
+
+
+@given(st.one_of(polys, one_huge_polys(), over(7)),
+       st.one_of(st.just(F(0)), rationals, st.fractions(max_denominator=10**9)))
+@settings(max_examples=200, deadline=None)
+def test_evaluation_matches_the_power_sum_oracle(a, t):
+    value = a(t)
+    assert type(value) is Fraction
+    assert value == l_eval(a.coeffs, t)
