@@ -35,7 +35,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .unipoly import UniPoly, X, _constants, _scalar
+from .unipoly import UniPoly, X, _constants, _scalar, exact_div
 
 CONNECTED_CERTIFIED = "connected-certified"
 INCONCLUSIVE = "inconclusive"
@@ -70,9 +70,9 @@ def uni_decompose_at(p: UniPoly, e: int):
     """
     if not isinstance(e, int) or isinstance(e, bool):
         raise ValueError("inner degree must be an integer")
-    degree = p.degree
-    if not p or p.is_constant() or degree < 4:
+    if not isinstance(p, UniPoly) or p.degree < 4:
         raise ValueError("decomposition needs deg p >= 4")
+    degree = p.degree
     if e < 2 or e > degree // 2 or degree % e:
         raise ValueError(
             f"inner degree {e} is not a proper divisor of {degree} in [2, {degree // 2}]"
@@ -91,14 +91,19 @@ def uni_decompose_at(p: UniPoly, e: int):
     inner = UniPoly(q_coeffs)
 
     # Q-adic digit expansion of p.  p = H(Q) forces every digit to be a
-    # constant, namely the matching coefficient of H.
+    # constant, the matching coefficient of H, and since Q(0) = 0 it is the
+    # constant term of what is left.  Taking it off must leave a multiple
+    # of Q, so an inexact division proves that no H exists.  Each division
+    # lowers the degree by e >= 2, so the loop ends.
     digits = []
     rest = p
     while rest:
-        rest, digit = divmod(rest, inner)
-        if not digit.is_constant():
+        digit = rest.coefficient(0)
+        digits.append(digit)
+        try:
+            rest = exact_div(rest - digit, inner)
+        except ArithmeticError:
             return None
-        digits.append(digit.coefficient(0))
     outer = UniPoly(digits)
     if outer.compose(inner) != p:
         return None
@@ -111,7 +116,7 @@ def is_decomposable(p: UniPoly) -> bool:
     Tries every divisor of deg p in the admissible range.  Polynomials of
     prime degree have no admissible inner degree and are indecomposable.
     """
-    if not p or p.is_constant():
+    if not isinstance(p, UniPoly) or p.is_constant():
         raise ValueError("decomposability needs a nonconstant polynomial")
     degree = p.degree
     for e in range(2, degree // 2 + 1):

@@ -62,9 +62,9 @@ def zahid_polynomials(p_exponent: int, q_factors: int):
     For q_factors = 1 the second polynomial is plainly x.  Both parameters
     must be positive.
     """
-    if not isinstance(p_exponent, int) or p_exponent < 1:
+    if not isinstance(p_exponent, int) or isinstance(p_exponent, bool) or p_exponent < 1:
         raise ValueError("the exponent of p must be a positive integer")
-    if not isinstance(q_factors, int) or q_factors < 1:
+    if not isinstance(q_factors, int) or isinstance(q_factors, bool) or q_factors < 1:
         raise ValueError("the factor count of q must be a positive integer")
     p = X ** p_exponent
     q = X

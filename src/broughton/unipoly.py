@@ -30,7 +30,7 @@ primitive part of the divisor's numerator over the integers, which
 Gauss's lemma makes exact whenever the rational division is.  :func:`gcd`
 works modulo word-size primes and checks its lift with the same integer
 trial division; its modular kernels live in :mod:`broughton.modular`,
-loaded by the first gcd.  Only ``divmod`` still runs a Fraction loop.
+loaded by the first gcd.
 """
 
 from __future__ import annotations
@@ -259,40 +259,6 @@ class UniPoly:
             if k:
                 square = _mul_ints(square, square)
         return _make(list(result), self._den ** exponent)
-
-    def __divmod__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("polynomial division by the zero polynomial")
-        divisor = other.coeffs
-        db = len(divisor) - 1
-        rem = list(self.coeffs)
-        if len(rem) <= db:
-            return ZERO, self
-        inv_lead = 1 / divisor[-1]
-        quot = [Fraction(0)] * (len(rem) - db)
-        for i in range(len(quot) - 1, -1, -1):
-            c = rem[i + db] * inv_lead
-            if not c:
-                continue
-            quot[i] = c
-            for j, bc in enumerate(divisor):
-                rem[i + j] -= c * bc
-        return UniPoly(quot), UniPoly(rem[:db])
-
-    def __floordiv__(self, other):
-        result = divmod(self, other)
-        if result is NotImplemented:
-            return NotImplemented
-        return result[0]
-
-    def __mod__(self, other):
-        result = divmod(self, other)
-        if result is NotImplemented:
-            return NotImplemented
-        return result[1]
 
     # -- calculus and evaluation --------------------------------------------
 

@@ -426,6 +426,35 @@ def brute_decompose(coeffs, e):
     return l_trim(h), q
 
 
+def l_decompose_at(coeffs, e):
+    """p = H(Q) at inner degree e by the Q-adic digit expansion of p with
+    schoolbook long division.
+
+    Q is normalized monic with zero constant term, its lower coefficients
+    solved one at a time from the top ones of monic p.  Each remainder
+    by Q must be a constant, the next coefficient of H.  Returns
+    (h_coeffs, q_coeffs) both low-to-high, or None.
+    """
+    coeffs = l_trim(coeffs)
+    n = len(coeffs) - 1
+    assert n >= 4 and n % e == 0 and 2 <= e <= n // 2
+    r = n // e
+    monic = l_monic(coeffs)
+    q = [Fraction(0)] * e + [Fraction(1)]
+    for k in range(1, e):
+        q[e - k] = (monic[n - k] - l_pow(q, r)[n - k]) / r
+    h = []
+    rest = coeffs
+    while rest:
+        rest, digit = l_divmod(rest, q)
+        if len(digit) > 1:
+            return None
+        h.append(digit[0] if digit else Fraction(0))
+    if l_compose(h, q) != coeffs:
+        return None
+    return h, q
+
+
 # -- generators ----------------------------------------------------------------
 
 def random_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:

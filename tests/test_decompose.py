@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from broughton import bipoly
+from broughton import bipoly, decompose
 from broughton.decompose import (
     CONNECTED_CERTIFIED,
     INCONCLUSIVE,
@@ -26,7 +26,11 @@ from oracles import (
     b_resultant_y,
     b_swap,
     brute_decompose,
+    l_add,
     l_compose,
+    l_decompose_at,
+    l_mul,
+    l_pow,
     random_coeffs,
     random_fraction,
 )
@@ -80,6 +84,11 @@ class TestExamples:
             is_decomposable(P(5))
         with pytest.raises(ValueError):
             is_decomposable(ZERO)
+        for p in ([0, 1], "x", F(1), None, [1, 0, 2, 0, 1]):
+            with pytest.raises(ValueError):
+                is_decomposable(p)
+            with pytest.raises(ValueError):
+                uni_decompose_at(p, 2)
 
 
 def test_planted_roundtrips_recover_the_unique_pair():
@@ -110,9 +119,10 @@ def test_prime_degree_is_never_decomposable():
 
 
 def test_against_brute_force_coefficient_solver():
-    # Dual route for deg <= 8: the production path (triangular solve plus
-    # digit expansion) against the oracle that solves the full coefficient
-    # system equation by equation.  Mixed diet: random polynomials (mostly
+    # Three routes for deg <= 8: the production path (triangular solve plus
+    # digit expansion by exact division), the oracle that solves the full
+    # coefficient system equation by equation, and the oracle that expands
+    # the digits by long division.  Mixed diet: random polynomials (mostly
     # indecomposable) and planted composites (always decomposable).
     rng = random.Random(929)
     cases = []
@@ -132,6 +142,7 @@ def test_against_brute_force_coefficient_solver():
                 continue
             mine = uni_decompose_at(poly, e)
             oracle = brute_decompose(coeffs, e)
+            assert l_decompose_at(coeffs, e) == oracle
             if oracle is None:
                 assert mine is None
             else:
@@ -139,6 +150,32 @@ def test_against_brute_force_coefficient_solver():
                 h_coeffs, q_coeffs = oracle
                 assert mine.outer == UniPoly(h_coeffs)
                 assert mine.inner == UniPoly(q_coeffs)
+
+
+def test_late_digit_failure(monkeypatch):
+    # H(Q) + c*x^k*Q^j with 1 <= k < e and 1 <= j <= r - 2 keeps the top
+    # coefficients that fix Q, and its first j digits are those of H, so
+    # the division after digit j is the first inexact one.  For Q = x^e the
+    # extra term is the monomial c*x^(k + e*j).
+    real = decompose.exact_div
+    calls = []
+    monkeypatch.setattr(decompose, "exact_div", lambda a, b: calls.append(a) or real(a, b))
+    rng = random.Random(939)
+    for trial in range(60):
+        e = rng.choice([2, 3])
+        r = rng.choice([3, 4])
+        outer, inner = planted_pair(rng, r, e)
+        if trial % 3 == 0:
+            inner = [F(0)] * e + [F(1)]
+        k, j = rng.randint(1, e - 1), rng.randint(1, r - 2)
+        term = l_mul([F(0)] * k + [random_fraction(rng) or F(1)], l_pow(inner, j))
+        coeffs = l_add(l_compose(outer, inner), term)
+        calls.clear()
+        result = uni_decompose_at(UniPoly(coeffs), e)
+        assert result is None
+        assert len(calls) == j + 1
+        assert brute_decompose(coeffs, e) is None
+        assert l_decompose_at(coeffs, e) is None
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)

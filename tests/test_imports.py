@@ -215,6 +215,15 @@ def test_bipoly_keeps_no_calculus_of_the_surface():
         assert not hasattr(BiPoly, name), name
 
 
+def test_unipoly_keeps_one_polynomial_division():
+    # exact_div over the integers is the one division; divmod, // and %
+    # are not defined on polynomials.
+    from broughton.unipoly import X
+    for divide in (divmod, lambda a, b: a // b, lambda a, b: a % b):
+        with pytest.raises(TypeError):
+            divide(X, X)
+
+
 def test_importing_the_package_loads_no_submodule():
     code = (
         "import sys\n"

@@ -29,7 +29,9 @@ class TestStandardFamily:
         assert (p, q) == (X, X)
 
     def test_rejects_bad_parameters(self):
-        for a, b in ((0, 1), (1, 0), (-2, 3), (2, -1)):
+        # bool is an int subclass, so True would otherwise stand for 1.
+        for a, b in ((0, 1), (1, 0), (-2, 3), (2, -1),
+                     (True, 3), (2, True), (False, 1), (1, False)):
             with pytest.raises(ValueError):
                 zahid_polynomials(a, b)
         with pytest.raises(ValueError):
