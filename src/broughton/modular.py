@@ -1,13 +1,18 @@
-"""The gcd's kernels modulo word-size primes: the primes themselves
-(Miller-Rabin), Euclid modulo a prime and the Chinese remainder lift.
+"""Kernels modulo word-size primes for the gcd and the squarefree
+decomposition: the primes themselves (Miller-Rabin), Euclid and Yun's
+algorithm modulo a prime, the Chinese remainder lift and rational
+reconstruction.
 
-Nothing here is loaded until a gcd or a resultant runs, so ``decompose``
-or a parse error never compiles it.  Coefficient lists are ints, low degree
-first.  The resultant kernel of the connectivity certificate, which also
-lifts by :func:`_crt`, lives in :mod:`broughton.bipoly`.
+Nothing here is loaded until a gcd, a squarefree decomposition or a
+resultant runs, so ``decompose`` or a parse error never compiles it.
+Coefficient lists are ints, low degree first.  The resultant kernel of the
+connectivity certificate, which also lifts by :func:`_crt`, lives in
+:mod:`broughton.bipoly`.
 """
 
 from __future__ import annotations
+
+import math
 
 _PRIMES = []
 
@@ -78,3 +83,116 @@ def _crt(lift, modulus, image, p):
         c = h + modulus * ((r - h) * inverse % p)
         out.append(c - combined_modulus if c > half else c)
     return out
+
+
+def _yun_mod(a, p):
+    """Squarefree decomposition of ``a`` modulo the prime p by Yun's
+    algorithm: the monic parts modulo p with their multiplicities, which
+    increase.
+
+    ``a`` is reduced mod p, of degree at least 1 and below p, with a
+    nonzero leading entry.  Below p the derivative of a nonconstant
+    polynomial is nonzero and every multiplicity is a unit, so Yun's
+    algorithm is exact over the field of p elements.  The loop keeps
+    w = f_k * f_(k+1) * ... and z = sum over those parts of
+    (i - k) * f_i' * w / f_i.  The parts are coprime and squarefree, so
+    z = c * w' for a constant c exactly when one part is left, of
+    multiplicity k + c: the loop stops there instead of taking c gcds with
+    a constant result.
+    """
+    inverse = pow(a[-1], -1, p)
+    w = [c * inverse % p for c in a]
+    derivative = _derivative_mod(w, p)
+    g = _gcd_mod(list(w), derivative, p)
+    w = _quotient_mod(w, g, p)
+    dw = _derivative_mod(w, p)
+    z = _difference_mod(_quotient_mod(derivative, g, p), dw, p)
+    parts = []
+    k = 1
+    while len(w) > 1:
+        c = z[-1] * pow(dw[-1], -1, p) % p if len(z) == len(dw) else 0
+        if z == ([x * c % p for x in dw] if c else []):
+            parts.append((w, k + c))
+            break
+        f = _gcd_mod(list(w), z, p)
+        if len(f) > 1:
+            parts.append((f, k))
+        w = _quotient_mod(w, f, p)
+        dw = _derivative_mod(w, p)
+        z = _difference_mod(_quotient_mod(z, f, p), dw, p)
+        k += 1
+    return parts
+
+
+def _derivative_mod(a, p):
+    """Derivative modulo p of ``a``, whose degree is below p."""
+    return [i * c % p for i, c in enumerate(a) if i]
+
+
+def _difference_mod(a, b, p):
+    """a - b modulo p, with no trailing zero."""
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    out = [(x - y) % p for x, y in zip(a, b)]
+    out.extend(a[len(b):])
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _quotient_mod(a, b, p):
+    """Quotient modulo p of ``a`` by the monic ``b``, which divides it."""
+    rem = list(a)
+    top = len(b) - 1
+    low = b[:top]
+    quotient = [0] * (len(a) - top)
+    for i in range(len(a) - 1 - top, -1, -1):
+        c = rem[i + top]
+        if c:
+            quotient[i] = c
+            rem[i:i + top] = [(x - c * y) % p for x, y in zip(rem[i:i + top], low)]
+    return quotient
+
+
+def _rational(residues, modulus):
+    """Small fractions congruent to ``residues`` modulo ``modulus``, as
+    ``(numerators, d)`` over one denominator d > 0 prime to the modulus,
+    or None.
+
+    Each residue is first tried over the denominator found so far: a
+    numerator of absolute value at most B = sqrt(modulus / 2) there is
+    taken as it is, with no Euclid.  The coefficients of a monic factor
+    of an integer polynomial share their denominators, so this is the
+    common case.  Otherwise the extended Euclidean algorithm on the
+    modulus and the residue, stopped at the first remainder at most B,
+    finds the one fraction with numerator and denominator at most B (von
+    zur Gathen and Gerhard, *Modern Computer Algebra*, 5.10), and None is
+    returned if there is none.  Only the caller's check can tell whether
+    the fractions are the ones sought.
+    """
+    bound = math.isqrt(modulus // 2)
+    half = modulus // 2
+    numerators = []
+    d = 1
+    for c in residues:
+        n = c * d % modulus
+        if n > half:
+            n -= modulus
+        if abs(n) > bound:
+            r0, r1 = modulus, c % modulus
+            t0, t1 = 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1 = r1, r0 - q * r1
+                t0, t1 = t1, t0 - q * t1
+            if t1 < 0:
+                r1, t1 = -r1, -t1
+            # A common factor of r1 and t1 divides the modulus, and then no
+            # fraction is congruent to c.
+            if t1 > bound or math.gcd(r1, t1) != 1:
+                return None
+            numerators = [x * t1 for x in numerators]
+            n = r1 * d
+            d *= t1
+        numerators.append(n)
+    return numerators, d

@@ -6,22 +6,47 @@ Everything the arrangement layer needs to know about a defining polynomial
     p = unit * f1**m1 * f2**m2 * ... * fk**mk
 
 with monic, squarefree, pairwise coprime ``fi`` and strictly increasing
-multiplicities ``mi``.  Yun's algorithm computes it with gcds alone; in
-characteristic zero it recovers every multiplicity exactly.  The radical
-f1*f2*...*fk has one simple root per distinct root of ``p``, and the power
-index d = gcd(m1, ..., mk) measures how far ``p`` is a perfect power: over
-the complex numbers p = (unit root adjusted) base**d with d maximal, and d
-is what drives both the multiple-fiber multiplicity and the orbifold group
-of the associated pencil.
+multiplicities ``mi``.  The radical f1*f2*...*fk has one simple root per
+distinct root of ``p``, and the power index d = gcd(m1, ..., mk) measures
+how far ``p`` is a perfect power: over the complex numbers
+p = (unit root adjusted) base**d with d maximal, and d is what drives both
+the multiple-fiber multiplicity and the orbifold group of the associated
+pencil.
+
+The decomposition is computed modulo 62-bit primes and lifted, never over
+the rationals.  The parts are small even when gcd(p, p') = f2 * f3**2 *
+... is huge, as for a high power, so only the parts are lifted:
+
+* For each prime p that does not divide the leading coefficient of the
+  primitive integer part A of ``p``, Yun's algorithm runs on A modulo p
+  (Yun 1976; von zur Gathen and Gerhard, *Modern Computer Algebra*,
+  14.6).  Every prime exceeds deg A, so it is exact there.
+* If A is squarefree modulo p, then gcd(A, A') = 1 over the rationals,
+  since that gcd keeps its degree modulo p, and ``p`` is its own single
+  part: nothing is lifted.
+* Otherwise the monic parts modulo p are combined over several primes by
+  the Chinese remainder theorem and their coefficients recovered as
+  fractions by rational reconstruction (op. cit., 5.10).  The radical
+  modulo p has at most the true radical's degree, with equality exactly
+  when the images are the true parts; an image of lower degree comes from
+  an unlucky prime and is dropped, one of higher degree restarts the lift.
+* A lift is accepted only by a certificate over the integers.  Let P_i be
+  the primitive integer parts, W = P_1 * ... * P_k and
+  V = sum m_i * P_i' * W / P_i.  If A' * W == A * V, then the logarithmic
+  derivatives of A and of B = P_1**m1 * ... * P_k**mk agree, so
+  (A / B)' = 0 and A = c * B.  The P_i are squarefree and pairwise coprime
+  because their images modulo a prime that divides no lc(P_i) are.  A
+  failed check draws more primes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .unipoly import ONE, UniPoly, exact_div, gcd
+from .unipoly import ONE, UniPoly, _make, _mul_ints, _polynomial, _primitive
 
 
 class SquarefreeDecomposition(NamedTuple):
@@ -50,42 +75,73 @@ class SquarefreeDecomposition(NamedTuple):
         return math.gcd(*[multiplicity for _, multiplicity in self.parts])
 
 
-def squarefree_decompose(a: UniPoly) -> SquarefreeDecomposition:
-    """Yun's squarefree decomposition.
+def squarefree_decompose(a) -> SquarefreeDecomposition:
+    """Squarefree decomposition, by Yun's algorithm modulo primes and a
+    certified lift (see the module docstring).
 
     Returns the unit (the leading coefficient) and the list of monic
     squarefree factors with their multiplicities, strictly increasing and
-    with constant factors dropped.  A constant input has empty parts.
+    with constant factors dropped.  A constant input, a rational scalar
+    included, has empty parts.
 
     >>> squarefree_decompose(UniPoly([0, 0, 2, 1])).parts
     ((UniPoly(x + 2), 1), (UniPoly(x), 2))
     """
-    if not a:
+    poly = _polynomial(a)
+    if not poly:
         raise ValueError("squarefree decomposition needs a nonzero polynomial")
-    unit = a.leading_coefficient
-    if a.is_constant():
+    unit = poly.leading_coefficient
+    if poly.is_constant():
         return SquarefreeDecomposition(unit=unit, parts=())
-    w0 = a.monic()
-    g = gcd(w0, w0.derivative())
-    w = exact_div(w0, g)
-    z = exact_div(w0.derivative(), g) - w.derivative()
-    parts = []
-    multiplicity = 1
-    while w.degree > 0:
-        # At this step z = sum over the remaining parts f_i of
-        # (i - multiplicity) * f_i' * w / f_i.  The parts are coprime and
-        # squarefree, so z = c * w' for a constant c exactly when one part
-        # is left, of multiplicity multiplicity + c; stop there instead of
-        # stepping through c gcds with a constant (c = 0 when z vanishes).
-        dw = w.derivative()
-        ratio = z.leading_coefficient / dw.leading_coefficient
-        if z == dw * ratio:
-            parts.append((w.monic(), multiplicity + int(ratio)))
-            break
-        f = gcd(w, z)
-        if f.degree > 0:
-            parts.append((f, multiplicity))
-        w = exact_div(w, f)
-        z = exact_div(z, f) - w.derivative()
-        multiplicity += 1
-    return SquarefreeDecomposition(unit=unit, parts=tuple(parts))
+    from .modular import _crt, _prime, _rational, _yun_mod
+
+    ints = _primitive(poly._num)
+    best = -1  # radical degree of the images in the lift
+    for p in map(_prime, itertools.count()):
+        if not ints[-1] % p:
+            continue
+        image = _yun_mod([c % p for c in ints], p)
+        if len(image) == 1 and image[0][1] == 1:
+            return SquarefreeDecomposition(unit=unit, parts=((poly.monic(), 1),))
+        radical_degree = sum(len(f) - 1 for f, _ in image)
+        shape = [(len(f), m) for f, m in image]
+        residues = [c for f, _ in image for c in f]
+        if radical_degree > best:
+            best, best_shape = radical_degree, shape
+            modulus = p
+            lift = [c - p if c > p // 2 else c for c in residues]
+        elif shape == best_shape:
+            lift = _crt(lift, modulus, residues, p)
+            modulus *= p
+        else:
+            continue
+        parts = []
+        start = 0
+        for length, _ in shape:
+            fraction = _rational(lift[start:start + length], modulus)
+            if fraction is None:
+                break
+            parts.append(_primitive(fraction[0]))
+            start += length
+        else:
+            multiplicities = [m for _, m in shape]
+            if _certified(ints, parts, multiplicities):
+                return SquarefreeDecomposition(unit=unit, parts=tuple(
+                    (_make(P, P[-1]), m) for P, m in zip(parts, multiplicities)))
+
+
+def _certified(A, parts, multiplicities):
+    """Whether A' * W == A * V for W = P_1 * ... * P_k and
+    V = sum m_i * P_i' * W / P_i, that is whether the integer polynomial A
+    is a constant times P_1**m_1 * ... * P_k**m_k."""
+    W = [1]
+    for P in parts:
+        W = _mul_ints(W, P)
+    V = [0] * (len(W) - 1)
+    for i, (P, m) in enumerate(zip(parts, multiplicities)):
+        term = [j * m * c for j, c in enumerate(P) if j]
+        for Q in parts[:i] + parts[i + 1:]:
+            term = _mul_ints(term, Q)
+        V = [x + y for x, y in zip(V, term)]
+    derivative = [j * c for j, c in enumerate(A) if j]
+    return _mul_ints(derivative, W) == _mul_ints(A, V)

@@ -285,9 +285,7 @@ class UniPoly:
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """Substitute ``inner`` for the variable: returns self(inner)."""
-        inner = _coerce(inner)
-        if inner is None:
-            raise TypeError("compose needs a polynomial or rational scalar")
+        inner = _polynomial(inner)
         acc = ZERO
         for c in reversed(self._num):
             acc = acc * inner + c
@@ -387,6 +385,15 @@ def _coerce(value):
     return _make([s.numerator], s.denominator)
 
 
+def _polynomial(value) -> UniPoly:
+    """``value`` as a UniPoly, for a UniPoly or a rational scalar; any
+    other value raises TypeError."""
+    poly = _coerce(value)
+    if poly is None:
+        raise TypeError(f"{value!r} is not a polynomial or rational scalar")
+    return poly
+
+
 ZERO = _make([])
 ONE = _make([1])
 X = _make([0, 1])
@@ -402,8 +409,10 @@ def exact_div(a: UniPoly, b: UniPoly) -> UniPoly:
     the division runs over the integers, each quotient coefficient an exact
     ``divmod`` by lc B'; a nonzero remainder there or in the low
     coefficients proves that b does not divide a.  The quotient is then
-    scaled once by L_b/(L_a * cont B).
+    scaled once by L_b/(L_a * cont B).  Rational scalars stand for
+    constant polynomials on either side.
     """
+    a, b = _polynomial(a), _polynomial(b)
     if not b:
         raise ZeroDivisionError("polynomial division by the zero polynomial")
     if not a:
@@ -432,14 +441,18 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     comes from an unlucky prime and is dropped.  The others, scaled by
     gcd(lc A, lc B) so that all are images of one integer multiple of G,
     are combined by the Chinese remainder theorem and lifted to the
-    symmetric range.  Once a further prime leaves the lift unchanged, its
-    primitive part H is accepted only if it divides A and B exactly over
-    the integers; then H divides G and has at least its degree, so H is
-    G up to sign.  A failed check draws more primes.
+    symmetric range.  The primitive part H of the lift is tried as soon as
+    the first image of the least degree arrives, and after that whenever a
+    further prime leaves the lift unchanged.  It is accepted only if it
+    divides A and B exactly over the integers; then H divides G and has at
+    least its degree, so H is G up to sign.  A failed check draws more
+    primes.
 
     The gcd of a nonzero polynomial and zero is the monic associate of the
     former; both arguments zero is rejected since no monic generator exists.
+    Rational scalars stand for constant polynomials on either side.
     """
+    a, b = _polynomial(a), _polynomial(b)
     if not a or not b:
         if not a and not b:
             raise ValueError("gcd(0, 0) is undefined")
@@ -466,15 +479,16 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
             degree = d
             modulus = p
             lift = [c - p if c > p // 2 else c for c in image]
-            continue
-        combined = _crt(lift, modulus, image, p)
-        modulus *= p
-        if combined == lift:
-            candidate = _primitive(lift)
-            if (_exact_quotient(ints_a, candidate) is not None
-                    and _exact_quotient(ints_b, candidate) is not None):
-                return _make(candidate, candidate[-1])  # monic
-        lift = combined
+        else:
+            combined = _crt(lift, modulus, image, p)
+            modulus *= p
+            if combined != lift:
+                lift = combined
+                continue
+        candidate = _primitive(lift)
+        if (_exact_quotient(ints_a, candidate) is not None
+                and _exact_quotient(ints_b, candidate) is not None):
+            return _make(candidate, candidate[-1])  # monic
 
 
 def _primitive(ints):

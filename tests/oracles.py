@@ -184,6 +184,35 @@ def l_gcd(a, b):
     return l_monic(a)
 
 
+def l_derivative(a):
+    return l_trim([i * c for i, c in enumerate(a) if i])
+
+
+def l_squarefree(a):
+    """``(unit, parts)`` of a nonzero coefficient list: its leading
+    coefficient and its monic squarefree parts with their multiplicities,
+    increasing, by Yun's algorithm over the rationals on Fraction lists,
+    one gcd per multiplicity."""
+    a = l_trim([Fraction(c) for c in a])
+    unit = a[-1]
+    if len(a) == 1:
+        return unit, []
+    a = l_monic(a)
+    g = l_gcd(a, l_derivative(a))
+    w = l_exact_div(a, g)
+    z = l_sub(l_exact_div(l_derivative(a), g), l_derivative(w))
+    parts = []
+    multiplicity = 1
+    while len(w) > 1:
+        f = l_gcd(w, z)
+        if len(f) > 1:
+            parts.append((f, multiplicity))
+        w = l_exact_div(w, f)
+        z = l_sub(l_exact_div(z, f), l_derivative(w))
+        multiplicity += 1
+    return unit, parts
+
+
 def bareiss_determinant(rows, zero, one, mul, sub, div):
     """Fraction-free determinant (Bareiss) over an integral domain given by
     its zero, one and operations; ``div`` performs the exact divisions the

@@ -178,11 +178,13 @@ def test_lazy_exports_match_the_submodules():
 # Names the package no longer exports but their module keeps: bipoly's
 # helpers check nothing, and connectivity_certificate, which checks its
 # inputs, is the one public entry to them.  The resultant kernel lives there
-# too, and modular keeps only what the gcd calls.
+# too, and modular keeps only what the gcd and the squarefree decomposition
+# call.
 INTERNAL = {
     "bipoly": ("BiPoly", "resultant_y", "integer_resultant", "mersenne_exponents",
                "hadamard_square"),
-    "modular": ("_prime", "_is_prime", "_gcd_mod", "_crt"),
+    "modular": ("_prime", "_is_prime", "_gcd_mod", "_crt", "_yun_mod", "_derivative_mod",
+                "_difference_mod", "_quotient_mod", "_rational"),
 }
 
 

@@ -7,26 +7,53 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from broughton import squarefree
+from broughton import modular
 from broughton.arrangement import orbifold_group
+from broughton.report import zahid_polynomials
 from broughton.squarefree import squarefree_decompose
 from broughton.unipoly import ONE, UniPoly, X, ZERO, gcd
-from oracles import l_from_roots
+from oracles import l_from_roots, l_squarefree
 
 F = Fraction
+P0 = modular._prime(0)
 
 
 def P(*coeffs):
     return UniPoly(coeffs)
 
 
+def check_against_oracle(a):
+    """The decomposition of ``a``, checked against Yun's algorithm over
+    the rationals."""
+    result = squarefree_decompose(a)
+    unit, parts = l_squarefree(a.coeffs)
+    assert result.unit == unit
+    assert [(list(f.coeffs), m) for f, m in result.parts] == parts
+    return result
+
+
 def radical(a):
-    return squarefree_decompose(a).radical()
+    return check_against_oracle(a).radical()
 
 
 def power_index(a):
-    return squarefree_decompose(a).multiplicity_gcd
+    return check_against_oracle(a).multiplicity_gcd
+
+
+def primes_drawn(monkeypatch):
+    """The primes at which the decomposition runs Yun's algorithm, in
+    order, recorded while the test runs."""
+    drawn = []
+    real_yun = modular._yun_mod
+
+    def recording_yun(a, p):
+        drawn.append(p)
+        return real_yun(a, p)
+
+    monkeypatch.setattr(modular, "_yun_mod", recording_yun)
+    return drawn
 
 
 def planted(rng, max_roots=4, max_multiplicity=4, unit_choices=(1,)):
@@ -41,23 +68,23 @@ def planted(rng, max_roots=4, max_multiplicity=4, unit_choices=(1,)):
 
 class TestExamples:
     def test_x_cubed_plus_two_x_squared(self):
-        result = squarefree_decompose(P(0, 0, 2, 1))
+        result = check_against_oracle(P(0, 0, 2, 1))
         assert result.unit == 1
         assert result.parts == ((P(2, 1), 1), (X, 2))
 
     def test_linear(self):
-        result = squarefree_decompose(P(-5, 1))
+        result = check_against_oracle(P(-5, 1))
         assert result.unit == 1
         assert result.parts == ((P(-5, 1), 1),)
 
     def test_scaled_cube(self):
         quad = P(0, 1, 1)
-        result = squarefree_decompose(4 * quad ** 3)
+        result = check_against_oracle(4 * quad ** 3)
         assert result.unit == 4
         assert result.parts == ((quad, 3),)
 
     def test_constant_has_empty_parts(self):
-        result = squarefree_decompose(P(7))
+        result = check_against_oracle(P(7))
         assert result.unit == 7
         assert result.parts == ()
 
@@ -103,7 +130,7 @@ def test_planted_profile_recovery_and_reconstruction():
     rng = random.Random(515)
     for _ in range(200):
         pairs, unit, poly = planted(rng, unit_choices=(1, 2, -3, F(1, 2)))
-        result = squarefree_decompose(poly)
+        result = check_against_oracle(poly)
         assert result.unit == unit
 
         by_multiplicity = {}
@@ -124,17 +151,17 @@ def test_planted_profile_recovery_and_reconstruction():
 
 
 def test_last_part_ends_the_loop_without_constant_gcds(monkeypatch):
-    # Once one part is left, Yun's loop stops instead of taking one
-    # gcd with a constant per remaining multiplicity level.
+    # Once one part is left, Yun's loop modulo p stops instead of taking
+    # one gcd with a constant per remaining multiplicity level.
     calls = []
-    real_gcd = squarefree.gcd
+    real_gcd = modular._gcd_mod
 
-    def counting_gcd(a, b):
+    def counting_gcd(a, b, p):
         calls.append((a, b))
-        return real_gcd(a, b)
+        return real_gcd(a, b, p)
 
-    monkeypatch.setattr(squarefree, "gcd", counting_gcd)
-    assert squarefree_decompose(X ** 120).parts == ((X, 120),)
+    monkeypatch.setattr(modular, "_gcd_mod", counting_gcd)
+    assert check_against_oracle(X ** 120).parts == ((X, 120),)
     assert len(calls) <= 3
 
     half = F(1, 2)
@@ -146,14 +173,14 @@ def test_last_part_ends_the_loop_without_constant_gcds(monkeypatch):
         (X * (X + half) ** 2 * (X - 3) ** 40, ((X, 1), (X + half, 2), (X - 3, 40))),
     )
     for poly, parts in pinned:
-        assert squarefree_decompose(poly).parts == parts
+        assert check_against_oracle(poly).parts == parts
 
 
 def test_parts_invariants():
     rng = random.Random(626)
     for _ in range(80):
         _, _, poly = planted(rng)
-        parts = squarefree_decompose(poly).parts
+        parts = check_against_oracle(poly).parts
         multiplicities = [m for _, m in parts]
         assert multiplicities == sorted(set(multiplicities))
         for factor, _ in parts:
@@ -178,7 +205,7 @@ def test_power_index_maximality_and_consistency():
     rng = random.Random(848)
     for _ in range(60):
         pairs, _, poly = planted(rng, max_roots=3, max_multiplicity=3)
-        decomposition = squarefree_decompose(poly)
+        decomposition = check_against_oracle(poly)
         d = decomposition.multiplicity_gcd
         assert d == math.gcd(*(m for _, m in pairs))
         base = ONE
@@ -196,3 +223,85 @@ def test_power_index_of_explicit_powers():
     for d in (1, 2, 3, 5, 8):
         assert power_index(base ** d) == d
     assert power_index(5 * X ** 6) == 6
+
+
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@st.composite
+def irreducible_factors(draw):
+    """x - r, or x^2 + b*x + c with b^2 < 4c, so no rational root."""
+    b = draw(small_rationals)
+    if draw(st.booleans()):
+        return UniPoly([-b, 1])
+    c = b * b / 4 + draw(small_rationals.filter(lambda t: t > 0))
+    return UniPoly([c, b, 1])
+
+
+@given(st.lists(st.tuples(irreducible_factors(), st.integers(1, 12)), min_size=1, max_size=3),
+       small_rationals.filter(bool))
+@settings(deadline=None, max_examples=60)
+def test_matches_yun_over_the_rationals(factors, unit):
+    # Equal factors drawn twice merge into one part of the summed
+    # multiplicity; the oracle sees them the same way.
+    poly = UniPoly.constant(unit)
+    for factor, multiplicity in factors:
+        poly = poly * factor ** multiplicity
+    assert check_against_oracle(poly).reconstruct() == poly
+
+
+def test_unlucky_prime_lowers_the_radical(monkeypatch):
+    # Modulo P0, x*(x - P0) is x^2 and x^2*(x - P0)^3 is x^5: one part
+    # of a lower radical degree, whose lift fails the certificate.
+    drawn = primes_drawn(monkeypatch)
+    assert check_against_oracle(X * (X - P0)).parts == ((X * (X - P0), 1),)
+    assert drawn == [P0, modular._prime(1)]
+    drawn.clear()
+    result = check_against_oracle(X ** 2 * (X - P0) ** 3)
+    assert result.parts == ((X, 2), (X - P0, 3))
+    # The true image restarts the lift; P0 needs two more primes to
+    # reconstruct, since it exceeds sqrt(q/2) for a product q of two.
+    assert drawn[0] == P0 and len(drawn) >= 4
+    # Here the unlucky image comes second, after a true one, and is
+    # dropped from the lift.
+    p1 = modular._prime(1)
+    drawn.clear()
+    assert check_against_oracle(X ** 2 * (X - p1) ** 3).parts == ((X, 2), (X - p1, 3))
+    assert drawn[:2] == [P0, p1] and len(drawn) >= 4
+
+
+def test_prime_dividing_the_leading_coefficient_is_skipped(monkeypatch):
+    drawn = primes_drawn(monkeypatch)
+    poly = (P0 * X - 1) ** 2 * (X + 1)
+    assert check_against_oracle(poly).parts == ((X + 1, 1), (X - F(1, P0), 2))
+    assert P0 not in drawn
+
+
+def test_reconstruction_takes_a_second_prime(monkeypatch):
+    # 10**12 exceeds sqrt(P0/2), so one prime cannot recover the root.
+    drawn = primes_drawn(monkeypatch)
+    root = F(10 ** 12, 7)
+    result = check_against_oracle((X - root) ** 3 * (X + 1))
+    assert result.parts == ((X + 1, 1), (X - root, 3))
+    assert drawn == [P0, modular._prime(1)]
+
+
+def test_squarefree_shortcut_lifts_nothing(monkeypatch):
+    # q = x*(x+2)*...*(x+30) has coefficients past 100 bits; its image
+    # modulo the first prime is squarefree, which proves q squarefree.
+    drawn = primes_drawn(monkeypatch)
+    monkeypatch.setattr(modular, "_rational", None)  # never called
+    _, q = zahid_polynomials(1, 30)
+    assert max(abs(c) for c in q.coeffs).numerator.bit_length() > 100
+    assert check_against_oracle(q).parts == ((q, 1),)
+    assert drawn == [P0]
+
+
+def test_scalars_coerce_and_other_values_are_rejected():
+    assert squarefree_decompose(5) == (5, ())
+    assert squarefree_decompose(F(-1, 2)) == (F(-1, 2), ())
+    with pytest.raises(ValueError):
+        squarefree_decompose(0)
+    for value in ("x", 1.5, True, None, [1, 2]):
+        with pytest.raises(TypeError):
+            squarefree_decompose(value)

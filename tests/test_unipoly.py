@@ -205,6 +205,46 @@ def test_gcd_matches_fraction_euclid_at_unlucky_primes():
         check_gcd_against_oracle(a, b)
 
 
+def test_gcd_tries_the_first_image_at_once(monkeypatch):
+    # A gcd with coefficients inside one prime's symmetric range passes
+    # the trial division at the first prime, with no second one to
+    # confirm the lift.
+    from broughton import modular
+
+    primes = []
+    real_gcd_mod = modular._gcd_mod
+
+    def recording_gcd_mod(a, b, p):
+        primes.append(p)
+        return real_gcd_mod(a, b, p)
+
+    monkeypatch.setattr(modular, "_gcd_mod", recording_gcd_mod)
+    common = 3 * X ** 2 - F(5, 7)
+    assert gcd(common * (X + 1), common * (2 * X - 9)) == common.monic()
+    assert primes == [_prime(0)]
+
+
+def test_scalars_coerce_in_gcd_and_exact_div():
+    assert gcd(X, 3) == ONE
+    assert gcd(F(1, 2), X + 1) == ONE
+    assert gcd(0, 2 * X - 1) == X - F(1, 2)
+    assert exact_div(6, 3) == 2
+    assert exact_div(2 * X, F(2, 3)) == 3 * X
+    with pytest.raises(ArithmeticError):
+        exact_div(6, X)
+    with pytest.raises(ZeroDivisionError):
+        exact_div(X, 0)
+    for value in ("x", 1.5, True, None):
+        with pytest.raises(TypeError):
+            gcd(X, value)
+        with pytest.raises(TypeError):
+            gcd(value, X)
+        with pytest.raises(TypeError):
+            exact_div(X, value)
+        with pytest.raises(TypeError):
+            exact_div(value, X)
+
+
 @given(polys, polys, rationals)
 @settings(deadline=None)
 def test_eval_is_a_ring_homomorphism(a, b, t):
