@@ -32,16 +32,15 @@ coefficient of the integer resultant is bounded by the Hadamard-type bound
 H = (sum_i |A_i|_1**2)**(n/2) * (sum_j |B_j|_1**2)**(m/2) over the integer
 y-coefficients A_i, B_j, and the work runs modulo the smallest Mersenne
 prime 2**e - 1 above 2*H from a constant table of proven exponents (61, 89,
-107, 127, 521, 607, 1279, 2203, ...; past its end, a product of table
-primes joined by the Chinese remainder theorem), so no primality test runs.
-x runs over 0..D for the degree bound D = n*deg_x a + m*deg_x b; at each
-point the resultant of the specialized polynomials comes from Euclid mod
-the prime where both leading coefficients survive, and from Gaussian
-elimination on the fixed-shape Sylvester matrix where one vanishes (or
-where Euclid's remainder drops in degree at that point alone).  The values
-are interpolated mod the prime and lifted to the symmetric range.  The
-result is exact by the bound alone: unlike a gcd, a resultant has no cheap
-check, so a wrong bound would give a wrong answer, not an error.
+107, 127, 521, 607, 1279, 2203, ...), so no primality test runs; a bound
+past the table's end raises ArithmeticError.  x runs over 0..D for the
+degree bound D = n*deg_x a + m*deg_x b; at each point one Euclidean
+remainder sequence mod the prime, at the formal degrees m and n, gives the
+resultant of the specialized polynomials, also where a leading coefficient
+vanishes there.  The values are interpolated mod the prime and lifted to
+the symmetric range.  The result is exact by the bound alone: unlike a
+gcd, a resultant has no cheap check, so a wrong bound would give a wrong
+answer, not an error.
 """
 
 from __future__ import annotations
@@ -49,10 +48,12 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .modular import _crt
 from .unipoly import NEG_INF, UniPoly, _coerce, _integer_columns, _make
 
 
+# BiPoly stays, where a tuple of coefficient lists would do for resultant_y,
+# because perfbench/tracer.py reads ``a.coeffs`` and ``b.coeffs`` on every
+# resultant_y call.
 class BiPoly:
     """Polynomial in x and y, as y-power coefficients over Q[x]."""
 
@@ -104,8 +105,9 @@ def resultant_y(a: BiPoly, b: BiPoly) -> UniPoly:
     (sum_j |B_j|_1**2)**(m/2) in absolute value, where A_i and B_j are the
     integer y-coefficients: on |x| = 1 Hadamard's inequality bounds the
     determinant by H, and then Cauchy's estimate bounds each coefficient.
-    :func:`integer_resultant` computes Res(A, B) modulo a Mersenne prime
-    above 2*H from its values at x = 0..D.
+    :func:`integer_resultant` computes Res(A, B) modulo one Mersenne prime
+    above 2*H from its values at x = 0..D, each by Euclid at the formal
+    degrees m and n.
     """
     m = a.degree_y
     n = b.degree_y
@@ -133,26 +135,16 @@ MERSENNE_EXPONENTS = (
 )
 
 
-def mersenne_exponents(bits: int) -> list:
-    """Exponents of table primes whose product is at least 2**bits.
+def mersenne_exponent(bits: int) -> int:
+    """The smallest table exponent e > bits, so that 2**e - 1 >= 2**bits.
 
-    One prime 2**e - 1 >= 2**bits, the smallest with e > bits, when the
-    table has one.  Otherwise the table's primes from the largest down
-    until the product covers 2**bits, which it does once the e - 1 sum to
-    ``bits`` since 2**e - 1 >= 2**(e - 1).  Raises ArithmeticError if
-    even the whole table falls short.
+    Raises ArithmeticError when the bound is past the table's end,
+    2**136279841 - 1.
     """
     for e in MERSENNE_EXPONENTS:
         if e > bits:
-            return [e]
-    chosen = []
-    covered = 0
-    for e in reversed(MERSENNE_EXPONENTS):
-        chosen.append(e)
-        covered += e - 1
-        if covered >= bits:
-            return chosen
-    raise ArithmeticError(f"no product of table primes reaches 2**{bits}")
+            return e
+    raise ArithmeticError(f"no table prime reaches 2**{bits}")
 
 
 def hadamard_square(a, b) -> int:
@@ -175,146 +167,108 @@ def integer_resultant(a, b, degree: int) -> list:
     """Integer coefficients, low to high, of Res_y(A, B) in x.
 
     ``a`` and ``b`` are as for :func:`hadamard_square`, with nonzero
-    leading entries, and ``degree`` bounds deg_x Res.  A modulus above
-    2*H, H the Hadamard bound, comes from :func:`mersenne_exponents`, so
-    the symmetric residues are the coefficients themselves; the result is
-    exact only by that bound, since a resultant has no cheap check the way
-    a gcd has.
+    leading entries, and ``degree`` bounds deg_x Res.  The modulus is the
+    one table prime above 2*H, H the Hadamard bound, from
+    :func:`mersenne_exponent`, so the symmetric residues are the
+    coefficients themselves; the result is exact only by that bound, since
+    a resultant has no cheap check the way a gcd has.
     """
     bits = (hadamard_square(a, b).bit_length() + 3) // 2  # 2**bits > 2*H
-    return _resultant_by_primes(a, b, degree, mersenne_exponents(bits))
+    return _resultant_modulo(a, b, degree, (1 << mersenne_exponent(bits)) - 1)
 
 
-def _resultant_by_primes(a, b, degree, exponents):
-    """Res_y(A, B) from its images modulo 2**e - 1 for each exponent, lifted
-    by the Chinese remainder theorem to the symmetric range of their
-    product."""
-    lift, modulus = [], 1
+def _resultant_modulo(a, b, degree, prime):
+    """The symmetric residues modulo ``prime`` of the coefficients of
+    Res_y(A, B), interpolated from its values at x = 0..degree."""
     if degree < 0:  # only the zero polynomial has no degree >= 0
-        return lift
-    for e in exponents:
-        prime = (1 << e) - 1
-        image = _interpolate(*_resultant_values(a, b, degree + 1, prime), prime)
-        lift += [0] * (len(image) - len(lift))
-        image += [0] * (len(lift) - len(image))
-        lift = _crt(lift, modulus, image, prime)
-        modulus *= prime
-    while lift and not lift[-1]:
-        lift.pop()
-    return lift
+        return []
+    image = _interpolate(*_resultant_values(a, b, degree + 1, prime), prime)
+    half = prime >> 1
+    return [c - prime if c > half else c for c in image]
 
 
 def _resultant_values(a, b, count, prime):
-    """Res_y(A, B) mod ``prime`` at x = 0, 1, ..., count - 1, as lists of
-    numerators and of denominators.
+    """Res_y(A, B) mod ``prime`` at x = 0, 1, ..., count - 1, as two
+    tuples from ``zip``: the numerators and the denominators.
 
     Evaluation at a point is a ring homomorphism from Z[x] to Z/prime, so
     each value is the determinant of the Sylvester matrix of fixed shape
-    with its entries evaluated there.  Where both leading entries survive,
-    that determinant is the resultant of the two specialized polynomials,
-    which :func:`_euclid_resultants` takes at all such points at once.  The
-    points it leaves, and those where a leading entry vanishes, take
-    :func:`_sylvester_determinant` on the matrix itself.
+    with its entries evaluated there, which :func:`_euclid_resultant` takes
+    at the formal degrees deg_y A and deg_y B, whether or not a leading
+    entry vanishes at the point.
     """
     width = max(map(len, a + b))
-    powers = [[t ** k for k in range(width)] for t in range(count)]
-    a = [[sum(map(mul, c, row)) % prime for row in powers] for c in a]
-    b = [[sum(map(mul, c, row)) % prime for row in powers] for c in b]
-    nums, dens = [None] * count, [1] * count
-    points = [t for t in range(count) if a[-1][t] and b[-1][t]]
-    for t, num, den in _euclid_resultants(_take(a, points), _take(b, points), points, prime):
-        nums[t], dens[t] = num, den
+    values = []
     for t in range(count):
-        if nums[t] is None:
-            nums[t], dens[t] = _sylvester_determinant(
-                [c[t] for c in a], [c[t] for c in b], prime)
-    return nums, dens
+        row = [t ** k for k in range(width)]
+        values.append(_euclid_resultant([sum(map(mul, c, row)) % prime for c in a],
+                                        [sum(map(mul, c, row)) % prime for c in b], prime))
+    return zip(*values)
 
 
-def _take(columns, keep):
-    """The entries at the positions ``keep`` of each column."""
-    return [[column[i] for i in keep] for column in columns]
+def _euclid_resultant(a, b, prime):
+    """Res(a, b) mod ``prime`` at the formal degrees m = len(a) - 1 and
+    n = len(b) - 1, the determinant of the Sylvester matrix of the reduced
+    lists ``a`` and ``b``, as a pair (num, den) with Res = num/den.
 
+    Euclid's remainder sequence without inverses, on Poisson's formula
+    Res(a, b) = lc(a)**n * prod b(alpha) over the roots alpha of a, which
+    holds at formal degrees (von zur Gathen and Gerhard, ch. 6):
 
-def _euclid_resultants(a, b, points, prime):
-    """Res(a, b) mod ``prime`` at many points at once, by the Euclidean
-    remainder sequence without inverses.
-
-    ``a`` and ``b`` are lists of columns, column j holding the reduced
-    coefficient of y**j at each of the ``points``, with nonzero leading
-    columns.  Returns (point, num, den) triples, Res = num/den there.  A
-    point whose remainder drops in degree where the others' does not is
-    left out.
-
-    With r = a mod b of degree k, Res(a, b) = (-1)**(mn) * lc(b)**(m - k) *
-    Res(b, r), and Res(a, c) = c**m for a constant c.  Each of the
-    m - n + 1 reduction steps scales ``a`` by lc(b) (pseudo-division), so it
-    ends as lc(b)**s * r, and Res(b, lc(b)**s * r) = lc(b)**(s*n) *
-    Res(b, r).
+    - Res(a, b) = (-1)**(mn) * Res(b, a), which puts the longer list first.
+    - A zero leading entry of b costs a factor lc(a), and one of a costs
+      (-1)**n * lc(b); with both zero, the matrix's first column is zero
+      and so is Res.
+    - Res(a, c) = c**m for b = c of formal degree 0.
+    - Otherwise the pseudo-remainder r = lc(b)**s * a mod b, s = m - n + 1,
+      of formal degree n - 1 gives Res(a, b) = (-1)**(mn) *
+      lc(b)**(s - s*n) * Res(b, r), since Res is of degree n in r.  Each
+      of r's zero leading entries then costs lc(b), folded into the same
+      power, and r = 0 gives Res = 0.
     """
-    num, den, sign = [1] * len(points), [1] * len(points), 1
+    num = den = 1
     while len(b) > 1:
         m, n = len(a) - 1, len(b) - 1
+        if m < n:
+            a, b = b, a
+            if m & n & 1:
+                num = -num
+            continue
         lead = b[-1]
-        # Step i scales the columns below i by lc(b) before it reaches
-        # them; apply those powers at once.
-        power = lead
-        for j in range(m - n - 1, -1, -1):
-            a[j] = [p * x % prime for p, x in zip(power, a[j])]
-            if j:
-                power = [p * l % prime for p, l in zip(power, lead)]
+        if not lead:
+            if not a[-1]:
+                return 0, 1
+            b.pop()
+            num = num * a[-1] % prime
+            continue
+        if not a[-1]:
+            a.pop()
+            num = num * (-lead if n & 1 else lead) % prime
+            continue
+        # Every step scales all of a by lead.  Entry i joins the window at
+        # step i, so it takes the powers of the steps before at once.
+        power = 1
         for i in range(m - n, -1, -1):
             c = a[i + n]
-            for j in range(i, i + n):
-                a[j] = [(l * x - q * y) % prime
-                        for l, x, q, y in zip(lead, a[j], c, b[j - i])]
+            for j in range(i + 1, i + n):
+                a[j] = (lead * a[j] - c * b[j - i]) % prime
+            power = power * lead % prime
+            a[i] = (power * a[i] - c * b[0]) % prime
         del a[n:]
-        while a and not any(a[-1]):
+        excess = -(m - n + 1) * (n - 1)
+        while a and not a[-1]:
             a.pop()
+            excess += 1
         if not a:
-            return zip(points, [0] * len(points), den)
-        if not all(a[-1]):
-            keep = [i for i, v in enumerate(a[-1]) if v]
-            a, b, (num, den, points) = _take(a, keep), _take(b, keep), _take([num, den, points], keep)
-            lead = b[-1]
-        # lc(b)**(m - k) over lc(b)**(s*n), as one power.
-        excess = m + 1 - len(a) - max(m - n + 1, 0) * n
-        if excess > 0:
-            num = [x * pow(l, excess, prime) % prime for x, l in zip(num, lead)]
-        elif excess:
-            den = [x * pow(l, -excess, prime) % prime for x, l in zip(den, lead)]
-        if m & n & 1:
-            sign = -sign
-        a, b = b, a
-    m = len(a) - 1
-    return zip(points, [x * pow(c, m, prime) * sign % prime for x, c in zip(num, b[0])], den)
-
-
-def _sylvester_determinant(a, b, prime):
-    """Determinant mod ``prime`` of the Sylvester matrix of the reduced
-    lists ``a`` and ``b`` (a-block on top, shape from their lengths), as a
-    pair (num, den), by Gaussian elimination with row swaps and without
-    inverses: scaling a row by the pivot scales the determinant by it."""
-    m, n = len(a) - 1, len(b) - 1
-    rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
-    rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
-    num = den = 1
-    for k in range(m + n):
-        pivot = next((i for i in range(k, m + n) if rows[i][k]), None)
-        if pivot is None:
             return 0, 1
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
+        if excess > 0:
+            num = num * pow(lead, excess, prime) % prime
+        elif excess:
+            den = den * pow(lead, -excess, prime) % prime
+        if m & n & 1:
             num = -num
-        top = rows[k]
-        lead = top[k]
-        num = num * lead % prime
-        for row in rows[k + 1:]:
-            c = row[k]
-            if c:
-                row[k:] = [(lead * x - c * y) % prime for x, y in zip(row[k:], top[k:])]
-                den = den * lead % prime
-    return num, den
+        a, b = b, a
+    return num * pow(b[0], len(a) - 1, prime) % prime, den
 
 
 def _interpolate(nums, dens, prime):

@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 when a polynomial or rational argument fails
 to parse, 2 when a precondition is violated (inadmissible pair, constant
-input, bad degree or exponent arguments), 3 when a connectivity
-certificate comes back inconclusive.
+input, bad degree or exponent arguments, a resultant bound past the prime
+table), 3 when a connectivity certificate comes back inconclusive, and
+141 (128 + SIGPIPE) when the reader closes standard output early.
 
 Output is text by default; ``--format json`` prints a deterministic JSON
 document instead, and ``--quiet`` silences the text rendering (exit codes
@@ -23,6 +24,7 @@ JSON.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .parser import ParseError, parse_uni
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_PARSE_ERROR = 1
 EXIT_PRECONDITION = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _emit(args, mapping, text_lines) -> None:
@@ -52,7 +55,7 @@ def cmd_check(args) -> int:
     p = parse_uni(args.p)
     q = parse_uni(args.q)
     from .arrangement import check_hypotheses
-    from .report import command_mapping, hypotheses_mapping, hypotheses_text
+    from .report import command_mapping, hypotheses_text
 
     hypotheses = check_hypotheses(p, q)
     _emit(
@@ -60,7 +63,7 @@ def cmd_check(args) -> int:
         lambda: command_mapping(
             "check",
             {"p": str(p), "q": str(q)},
-            hypotheses=hypotheses_mapping(hypotheses),
+            hypotheses=hypotheses._asdict(),
         ),
         lambda: hypotheses_text(hypotheses),
     )
@@ -71,7 +74,7 @@ def cmd_betti(args) -> int:
     p = parse_uni(args.p)
     q = parse_uni(args.q)
     from .arrangement import betti
-    from .report import betti_mapping, betti_text, command_mapping
+    from .report import betti_text, command_mapping
 
     numbers = betti(p, q)
     _emit(
@@ -79,7 +82,7 @@ def cmd_betti(args) -> int:
         lambda: command_mapping(
             "betti",
             {"p": str(p), "q": str(q)},
-            betti=betti_mapping(numbers),
+            betti=numbers._asdict(),
         ),
         lambda: [betti_text(numbers)],
     )
@@ -274,7 +277,15 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: point stdout at the null device so that the
+        # flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

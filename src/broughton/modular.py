@@ -3,11 +3,11 @@ decomposition: the primes themselves (Miller-Rabin), Euclid and Yun's
 algorithm modulo a prime, the Chinese remainder lift and rational
 reconstruction.
 
-Nothing here is loaded until a gcd, a squarefree decomposition or a
-resultant runs, so ``decompose`` or a parse error never compiles it.
+Nothing here is loaded until a gcd or a squarefree decomposition runs, so
+``decompose``, ``connectivity`` or a parse error never compiles it.
 Coefficient lists are ints, low degree first.  The resultant kernel of the
-connectivity certificate, which also lifts by :func:`_crt`, lives in
-:mod:`broughton.bipoly`.
+connectivity certificate lives in :mod:`broughton.bipoly` and works modulo
+one Mersenne prime, with no lift.
 """
 
 from __future__ import annotations

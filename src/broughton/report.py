@@ -105,26 +105,6 @@ def command_mapping(command: str, inputs: dict, **blocks) -> dict:
     }
 
 
-def hypotheses_mapping(hypotheses: Hypotheses) -> dict:
-    """The hypotheses block of the JSON documents."""
-    return {
-        "common_root_pq": hypotheses.common_root_pq,
-        "no_common_root_p1_q": hypotheses.no_common_root_p1_q,
-        "satisfied": hypotheses.satisfied,
-    }
-
-
-def betti_mapping(numbers: BettiNumbers) -> dict:
-    """The Betti block of the JSON documents."""
-    return {
-        "b0": numbers.b0,
-        "b1": numbers.b1,
-        "b2": numbers.b2,
-        "s": numbers.s,
-        "t": numbers.t,
-    }
-
-
 def divisor_mapping(divisor: FiberDivisor) -> dict:
     """The divisor block of the JSON documents."""
     return {
@@ -144,8 +124,8 @@ def report_mapping(document: ReportDocument) -> dict:
     return {
         "schema_version": document.schema_version,
         "inputs": dict(document.inputs),
-        "hypotheses": hypotheses_mapping(body.hypotheses),
-        "betti": betti_mapping(body.betti),
+        "hypotheses": body.hypotheses._asdict(),
+        "betti": body.betti._asdict(),
         "divisor": divisor_mapping(body.divisor),
         "orbifold_order": body.orbifold_order,
         "components": [

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from broughton.bipoly import (
     MERSENNE_EXPONENTS,
     BiPoly,
-    _resultant_by_primes,
+    _euclid_resultant,
+    _resultant_modulo,
     hadamard_square,
-    mersenne_exponents,
+    mersenne_exponent,
     resultant_y,
 )
 from broughton.decompose import connectivity_certificate
@@ -41,6 +42,7 @@ from oracles import (
     l_resultant,
     l_trim,
     random_coeffs,
+    sylvester_rows,
 )
 
 F = Fraction
@@ -278,9 +280,7 @@ def integer_columns(d):
 def chosen_prime(a, b):
     """The modulus resultant_y works in for integer dicts a and b."""
     bits = (hadamard_square(integer_columns(a), integer_columns(b)).bit_length() + 3) // 2
-    exponents = mersenne_exponents(bits)
-    assert len(exponents) == 1
-    return (1 << exponents[0]) - 1
+    return (1 << mersenne_exponent(bits)) - 1
 
 
 X_X1_X3 = l_from_roots([(0, 1), (1, 1), (3, 1)])  # x(x - 1)(x - 3)
@@ -306,8 +306,7 @@ def vanishing_x_x1_x3_pairs(draw):
 def multiple_of_modulus_pairs(draw):
     """a of y-degree 1 or 2 with every coefficient a multiple of the prime
     that resultant_y picks, and b free of y: the bound then depends on b
-    alone, a's leading coefficient vanishes at every point, and each point
-    takes the Sylvester-matrix fallback."""
+    alone, and a's leading coefficient vanishes at every point."""
     height = draw(st.integers(1, 2))
     b = {(i, 0): F(c) for i, c in enumerate(draw(
         st.lists(st.integers(-9, 9), min_size=1, max_size=3))) if c}
@@ -344,13 +343,60 @@ def test_modular_resultant_y_matches_fraction_bareiss(pair):
 
 
 def test_multiples_of_the_modulus_vanish_at_every_point():
-    # The property's Sylvester-fallback case really has a leading
+    # The property's multiple-of-the-modulus case really has a leading
     # coefficient that is zero modulo the prime at every point.
     b = {(0, 0): F(3), (1, 0): F(-2)}
     prime = chosen_prime({(0, 1): F(1)}, b)
     a = {(0, 0): F(prime), (2, 1): F(-2 * prime)}
     assert prime == (1 << 61) - 1
     assert resultant_y(bi_from_dict(a), bi_from_dict(b)) == UniPoly([3, -2])
+
+
+# One deterministic pair per branch of the pointwise kernel, each reached at
+# one of the points x = 0..D where resultant_y evaluates.
+KERNEL_BRANCHES = {
+    # lc(b) = x - 1 vanishes at x = 1, lc(a) = 1 nowhere.
+    "lead_of_b_vanishes": ({(0, 2): F(1), (1, 1): F(1), (0, 0): F(1)},
+                           {(1, 1): F(1), (0, 1): F(-1), (2, 0): F(1), (0, 0): F(2)}),
+    # lc(a) = x - 2 vanishes at x = 2; equal y-degrees, so no swap comes first.
+    "lead_of_a_vanishes": ({(1, 1): F(1), (0, 1): F(-2), (0, 0): F(1)},
+                           {(0, 1): F(1), (1, 0): F(1)}),
+    # Both leading coefficients are multiples of x.
+    "both_leads_vanish": ({(1, 2): F(1), (0, 1): F(1), (0, 0): F(1)},
+                          {(1, 1): F(1), (0, 0): F(2)}),
+    # y^3 + x*y + 2 = y*(y^2 + 1) + (x - 1)*y + 2: the remainder drops to
+    # degree 0 at x = 1 alone among x = 0..2.
+    "remainder_drops_at_one_point": ({(0, 3): F(1), (1, 1): F(1), (0, 0): F(2)},
+                                     {(0, 2): F(1), (0, 0): F(1)}),
+    # x^2 + 3 is free of y: Res = (x^2 + 3)**2.
+    "one_side_free_of_y": ({(2, 0): F(1), (0, 0): F(3)},
+                           {(1, 2): F(1), (0, 2): F(1), (0, 1): F(1), (1, 0): F(1)}),
+}
+
+
+@pytest.mark.parametrize("a, b", KERNEL_BRANCHES.values(), ids=list(KERNEL_BRANCHES))
+def test_each_kernel_branch_matches_fraction_oracle(a, b):
+    for left, right in ((a, b), (b, a)):
+        got = resultant_y(bi_from_dict(left), bi_from_dict(right))
+        assert list(got.coeffs) == b_resultant_y(left, right)
+
+
+formal_lists = st.lists(st.one_of(st.just(0), st.integers(-5, 5)), min_size=1, max_size=5)
+
+
+@given(formal_lists, formal_lists)
+@example([0], [0])  # empty matrix: one
+@example([0, 0], [0, 0, 1])  # zero leading entry of a
+@example([2, 0, 0], [0, 0])  # both leading entries zero
+@settings(deadline=None)
+def test_kernel_takes_the_determinant_at_formal_degrees(a, b):
+    # Zero leading entries are kept: the value is the determinant of the
+    # Sylvester matrix of the lists' own lengths, as at a point where a
+    # leading coefficient vanishes.
+    prime = (1 << 61) - 1
+    expected = fraction_determinant(sylvester_rows(a, b, 0))
+    num, den = _euclid_resultant([c % prime for c in a], [c % prime for c in b], prime)
+    assert (num - expected * den) % prime == 0
 
 
 def integer_dict(columns):
@@ -380,23 +426,17 @@ def test_hadamard_bound_is_reached_by_a_diagonal_matrix():
 def test_prime_choice_at_each_table_boundary(index):
     e = MERSENNE_EXPONENTS[index]
     # 2**e - 1 >= 2**bits exactly when bits < e.
-    assert mersenne_exponents(e - 1) == [e]
+    assert mersenne_exponent(e - 1) == e
     if index + 1 < len(MERSENNE_EXPONENTS):
-        assert mersenne_exponents(e) == [MERSENNE_EXPONENTS[index + 1]]
+        assert mersenne_exponent(e) == MERSENNE_EXPONENTS[index + 1]
     if not index:
-        assert mersenne_exponents(0) == [e]
+        assert mersenne_exponent(0) == e
 
 
-def test_prime_choice_beyond_the_table_takes_a_product():
-    top, second, third = MERSENNE_EXPONENTS[-1], MERSENNE_EXPONENTS[-2], MERSENNE_EXPONENTS[-3]
-    # Each prime 2**e - 1 contributes e - 1 bits for sure.
-    assert mersenne_exponents(top) == [top, second]
-    assert mersenne_exponents(top + second - 2) == [top, second]
-    assert mersenne_exponents(top + second - 1) == [top, second, third]
-    capacity = sum(e - 1 for e in MERSENNE_EXPONENTS)
-    assert mersenne_exponents(capacity) == list(reversed(MERSENNE_EXPONENTS))
+def test_prime_choice_beyond_the_table_raises():
+    # Past the largest table prime no modulus covers the bound.
     with pytest.raises(ArithmeticError):
-        mersenne_exponents(capacity + 1)
+        mersenne_exponent(MERSENNE_EXPONENTS[-1])
 
 
 def lucas_lehmer(e):
@@ -416,33 +456,20 @@ def test_small_table_entries_are_mersenne_primes():
     assert not lucas_lehmer(67)
 
 
-@given(bi_dicts(max_x=2, max_y=2, min_size=1), bi_dicts(max_x=2, max_y=2, min_size=1))
-@settings(deadline=None)
-def test_crt_over_two_primes_matches_one_prime(a, b):
-    a_ints, _ = clear_denominators(b_y_columns(a))
-    b_ints, _ = clear_denominators(b_y_columns(b))
-    degree = x_degree_bound(bi_from_dict(a), bi_from_dict(b))
-    if hadamard_square(a_ints, b_ints).bit_length() > 2 * 127 - 4:
-        return
-    one = _resultant_by_primes(a_ints, b_ints, degree, [127])
-    assert _resultant_by_primes(a_ints, b_ints, degree, [61, 89]) == one
-    assert one == integer_resultant_y(a_ints, b_ints, degree)
-
-
 @given(bi_dicts(max_x=2, max_y=2, min_size=1), bi_dicts(max_x=2, max_y=2, min_size=1),
        st.booleans())
 @settings(deadline=None)
 def test_image_modulo_a_prime_below_the_bound_is_a_residue(a, b, scale_a):
     # Scaling one leading y-coefficient by the prime makes it vanish at
-    # every point, so the image comes from the Sylvester matrix alone, with
-    # a row swap wherever the other side's lead survives.
+    # every point, so every value comes from the kernel's zero-lead
+    # branches.
     prime = (1 << 61) - 1
     a_ints, _ = clear_denominators(b_y_columns(a))
     b_ints, _ = clear_denominators(b_y_columns(b))
     side = a_ints if scale_a else b_ints
     side[-1] = [prime * c for c in side[-1]]
     degree = x_degree_bound(bi_from_dict(a), bi_from_dict(b))
-    image = _resultant_by_primes(a_ints, b_ints, degree, [61])
+    image = _resultant_modulo(a_ints, b_ints, degree, prime)
     exact = integer_resultant_y(a_ints, b_ints, degree)
     width = max(len(image), len(exact))
     image += [0] * (width - len(image))

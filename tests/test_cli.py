@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from broughton.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_PARSE_ERROR,
@@ -84,6 +85,18 @@ class TestExitCodes:
         assert code == EXIT_INCONCLUSIVE
         assert "status: inconclusive" in out
         assert "singular locus finite: False" in out
+
+    def test_resultant_bound_past_the_prime_table_is_a_precondition(self, capsys,
+                                                                   monkeypatch):
+        # A bound past the largest table prime raises ArithmeticError; a
+        # one-entry table stands in for the 41-million-digit coefficients
+        # that would reach it.
+        monkeypatch.setattr(bipoly, "MERSENNE_EXPONENTS", (61,))
+        code, out, err = run(capsys, "connectivity", "x^3+x+1", "--m", "16", "--n", "16",
+                             "--c", "1")
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert err.startswith("error: no table prime reaches 2**")
 
     def test_non_ascii_digits_are_a_parse_error(self, capsys):
         for text in ("x^\u00b2", "x^\u0661\u0662", "\u0661/\u0662*x"):
@@ -256,3 +269,19 @@ def test_installed_entry_point_smoke():
     assert result.returncode == EXIT_OK
     payload = json.loads(result.stdout)
     assert payload["orbifold_order"] == 3
+
+
+def test_reader_closing_early_exits_141_without_a_traceback():
+    # About 170 KB of JSON, more than a pipe holds, so the entry point is
+    # still writing when the reader closes after one byte.
+    child = subprocess.Popen(
+        [sys.executable, "-c", "from broughton.cli import main_entry; main_entry()",
+         "connectivity", "9" * 1200 + "*x^3+1", "--m", "3", "--n", "3", "--c", "1",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert child.stdout.read(1) == b"{"
+    child.stdout.close()
+    assert child.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert child.stderr.read() == b""
+    child.stderr.close()

@@ -76,10 +76,10 @@ def test_command_loads_only_what_it_runs(command, fmt):
         assert "broughton.squarefree" not in modules
         # Only the certificate runs bivariate code.
         assert ("broughton.bipoly" in modules) == (command == "connectivity")
-    # The gcd's modular helpers load with the first gcd, or with the
-    # resultant kernel, which lifts by their CRT; every command but
-    # decompose runs one of the two.
-    assert ("broughton.modular" in modules) == (command != "decompose")
+    # The gcd's modular helpers load with the first gcd, which every report
+    # command runs; the resultant kernel works modulo one prime and needs
+    # none of them.
+    assert ("broughton.modular" in modules) == (command in REPORTING)
     assert ("json" in modules) == (fmt == "json")
 
 
@@ -133,14 +133,17 @@ EXPORTS = {
 # its degree-bound walk (the certificate factors both eliminants instead; the
 # dict oracles in tests/oracles.py build h) and the resultant kernel, which
 # moved from broughton.modular to the certificate's own broughton.bipoly so
-# that a gcd compiles only its helpers.
+# that a gcd compiles only its helpers; there the batched Euclid, its point
+# partition, the Sylvester-matrix fallback and the join of several primes
+# gave way to one pointwise Euclid at formal degrees modulo one prime.
 REMOVED = {
     "arrangement": ("resonance",),
     "bipoly": (
         "build_f", "build_g", "is_irreducible_y_linear", "X", "Y", "BI_ZERO",
         "BI_ONE", "SingularLocusCheck", "singular_locus_finite", "_eliminant",
         "_bareiss_determinant", "_interpolate_naturals", "_sylvester_rows",
-        "_horner", "build_h", "_x_degree_bound",
+        "_horner", "build_h", "_x_degree_bound", "_euclid_resultants", "_take",
+        "_sylvester_determinant", "_resultant_by_primes", "mersenne_exponents",
     ),
     "modular": (
         "MERSENNE_EXPONENTS", "mersenne_exponents", "hadamard_square",
@@ -181,7 +184,7 @@ def test_lazy_exports_match_the_submodules():
 # too, and modular keeps only what the gcd and the squarefree decomposition
 # call.
 INTERNAL = {
-    "bipoly": ("BiPoly", "resultant_y", "integer_resultant", "mersenne_exponents",
+    "bipoly": ("BiPoly", "resultant_y", "integer_resultant", "mersenne_exponent",
                "hadamard_square"),
     "modular": ("_prime", "_is_prime", "_gcd_mod", "_crt", "_yun_mod", "_derivative_mod",
                 "_difference_mod", "_quotient_mod", "_rational"),
