@@ -117,7 +117,9 @@ class TorsionCharacter(_Checked, _TorsionCharacterFields):
 
     def _check(self):
         for a in (self.a0, self.a1):
-            if not isinstance(a, Fraction) or not (0 <= a < 1):
+            # 0 <= a < 1, read off the numerator and the positive
+            # denominator without Fraction comparisons.
+            if not isinstance(a, Fraction) or not 0 <= a.numerator < a.denominator:
                 raise ValueError("torsion coordinates live in [0, 1)")
 
 

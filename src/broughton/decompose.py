@@ -8,9 +8,10 @@ decomposition exists is therefore a connectivity statement.  Decomposition
 is computed exactly: in characteristic zero, once the inner degree e and
 the normalization (Q monic, Q(0) = 0) are fixed, the inner polynomial is
 pinned down by the top coefficients of P alone, and the outer one falls out
-of the Q-adic digit expansion.  Both candidates are then verified by exact
-composition, so a returned pair is correct by construction and a miss is a
-proof that no pair exists at that inner degree.
+of the Q-adic digit expansion.  Every digit is split off by an exact
+division, so the expansion itself proves P = H(Q): a returned pair is
+correct by construction, and an inexact division is a proof that no pair
+exists at that inner degree.
 
 The certificate route does not decompose anything.  For the arrangement
 family the candidate obstruction is captured by the auxiliary surface
@@ -94,7 +95,8 @@ def uni_decompose_at(p: UniPoly, e: int):
     # constant, the matching coefficient of H, and since Q(0) = 0 it is the
     # constant term of what is left.  Taking it off must leave a multiple
     # of Q, so an inexact division proves that no H exists.  Each division
-    # lowers the degree by e >= 2, so the loop ends.
+    # lowers the degree by e >= 2, so the loop ends, and when every one is
+    # exact, p = sum digit_i * Q**i = H(Q) holds with no further check.
     digits = []
     rest = p
     while rest:
@@ -104,10 +106,7 @@ def uni_decompose_at(p: UniPoly, e: int):
             rest = exact_div(rest - digit, inner)
         except ArithmeticError:
             return None
-    outer = UniPoly(digits)
-    if outer.compose(inner) != p:
-        return None
-    return Decomposition(outer=outer, inner=inner)
+    return Decomposition(outer=UniPoly(digits), inner=inner)
 
 
 def is_decomposable(p: UniPoly) -> bool:

@@ -1,7 +1,16 @@
-"""Kernels modulo word-size primes for the gcd and the squarefree
+"""Kernels modulo single-digit primes for the gcd and the squarefree
 decomposition: the primes themselves (Miller-Rabin), Euclid and Yun's
 algorithm modulo a prime, the Chinese remainder lift and rational
 reconstruction.
+
+The primes lie below 2**30, the width of one CPython int digit.  Every
+residue and the prime are then single digits, so ``c % p`` divides by a
+one-digit divisor and products of residues are one-digit products: the
+kernels run on the interpreter's small-int paths instead of its general
+multi-digit division, which a 62-bit prime needed.  The inputs of the
+gcd and the decomposition are mostly small, so most calls stop at the
+first prime; a large lift draws more primes.  Every lift is certified
+over the integers, so correctness does not depend on the primes' size.
 
 Nothing here is loaded until a gcd or a squarefree decomposition runs, so
 ``decompose``, ``connectivity`` or a parse error never compiles it.
@@ -18,12 +27,12 @@ _PRIMES = []
 
 
 def _prime(index: int) -> int:
-    """The ``index``-th prime below 2**62, counting down from the largest.
+    """The ``index``-th prime below 2**30, counting down from the largest.
 
     Found on first use and kept, so importing the module costs nothing.
     """
     while len(_PRIMES) <= index:
-        n = _PRIMES[-1] - 2 if _PRIMES else (1 << 62) - 1
+        n = _PRIMES[-1] - 2 if _PRIMES else (1 << 30) - 1
         while not _is_prime(n):
             n -= 2
         _PRIMES.append(n)

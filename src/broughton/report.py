@@ -145,10 +145,57 @@ def report_mapping(document: ReportDocument) -> dict:
 
 
 def render_json(mapping: dict) -> str:
-    """Deterministic JSON text: fixed insertion order, two-space indent."""
-    import json  # here, so that text output never loads it
+    """Deterministic JSON text: fixed insertion order, two-space indent,
+    ASCII only, the same text as ``json.dumps(mapping, indent=2,
+    ensure_ascii=True)``.
 
-    return json.dumps(mapping, indent=2, ensure_ascii=True)
+    An indent sends ``json.dumps`` to the pure-Python encoder, so the
+    document is written here instead, with strings escaped by the C
+    escaper of the ``json`` package.
+    """
+    # Here, so that text output never loads json.
+    from json.encoder import encode_basestring_ascii
+
+    out = []
+    _write_json(mapping, "\n", out, encode_basestring_ascii)
+    return "".join(out)
+
+
+def _write_json(value, newline, out, quote):
+    """Append the JSON text of ``value`` to the list ``out``; ``newline``
+    is a line break followed by the indent of the line ``value`` is on."""
+    if isinstance(value, str):
+        out.append(quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (dict, list, tuple)):
+        if not value:
+            out.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = newline + "  "
+        separator = inner
+        if isinstance(value, dict):
+            out.append("{")
+            for key, item in value.items():
+                out.append(separator + quote(key) + ": ")
+                _write_json(item, inner, out, quote)
+                separator = "," + inner
+            out.append(newline + "}")
+        else:
+            out.append("[")
+            for item in value:
+                out.append(separator)
+                _write_json(item, inner, out, quote)
+                separator = "," + inner
+            out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def render_text(document: ReportDocument) -> str:

@@ -13,14 +13,16 @@ p = (unit root adjusted) base**d with d maximal, and d is what drives both
 the multiple-fiber multiplicity and the orbifold group of the associated
 pencil.
 
-The decomposition is computed modulo 62-bit primes and lifted, never over
-the rationals.  The parts are small even when gcd(p, p') = f2 * f3**2 *
-... is huge, as for a high power, so only the parts are lifted:
+The decomposition is computed modulo primes below 2**30 (see
+:mod:`broughton.modular`) and lifted, never over the rationals.  The parts
+are small even when gcd(p, p') = f2 * f3**2 * ... is huge, as for a high
+power, so only the parts are lifted:
 
-* For each prime p that does not divide the leading coefficient of the
-  primitive integer part A of ``p``, Yun's algorithm runs on A modulo p
-  (Yun 1976; von zur Gathen and Gerhard, *Modern Computer Algebra*,
-  14.6).  Every prime exceeds deg A, so it is exact there.
+* For each prime p that exceeds deg A and does not divide the leading
+  coefficient of the primitive integer part A of ``p``, Yun's algorithm
+  runs on A modulo p (Yun 1976; von zur Gathen and Gerhard, *Modern
+  Computer Algebra*, 14.6).  It is exact there because p > deg A; a
+  prime at most deg A is skipped.
 * If A is squarefree modulo p, then gcd(A, A') = 1 over the rationals,
   since that gcd keeps its degree modulo p, and ``p`` is its own single
   part: nothing is lifted.
@@ -98,7 +100,7 @@ def squarefree_decompose(a) -> SquarefreeDecomposition:
     ints = _primitive(poly._num)
     best = -1  # radical degree of the images in the lift
     for p in map(_prime, itertools.count()):
-        if not ints[-1] % p:
+        if p < len(ints) or not ints[-1] % p:  # p <= deg A or p | lc A
             continue
         image = _yun_mod([c % p for c in ints], p)
         if len(image) == 1 and image[0][1] == 1:

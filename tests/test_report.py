@@ -6,6 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from broughton.report import (
     SCHEMA_VERSION,
@@ -18,6 +19,19 @@ from broughton.report import (
 from broughton.unipoly import UniPoly, X
 
 F = Fraction
+
+# Every value a document can hold: strings with quotes, control and
+# non-ASCII characters, None, bools, ints of any size, and nested dicts,
+# lists and tuples, empty ones included.
+json_documents = st.dictionaries(st.text(), st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10 ** 30, 10 ** 30), st.text()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+    ),
+    max_leaves=20,
+))
 
 
 class TestStandardFamily:
@@ -120,6 +134,15 @@ class TestJson:
         assert first == second
         assert json.loads(first) == json.loads(second)
         assert first.isascii()
+
+    @given(json_documents)
+    @settings(deadline=None)
+    def test_writer_matches_json_dumps(self, document):
+        assert render_json(document) == json.dumps(document, indent=2, ensure_ascii=True)
+
+    def test_writer_rejects_floats(self):
+        with pytest.raises(TypeError):
+            render_json({"value": 0.5})
 
     def test_torsion_fractions_are_reduced(self):
         mapping = report_mapping(build_report(*zahid_polynomials(6, 1)))

@@ -278,12 +278,37 @@ def test_prime_dividing_the_leading_coefficient_is_skipped(monkeypatch):
 
 
 def test_reconstruction_takes_a_second_prime(monkeypatch):
-    # 10**12 exceeds sqrt(P0/2), so one prime cannot recover the root.
+    # The numerator exceeds sqrt(P0/2), so one prime cannot recover the
+    # root, and it and 7 are below sqrt(P0*P1/2), so two primes can.
     drawn = primes_drawn(monkeypatch)
-    root = F(10 ** 12, 7)
+    root = F(math.isqrt(P0) + 1, 7)
+    assert root.numerator > math.isqrt(P0 // 2)
     result = check_against_oracle((X - root) ** 3 * (X + 1))
     assert result.parts == ((X + 1, 1), (X - root, 3))
     assert drawn == [P0, modular._prime(1)]
+
+
+def test_prime_at_most_the_degree_is_skipped(monkeypatch):
+    # Modulo 5 the derivative of x**5 vanishes, and Yun's algorithm is
+    # exact only for primes above the degree.
+    real_prime = modular._prime
+    monkeypatch.setattr(modular, "_prime", lambda i: 5 if i == 0 else real_prime(i - 1))
+    drawn = primes_drawn(monkeypatch)
+    assert check_against_oracle(X ** 5 * (X + 1)).parts == ((X + 1, 1), (X, 5))
+    assert drawn[0] == P0
+    drawn.clear()
+    assert check_against_oracle(X ** 4).parts == ((X, 4),)
+    assert drawn == [5]
+
+
+def test_primes_are_single_digits():
+    # Below 2**30, one CPython int digit, decreasing, and prime by trial
+    # division.
+    primes = [modular._prime(i) for i in range(20)]
+    assert primes == sorted(set(primes), reverse=True)
+    assert primes[0] < 2 ** 30
+    for p in primes:
+        assert all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def test_squarefree_shortcut_lifts_nothing(monkeypatch):

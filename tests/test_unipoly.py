@@ -19,6 +19,7 @@ from broughton.unipoly import (
     exact_div,
     gcd,
 )
+from broughton import unipoly
 from broughton.modular import _prime
 from broughton.parser import parse_uni
 from oracles import (
@@ -168,7 +169,7 @@ large_polys = st.lists(st.integers(-10**30, 10**30), min_size=2, max_size=4).map
        st.one_of(polys, large_polys), st.one_of(polys, large_polys))
 @settings(deadline=None)
 def test_gcd_matches_fraction_euclid_on_large_planted_factors(w, a, b):
-    # A common factor with 100-bit coefficients takes several 62-bit
+    # A common factor with 100-bit coefficients takes several 30-bit
     # primes to lift; zero cofactors give a zero side.
     a, b = w * a, w * b
     if a or b:
@@ -283,9 +284,9 @@ constants = st.one_of(rationals, st.integers(-10**40, 10**40)).map(UniPoly.const
 mul_operands = st.one_of(polys, sparse_polys, one_huge_polys(), constants, over(3), over(7))
 
 # The first four examples' coefficient bounds have a bit length that is a
-# multiple of 8: a slot without its sign bit overflows on each of them.
-# The others have a constant on one side, which scales the other side
-# coefficient-wise instead of packing it.
+# multiple of 8, where a Kronecker slot without its sign bit overflows;
+# they are short and run by schoolbook, and the test of _mul_ints below
+# has such cases past the cut.  The others have a constant on one side.
 @given(mul_operands, mul_operands)
 @settings(max_examples=300, deadline=None)
 @example(P(85, 85, 85), P(1, 1, 1))
@@ -300,6 +301,52 @@ def test_multiplication_against_schoolbook_oracle(a, b):
     assert list((a * b).coeffs) == l_mul(a.coeffs, b.coeffs)
     # Squaring packs the operand once.
     assert list((a * a).coeffs) == l_mul(a.coeffs, a.coeffs)
+
+
+# Integer operands for both routes of the product kernel: lengths on both
+# sides of the schoolbook cut, negative entries, zeros inside and
+# 1000-bit entries, with a nonzero last entry as the kernel requires.
+int_operands = st.lists(
+    st.one_of(st.integers(-3, 3), st.integers(-2 ** 1000, 2 ** 1000)),
+    min_size=1, max_size=3 * unipoly._SCHOOLBOOK_MAX,
+).map(lambda c: c[:-1] + [c[-1] or 1])
+
+
+# The examples have seven entries a side, past the cut, so they run by
+# Kronecker: the bound 7 * 36 = 252 of 8 bits, where a slot without its
+# sign bit overflows, with either sign; inner zeros that leave empty
+# slots; 1000-bit entries.
+@given(int_operands, int_operands)
+@settings(max_examples=300, deadline=None)
+@example([36] * 7, [1] * 7)
+@example([-36] * 7, [1] * 7)
+@example([-255, 0, 0, 0, 0, 0, 255], [1, 0, 0, 0, 0, 0, 1])
+@example([0] * 6 + [1], [-2 ** 1000] + [0] * 5 + [2 ** 1000])
+def test_mul_ints_against_schoolbook_oracle_on_both_routes(a, b):
+    product = l_mul(a, b)
+    assert unipoly._mul_ints(a, b) == product
+    assert unipoly._mul_ints(b, a) == product
+    # A square packs its operand once.
+    assert unipoly._mul_ints(a, a) == l_mul(a, a)
+
+
+def test_mul_ints_packs_only_past_the_schoolbook_cut(monkeypatch):
+    packed = []
+    real_pack = unipoly._pack
+
+    def recording_pack(ints, size):
+        packed.append(len(ints))
+        return real_pack(ints, size)
+
+    monkeypatch.setattr(unipoly, "_pack", recording_pack)
+    cut = unipoly._SCHOOLBOOK_MAX
+    short, long = list(range(1, cut + 1)), list(range(1, 4 * cut))
+    assert unipoly._mul_ints(long, short) == l_mul(long, short)
+    assert unipoly._mul_ints(short, short) == l_mul(short, short)
+    assert packed == []
+    longer = short + [1]
+    assert unipoly._mul_ints(longer, long) == l_mul(longer, long)
+    assert packed == [cut + 1, 4 * cut - 1]
 
 
 @given(st.one_of(polys, one_huge_polys(), over(7)), st.integers(0, 6))
