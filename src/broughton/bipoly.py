@@ -7,8 +7,9 @@ checks its inputs again.
 
 A :class:`BiPoly` is a polynomial in two variables x and y with rational
 coefficients, stored as a tuple of :class:`UniPoly` coefficients indexed by
-the power of y (no trailing zero entry).  It is not a ring: it carries only
-its degrees, which is all :func:`resultant_y` reads.
+the power of y, with no trailing zero entry.  It is not a ring, only the
+record :func:`resultant_y` takes, which reads its degrees off the
+coefficients.
 
 The certificate never builds its surface h = (p(x)*y - 1)**m + c*y**n.
 Since h_x = m*p'*y*(p*y - 1)**(m - 1) factors, both eliminants of the
@@ -47,43 +48,19 @@ from __future__ import annotations
 
 import math
 from operator import mul
+from typing import NamedTuple
 
-from .unipoly import NEG_INF, UniPoly, _coerce, _integer_columns, _make
+from .unipoly import UniPoly, _make
 
 
-# BiPoly stays, where a tuple of coefficient lists would do for resultant_y,
+# BiPoly stays, where a tuple of coefficients would do for resultant_y,
 # because perfbench/tracer.py reads ``a.coeffs`` and ``b.coeffs`` on every
 # resultant_y call.
-class BiPoly:
-    """Polynomial in x and y, as y-power coefficients over Q[x]."""
+class BiPoly(NamedTuple):
+    """Polynomial in x and y: UniPoly coefficients by power of y, no
+    trailing zero."""
 
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs=()):
-        items = []
-        for c in coeffs:
-            u = _coerce(c)
-            if u is None:
-                raise TypeError(f"coefficient {c!r} is not a polynomial in x")
-            items.append(u)
-        while items and not items[-1]:
-            items.pop()
-        self._coeffs = tuple(items)
-
-    @property
-    def coeffs(self) -> tuple:
-        """UniPoly coefficients by y-power, no trailing zero."""
-        return self._coeffs
-
-    @property
-    def degree_y(self):
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INF
-
-    @property
-    def degree_x(self):
-        if not self._coeffs:
-            return NEG_INF
-        return max(c.degree for c in self._coeffs)
+    coeffs: tuple
 
 
 def resultant_y(a: BiPoly, b: BiPoly) -> UniPoly:
@@ -105,16 +82,28 @@ def resultant_y(a: BiPoly, b: BiPoly) -> UniPoly:
     (sum_j |B_j|_1**2)**(m/2) in absolute value, where A_i and B_j are the
     integer y-coefficients: on |x| = 1 Hadamard's inequality bounds the
     determinant by H, and then Cauchy's estimate bounds each coefficient.
-    :func:`integer_resultant` computes Res(A, B) modulo one Mersenne prime
-    above 2*H from its values at x = 0..D, each by Euclid at the formal
-    degrees m and n.
+    So Res(A, B) is interpolated from its values at x = 0..D modulo the
+    smallest table prime above 2*H (:func:`mersenne_exponent`), each value
+    by Euclid at the formal degrees m and n, and the symmetric residues
+    are its coefficients.
     """
-    m = a.degree_y
-    n = b.degree_y
     a_ints, scale_a = _integer_columns(a.coeffs)
     b_ints, scale_b = _integer_columns(b.coeffs)
-    ints = integer_resultant(a_ints, b_ints, n * a.degree_x + m * b.degree_x)
-    return _make(ints, scale_a ** n * scale_b ** m)
+    m, n = len(a_ints) - 1, len(b_ints) - 1
+    count = n * (max(map(len, a_ints)) - 1) + m * (max(map(len, b_ints)) - 1) + 1  # D + 1
+    bits = (hadamard_square(a_ints, b_ints).bit_length() + 3) // 2  # 2**bits > 2*H
+    prime = (1 << mersenne_exponent(bits)) - 1
+    image = _interpolate(*_resultant_values(a_ints, b_ints, count, prime), prime)
+    half = prime >> 1
+    return _make([c - prime if c > half else c for c in image], scale_a ** n * scale_b ** m)
+
+
+def _integer_columns(polys) -> tuple:
+    """``(integers, scale)``: ``scale`` is the lcm of the denominators of the
+    UniPolys ``polys`` and ``integers`` holds ``scale`` times each of them,
+    as lists of ints."""
+    scale = math.lcm(*[p._den for p in polys])
+    return [[c * (scale // p._den) for c in p._num] for p in polys], scale
 
 
 # -- the modular resultant kernel ---------------------------------------------
@@ -161,30 +150,6 @@ def hadamard_square(a, b) -> int:
     norm_a = sum(sum(map(abs, c)) ** 2 for c in a)
     norm_b = sum(sum(map(abs, c)) ** 2 for c in b)
     return norm_a ** n * norm_b ** m
-
-
-def integer_resultant(a, b, degree: int) -> list:
-    """Integer coefficients, low to high, of Res_y(A, B) in x.
-
-    ``a`` and ``b`` are as for :func:`hadamard_square`, with nonzero
-    leading entries, and ``degree`` bounds deg_x Res.  The modulus is the
-    one table prime above 2*H, H the Hadamard bound, from
-    :func:`mersenne_exponent`, so the symmetric residues are the
-    coefficients themselves; the result is exact only by that bound, since
-    a resultant has no cheap check the way a gcd has.
-    """
-    bits = (hadamard_square(a, b).bit_length() + 3) // 2  # 2**bits > 2*H
-    return _resultant_modulo(a, b, degree, (1 << mersenne_exponent(bits)) - 1)
-
-
-def _resultant_modulo(a, b, degree, prime):
-    """The symmetric residues modulo ``prime`` of the coefficients of
-    Res_y(A, B), interpolated from its values at x = 0..degree."""
-    if degree < 0:  # only the zero polynomial has no degree >= 0
-        return []
-    image = _interpolate(*_resultant_values(a, b, degree + 1, prime), prime)
-    half = prime >> 1
-    return [c - prime if c > half else c for c in image]
 
 
 def _resultant_values(a, b, count, prime):

@@ -223,14 +223,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("q")
     sp.set_defaults(func=cmd_betti)
 
-    for name, help_text in (
-        ("charvar", "full characteristic-variety report for (p, q)"),
-        ("report", "alias of charvar"),
-    ):
-        sp = sub.add_parser(name, parents=[common], help=help_text)
-        sp.add_argument("p")
-        sp.add_argument("q")
-        sp.set_defaults(func=cmd_charvar)
+    sp = sub.add_parser("charvar", aliases=["report"], parents=[common],
+                        help="full characteristic-variety report for (p, q); "
+                             "report is an alias")
+    sp.add_argument("p")
+    sp.add_argument("q")
+    sp.set_defaults(func=cmd_charvar)
 
     sp = sub.add_parser("divisor", parents=[common],
                         help="multiple-fiber divisor of the pencil at -1")

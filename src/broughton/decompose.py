@@ -178,14 +178,13 @@ def connectivity_certificate(
     # A BiPoly holds coefficients by powers of the variable resultant_y
     # eliminates: x in p' and v - p, over Q[v]; then v in chi and G, over
     # Q[y].  v - p has the coefficient v - p(0) at x**0.
-    v_minus_p = _constants(-p)
-    v_minus_p[0] += X
+    v_minus_p = (X - p.coefficient(0),) + _constants(-p)[1:]
     chi = resultant_y(BiPoly(_constants(slope)), BiPoly(v_minus_p))
     chi = chi / slope.leading_coefficient ** d
-    g = BiPoly([UniPoly([0] * (n - 1) + [cn])] + [
+    g = BiPoly((UniPoly([0] * (n - 1) + [cn]), *[
         UniPoly([0] * k + [(-1) ** (m - 1 - k) * m * math.comb(m - 1, k)])
         for k in range(m)
-    ])
+    ]))
     shift = m * d + (m - 1) * (m * d + (n - 1) * d)
     unit = (m * slope.leading_coefficient) ** (m * d) * (
         p.leading_coefficient ** (m * d) * cn ** d) ** (m - 1)

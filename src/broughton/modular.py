@@ -40,14 +40,16 @@ def _prime(index: int) -> int:
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin for odd n > 37 with the twelve prime bases up to 37,
-    which no composite below 3.18e23 passes."""
+    """Miller-Rabin for odd n with 7 < n < 2**30 (every n that
+    :func:`_prime` tests) with the bases 2, 3, 5 and 7, exact there: no
+    composite below 3 215 031 751 is a strong pseudoprime to all four
+    (Jaeschke 1993)."""
     d = n - 1
     s = 0
     while not d & 1:
         d >>= 1
         s += 1
-    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for base in (2, 3, 5, 7):
         x = pow(base, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -38,7 +38,11 @@ power, so only the parts are lifted:
   derivatives of A and of B = P_1**m1 * ... * P_k**mk agree, so
   (A / B)' = 0 and A = c * B.  The P_i are squarefree and pairwise coprime
   because their images modulo a prime that divides no lc(P_i) are.  A
-  failed check draws more primes.
+  failed reconstruction or check draws more primes, and the next try
+  waits until the modulus has doubled in bit length: every try runs
+  Euclid on the whole modulus, so trying at every prime would make a
+  lift over k primes cost k**3, and doubling keeps the tries' total
+  within a constant factor of the last one.
 """
 
 from __future__ import annotations
@@ -112,9 +116,12 @@ def squarefree_decompose(a) -> SquarefreeDecomposition:
             best, best_shape = radical_degree, shape
             modulus = p
             lift = [c - p if c > p // 2 else c for c in residues]
+            tried = 0  # bit length of the modulus at the last failed try
         elif shape == best_shape:
             lift = _crt(lift, modulus, residues, p)
             modulus *= p
+            if modulus.bit_length() < 2 * tried:
+                continue
         else:
             continue
         parts = []
@@ -130,6 +137,7 @@ def squarefree_decompose(a) -> SquarefreeDecomposition:
             if _certified(ints, parts, multiplicities):
                 return SquarefreeDecomposition(unit=unit, parts=tuple(
                     (_make(P, P[-1]), m) for P, m in zip(parts, multiplicities)))
+        tried = modulus.bit_length()
 
 
 def _certified(A, parts, multiplicities):

@@ -31,7 +31,7 @@ The numerators of a product take one of two routes:
   integers, and read back in that base (von zur Gathen and Gerhard,
   *Modern Computer Algebra*, 8.4; Harvey 2009).
 
-Products, powers, ``compose`` and the parser all multiply through
+Products, powers and the parser all multiply through
 :func:`_mul_ints`.  :func:`exact_div` divides the numerator by the
 primitive part of the divisor's numerator over the integers, which
 Gauss's lemma makes exact whenever the rational division is.  :func:`gcd`
@@ -283,14 +283,6 @@ class UniPoly:
             acc = acc * n + c * power
         return Fraction(acc, self._den * power)
 
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        """Substitute ``inner`` for the variable: returns self(inner)."""
-        inner = _polynomial(inner)
-        acc = ZERO
-        for c in reversed(self._num):
-            acc = acc * inner + c
-        return acc / self._den
-
     def monic(self) -> "UniPoly":
         """Scale to leading coefficient one.  The zero polynomial has no
         monic associate, so that input is rejected."""
@@ -324,18 +316,10 @@ def _make(num, den=1) -> UniPoly:
     return poly
 
 
-def _constants(poly: UniPoly) -> list:
+def _constants(poly: UniPoly) -> tuple:
     """The coefficients of ``poly`` as constant polynomials, low degree
     first."""
-    return [_make([c], poly._den) for c in poly._num]
-
-
-def _integer_columns(polys) -> tuple:
-    """``(integers, scale)``: ``scale`` is the lcm of the denominators of the
-    UniPolys ``polys`` and ``integers`` holds ``scale`` times each of them,
-    as lists of ints."""
-    scale = math.lcm(*[p._den for p in polys])
-    return [[c * (scale // p._den) for c in p._num] for p in polys], scale
+    return tuple([_make([c], poly._den) for c in poly._num])
 
 
 #: Integers below this in absolute value convert by ``str`` everywhere.

@@ -135,7 +135,9 @@ EXPORTS = {
 # moved from broughton.modular to the certificate's own broughton.bipoly so
 # that a gcd compiles only its helpers; there the batched Euclid, its point
 # partition, the Sylvester-matrix fallback and the join of several primes
-# gave way to one pointwise Euclid at formal degrees modulo one prime.
+# gave way to one pointwise Euclid at formal degrees modulo one prime, and
+# the two layers between resultant_y and that kernel were folded into
+# resultant_y, which also took unipoly's _integer_columns.
 REMOVED = {
     "arrangement": ("resonance",),
     "bipoly": (
@@ -144,6 +146,7 @@ REMOVED = {
         "_bareiss_determinant", "_interpolate_naturals", "_sylvester_rows",
         "_horner", "build_h", "_x_degree_bound", "_euclid_resultants", "_take",
         "_sylvester_determinant", "_resultant_by_primes", "mersenne_exponents",
+        "integer_resultant", "_resultant_modulo",
     ),
     "modular": (
         "MERSENNE_EXPONENTS", "mersenne_exponents", "hadamard_square",
@@ -152,7 +155,7 @@ REMOVED = {
     ),
     "parser": ("parse_bi", "print_canonical"),
     "squarefree": ("PowerIndex", "distinct_root_count", "power_index", "radical"),
-    "unipoly": ("resultant", "_prime", "_is_prime", "_gcd_mod", "_crt"),
+    "unipoly": ("resultant", "_prime", "_is_prime", "_gcd_mod", "_crt", "_integer_columns"),
 }
 
 
@@ -184,8 +187,7 @@ def test_lazy_exports_match_the_submodules():
 # too, and modular keeps only what the gcd and the squarefree decomposition
 # call.
 INTERNAL = {
-    "bipoly": ("BiPoly", "resultant_y", "integer_resultant", "mersenne_exponent",
-               "hadamard_square"),
+    "bipoly": ("BiPoly", "resultant_y", "mersenne_exponent", "hadamard_square"),
     "modular": ("_prime", "_is_prime", "_gcd_mod", "_crt", "_yun_mod", "_derivative_mod",
                 "_difference_mod", "_quotient_mod", "_rational"),
 }
@@ -214,10 +216,17 @@ def test_removed_names_are_gone(module_name, name):
 
 def test_bipoly_keeps_no_calculus_of_the_surface():
     # The certificate never builds h, so it differentiates nothing and
-    # exchanges no variables.
+    # exchanges no variables; a BiPoly is only the record resultant_y takes.
     from broughton.bipoly import BiPoly
     for name in ("partial_x", "partial_y", "swap_vars"):
         assert not hasattr(BiPoly, name), name
+    assert BiPoly._fields == ("coeffs",)
+
+
+def test_unipoly_has_no_composition():
+    # No command composes polynomials; tests use the oracle l_compose.
+    from broughton.unipoly import UniPoly
+    assert not hasattr(UniPoly, "compose")
 
 
 def test_unipoly_keeps_one_polynomial_division():

@@ -311,6 +311,50 @@ def test_primes_are_single_digits():
         assert all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
+def strong_probable_prime(n, base):
+    """Whether the odd n passes the Miller-Rabin test to ``base``."""
+    d, s = n - 1, 0
+    while not d % 2:
+        d, s = d // 2, s + 1
+    x = pow(base, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** r, n) == n - 1 for r in range(1, s))
+
+
+def test_four_bases_decide_primality_below_two_to_the_thirty():
+    # Trial division by the primes up to sqrt(2**30) on a window of odd n
+    # just below 2**30, where _prime draws its primes.
+    small = [d for d in range(2, 2 ** 15) if all(d % q for q in range(2, math.isqrt(d) + 1))]
+    for n in range(2 ** 30 - 4001, 2 ** 30, 2):
+        assert modular._is_prime(n) == all(n % d for d in small), n
+    # 2251 * 11251 passes bases 2, 3 and 5, and base 7 rejects it.
+    n = 25326001
+    assert n == 2251 * 11251
+    assert all(strong_probable_prime(n, base) for base in (2, 3, 5))
+    assert not modular._is_prime(n)
+
+
+def test_reconstruction_waits_for_the_modulus_to_double(monkeypatch):
+    # P**2 * x, with P of degree 5 and coefficients of about 560 bits,
+    # needs many primes to lift.  Each failed try calls _rational once per
+    # part, x first, and a try waits until the modulus has doubled in bit
+    # length, so the calls grow with the log of the primes drawn.
+    drawn = primes_drawn(monkeypatch)
+    calls = []
+    real_rational = modular._rational
+
+    def counting_rational(residues, modulus):
+        calls.append(modulus)
+        return real_rational(residues, modulus)
+
+    monkeypatch.setattr(modular, "_rational", counting_rational)
+    a, b = int("12345678901234567" * 10 + "1"), int("98765432109876543" * 10 + "3")
+    base = P(a % 10 ** 100, 7, 0, -b, 0, a)
+    result = check_against_oracle(base ** 2 * X)
+    assert result.parts == ((X, 1), (base.monic(), 2))
+    assert len(drawn) > 20
+    assert len(calls) <= 2 * (math.log2(len(drawn)) + 1)
+
+
 def test_squarefree_shortcut_lifts_nothing(monkeypatch):
     # q = x*(x+2)*...*(x+30) has coefficients past 100 bits; its image
     # modulo the first prime is squarefree, which proves q squarefree.

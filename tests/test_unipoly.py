@@ -23,7 +23,6 @@ from broughton import unipoly
 from broughton.modular import _prime
 from broughton.parser import parse_uni
 from oracles import (
-    l_compose,
     l_divmod,
     l_exact_div,
     l_eval,
@@ -70,11 +69,6 @@ class TestExamples:
         assert P(-1, 0, 1)(2) == F(3)
         assert ZERO(F(11, 7)) == 0
         assert P(6, 5, 1)(-2) == 0
-
-    def test_compose(self):
-        assert P(0, 0, 1).compose(P(1, 0, 1)) == P(1, 0, 2, 0, 1)
-        assert X.compose(P(2, 3, 4)) == P(2, 3, 4)
-        assert P(9).compose(P(1, 2, 3)) == P(9)
 
     def test_pow(self):
         assert P(1, 1) ** 2 == P(1, 2, 1)
@@ -253,12 +247,6 @@ def test_eval_is_a_ring_homomorphism(a, b, t):
     assert (a * b)(t) == a(t) * b(t)
 
 
-@given(polys, polys, rationals)
-@settings(deadline=None)
-def test_compose_evaluates_pointwise(a, c, t):
-    assert a.compose(c)(t) == a(c(t))
-
-
 # Operands for the Kronecker kernel's slot-width edge cases: negative
 # coefficients, zeros drawn often enough to leave empty slots, one
 # 10**40-sized coefficient among small ones, constants, and denominators
@@ -356,13 +344,6 @@ def test_pow_matches_repeated_multiplication_oracle(a, k):
     assert list((a ** k).coeffs) == l_pow(a.coeffs, k)
 
 
-@given(st.one_of(polys, sparse_polys), st.one_of(polys, one_huge_polys(), over(3)))
-@settings(deadline=None)
-@example(P(0, 0, 1), P(8, 8))
-def test_compose_matches_horner_oracle(a, c):
-    assert list(a.compose(c).coeffs) == l_compose(a.coeffs, c.coeffs)
-
-
 # Nonzero divisors with content: an integer polynomial times k/den.
 divisors_with_content = st.builds(
     lambda ints, k, den: UniPoly([F(c * k, den) for c in ints]),
@@ -437,7 +418,7 @@ def assert_canonical(p):
 def test_every_result_is_canonical(a, b, s, k):
     # The examples cancel: 1/2 + 1/2, 1/3 + 2/3 and the x terms.
     results = [a + b, a - b, b - a, -a, a * b, a * a, a * s, s - a, a + s, a / s,
-               a ** k, a.derivative(), a.compose(b)]
+               a ** k, a.derivative()]
     if a:
         results += [a.monic(), exact_div(a * b, a)]
     if a or b:
@@ -468,7 +449,6 @@ def test_routes_to_one_polynomial_compare_and_hash_equal(coeffs, k, shift):
         UniPoly([c * k for c in coeffs]) / k,
         (p * k) / k,
         (p + shift) - shift,
-        p.compose(X),
         exact_div(p * (X + shift), X + shift),
     ]
     for q in routes:
