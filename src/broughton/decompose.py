@@ -36,7 +36,16 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .unipoly import UniPoly, X, _constants, _scalar, exact_div
+from .unipoly import (
+    UniPoly,
+    X,
+    _constants,
+    _make,
+    _primitive,
+    _scalar,
+    _series_power,
+    exact_div,
+)
 
 CONNECTED_CERTIFIED = "connected-certified"
 INCONCLUSIVE = "inconclusive"
@@ -80,16 +89,29 @@ def uni_decompose_at(p: UniPoly, e: int):
         )
     r = degree // e
 
-    # The top e-1 coefficients of the monic rescaling of p determine Q:
-    # in (x^e + b_{e-1} x^{e-1} + ... + b_1 x)**r the coefficient of
-    # x^(n-k) is r*b_{e-k} plus terms in higher b's only, and no other
-    # power of Q reaches above x^(n-e).  Solve for the b's one at a time.
-    monic = p.monic()
-    q_coeffs = [Fraction(0)] * e + [Fraction(1)]
-    for k in range(1, e):
-        partial = UniPoly(q_coeffs) ** r
-        q_coeffs[e - k] = (monic.coefficient(degree - k) - partial.coefficient(degree - k)) / r
-    inner = UniPoly(q_coeffs)
+    # Q is pinned down by the top e coefficients of p.  With the reversals
+    # P~(x) = x^n p(1/x) / lc p and Q~(x) = x^e Q(1/x), Q**r has the same
+    # top e coefficients as p / lc p exactly when Q~**r = P~ mod x^e, that
+    # is, Q~ = P~**(1/r) mod x^e, since P~(0) = Q~(0) = 1.  On the primitive
+    # numerator A of p with lead L, P~(L*x) has the integer coefficient
+    # A_(n-j) * L**(j-1) at x^j.  Miller's recurrence gives the one of its
+    # r-th root at x^k times r**(2k), which is that of Q~ times (r*r*L)**k.
+    ints = _primitive(p._num)
+    lead = ints[-1]
+    series = [1]
+    power = 1
+    for j in range(1, e):
+        series.append(ints[degree - j] * power)
+        power *= lead
+    root = _series_power(series, 1, r, e)
+    base = r * r * lead
+    q_ints = [0] * (e + 1)
+    power = 1  # base**(e - 1 - k) at step k
+    for k in range(e - 1, 0, -1):
+        q_ints[e - k] = root[k] * power
+        power *= base
+    q_ints[e] = power
+    inner = _make(q_ints, power)
 
     # Q-adic digit expansion of p.  p = H(Q) forces every digit to be a
     # constant, the matching coefficient of H, and since Q(0) = 0 it is the

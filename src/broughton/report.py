@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .unipoly import UniPoly, X, _decimal
+from .unipoly import UniPoly, X, _decimal, _make
 
 if TYPE_CHECKING:
     from .arrangement import BettiNumbers, CharVarietyReport, FiberDivisor, Hypotheses
@@ -66,11 +66,10 @@ def zahid_polynomials(p_exponent: int, q_factors: int):
         raise ValueError("the exponent of p must be a positive integer")
     if not isinstance(q_factors, int) or isinstance(q_factors, bool) or q_factors < 1:
         raise ValueError("the factor count of q must be a positive integer")
-    p = X ** p_exponent
-    q = X
+    q = [0, 1]
     for k in range(2, q_factors + 1):
-        q = q * (X + k)
-    return p, q
+        q = [shifted + k * c for shifted, c in zip([0] + q, q + [0])]  # q*(x + k)
+    return X ** p_exponent, _make(q)
 
 
 def build_report(p: UniPoly, q: UniPoly) -> ReportDocument:

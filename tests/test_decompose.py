@@ -119,11 +119,12 @@ def test_prime_degree_is_never_decomposable():
 
 
 def test_against_brute_force_coefficient_solver():
-    # Three routes for deg <= 8: the production path (triangular solve plus
-    # digit expansion by exact division), the oracle that solves the full
-    # coefficient system equation by equation, and the oracle that expands
-    # the digits by long division.  Mixed diet: random polynomials (mostly
-    # indecomposable) and planted composites (always decomposable).
+    # Three routes for deg <= 8: the production path (Q as a root of the
+    # reversed p, then the digit expansion by exact division), the oracle
+    # that solves the full coefficient system equation by equation, and the
+    # oracle that expands the digits by long division.  Mixed diet: random
+    # polynomials (mostly indecomposable) and planted composites (always
+    # decomposable).
     rng = random.Random(929)
     cases = []
     for _ in range(60):
@@ -150,6 +151,27 @@ def test_against_brute_force_coefficient_solver():
                 h_coeffs, q_coeffs = oracle
                 assert mine.outer == UniPoly(h_coeffs)
                 assert mine.inner == UniPoly(q_coeffs)
+
+
+def test_root_matches_the_solve_by_full_powers():
+    # Q from the r-th root of the reversed p, against the oracle's solve
+    # with one full power of Q per coefficient, on planted composites of
+    # rational coefficients up to inner degree 16; the last one per inner
+    # degree has its coefficient of x changed, which leaves Q as it was
+    # and no decomposition.
+    rng = random.Random(949)
+    for e in (2, 3, 5, 8, 13, 16):
+        for r, changed in ((2, False), (2, False), (3, False), (2, True)):
+            outer, inner = planted_pair(rng, r, e)
+            coeffs = l_compose(outer, [F(rng.randint(1, 9), rng.randint(1, 9)) * c for c in inner])
+            if changed:
+                coeffs[1] += 1
+            expected = l_decompose_at(coeffs, e)
+            result = uni_decompose_at(UniPoly(coeffs), e)
+            if changed:
+                assert expected is None and result is None
+            else:
+                assert (result.outer, result.inner) == tuple(map(UniPoly, expected))
 
 
 def test_late_digit_failure(monkeypatch):

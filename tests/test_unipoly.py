@@ -337,11 +337,69 @@ def test_mul_ints_packs_only_past_the_schoolbook_cut(monkeypatch):
     assert packed == [cut + 1, 4 * cut - 1]
 
 
-@given(st.one_of(polys, one_huge_polys(), over(7)), st.integers(0, 6))
+# Bases for powers: a factor x**v and interior zeros, which the power
+# splits off and skips; one-term bases, a monomial in closed form; and
+# entries of up to 1000 bits.
+shifted_polys = st.builds(lambda v, coeffs: UniPoly([F(0)] * v + coeffs),
+                          st.integers(0, 3), st.lists(st.one_of(st.just(F(0)), rationals), max_size=5))
+one_term_polys = st.builds(lambda v, c: UniPoly([0] * v + [c]),
+                           st.integers(0, 4), st.one_of(rationals, st.integers(-2**1000, 2**1000)))
+thousand_bit_polys = st.lists(st.integers(-2**1000, 2**1000), max_size=3).map(UniPoly)
+
+#: Values of ``_MILLER_SLACK`` that force every power with two or more terms
+#: onto square-and-multiply, and every one of exponent >= 3 onto the
+#: recurrence.
+ROUTES = (-10**6, 10**6)
+
+
+def assert_pow_on_both_routes(a, k):
+    expected = l_pow(a.coeffs, k)
+    for slack in ROUTES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(unipoly, "_MILLER_SLACK", slack)
+            assert list((a ** k).coeffs) == expected
+
+
+@given(st.one_of(polys, one_huge_polys(), over(7), shifted_polys, one_term_polys), st.integers(0, 40))
 @settings(deadline=None)
 @example(P(8, 8), 2)
+@example(P(0, 0, F(1, 3), 0, 0, -2), 40)
+@example(P(0, 0, F(-7, 2)), 39)
 def test_pow_matches_repeated_multiplication_oracle(a, k):
-    assert list((a ** k).coeffs) == l_pow(a.coeffs, k)
+    assert_pow_on_both_routes(a, k)
+
+
+@given(thousand_bit_polys, st.integers(0, 12))
+@settings(max_examples=40, deadline=None)
+def test_pow_of_thousand_bit_entries_matches_the_oracle(a, k):
+    assert_pow_on_both_routes(a, k)
+
+
+def test_pow_by_the_recurrence_never_multiplies(monkeypatch):
+    base = 3 * X ** 5
+    binomial = 1000 * X + 1
+
+    def no_product(a, b):
+        raise AssertionError("_mul_ints called")
+
+    monkeypatch.setattr(unipoly, "_mul_ints", no_product)
+    assert X ** 4096 == UniPoly([0] * 4096 + [1])
+    assert base ** 700 == UniPoly([0] * 3500 + [3 ** 700])
+    power = binomial ** 1500
+    assert power._num == tuple(math.comb(1500, k) * 1000 ** k for k in range(1501))
+
+
+def test_pow_takes_the_recurrence_only_inside_the_cut(monkeypatch):
+    called = []
+    real = unipoly._series_power
+    monkeypatch.setattr(unipoly, "_series_power", lambda *args: called.append(args[1]) or real(*args))
+    slack = unipoly._MILLER_SLACK
+    dense = P(*range(1, 10))  # eight terms above the lowest
+    exponents = (2, 3, 15 - slack, 16 - slack, 17 - slack)
+    for k in exponents:
+        assert list((dense ** k).coeffs) == l_pow(dense.coeffs, k)
+    assert called == [k for k in exponents if k >= 3 and 2 * 8 <= k + slack]
+    assert called
 
 
 # Nonzero divisors with content: an integer polynomial times k/den.
