@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .unipoly import UniPoly, X, _decimal, _make
+from .unipoly import UniPoly, X, _decimal, _make, _mul_ints
 
 if TYPE_CHECKING:
     from .arrangement import BettiNumbers, CharVarietyReport, FiberDivisor, Hypotheses
@@ -68,7 +68,7 @@ def zahid_polynomials(p_exponent: int, q_factors: int):
         raise ValueError("the factor count of q must be a positive integer")
     q = [0, 1]
     for k in range(2, q_factors + 1):
-        q = [shifted + k * c for shifted, c in zip([0] + q, q + [0])]  # q*(x + k)
+        q = _mul_ints(q, [k, 1])
     return X ** p_exponent, _make(q)
 
 

@@ -31,11 +31,11 @@ The numerators of a product take one of two routes:
   integers, and read back in that base (von zur Gathen and Gerhard,
   *Modern Computer Algebra*, 8.4; Harvey 2009).
 
-Products and the parser's ``*`` multiply through :func:`_mul_ints`.
-Powers take out their lowest term and raise the rest by J. C. P. Miller's
-recurrence (:func:`_series_power`, one small-by-big product per term and
-coefficient), or by square-and-multiply through :func:`_mul_ints` for
-many terms and a small exponent; see :meth:`UniPoly.__pow__`.
+Products, squares and the parser's ``*`` multiply through
+:func:`_mul_ints`.  Higher powers take out their lowest term and raise the
+rest by J. C. P. Miller's recurrence (:func:`_series_power`, one
+small-by-big product per term and coefficient); see
+:meth:`UniPoly.__pow__`.
 :func:`exact_div` divides the numerator by the primitive part of the
 divisor's numerator over the integers, which Gauss's lemma makes exact
 whenever the rational division is.  :func:`gcd` works modulo primes below
@@ -246,56 +246,20 @@ class UniPoly:
         the denominator as an int.
 
         The lowest term x**v of the numerator comes out first, as x**(v*n),
-        and a monomial is then one coefficient in closed form.  Otherwise,
-        with t nonzero terms above the lowest, the rest is raised by
-        J. C. P. Miller's recurrence (:func:`_series_power`, one
-        small-by-big product per term and coefficient) when n >= 3 and
-        2*t <= n + :data:`_MILLER_SLACK`, and by square-and-multiply
-        through :func:`_mul_ints` otherwise.
+        and a monomial is then one coefficient in closed form.  Otherwise
+        the rest is squared through :func:`_mul_ints` for n = 2 and raised
+        by J. C. P. Miller's recurrence (:func:`_series_power`, one
+        small-by-big product per nonzero term and coefficient) for n >= 3.
 
-        The cut was fitted by timing both routes (``_MILLER_SLACK`` set to
-        a huge negative and a huge positive value) on bases of t + 1
-        random entries of 4 and of 1000 bits: square-and-multiply time
-        over recurrence time, best of 5 and of 3 ``timeit`` repeats
-        (CPython 3.11.7, x86-64, 2 CPUs), one table per entry size.  At
-        n = 2, which always squares, the column times the two kernels
-        directly; "-" was not timed.
-
-        ===== ===== ===== ===== ===== ===== ===== ===== ===== ===== ===== =====
-        4b      n=2     3     4     6     8    12    16    24    32    48    64
-        ===== ===== ===== ===== ===== ===== ===== ===== ===== ===== ===== =====
-        t=1    1.44  1.96  1.95  2.43  2.96  4.09  3.24  4.57  4.95  8.01  6.01
-        t=2    1.39  2.06  2.30  2.62  2.35  1.55  2.62  4.01  2.62  3.68  3.88
-        t=4    1.18  1.65  1.69  1.57  1.25  2.30  1.20  2.62  1.85  4.07  3.48
-        t=8    0.46  0.86  0.79  0.70  0.72  0.97  0.80  1.34  1.19  2.63  2.71
-        t=12   0.35  0.71  0.53  0.59  0.40  0.68  0.61  1.16  0.77  2.39  1.98
-        t=16   0.37  0.59  0.44  0.52  0.41  0.66  0.43  0.77  0.96  2.28  2.16
-        t=24   0.15  0.29  0.21  0.36  0.21  0.42  0.28  0.57  0.61  1.93  1.99
-        t=32   0.14  0.27  0.18  0.15  0.18  0.32  0.23  0.68  0.54  1.87  2.20
-        t=64   0.06  0.12  0.08  0.11  0.09  0.19  0.18  0.44  0.50  1.23  1.49
-        ===== ===== ===== ===== ===== ===== ===== ===== ===== ===== ===== =====
-
-        ===== ===== ===== ===== ===== ===== ===== ===== ===== ===== ===== =====
-        1000b   n=2     3     4     6     8    12    16    24    32    48    64
-        ===== ===== ===== ===== ===== ===== ===== ===== ===== ===== ===== =====
-        t=1    0.47  0.77  0.92  1.69  2.28  2.96  3.75  9.08  8.32  18.9  19.6
-        t=2    0.45  0.76  1.05  2.02  2.01  4.38  3.72  8.22  9.37  21.2  20.9
-        t=4    0.43  0.73  0.97  2.12  1.82  4.22  4.12  9.31  7.71  21.9  19.1
-        t=8    0.34  0.97  0.94  1.81  1.59  3.32  3.35  10.1  6.53  19.5  15.9
-        t=12   0.34  0.79  0.78  1.62  1.37  3.29  3.02  7.48  8.11  17.4     -
-        t=16   0.33  0.75  0.59  1.40  1.25  3.08  2.75  8.57  7.40     -     -
-        t=24   0.26  0.69  0.57  1.39  1.19  2.42  2.45  6.15     -     -     -
-        t=32   0.23  0.45  0.52  1.29  1.32  2.90  1.89     -     -     -     -
-        t=64   0.21  0.47  0.38  0.83  0.96     -     -     -     -     -     -
-        ===== ===== ===== ===== ===== ===== ===== ===== ===== ===== ===== =====
-
-        The recurrence wins for few terms from n = 3 on and for many terms
-        once n >= 48; the square of a short operand wins at n = 2.  Larger
-        entries favour the recurrence, whose products are all small by
-        big.  The rule 2*t <= n + 8 loses at most 1.7x on 4-bit entries
-        (t = 12, n = 16) and 1.4x on 1000-bit ones (n = 3 and 4), and
-        leaves wins of up to 6x on 1000-bit entries with t >= 8 and n from
-        6 to 24 to square-and-multiply.
+        Square-and-multiply through :func:`_mul_ints` beats the recurrence
+        only for many terms and a small exponent.  Timed on bases of
+        t + 1 random entries (best of 5 ``timeit`` repeats, CPython 3.11.7,
+        x86-64, 2 CPUs), it is 11x faster at t = 64, n = 4 and 1.9x at
+        t = 16, n = 3 on 4-bit entries, 3x at t = 64, n = 3 on 1000-bit
+        ones, and no faster at t = 8, n = 3.  The package raises short
+        bases (linear factors, inner polynomials of decompositions, p of
+        the connectivity certificate), so n >= 3 always takes the
+        recurrence.
         """
         if not isinstance(exponent, int) or isinstance(exponent, bool):
             return NotImplemented
@@ -303,6 +267,8 @@ class UniPoly:
             raise ValueError("polynomial powers need a nonnegative exponent")
         if not exponent:
             return ONE
+        if exponent == 1:
+            return self
         num = self._num
         if not num:
             return ZERO
@@ -310,21 +276,12 @@ class UniPoly:
         while not num[lowest]:
             lowest += 1
         rest = num[lowest:]
-        terms = len(rest) - 1 - rest.count(0)
-        if not terms:
+        if len(rest) == 1:
             power = [rest[0] ** exponent]
-        elif exponent >= 3 and 2 * terms <= exponent + _MILLER_SLACK:
-            power = _series_power(rest, exponent, 1, exponent * (len(rest) - 1) + 1)
+        elif exponent == 2:
+            power = _mul_ints(rest, rest)
         else:
-            power = None
-            square = rest
-            k = exponent
-            while k:
-                if k & 1:
-                    power = square if power is None else _mul_ints(power, square)
-                k >>= 1
-                if k:
-                    square = _mul_ints(square, square)
+            power = _series_power(rest, exponent, 1, exponent * (len(rest) - 1) + 1)
         return _make([0] * (lowest * exponent) + list(power), self._den ** exponent)
 
     # -- calculus and evaluation --------------------------------------------
@@ -640,12 +597,6 @@ def _mul_ints(a, b):
     from_bytes = int.from_bytes
     return [from_bytes(digits[k:k + size], "little") - half
             for k in range(0, count * size, size)]
-
-
-#: Powers with t nonzero terms above the lowest and exponent n >= 3 run by
-#: :func:`_series_power` when 2*t <= n + _MILLER_SLACK; see
-#: :meth:`UniPoly.__pow__`.
-_MILLER_SLACK = 8
 
 
 def _series_power(a, num, den, count):

@@ -346,19 +346,6 @@ one_term_polys = st.builds(lambda v, c: UniPoly([0] * v + [c]),
                            st.integers(0, 4), st.one_of(rationals, st.integers(-2**1000, 2**1000)))
 thousand_bit_polys = st.lists(st.integers(-2**1000, 2**1000), max_size=3).map(UniPoly)
 
-#: Values of ``_MILLER_SLACK`` that force every power with two or more terms
-#: onto square-and-multiply, and every one of exponent >= 3 onto the
-#: recurrence.
-ROUTES = (-10**6, 10**6)
-
-
-def assert_pow_on_both_routes(a, k):
-    expected = l_pow(a.coeffs, k)
-    for slack in ROUTES:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(unipoly, "_MILLER_SLACK", slack)
-            assert list((a ** k).coeffs) == expected
-
 
 @given(st.one_of(polys, one_huge_polys(), over(7), shifted_polys, one_term_polys), st.integers(0, 40))
 @settings(deadline=None)
@@ -366,13 +353,13 @@ def assert_pow_on_both_routes(a, k):
 @example(P(0, 0, F(1, 3), 0, 0, -2), 40)
 @example(P(0, 0, F(-7, 2)), 39)
 def test_pow_matches_repeated_multiplication_oracle(a, k):
-    assert_pow_on_both_routes(a, k)
+    assert list((a ** k).coeffs) == l_pow(a.coeffs, k)
 
 
 @given(thousand_bit_polys, st.integers(0, 12))
 @settings(max_examples=40, deadline=None)
 def test_pow_of_thousand_bit_entries_matches_the_oracle(a, k):
-    assert_pow_on_both_routes(a, k)
+    assert list((a ** k).coeffs) == l_pow(a.coeffs, k)
 
 
 def test_pow_by_the_recurrence_never_multiplies(monkeypatch):
@@ -389,17 +376,17 @@ def test_pow_by_the_recurrence_never_multiplies(monkeypatch):
     assert power._num == tuple(math.comb(1500, k) * 1000 ** k for k in range(1501))
 
 
-def test_pow_takes_the_recurrence_only_inside_the_cut(monkeypatch):
-    called = []
-    real = unipoly._series_power
-    monkeypatch.setattr(unipoly, "_series_power", lambda *args: called.append(args[1]) or real(*args))
-    slack = unipoly._MILLER_SLACK
-    dense = P(*range(1, 10))  # eight terms above the lowest
-    exponents = (2, 3, 15 - slack, 16 - slack, 17 - slack)
-    for k in exponents:
+def test_pow_squares_at_two_and_takes_the_recurrence_from_three(monkeypatch):
+    calls = []
+    for name in ("_mul_ints", "_series_power"):
+        real = getattr(unipoly, name)
+        monkeypatch.setattr(unipoly, name, lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
+    dense = P(0, *range(1, 65))  # 63 terms above the lowest
+    for k in (1, 2, 3, 4):
+        calls.clear()
         assert list((dense ** k).coeffs) == l_pow(dense.coeffs, k)
-    assert called == [k for k in exponents if k >= 3 and 2 * 8 <= k + slack]
-    assert called
+        assert calls == {1: [], 2: ["_mul_ints"]}.get(k, ["_series_power"])
 
 
 # Nonzero divisors with content: an integer polynomial times k/den.
