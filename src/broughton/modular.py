@@ -1,16 +1,23 @@
-"""Kernels modulo single-digit primes for the gcd and the squarefree
-decomposition: the primes themselves (Miller-Rabin), Euclid and Yun's
-algorithm modulo a prime, the Chinese remainder lift and rational
-reconstruction.
+"""Kernels modulo primes below 2**30 for the gcd and the squarefree
+decomposition: the primes (Miller-Rabin), Euclid and Yun's algorithm
+modulo a prime, and the one lift both share.  Such a prime and its
+residues are single CPython int digits, so the kernels run on the
+interpreter's one-digit paths, not its general multi-digit division.
 
-The primes lie below 2**30, the width of one CPython int digit.  Every
-residue and the prime are then single digits, so ``c % p`` divides by a
-one-digit divisor and products of residues are one-digit products: the
-kernels run on the interpreter's small-int paths instead of its general
-multi-digit division, which a 62-bit prime needed.  The inputs of the
-gcd and the decomposition are mostly small, so most calls stop at the
-first prime; a large lift draws more primes.  Every lift is certified
-over the integers, so correctness does not depend on the primes' size.
+:func:`_lift` takes a rank, a shape and monic parts modulo p from its
+caller at each prime; an unlucky prime gives a lower rank (a gcd of
+higher degree, a radical of lower degree).  A higher rank restarts the
+lift, a lower rank or another shape is dropped, and the rest are
+combined by the Chinese remainder theorem.  The lift is tried at its
+first image and then each time the modulus has doubled in bit length:
+each part is recovered by rational reconstruction (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, 5.10), and the caller certifies the
+primitive integer parts over the integers, so neither the primes' luck
+nor their size matters.  A try runs Euclid on the whole modulus, so
+trying at each of k primes would cost k**3; doubling keeps the tries
+within a constant factor of the last one.  An image with no parts (a
+constant gcd, a squarefree polynomial) settles the answer at once, and
+most calls stop there, at the first prime.
 
 Nothing here is loaded until a gcd or a squarefree decomposition runs, so
 ``decompose``, ``connectivity`` or a parse error never compiles it.
@@ -21,6 +28,7 @@ one Mersenne prime, with no lift.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 _PRIMES = []
@@ -81,19 +89,6 @@ def _gcd_mod(a, b, p):
             a.pop()
         a, b = b, a
     return a
-
-
-def _crt(lift, modulus, image, p):
-    """The symmetric residues mod modulus*p that agree with ``lift``
-    (symmetric mod ``modulus``) and with ``image`` mod the prime p."""
-    inverse = pow(modulus, -1, p)
-    combined_modulus = modulus * p
-    half = combined_modulus // 2
-    out = []
-    for h, r in zip(lift, image):
-        c = h + modulus * ((r - h) * inverse % p)
-        out.append(c - combined_modulus if c > half else c)
-    return out
 
 
 def _yun_mod(a, p):
@@ -165,10 +160,45 @@ def _quotient_mod(a, b, p):
     return quotient
 
 
+def _lift(image, accept):
+    """The first answer ``accept(shape, parts)`` gives on the primitive
+    integer parts of a lift (see the module docstring).  ``image(p)`` is
+    None for a skipped prime, else ``(rank, shape, parts)``, the parts
+    monic residue lists modulo p."""
+    rank = -1
+    for p in map(_prime, itertools.count()):
+        found = image(p)
+        if found is None:
+            continue
+        image_rank, shape, parts = found
+        key = (shape, [len(part) for part in parts])
+        if image_rank > rank:
+            rank, lift_key, lift, modulus = image_rank, key, parts, p
+        elif image_rank < rank or key != lift_key:
+            continue
+        else:
+            inverse = pow(modulus, -1, p)
+            lift = [[h + modulus * ((r - h) * inverse % p) for h, r in zip(H, R)]
+                    for H, R in zip(lift, parts)]
+            modulus *= p
+            if modulus.bit_length() < 2 * tried:
+                continue
+        integers = []
+        for part in lift:
+            integers.append(_rational(part, modulus))
+            if integers[-1] is None:
+                break
+        else:
+            answer = accept(shape, integers)
+            if answer is not None:
+                return answer
+        tried = modulus.bit_length()
+
+
 def _rational(residues, modulus):
-    """Small fractions congruent to ``residues`` modulo ``modulus``, as
-    ``(numerators, d)`` over one denominator d > 0 prime to the modulus,
-    or None.
+    """Small fractions congruent to ``residues`` modulo ``modulus``, as the
+    primitive integer list of their numerators over one denominator d > 0
+    prime to the modulus, or None.
 
     Each residue is first tried over the denominator found so far: a
     numerator of absolute value at most B = sqrt(modulus / 2) there is
@@ -206,4 +236,5 @@ def _rational(residues, modulus):
             n = r1 * d
             d *= t1
         numerators.append(n)
-    return numerators, d
+    content = math.gcd(*numerators)
+    return [n // content for n in numerators]

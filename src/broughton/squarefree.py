@@ -13,41 +13,30 @@ p = (unit root adjusted) base**d with d maximal, and d is what drives both
 the multiple-fiber multiplicity and the orbifold group of the associated
 pencil.
 
-The decomposition is computed modulo primes below 2**30 (see
-:mod:`broughton.modular`) and lifted, never over the rationals.  The parts
-are small even when gcd(p, p') = f2 * f3**2 * ... is huge, as for a high
-power, so only the parts are lifted:
+The decomposition is computed modulo primes and lifted, never over the
+rationals.  The parts are small even when gcd(p, p') = f2 * f3**2 * ...
+is huge, as for a high power, so only the parts are lifted:
 
 * For each prime p that exceeds deg A and does not divide the leading
   coefficient of the primitive integer part A of ``p``, Yun's algorithm
   runs on A modulo p (Yun 1976; von zur Gathen and Gerhard, *Modern
   Computer Algebra*, 14.6).  It is exact there because p > deg A; a
   prime at most deg A is skipped.
-* If A is squarefree modulo p, then gcd(A, A') = 1 over the rationals,
-  since that gcd keeps its degree modulo p, and ``p`` is its own single
-  part: nothing is lifted.
-* Otherwise the monic parts modulo p are combined over several primes by
-  the Chinese remainder theorem and their coefficients recovered as
-  fractions by rational reconstruction (op. cit., 5.10).  The radical
-  modulo p has at most the true radical's degree, with equality exactly
-  when the images are the true parts; an image of lower degree comes from
-  an unlucky prime and is dropped, one of higher degree restarts the lift.
+* A squarefree image proves gcd(A, A') = 1, since that gcd keeps its
+  degree modulo p: ``p`` is its own single part.  Otherwise the monic
+  parts modulo p go to the lift of :mod:`broughton.modular`, ranked by
+  the radical's degree modulo p, which is at most the true radical's,
+  with equality exactly when the images are the true parts.
 * A lift is accepted only by a certificate over the integers.  Let P_i be
   the primitive integer parts, W = P_1 * ... * P_k and
   V = sum m_i * P_i' * W / P_i.  If A' * W == A * V, then the logarithmic
   derivatives of A and of B = P_1**m1 * ... * P_k**mk agree, so
   (A / B)' = 0 and A = c * B.  The P_i are squarefree and pairwise coprime
-  because their images modulo a prime that divides no lc(P_i) are.  A
-  failed reconstruction or check draws more primes, and the next try
-  waits until the modulus has doubled in bit length: every try runs
-  Euclid on the whole modulus, so trying at every prime would make a
-  lift over k primes cost k**3, and doubling keeps the tries' total
-  within a constant factor of the last one.
+  because their images modulo a prime that divides no lc(P_i) are.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -99,45 +88,25 @@ def squarefree_decompose(a) -> SquarefreeDecomposition:
     unit = poly.leading_coefficient
     if poly.is_constant():
         return SquarefreeDecomposition(unit=unit, parts=())
-    from .modular import _crt, _prime, _rational, _yun_mod
+    from .modular import _lift, _yun_mod
 
     ints = _primitive(poly._num)
-    best = -1  # radical degree of the images in the lift
-    for p in map(_prime, itertools.count()):
+
+    def image(p):
         if p < len(ints) or not ints[-1] % p:  # p <= deg A or p | lc A
-            continue
-        image = _yun_mod([c % p for c in ints], p)
-        if len(image) == 1 and image[0][1] == 1:
-            return SquarefreeDecomposition(unit=unit, parts=((poly.monic(), 1),))
-        radical_degree = sum(len(f) - 1 for f, _ in image)
-        shape = [(len(f), m) for f, m in image]
-        residues = [c for f, _ in image for c in f]
-        if radical_degree > best:
-            best, best_shape = radical_degree, shape
-            modulus = p
-            lift = [c - p if c > p // 2 else c for c in residues]
-            tried = 0  # bit length of the modulus at the last failed try
-        elif shape == best_shape:
-            lift = _crt(lift, modulus, residues, p)
-            modulus *= p
-            if modulus.bit_length() < 2 * tried:
-                continue
-        else:
-            continue
-        parts = []
-        start = 0
-        for length, _ in shape:
-            fraction = _rational(lift[start:start + length], modulus)
-            if fraction is None:
-                break
-            parts.append(_primitive(fraction[0]))
-            start += length
-        else:
-            multiplicities = [m for _, m in shape]
-            if _certified(ints, parts, multiplicities):
-                return SquarefreeDecomposition(unit=unit, parts=tuple(
-                    (_make(P, P[-1]), m) for P, m in zip(parts, multiplicities)))
-        tried = modulus.bit_length()
+            return None
+        parts, multiplicities = zip(*_yun_mod([c % p for c in ints], p))
+        radical_degree = sum(len(f) - 1 for f in parts)
+        return radical_degree, multiplicities, [] if multiplicities == (1,) else parts
+
+    def accept(multiplicities, parts):
+        if parts and not _certified(ints, parts, multiplicities):
+            return None
+        # No parts: A is squarefree, its own single part, and nothing was lifted.
+        return SquarefreeDecomposition(unit=unit, parts=tuple(
+            (_make(P, P[-1]), m) for P, m in zip(parts or [ints], multiplicities)))
+
+    return _lift(image, accept)
 
 
 def _certified(A, parts, multiplicities):

@@ -38,14 +38,12 @@ small-by-big product per term and coefficient); see
 :meth:`UniPoly.__pow__`.
 :func:`exact_div` divides the numerator by the primitive part of the
 divisor's numerator over the integers, which Gauss's lemma makes exact
-whenever the rational division is.  :func:`gcd` works modulo primes below
-2**30 and checks its lift with the same integer trial division; its
-modular kernels live in :mod:`broughton.modular`, loaded by the first gcd.
+whenever the rational division is.  :func:`gcd` lifts by
+:mod:`broughton.modular` and checks with the same integer division.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -428,38 +426,37 @@ def exact_div(a: UniPoly, b: UniPoly) -> UniPoly:
     primitive = _primitive(b._num)
     quotient = _exact_quotient(a._num, primitive)
     if quotient is None:
-        raise ArithmeticError(f"inexact division: {a} by {b}")
+        raise ArithmeticError("inexact division")
     if b._den != 1:
         quotient = [c * b._den for c in quotient]
     return _make(quotient, a._den * (b._num[-1] // primitive[-1]))  # L_a * cont B
 
 
 def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic greatest common divisor, from gcds modulo single-digit primes.
+    """Monic greatest common divisor, from gcds modulo primes below 2**30.
 
-    The inputs are scaled to primitive integer polynomials A and B, which
-    changes their gcd only by a constant, and G denotes the gcd of A and B
-    over the integers (Brown 1971; von zur Gathen and Gerhard, *Modern
-    Computer Algebra*, ch. 6).  For each prime p below 2**30 (one CPython
-    int digit, see :mod:`broughton.modular`) that divides neither leading
-    coefficient, Euclid on ints gives the monic gcd of A mod p and
-    B mod p.  Since lc G divides lc A, G mod p keeps its
-    degree and divides both images, so that gcd has degree at least
-    deg G: a constant image proves the inputs coprime, and most calls stop
-    at the first prime.  An image of higher degree than the least seen
-    comes from an unlucky prime and is dropped.  The others, scaled by
-    gcd(lc A, lc B) so that all are images of one integer multiple of G,
-    are combined by the Chinese remainder theorem and lifted to the
-    symmetric range.  The primitive part H of the lift is tried as soon as
-    the first image of the least degree arrives, and after that whenever a
-    further prime leaves the lift unchanged.  It is accepted only if it
-    divides A and B exactly over the integers; then H divides G and has at
-    least its degree, so H is G up to sign.  A failed check draws more
-    primes.
+    Let A and B be the primitive integer parts of the inputs and G their
+    gcd over the integers (Brown 1971; von zur Gathen and Gerhard, *Modern
+    Computer Algebra*, ch. 6).  At each prime p that divides neither
+    leading coefficient, Euclid gives the monic gcd g of the images a and
+    b.  Since lc G divides lc A, G mod p keeps its degree and divides g:
+    deg g >= deg G, and a constant g proves A and B coprime.  Otherwise
+    the lift of :mod:`broughton.modular`, ranked by deg a - deg g, lifts
+    the piece of least degree among g, a/g and b/g, made monic, as GCDHEU
+    does (Char, Geddes and Gonnet 1989).  A lifted g is accepted if it
+    divides A and B over the integers; a lifted cofactor C of A if A/C is
+    exact and its primitive part divides B; likewise for B.  The result
+    divides A and B and has degree deg g >= deg G, so it is G up to sign.
 
-    The gcd of a nonzero polynomial and zero is the monic associate of the
-    former; both arguments zero is rejected since no monic generator exists.
-    Rational scalars stand for constant polynomials on either side.
+    A cofactor makes ``gcd(p, p.derivative())`` of a high power one
+    prime's work.  G and both cofactors large and dense pay instead, since
+    rational reconstruction needs twice the bits of an integer lift: at
+    degree 5 with random 1000-bit coefficients the gcd draws 128 primes
+    where an integer lift of G drew 35, and takes 17 ms, not 3.5 ms
+    (median of 10 inputs, 2 CPUs, CPython 3.11.7).
+
+    The gcd with zero is the other side's monic associate, and gcd(0, 0)
+    is rejected.  Rational scalars stand for constant polynomials.
     """
     a, b = _polynomial(a), _polynomial(b)
     if not a or not b:
@@ -469,36 +466,38 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     ints_a, ints_b = _primitive(a._num), _primitive(b._num)
     if len(ints_a) == 1 or len(ints_b) == 1:
         return ONE
-    from .modular import _crt, _gcd_mod, _prime
+    from .modular import _gcd_mod, _lift, _quotient_mod
 
-    lead_a, lead_b = ints_a[-1], ints_b[-1]
-    scale = math.gcd(lead_a, lead_b)
-    degree = min(len(ints_a), len(ints_b))  # above every image's degree
-    for p in map(_prime, itertools.count()):
-        if not lead_a % p or not lead_b % p:
-            continue
-        image = _gcd_mod([c % p for c in ints_a], [c % p for c in ints_b], p)
-        d = len(image) - 1
-        if d == 0:
+    def image(p):
+        if not ints_a[-1] % p or not ints_b[-1] % p:
+            return None
+        images = [c % p for c in ints_a], [c % p for c in ints_b]
+        g = _gcd_mod(list(images[0]), images[1], p)
+        rank = len(ints_a) - len(g)  # deg a - deg g
+        if len(g) == 1:
+            return rank, 0, []  # coprime
+        lengths = [len(g)] + [len(f) - len(g) + 1 for f in images]
+        piece = lengths.index(min(lengths))  # g, a/g or b/g
+        if piece:
+            f = images[piece - 1]
+            inverse = pow(f[-1], -1, p)
+            g = _quotient_mod([c * inverse % p for c in f], g, p)
+        return rank, piece, [g]
+
+    def accept(piece, parts):
+        if not parts:
             return ONE
-        if d > degree:
-            continue
-        residue = scale % p
-        image = [c * residue % p for c in image]
-        if d < degree:
-            degree = d
-            modulus = p
-            lift = [c - p if c > p // 2 else c for c in image]
-        else:
-            combined = _crt(lift, modulus, image, p)
-            modulus *= p
-            if combined != lift:
-                lift = combined
-                continue
-        candidate = _primitive(lift)
-        if (_exact_quotient(ints_a, candidate) is not None
-                and _exact_quotient(ints_b, candidate) is not None):
-            return _make(candidate, candidate[-1])  # monic
+        divisor, others = parts[0], (ints_a, ints_b)
+        if piece:  # a cofactor of A or of B; test the other input
+            quotient = _exact_quotient(others[piece - 1], divisor)
+            if quotient is None:
+                return None
+            divisor, others = _primitive(quotient), (others[2 - piece],)
+        if all(_exact_quotient(f, divisor) is not None for f in others):
+            return _make(divisor, divisor[-1])  # monic
+        return None
+
+    return _lift(image, accept)
 
 
 def _primitive(ints):

@@ -137,7 +137,9 @@ EXPORTS = {
 # partition, the Sylvester-matrix fallback and the join of several primes
 # gave way to one pointwise Euclid at formal degrees modulo one prime, and
 # the two layers between resultant_y and that kernel were folded into
-# resultant_y, which also took unipoly's _integer_columns.
+# resultant_y, which also took unipoly's _integer_columns.  The Chinese
+# remainder step _crt was folded into modular's one lift, _lift, which the
+# gcd and the squarefree decomposition share.
 REMOVED = {
     "arrangement": ("resonance",),
     "bipoly": (
@@ -152,6 +154,7 @@ REMOVED = {
         "MERSENNE_EXPONENTS", "mersenne_exponents", "hadamard_square",
         "integer_resultant", "_resultant_by_primes", "_resultant_values",
         "_take", "_euclid_resultants", "_sylvester_determinant", "_interpolate",
+        "_crt",
     ),
     "parser": ("parse_bi", "print_canonical"),
     "squarefree": ("PowerIndex", "distinct_root_count", "power_index", "radical"),
@@ -188,8 +191,8 @@ def test_lazy_exports_match_the_submodules():
 # call.
 INTERNAL = {
     "bipoly": ("BiPoly", "resultant_y", "mersenne_exponent", "hadamard_square"),
-    "modular": ("_prime", "_is_prime", "_gcd_mod", "_crt", "_yun_mod", "_derivative_mod",
-                "_difference_mod", "_quotient_mod", "_rational"),
+    "modular": ("_prime", "_is_prime", "_gcd_mod", "_yun_mod", "_derivative_mod",
+                "_difference_mod", "_quotient_mod", "_lift", "_rational"),
 }
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +21,7 @@ from broughton.unipoly import (
     exact_div,
     gcd,
 )
-from broughton import unipoly
+from broughton import modular, unipoly
 from broughton.modular import _prime
 from broughton.parser import parse_uni
 from oracles import (
@@ -200,23 +202,117 @@ def test_gcd_matches_fraction_euclid_at_unlucky_primes():
         check_gcd_against_oracle(a, b)
 
 
-def test_gcd_tries_the_first_image_at_once(monkeypatch):
+@contextlib.contextmanager
+def recorded(name):
+    """The arguments of each call to ``modular.<name>`` while the block
+    runs, in order."""
+    calls = []
+    real = getattr(modular, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.object(modular, name, recording):
+        yield calls
+
+
+def test_gcd_tries_the_first_image_at_once():
     # A gcd with coefficients inside one prime's symmetric range passes
     # the trial division at the first prime, with no second one to
     # confirm the lift.
-    from broughton import modular
-
-    primes = []
-    real_gcd_mod = modular._gcd_mod
-
-    def recording_gcd_mod(a, b, p):
-        primes.append(p)
-        return real_gcd_mod(a, b, p)
-
-    monkeypatch.setattr(modular, "_gcd_mod", recording_gcd_mod)
     common = 3 * X ** 2 - F(5, 7)
-    assert gcd(common * (X + 1), common * (2 * X - 9)) == common.monic()
-    assert primes == [_prime(0)]
+    with recorded("_gcd_mod") as calls:
+        assert gcd(common * (X + 1), common * (2 * X - 9)) == common.monic()
+    assert [p for _, _, p in calls] == [_prime(0)]
+
+
+# A gcd or cofactor of 60-digit integers needs about 400 bits of modulus,
+# 14 primes, to recover as fractions; small ones need one prime.
+huge_polys = st.lists(st.integers(-10**60, 10**60), min_size=2, max_size=5).map(UniPoly)
+
+
+@given(huge_polys.filter(lambda w: w.degree >= 2), polys, polys)
+@settings(deadline=None, max_examples=60)
+def test_gcd_lifts_the_small_cofactor_of_a_large_gcd(w, u, v):
+    a, b = w * u, w * v
+    if not a or not b:
+        return
+    with recorded("_gcd_mod") as calls:
+        check_gcd_against_oracle(a, b)
+    # Both orders ran; each drew one prime when a cofactor is the piece of
+    # least degree, since the cofactors' coefficients are small.
+    g = gcd(a, b).degree
+    if min(a.degree, b.degree) - g < g:
+        assert len(calls) == 2
+
+
+@given(polys.filter(lambda w: w.degree >= 1), huge_polys, huge_polys)
+@settings(deadline=None, max_examples=60)
+def test_gcd_lifts_a_small_gcd_of_large_cofactors(w, u, v):
+    a, b = w * u, w * v
+    if a or b:
+        check_gcd_against_oracle(a, b)
+
+
+@given(huge_polys.filter(lambda w: w.degree >= 1), huge_polys, huge_polys)
+@settings(deadline=None, max_examples=30)
+def test_gcd_of_large_pieces_tries_when_the_modulus_doubles(w, u, v):
+    # Each try calls _rational once, on the one lifted piece, and a try
+    # waits until the modulus has doubled in bit length, so the tries grow
+    # with the log of the primes drawn.
+    a, b = w * u, w * v
+    if not a or not b:
+        return
+    with recorded("_gcd_mod") as primes, recorded("_rational") as tries:
+        assert gcd(a, b) == UniPoly(l_gcd(a.coeffs, b.coeffs))
+    assert len(tries) <= math.log2(len(primes)) + 1
+
+
+def test_gcd_of_large_dense_pieces_draws_many_primes():
+    # G and both cofactors of degree 5 with 1000-bit coefficients: the
+    # one route that lifts over many primes.
+    rng = random.Random(1989)
+
+    def dense():
+        return UniPoly([rng.getrandbits(1000) - 2 ** 999 for _ in range(5)] + [2 ** 999])
+
+    w, u, v = dense(), dense(), dense()
+    with recorded("_gcd_mod") as primes, recorded("_rational") as tries:
+        assert gcd(w * u, w * v) == w.monic()
+    assert len(primes) > 60
+    assert len(tries) <= math.log2(len(primes)) + 1
+
+
+def test_gcd_of_a_high_power_and_its_derivative_draws_one_prime():
+    # The cofactor of the derivative is a constant, lifted at once; the
+    # gcd itself has 1499 coefficients of about 15 000 bits.
+    p = parse_uni("(1000*x+1)^1500")
+    with recorded("_gcd_mod") as primes:
+        assert gcd(p, p.derivative()) == (X + F(1, 1000)) ** 1499
+    assert len(primes) == 1
+
+
+def test_gcd_cofactor_lift_at_unlucky_primes():
+    # W has degree 2, so the cofactors of degree 1 are the pieces lifted.
+    p, p2 = _prime(0), _prime(1)
+    w = X ** 2 + 3 * X - 5
+    cases = [
+        # Modulo p, x + p is x: the image gcd is x*W, its cofactor the
+        # constant 1, and (x + p)*W, exact over it, does not divide x*W.
+        ((X + p) * w, X * w),
+        (X * w, (X + p) * w),
+        # The same unlucky image at p2, after a true one at p, is dropped.
+        ((X + p2) * w, X * w),
+        # Modulo p and p*p2 the cofactor x + p*p2 + 3 reconstructs as
+        # x + 3, which does not divide (x + p*p2 + 3)*W over the integers.
+        ((X + p * p2 + 3) * w, X * w),
+        (X * w, (X + p * p2 + 3) * w),
+    ]
+    for a, b in cases:
+        with recorded("_gcd_mod") as calls:
+            check_gcd_against_oracle(a, b)
+        assert len(calls) > 2
 
 
 def test_scalars_coerce_in_gcd_and_exact_div():
