@@ -1,16 +1,21 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when a polynomial or rational argument fails
-to parse, 2 when a precondition is violated (inadmissible pair, constant
-input, bad degree or exponent arguments, a resultant bound past the prime
-table), 3 when a connectivity certificate comes back inconclusive, and
-141 (128 + SIGPIPE) when the reader closes standard output early.
+to parse, 2 for a malformed command line or when a precondition is
+violated (inadmissible pair, constant input, bad degree or exponent
+arguments, a resultant bound past the prime table), 3 when a connectivity
+certificate comes back inconclusive, and 141 (128 + SIGPIPE) when the
+reader closes standard output early.
 
 Output is text by default; ``--format json`` prints a deterministic JSON
 document instead, and ``--quiet`` silences the text rendering (exit codes
 and JSON are unaffected).  Only the chosen format is built: a JSON run
 never renders the text lines, a text run never builds the mapping, and a
 quiet text run renders nothing.
+
+argv is parsed from one table, ``COMMANDS``, with no ``argparse``: a
+malformed command line prints usage and an ``error:`` line to stderr and
+exits 2, and ``-h``/``--help`` prints help built from the table.
 
 Each process loads only what its command runs.  At import this module
 pulls in the parser and the univariate layer, which every command needs;
@@ -23,15 +28,16 @@ JSON.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .parser import ParseError, parse_uni
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 1
 EXIT_PRECONDITION = 2
+EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_BROKEN_PIPE = 141
 
@@ -194,76 +200,120 @@ def cmd_connectivity(args) -> int:
     return EXIT_OK if certificate.singular_finite else EXIT_INCONCLUSIVE
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "text"), default="text",
-        help="output format (default: text)",
-    )
-    common.add_argument(
-        "--quiet", action="store_true",
-        help="suppress text output; exit codes and JSON are unaffected",
-    )
+def _format(text: str) -> str:
+    if text in ("json", "text"):
+        return text
+    raise ValueError(text)
 
-    parser = argparse.ArgumentParser(
-        prog="broughton",
-        description="Exact invariants of generalized Broughton curve arrangements.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("check", parents=[common],
-                        help="test the admissibility hypotheses on (p, q)")
-    sp.add_argument("p")
-    sp.add_argument("q")
-    sp.set_defaults(func=cmd_check)
+# The command line: each command's handler, summary, positionals and required
+# options, each a (name, type) pair whose type turns the text into the value.
+# Every command also takes --format and --quiet.
+_P, _Q = ("p", str), ("q", str)
+COMMANDS = {
+    "check": (cmd_check, "test the admissibility hypotheses on (p, q)", (_P, _Q), ()),
+    "betti": (cmd_betti, "Betti numbers of the arrangement complement", (_P, _Q), ()),
+    "charvar": (cmd_charvar, "full characteristic-variety report for (p, q)", (_P, _Q), ()),
+    "report": (cmd_charvar, "alias of charvar", (_P, _Q), ()),
+    "divisor": (cmd_divisor, "multiple-fiber divisor of the pencil at -1", (_P,), ()),
+    "decompose": (cmd_decompose, "functional decomposition at a given inner degree",
+                  (_P,), (("--inner-degree", int),)),
+    "connectivity": (cmd_connectivity, "connectivity certificate for the auxiliary surface",
+                     (_P,), (("--m", int), ("--n", int), ("--c", str))),
+    "zahid": (cmd_zahid, "report for the standard family x^a, x*(x+2)*...*(x+b)",
+              (("p_exponent", int), ("q_factors", int)), ()),
+}
+OPTION_HELP = {
+    "--inner-degree": "degree e of the inner polynomial Q in p = H(Q)",
+    "--m": "exponent m in h = (p*y - 1)^m + c*y^n",
+    "--n": "exponent n in h",
+    "--c": "nonzero constant c in h, in the expression grammar: -2, -3/2, (1/2)^2",
+    "--format": "output format, json or text (default: text)",
+    "--quiet": "suppress text output; exit codes and JSON are unaffected",
+    "-h, --help": "show this help and exit",
+}
 
-    sp = sub.add_parser("betti", parents=[common],
-                        help="Betti numbers of the arrangement complement")
-    sp.add_argument("p")
-    sp.add_argument("q")
-    sp.set_defaults(func=cmd_betti)
 
-    sp = sub.add_parser("charvar", aliases=["report"], parents=[common],
-                        help="full characteristic-variety report for (p, q); "
-                             "report is an alias")
-    sp.add_argument("p")
-    sp.add_argument("q")
-    sp.set_defaults(func=cmd_charvar)
+class _Usage(Exception):
+    """``(command, message)``: a malformed command line, or help if no message."""
 
-    sp = sub.add_parser("divisor", parents=[common],
-                        help="multiple-fiber divisor of the pencil at -1")
-    sp.add_argument("p")
-    sp.set_defaults(func=cmd_divisor)
 
-    sp = sub.add_parser("decompose", parents=[common],
-                        help="functional decomposition at a given inner degree")
-    sp.add_argument("p")
-    sp.add_argument("--inner-degree", type=int, required=True)
-    sp.set_defaults(func=cmd_decompose)
+def _parse(argv) -> SimpleNamespace:
+    """The namespace the ``cmd_*`` functions read.  A token that begins with
+    ``--`` is an option, and the token after a value-taking option is its
+    value whatever it looks like (``--c -3/2``); the others are positionals."""
+    command, *tokens = argv or [""]
+    if command not in COMMANDS:
+        help_asked = command in ("-h", "--help")
+        raise _Usage(None, None if help_asked else f"unknown command {command!r}")
+    func, _, positionals, required = COMMANDS[command]
+    options = dict(required, **{"--format": _format})
+    texts, given, tokens = {"--format": "text"}, [], iter(tokens)
+    values = {"func": func, "quiet": False}
+    for token in tokens:
+        name, equals, text = token.partition("=")
+        if token in ("-h", "--help"):
+            raise _Usage(command, None)
+        if token == "--quiet":
+            values["quiet"] = True
+        elif name in options:
+            texts[name] = text if equals else next(tokens, None)
+            if texts[name] is None:
+                raise _Usage(command, f"option {name} needs a value")
+        elif token.startswith("--"):
+            raise _Usage(command, f"unknown option {name!r}")
+        else:
+            given.append(token)
+    if len(given) > len(positionals):
+        raise _Usage(command, f"unexpected argument {given[len(positionals)]!r}")
+    texts.update(zip([name for name, _ in positionals], given))
+    for name, kind in positionals + tuple(options.items()):
+        if name not in texts:
+            raise _Usage(command, f"missing argument {name}")
+        try:
+            values[name.lstrip("-").replace("-", "_")] = kind(texts[name])
+        except ValueError:
+            message = f"argument {name}: invalid value {texts[name]!r}"
+            raise _Usage(command, message) from None
+    return SimpleNamespace(**values)
 
-    sp = sub.add_parser("connectivity", parents=[common],
-                        help="connectivity certificate for the auxiliary surface")
-    sp.add_argument("p")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--c", required=True,
-                    help="nonzero constant in the polynomial expression "
-                         "grammar, e.g. -2, 3/2 or (1/2)^2; spell negative "
-                         "fractions as --c=-3/2")
-    sp.set_defaults(func=cmd_connectivity)
 
-    sp = sub.add_parser("zahid", parents=[common],
-                        help="report for the standard family x^a, x*(x+2)*...*(x+b)")
-    sp.add_argument("p_exponent", type=int)
-    sp.add_argument("q_factors", type=int)
-    sp.set_defaults(func=cmd_zahid)
+def _usage(command=None) -> str:
+    words = ["usage: broughton", "{" + ",".join(COMMANDS) + "} ..."]
+    if command is not None:
+        _, _, positionals, required = COMMANDS[command]
+        words[1:] = [command] + [name for name, _ in positionals]
+        words += [f"{name} {name.lstrip('-').replace('-', '_').upper()}"
+                  for name, _ in required]
+    return " ".join(words + ["[--format {json,text}] [--quiet]"])
 
-    return parser
+
+def _help(command=None) -> str:
+    lines = [_usage(command), ""]
+    if command is None:
+        lines += ["Exact invariants of generalized Broughton curve arrangements.",
+                  "", "commands:"]
+        lines += [f"  {name:<16}{entry[1]}" for name, entry in COMMANDS.items()]
+        options = []
+    else:
+        lines.append(COMMANDS[command][1])
+        options = [name for name, _ in COMMANDS[command][3]]
+    lines += ["", "options:"]
+    lines += [f"  {name:<16}{OPTION_HELP[name]}"
+              for name in options + ["--format", "--quiet", "-h, --help"]]
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except _Usage as usage:
+        command, message = usage.args
+        if message is None:
+            print(_help(command))
+            return EXIT_OK
+        print(_usage(command), f"error: {message}", sep="\n", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except ParseError as error:

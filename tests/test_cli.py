@@ -9,11 +9,13 @@ import sys
 import pytest
 
 from broughton.cli import (
+    COMMANDS,
     EXIT_BROKEN_PIPE,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_PARSE_ERROR,
     EXIT_PRECONDITION,
+    EXIT_USAGE,
     main,
 )
 from broughton import bipoly, report
@@ -209,14 +211,86 @@ class TestCommands:
         assert payload["inputs"]["c"] == "1/1"
 
     def test_connectivity_accepts_fractions(self, capsys):
-        # Negative fractions need the --c=value spelling under argparse.
-        code, out, _ = run(capsys, "connectivity", "x^2", "--m", "2", "--n", "3",
-                           "--c=-3/2", "--format", "json")
-        assert code == EXIT_OK
-        assert json.loads(out)["inputs"]["c"] == "-3/2"
+        for spelling in (["--c=-3/2"], ["--c", "-3/2"]):
+            code, out, _ = run(capsys, "connectivity", "x^2", "--m", "2", "--n", "3",
+                               *spelling, "--format", "json")
+            assert code == EXIT_OK
+            assert json.loads(out)["inputs"]["c"] == "-3/2"
         code, _, _ = run(capsys, "connectivity", "x", "--m", "2", "--n", "2",
                          "--c", "-2", "--quiet")
         assert code == EXIT_OK
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [
+        [],                                                    # no command
+        ["frobnicate", "x"],                                   # unknown command
+        ["check", "x^2", "x", "--bogus"],                      # unknown option
+        ["zahid", "5", "3", "--form", "json"],                 # no abbreviations
+        ["zahid", "5"],                                        # missing positional
+        ["divisor", "x", "x"],                                 # extra positional
+        ["decompose", "x^4+1"],                                # missing option
+        ["connectivity", "x", "--m", "2", "--n", "2", "--c"],  # missing value
+        ["decompose", "x^4+1", "--inner-degree="],             # empty value
+        ["zahid", "five", "3"],                                # non-integer
+        ["decompose", "x^4+1", "--inner-degree", "2.0"],       # non-integer
+        ["zahid", "5", "3", "--format", "xml"],                # bad --format
+        ["check", "x^2", "x", "--quiet=1"],                    # --quiet takes none
+    ])
+    def test_malformed_command_line_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE == 2
+        assert out == ""
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: broughton")
+        assert error.startswith("error: ")
+
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_lists_the_table(self, capsys, command, flag):
+        code, out, err = run(capsys, *filter(None, [command, flag]))
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("usage: broughton")
+        if command is None:
+            words = list(COMMANDS)
+        else:
+            _, summary, positionals, options = COMMANDS[command]
+            words = [summary, *(name for name, _ in positionals + options)]
+        for word in words + ["--format", "--quiet", "--help"]:
+            assert word in out, word
+
+    def test_option_spellings_agree(self, capsys):
+        spaced = run(capsys, "connectivity", "x", "--m", "2", "--n", "3", "--c", "1",
+                     "--format", "json")
+        assert spaced[0] == EXIT_OK
+        assert run(capsys, "connectivity", "x", "--m=2", "--n=3", "--c=1",
+                   "--format=json") == spaced
+        # Options before and between the positionals, in any order.
+        assert run(capsys, "connectivity", "--format", "json",
+                   "--c", "1", "--n", "3", "--m", "2", "x") == spaced
+        first = run(capsys, "check", "x^2", "x*(x+2)", "--quiet", "--format", "json")
+        assert run(capsys, "check", "--format", "json", "x^2", "--quiet",
+                   "x*(x+2)") == first
+
+    def test_a_later_option_overrides_an_earlier_one(self, capsys):
+        assert (run(capsys, "zahid", "2", "1", "--format", "json", "--format", "text")
+                == run(capsys, "zahid", "2", "1"))
+
+    def test_leading_minus_is_a_positional(self, capsys):
+        code, out, err = run(capsys, "check", "-x^2+x", "x")
+        assert (code, err) == (EXIT_OK, "")
+        assert "admissible: yes" in out
+        # A negative zahid parameter is a precondition, not a usage error.
+        code, out, err = run(capsys, "zahid", "-3", "2")
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert err.startswith("error: ")
+
+    def test_value_of_an_option_is_the_next_token(self, capsys):
+        # --c takes "--quiet" as its value, which is no rational constant.
+        code, out, err = run(capsys, "connectivity", "x", "--m", "2", "--n", "2",
+                             "--c", "--quiet")
+        assert (code, out) == (EXIT_PARSE_ERROR, "")
+        assert err == "error: invalid rational constant '--quiet' (offset 0)\n"
 
 
 class TestOutputDiscipline:

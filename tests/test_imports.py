@@ -65,6 +65,8 @@ def test_command_loads_only_what_it_runs(command, fmt):
     code, modules = loaded_by(command, *COMMANDS[command], "--format", fmt)
     assert code == 0
     assert "dataclasses" not in modules
+    # The command line is parsed from one table, without argparse.
+    assert not {"argparse", "gettext"} & modules
     assert "broughton.report" in modules
     if command in REPORTING:
         assert "broughton.arrangement" in modules
@@ -84,16 +86,18 @@ def test_command_loads_only_what_it_runs(command, fmt):
 
 
 def test_parse_error_loads_only_the_parser():
-    # Not the modular helpers either: a parse error never compiles them.
-    code, modules = loaded_by("check", "x^", "x")
-    assert code == 1
-    assert {name for name in modules if name.startswith("broughton")} == {
-        "broughton",
-        "broughton.cli",
-        "broughton.parser",
-        "broughton.unipoly",
-    }
-    assert "dataclasses" not in modules
+    # Not the modular helpers either: a parse error, or a malformed command
+    # line, never compiles them.
+    for argv, expected in ((["check", "x^", "x"], 1), (["zahid", "5"], 2)):
+        code, modules = loaded_by(*argv)
+        assert code == expected
+        assert {name for name in modules if name.startswith("broughton")} == {
+            "broughton",
+            "broughton.cli",
+            "broughton.parser",
+            "broughton.unipoly",
+        }
+        assert not {"dataclasses", "argparse", "gettext"} & modules
 
 
 # The names the package exports, by the submodule that defines them.
@@ -139,9 +143,11 @@ EXPORTS = {
 # the two layers between resultant_y and that kernel were folded into
 # resultant_y, which also took unipoly's _integer_columns.  The Chinese
 # remainder step _crt was folded into modular's one lift, _lift, which the
-# gcd and the squarefree decomposition share.
+# gcd and the squarefree decomposition share.  The command line's argparse
+# builder gave way to the table broughton.cli.COMMANDS.
 REMOVED = {
     "arrangement": ("resonance",),
+    "cli": ("_build_parser",),
     "bipoly": (
         "build_f", "build_g", "is_irreducible_y_linear", "X", "Y", "BI_ZERO",
         "BI_ONE", "SingularLocusCheck", "singular_locus_finite", "_eliminant",
