@@ -104,7 +104,10 @@ def _yun_mod(a, p):
     (i - k) * f_i' * w / f_i.  The parts are coprime and squarefree, so
     z = c * w' for a constant c exactly when one part is left, of
     multiplicity k + c: the loop stops there instead of taking c gcds with
-    a constant result.
+    a constant result.  A constant gcd(w, z) before that means no part of
+    multiplicity k: w stays, and z - w' is the next z, with no quotient and
+    no new derivative.  The one-part test is not repeated there, since
+    z - w' is a constant times w' only if z is.
     """
     inverse = pow(a[-1], -1, p)
     w = [c * inverse % p for c in a]
@@ -121,8 +124,11 @@ def _yun_mod(a, p):
             parts.append((w, k + c))
             break
         f = _gcd_mod(list(w), z, p)
-        if len(f) > 1:
-            parts.append((f, k))
+        while len(f) == 1:  # no part of multiplicity k: w and w' stay
+            z = _difference_mod(z, dw, p)
+            k += 1
+            f = _gcd_mod(list(w), z, p)
+        parts.append((f, k))
         w = _quotient_mod(w, f, p)
         dw = _derivative_mod(w, p)
         z = _difference_mod(_quotient_mod(z, f, p), dw, p)

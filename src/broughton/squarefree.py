@@ -13,7 +13,13 @@ p = (unit root adjusted) base**d with d maximal, and d is what drives both
 the multiple-fiber multiplicity and the orbifold group of the associated
 pencil.
 
-The decomposition is computed modulo primes and lifted, never over the
+The power x**v that divides ``p`` comes off first.  What is left is
+prime to x and is decomposed as below; x then joins the part of
+multiplicity v, as x times it, or becomes a part of its own in
+multiplicity order.  So c*x**v, such as p = x**a of the paper's standard
+pair, draws no prime at all.
+
+The rest is decomposed modulo primes and lifted, never over the
 rationals.  The parts are small even when gcd(p, p') = f2 * f3**2 * ...
 is huge, as for a high power, so only the parts are lifted:
 
@@ -41,7 +47,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .unipoly import ONE, UniPoly, _make, _mul_ints, _polynomial, _primitive
+from .unipoly import ONE, X, UniPoly, _make, _mul_ints, _polynomial, _primitive, _x_split
 
 
 class SquarefreeDecomposition(NamedTuple):
@@ -85,12 +91,19 @@ def squarefree_decompose(a) -> SquarefreeDecomposition:
     poly = _polynomial(a)
     if not poly:
         raise ValueError("squarefree decomposition needs a nonzero polynomial")
-    unit = poly.leading_coefficient
-    if poly.is_constant():
-        return SquarefreeDecomposition(unit=unit, parts=())
-    from .modular import _lift, _yun_mod
+    shift, num = _x_split(poly._num)
+    parts = _x_free_parts(_primitive(num)) if len(num) > 1 else {}
+    if shift:  # x joins the part of multiplicity shift, or is a part of its own
+        parts[shift] = X * parts.get(shift, ONE)
+    return SquarefreeDecomposition(unit=poly.leading_coefficient,
+                                   parts=tuple((f, m) for m, f in sorted(parts.items())))
 
-    ints = _primitive(poly._num)
+
+def _x_free_parts(ints):
+    """The monic parts of the nonconstant integer polynomial ``ints``,
+    which x does not divide, by multiplicity, from Yun's algorithm modulo
+    primes and a certified lift."""
+    from .modular import _lift, _yun_mod
 
     def image(p):
         if p < len(ints) or not ints[-1] % p:  # p <= deg A or p | lc A
@@ -103,8 +116,7 @@ def squarefree_decompose(a) -> SquarefreeDecomposition:
         if parts and not _certified(ints, parts, multiplicities):
             return None
         # No parts: A is squarefree, its own single part, and nothing was lifted.
-        return SquarefreeDecomposition(unit=unit, parts=tuple(
-            (_make(P, P[-1]), m) for P, m in zip(parts or [ints], multiplicities)))
+        return {m: _make(P, P[-1]) for P, m in zip(parts or [ints], multiplicities)}
 
     return _lift(image, accept)
 

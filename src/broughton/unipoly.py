@@ -19,7 +19,14 @@ Every operation works on the numerators and the denominator as ints.
 ``Fraction`` appears only at the edges: the constructor accepts ints and
 Fractions, and :attr:`UniPoly.coeffs`, :meth:`UniPoly.coefficient`,
 :attr:`UniPoly.leading_coefficient` and evaluation return Fractions.
-The numerators of a product take one of two routes:
+
+A product, a power and a gcd first take the lowest term x**v off each
+numerator (:func:`_x_split`) and work on the rest, whose constant term is
+nonzero: a product puts v_a + v_b zeros back in front, a power v*n and a
+gcd min(v_a, v_b).  So a power of x, such as p = x**a of the paper's
+standard pair, costs nothing in any of them, and a gcd whose x-free side
+is a constant draws no prime.  The rest of a product takes one of two
+routes:
 
 * a shorter operand of at most :data:`_SCHOOLBOOK_MAX` entries multiplies
   by schoolbook, one shifted row per entry, so a constant on either side
@@ -32,10 +39,9 @@ The numerators of a product take one of two routes:
   *Modern Computer Algebra*, 8.4; Harvey 2009).
 
 Products, squares and the parser's ``*`` multiply through
-:func:`_mul_ints`.  Higher powers take out their lowest term and raise the
-rest by J. C. P. Miller's recurrence (:func:`_series_power`, one
-small-by-big product per term and coefficient); see
-:meth:`UniPoly.__pow__`.
+:func:`_mul_ints`.  Higher powers raise the rest by J. C. P. Miller's
+recurrence (:func:`_series_power`, one small-by-big product per term and
+coefficient); see :meth:`UniPoly.__pow__`.
 :func:`exact_div` divides the numerator by the primitive part of the
 divisor's numerator over the integers, which Gauss's lemma makes exact
 whenever the rational division is.  :func:`gcd` lifts by
@@ -270,10 +276,7 @@ class UniPoly:
         num = self._num
         if not num:
             return ZERO
-        lowest = 0
-        while not num[lowest]:
-            lowest += 1
-        rest = num[lowest:]
+        lowest, rest = _x_split(num)
         if len(rest) == 1:
             power = [rest[0] ** exponent]
         elif exponent == 2:
@@ -435,18 +438,21 @@ def exact_div(a: UniPoly, b: UniPoly) -> UniPoly:
 def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic greatest common divisor, from gcds modulo primes below 2**30.
 
-    Let A and B be the primitive integer parts of the inputs and G their
-    gcd over the integers (Brown 1971; von zur Gathen and Gerhard, *Modern
-    Computer Algebra*, ch. 6).  At each prime p that divides neither
-    leading coefficient, Euclid gives the monic gcd g of the images a and
-    b.  Since lc G divides lc A, G mod p keeps its degree and divides g:
-    deg g >= deg G, and a constant g proves A and B coprime.  Otherwise
-    the lift of :mod:`broughton.modular`, ranked by deg a - deg g, lifts
-    the piece of least degree among g, a/g and b/g, made monic, as GCDHEU
-    does (Char, Geddes and Gonnet 1989).  A lifted g is accepted if it
-    divides A and B over the integers; a lifted cofactor C of A if A/C is
-    exact and its primitive part divides B; likewise for B.  The result
-    divides A and B and has degree deg g >= deg G, so it is G up to sign.
+    The lowest terms x**v_a and x**v_b come off first (:func:`_x_split`),
+    and the gcd is x**min(v_a, v_b) times that of the rests, so a rest that
+    is a constant draws no prime.  Let A and B be the primitive integer
+    parts of the rests and G their gcd over the integers (Brown 1971; von
+    zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 6).  At each
+    prime p that divides neither leading coefficient, Euclid gives the
+    monic gcd g of the images a and b.  Since lc G divides lc A, G mod p
+    keeps its degree and divides g: deg g >= deg G, and a constant g
+    proves A and B coprime.  Otherwise the lift of :mod:`broughton.modular`,
+    ranked by deg a - deg g, lifts the piece of least degree among g, a/g
+    and b/g, made monic, as GCDHEU does (Char, Geddes and Gonnet 1989).  A
+    lifted g is accepted if it divides A and B over the integers; a lifted
+    cofactor C of A if A/C is exact and its primitive part divides B;
+    likewise for B.  The result divides A and B and has degree
+    deg g >= deg G, so it is G up to sign.
 
     A cofactor makes ``gcd(p, p.derivative())`` of a high power one
     prime's work.  G and both cofactors large and dense pay instead, since
@@ -463,9 +469,11 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         if not a and not b:
             raise ValueError("gcd(0, 0) is undefined")
         return (a or b).monic()
-    ints_a, ints_b = _primitive(a._num), _primitive(b._num)
+    (shift_a, num_a), (shift_b, num_b) = _x_split(a._num), _x_split(b._num)
+    shift = min(shift_a, shift_b)
+    ints_a, ints_b = _primitive(num_a), _primitive(num_b)
     if len(ints_a) == 1 or len(ints_b) == 1:
-        return ONE
+        return _make([0] * shift + [1])
     from .modular import _gcd_mod, _lift, _quotient_mod
 
     def image(p):
@@ -486,7 +494,7 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
     def accept(piece, parts):
         if not parts:
-            return ONE
+            return [1]
         divisor, others = parts[0], (ints_a, ints_b)
         if piece:  # a cofactor of A or of B; test the other input
             quotient = _exact_quotient(others[piece - 1], divisor)
@@ -494,10 +502,20 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
                 return None
             divisor, others = _primitive(quotient), (others[2 - piece],)
         if all(_exact_quotient(f, divisor) is not None for f in others):
-            return _make(divisor, divisor[-1])  # monic
+            return divisor
         return None
 
-    return _lift(image, accept)
+    divisor = _lift(image, accept)
+    return _make([0] * shift + divisor, divisor[-1])  # monic
+
+
+def _x_split(ints):
+    """``(v, ints[v:])`` for the power x**v that divides the nonzero integer
+    polynomial ``ints``: the quotient by x**v has a nonzero constant term."""
+    v = 0
+    while not ints[v]:
+        v += 1
+    return v, ints[v:] if v else ints
 
 
 def _primitive(ints):
@@ -540,10 +558,13 @@ def _mul_ints(a, b):
     """Product of the integer polynomials ``a`` and ``b`` (int sequences,
     low degree first, each with a nonzero last entry), as a list of ints.
 
-    If the shorter operand has at most :data:`_SCHOOLBOOK_MAX` entries, the
-    product is the schoolbook sum of shifted rows, one list comprehension
-    per nonzero entry of the shorter operand.  Otherwise it runs by
-    Kronecker substitution.  Every coefficient of a*b is a sum of at most
+    If an operand has a zero constant term, the lowest terms x**v_a and
+    x**v_b come off first (:func:`_x_split`), the rests multiply as below,
+    and the product starts with v_a + v_b zeros.  If the shorter rest has
+    at most :data:`_SCHOOLBOOK_MAX` entries, their product is the
+    schoolbook sum of shifted rows, one list comprehension per nonzero
+    entry of the shorter one.  Otherwise it runs by Kronecker
+    substitution.  Every coefficient of a*b is a sum of at most
     min(len a, len b) products, so its absolute value is at most
     bound = max|a| * max|b| * min(len a, len b).  A byte-aligned slot of w
     bits with 2**(w - 1) > bound holds each one in [0, 2**w) after adding
@@ -574,6 +595,10 @@ def _mul_ints(a, b):
     Schoolbook wins up to s = 6 at every size and loses from s = 7 on
     small entries, hence the cut at 6.
     """
+    if not a[0] or not b[0]:
+        shift, rest = _x_split(a)
+        v, b = (shift, rest) if b is a else _x_split(b)  # a square stays one operand
+        return [0] * (shift + v) + _mul_ints(rest, b)
     if len(a) > len(b):
         a, b = b, a
     if len(a) <= _SCHOOLBOOK_MAX:

@@ -32,8 +32,8 @@ CHILD = (
 COMMANDS = {
     "check": ["x^2", "x*(x+2)"],
     "betti": ["x^2", "x*(x+2)"],
-    "charvar": ["x^3", "x"],
-    "report": ["x^3", "x"],
+    "charvar": ["x^3", "x*(x+2)"],
+    "report": ["x^3", "x*(x+2)"],
     "divisor": ["(x+1)^2*x"],
     "zahid": ["4", "2"],
     "decompose": ["x^4+2*x^2+1", "--inner-degree", "2"],
@@ -83,6 +83,15 @@ def test_command_loads_only_what_it_runs(command, fmt):
     # none of them.
     assert ("broughton.modular" in modules) == (command in REPORTING)
     assert ("json" in modules) == (fmt == "json")
+
+
+def test_powers_of_x_load_no_modular_helpers():
+    # Every gcd and squarefree decomposition of p = x^3 and q = x splits
+    # the power of x off first, and what is left is a constant.
+    code, modules = loaded_by("charvar", "x^3", "x")
+    assert code == 0
+    assert "broughton.squarefree" in modules
+    assert "broughton.modular" not in modules
 
 
 def test_parse_error_loads_only_the_parser():

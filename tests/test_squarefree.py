@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from broughton import modular
 from broughton.arrangement import orbifold_group
@@ -18,6 +18,7 @@ from oracles import l_from_roots, l_squarefree
 
 F = Fraction
 P0 = modular._prime(0)
+Y = X + 1
 
 
 def P(*coeffs):
@@ -161,7 +162,8 @@ def test_last_part_ends_the_loop_without_constant_gcds(monkeypatch):
         return real_gcd(a, b, p)
 
     monkeypatch.setattr(modular, "_gcd_mod", counting_gcd)
-    assert check_against_oracle(X ** 120).parts == ((X, 120),)
+    # In Y = x + 1: a power of x draws no prime at all.
+    assert check_against_oracle(Y ** 120).parts == ((Y, 120),)
     assert len(calls) <= 3
 
     half = F(1, 2)
@@ -250,15 +252,81 @@ def test_matches_yun_over_the_rationals(factors, unit):
     assert check_against_oracle(poly).reconstruct() == poly
 
 
-def test_unlucky_prime_lowers_the_radical(monkeypatch):
-    # Modulo P0, x*(x - P0) is x^2 and x^2*(x - P0)^3 is x^5: one part
-    # of a lower radical degree, whose lift fails the certificate.
+# Multiplicities with gaps between them, such as 2, 9 and 16: Yun's loop
+# modulo p passes each absent multiplicity with a constant gcd.
+@given(st.lists(irreducible_factors(), min_size=3, max_size=3),
+       st.lists(st.integers(1, 20), min_size=1, max_size=3, unique=True))
+@settings(deadline=None, max_examples=40)
+@example([X + 1, X - F(2, 3), X ** 2 + 1], [2, 9, 16])
+def test_matches_yun_across_gaps_between_multiplicities(factors, multiplicities):
+    poly = ONE
+    for factor, multiplicity in zip(factors, multiplicities):
+        poly = poly * factor ** multiplicity
+    check_against_oracle(poly)
+
+
+def test_absent_multiplicities_take_no_quotient(monkeypatch):
+    # No part has multiplicity 1 to 15, so those steps of Yun's loop only
+    # subtract w' from z.  The quotients are w and w' by gcd(w, w'), then
+    # w and z by the part of multiplicity 16; the last part ends the loop.
     drawn = primes_drawn(monkeypatch)
-    assert check_against_oracle(X * (X - P0)).parts == ((X * (X - P0), 1),)
+    quotients = []
+    real_quotient = modular._quotient_mod
+
+    def counting_quotient(a, b, p):
+        quotients.append(len(b))
+        return real_quotient(a, b, p)
+
+    monkeypatch.setattr(modular, "_quotient_mod", counting_quotient)
+    poly = (X - F(2, 3)) ** 16 * (X - 2) ** 24
+    assert check_against_oracle(poly).parts == ((X - F(2, 3), 16), (X - 2, 24))
+    assert drawn == [P0]
+    assert len(quotients) == 4
+
+
+@given(st.integers(0, 12),
+       st.lists(st.tuples(irreducible_factors(), st.integers(1, 12)), max_size=3),
+       small_rationals.filter(bool))
+@settings(deadline=None, max_examples=60)
+@example(7, [], F(-3, 2))
+def test_power_of_x_splits_off_first(v, factors, unit):
+    # x**v times A0, v below, equal to or above A0's multiplicities, and A0
+    # constant; a factor drawn as x itself adds to v.
+    poly = unit * X ** v
+    for factor, multiplicity in factors:
+        poly = poly * factor ** multiplicity
+    check_against_oracle(poly)
+
+
+@pytest.mark.parametrize("v", [1, 2, 3, 5, 7])
+def test_power_of_x_joins_the_parts_in_order(monkeypatch, v):
+    # x joins the part of multiplicity v, or is a part of its own below,
+    # between or above A0's multiplicities 2 and 5.  A bare c*x**v draws no
+    # prime.
+    drawn = primes_drawn(monkeypatch)
+    a0 = (X - 1) ** 2 * (X ** 2 + 3) ** 5
+    parts = [(X * f if m == v else f, m) for f, m in ((X - 1, 2), (X ** 2 + 3, 5))]
+    if v not in (2, 5):
+        parts.append((X, v))
+    result = check_against_oracle(X ** v * a0)
+    assert result.parts == tuple(sorted(parts, key=lambda part: part[1]))
+    assert drawn == [P0]
+    drawn.clear()
+    assert check_against_oracle(F(-3, 2) * X ** v).parts == ((X, v),)
+    assert drawn == []
+
+
+def test_unlucky_prime_lowers_the_radical(monkeypatch):
+    # In Y = x + 1, which x does not divide, so that no x**v is split off
+    # before a prime is drawn: modulo P0, Y*(Y - P0) is Y^2 and
+    # Y^2*(Y - P0)^3 is Y^5, one part of a lower radical degree, whose lift
+    # fails the certificate.
+    drawn = primes_drawn(monkeypatch)
+    assert check_against_oracle(Y * (Y - P0)).parts == ((Y * (Y - P0), 1),)
     assert drawn == [P0, modular._prime(1)]
     drawn.clear()
-    result = check_against_oracle(X ** 2 * (X - P0) ** 3)
-    assert result.parts == ((X, 2), (X - P0, 3))
+    result = check_against_oracle(Y ** 2 * (Y - P0) ** 3)
+    assert result.parts == ((Y, 2), (Y - P0, 3))
     # The true image restarts the lift; P0 needs two more primes to
     # reconstruct, since it exceeds sqrt(q/2) for a product q of two.
     assert drawn[0] == P0 and len(drawn) >= 4
@@ -266,7 +334,7 @@ def test_unlucky_prime_lowers_the_radical(monkeypatch):
     # dropped from the lift.
     p1 = modular._prime(1)
     drawn.clear()
-    assert check_against_oracle(X ** 2 * (X - p1) ** 3).parts == ((X, 2), (X - p1, 3))
+    assert check_against_oracle(Y ** 2 * (Y - p1) ** 3).parts == ((Y, 2), (Y - p1, 3))
     assert drawn[:2] == [P0, p1] and len(drawn) >= 4
 
 
@@ -289,15 +357,16 @@ def test_reconstruction_takes_a_second_prime(monkeypatch):
 
 
 def test_prime_at_most_the_degree_is_skipped(monkeypatch):
-    # Modulo 5 the derivative of x**5 vanishes, and Yun's algorithm is
-    # exact only for primes above the degree.
+    # Modulo 5 the derivative of Y**5 vanishes, and Yun's algorithm is
+    # exact only for primes above the degree.  Y = x + 1, since a power of
+    # x draws no prime at all.
     real_prime = modular._prime
     monkeypatch.setattr(modular, "_prime", lambda i: 5 if i == 0 else real_prime(i - 1))
     drawn = primes_drawn(monkeypatch)
-    assert check_against_oracle(X ** 5 * (X + 1)).parts == ((X + 1, 1), (X, 5))
+    assert check_against_oracle(Y ** 5 * (Y + 1)).parts == ((Y + 1, 1), (Y, 5))
     assert drawn[0] == P0
     drawn.clear()
-    assert check_against_oracle(X ** 4).parts == ((X, 4),)
+    assert check_against_oracle(Y ** 4).parts == ((Y, 4),)
     assert drawn == [5]
 
 
@@ -334,10 +403,11 @@ def test_four_bases_decide_primality_below_two_to_the_thirty():
 
 
 def test_reconstruction_waits_for_the_modulus_to_double(monkeypatch):
-    # P**2 * x, with P of degree 5 and coefficients of about 560 bits,
+    # P**2 * Y, with P of degree 5 and coefficients of about 560 bits,
     # needs many primes to lift.  Each failed try calls _rational once per
-    # part, x first, and a try waits until the modulus has doubled in bit
-    # length, so the calls grow with the log of the primes drawn.
+    # part, Y = x + 1 first (x would be split off, not lifted), and a try
+    # waits until the modulus has doubled in bit length, so the calls grow
+    # with the log of the primes drawn.
     drawn = primes_drawn(monkeypatch)
     calls = []
     real_rational = modular._rational
@@ -349,8 +419,8 @@ def test_reconstruction_waits_for_the_modulus_to_double(monkeypatch):
     monkeypatch.setattr(modular, "_rational", counting_rational)
     a, b = int("12345678901234567" * 10 + "1"), int("98765432109876543" * 10 + "3")
     base = P(a % 10 ** 100, 7, 0, -b, 0, a)
-    result = check_against_oracle(base ** 2 * X)
-    assert result.parts == ((X, 1), (base.monic(), 2))
+    result = check_against_oracle(base ** 2 * Y)
+    assert result.parts == ((Y, 1), (base.monic(), 2))
     assert len(drawn) > 20
     assert len(calls) <= 2 * (math.log2(len(drawn)) + 1)
 

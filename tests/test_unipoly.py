@@ -180,23 +180,25 @@ def test_gcd_matches_fraction_euclid_with_a_zero_or_constant_side(a, c):
 
 
 def test_gcd_matches_fraction_euclid_at_unlucky_primes():
-    # Planted on the first primes the modular gcd draws.
+    # Planted on the first primes the modular gcd draws, in y = x + 1,
+    # since a factor x**v is split off before any prime is drawn.
     p, p2 = _prime(0), _prime(1)
+    y = X + 1
     cases = [
         # Coprime, but the image at p has degree 1.
-        (X + p, X),
+        (y + p, y),
         # The image at p has degree 2, later ones the true degree 1.
-        ((X + p) * (X + 1), X * (X + 1)),
+        ((y + p) * (y + 1), y * (y + 1)),
         # The image at p2 has degree 2 after p gave 1, and is dropped.
-        ((X + p2) * (X + 1), X * (X + 1)),
+        ((y + p2) * (y + 1), y * (y + 1)),
         # p divides a leading coefficient, so it is skipped.
-        (p * X ** 2 + 1, X),
-        # The gcd p*x + 1 is the constant 1 mod p: without the skip, the
+        (p * y ** 2 + 1, y),
+        # The gcd p*y + 1 is the constant 1 mod p: without the skip, the
         # images at p would be coprime and the degree-0 exit wrong.
-        ((p * X + 1) * X, (p * X + 1) * (X + 2)),
-        # p and p2 both give x(x - 3), a stable lift that the trial
+        ((p * y + 1) * y, (p * y + 1) * (y + 2)),
+        # p and p2 both give y(y - 3), a stable lift that the trial
         # division has to reject.
-        ((X + p * p2) * (X - 3), X * (X - 3)),
+        ((y + p * p2) * (y - 3), y * (y - 3)),
     ]
     for a, b in cases:
         check_gcd_against_oracle(a, b)
@@ -232,8 +234,16 @@ def test_gcd_tries_the_first_image_at_once():
 huge_polys = st.lists(st.integers(-10**60, 10**60), min_size=2, max_size=5).map(UniPoly)
 
 
+def x_free_degree(f):
+    """The degree of the nonzero f over the highest power of x dividing
+    it, which the gcd splits off before it draws a prime."""
+    return f.degree - next(i for i, c in enumerate(f.coeffs) if c)
+
+
 @given(huge_polys.filter(lambda w: w.degree >= 2), polys, polys)
 @settings(deadline=None, max_examples=60)
+@example(P(0, 0, 10 ** 59 + 7, -3 * 10 ** 58), P(1, 1), P(2, 1))
+@example(P(0, 0, 5), ONE, P(1, 1))
 def test_gcd_lifts_the_small_cofactor_of_a_large_gcd(w, u, v):
     a, b = w * u, w * v
     if not a or not b:
@@ -241,10 +251,26 @@ def test_gcd_lifts_the_small_cofactor_of_a_large_gcd(w, u, v):
     with recorded("_gcd_mod") as calls:
         check_gcd_against_oracle(a, b)
     # Both orders ran; each drew one prime when a cofactor is the piece of
-    # least degree, since the cofactors' coefficients are small.
-    g = gcd(a, b).degree
-    if min(a.degree, b.degree) - g < g:
+    # least degree, since the cofactors' coefficients are small.  The
+    # pieces are those of the x-free parts: the first example lifts the
+    # large gcd, and the second, x**2 against x**2*(x + 1), draws no prime.
+    g = x_free_degree(gcd(a, b))
+    if min(x_free_degree(a), x_free_degree(b)) - g < g:
         assert len(calls) == 2
+
+
+@given(polys, polys, st.integers(0, 6), st.integers(0, 6))
+@settings(deadline=None)
+def test_gcd_splits_off_powers_of_x(a, b, i, j):
+    # gcd(x**i * A, x**j * B) is x**min(i, j) * gcd(A, B) for A and B prime
+    # to x; a side with a constant x-free part draws no prime.
+    a, b = X ** i * a, X ** j * b
+    if not a and not b:
+        return
+    with recorded("_gcd_mod") as calls:
+        check_gcd_against_oracle(a, b)
+    if a and b and min(x_free_degree(a), x_free_degree(b)) == 0:
+        assert calls == []
 
 
 @given(polys.filter(lambda w: w.degree >= 1), huge_polys, huge_polys)
@@ -294,20 +320,23 @@ def test_gcd_of_a_high_power_and_its_derivative_draws_one_prime():
 
 
 def test_gcd_cofactor_lift_at_unlucky_primes():
-    # W has degree 2, so the cofactors of degree 1 are the pieces lifted.
+    # In Y = x + 1, since a factor x**v is split off before any prime is
+    # drawn.  W has degree 2, so the cofactors of degree 1 are the pieces
+    # lifted.
     p, p2 = _prime(0), _prime(1)
-    w = X ** 2 + 3 * X - 5
+    y = X + 1
+    w = y ** 2 + 3 * y - 5
     cases = [
-        # Modulo p, x + p is x: the image gcd is x*W, its cofactor the
-        # constant 1, and (x + p)*W, exact over it, does not divide x*W.
-        ((X + p) * w, X * w),
-        (X * w, (X + p) * w),
+        # Modulo p, y + p is y: the image gcd is y*W, its cofactor the
+        # constant 1, and (y + p)*W, exact over it, does not divide y*W.
+        ((y + p) * w, y * w),
+        (y * w, (y + p) * w),
         # The same unlucky image at p2, after a true one at p, is dropped.
-        ((X + p2) * w, X * w),
-        # Modulo p and p*p2 the cofactor x + p*p2 + 3 reconstructs as
-        # x + 3, which does not divide (x + p*p2 + 3)*W over the integers.
-        ((X + p * p2 + 3) * w, X * w),
-        (X * w, (X + p * p2 + 3) * w),
+        ((y + p2) * w, y * w),
+        # Modulo p and p*p2 the cofactor y + p*p2 + 3 reconstructs as
+        # y + 3, which does not divide (y + p*p2 + 3)*W over the integers.
+        ((y + p * p2 + 3) * w, y * w),
+        (y * w, (y + p * p2 + 3) * w),
     ]
     for a, b in cases:
         with recorded("_gcd_mod") as calls:
@@ -396,21 +425,34 @@ int_operands = st.lists(
 ).map(lambda c: c[:-1] + [c[-1] or 1])
 
 
-# The examples have seven entries a side, past the cut, so they run by
-# Kronecker: the bound 7 * 36 = 252 of 8 bits, where a slot without its
-# sign bit overflows, with either sign; inner zeros that leave empty
-# slots; 1000-bit entries.
+# The examples but the last have seven entries a side and a nonzero
+# constant term, so they run by Kronecker: the bound 7 * 36 = 252 of 8
+# bits, where a slot without its sign bit overflows, with either sign;
+# inner zeros that leave empty slots; 1000-bit entries.  The last splits
+# x**6 off its left side, and the one entry left scales the right side.
 @given(int_operands, int_operands)
 @settings(max_examples=300, deadline=None)
 @example([36] * 7, [1] * 7)
 @example([-36] * 7, [1] * 7)
 @example([-255, 0, 0, 0, 0, 0, 255], [1, 0, 0, 0, 0, 0, 1])
+@example([1] + [0] * 5 + [1], [-2 ** 1000] + [0] * 5 + [2 ** 1000])
 @example([0] * 6 + [1], [-2 ** 1000] + [0] * 5 + [2 ** 1000])
 def test_mul_ints_against_schoolbook_oracle_on_both_routes(a, b):
     product = l_mul(a, b)
     assert unipoly._mul_ints(a, b) == product
     assert unipoly._mul_ints(b, a) == product
     # A square packs its operand once.
+    assert unipoly._mul_ints(a, a) == l_mul(a, a)
+
+
+@given(int_operands, int_operands, st.integers(0, 9), st.integers(0, 9))
+@settings(max_examples=100, deadline=None)
+def test_mul_ints_splits_off_powers_of_x(a, b, i, j):
+    # x**i and x**j on one side, on both sides and on a square.
+    a, b = [0] * i + a, [0] * j + b
+    product = l_mul(a, b)
+    assert unipoly._mul_ints(a, b) == product
+    assert unipoly._mul_ints(b, a) == product
     assert unipoly._mul_ints(a, a) == l_mul(a, a)
 
 
@@ -428,9 +470,19 @@ def test_mul_ints_packs_only_past_the_schoolbook_cut(monkeypatch):
     assert unipoly._mul_ints(long, short) == l_mul(long, short)
     assert unipoly._mul_ints(short, short) == l_mul(short, short)
     assert packed == []
+    # Leading zeros are split off before the cut is applied.
+    shifted = [0] * 4 * cut + short
+    assert unipoly._mul_ints(shifted, long) == l_mul(shifted, long)
+    assert unipoly._mul_ints(shifted, shifted) == l_mul(shifted, shifted)
+    assert packed == []
     longer = short + [1]
     assert unipoly._mul_ints(longer, long) == l_mul(longer, long)
     assert packed == [cut + 1, 4 * cut - 1]
+    # A square packs its x-free part once.
+    packed.clear()
+    shifted = [0] * cut + long
+    assert unipoly._mul_ints(shifted, shifted) == l_mul(shifted, shifted)
+    assert packed == [4 * cut - 1]
 
 
 # Bases for powers: a factor x**v and interior zeros, which the power
