@@ -7,11 +7,10 @@ arguments, a resultant bound past the prime table), 3 when a connectivity
 certificate comes back inconclusive, and 141 (128 + SIGPIPE) when the
 reader closes standard output early.
 
-Output is text by default; ``--format json`` prints a deterministic JSON
-document instead, and ``--quiet`` silences the text rendering (exit codes
-and JSON are unaffected).  Only the chosen format is built: a JSON run
-never renders the text lines, a text run never builds the mapping, and a
-quiet text run renders nothing.
+Each command builds one mapping, which is printed as text by default or
+as a deterministic JSON document with ``--format json``; ``--quiet``
+silences the text (exit codes and JSON are unaffected).  The mapping is
+built only when it is printed, so a quiet text run builds nothing.
 
 argv is parsed from one table, ``COMMANDS``, with no ``argparse``: a
 malformed command line prints usage and an ``error:`` line to stderr and
@@ -42,37 +41,25 @@ EXIT_INCONCLUSIVE = 3
 EXIT_BROKEN_PIPE = 141
 
 
-def _emit(args, mapping, text_lines) -> None:
-    """Print a command's output in the chosen format.
+def _emit(args, mapping) -> None:
+    """Print a command's mapping, built by the zero-argument callable
+    ``mapping``, as JSON or as text; a quiet text run builds nothing."""
+    if args.format == "json" or not args.quiet:
+        from . import report
 
-    ``mapping`` and ``text_lines`` are zero-argument callables that build
-    the JSON mapping and the text lines; only the one for ``--format``
-    runs, and with ``--quiet`` text neither does.
-    """
-    if args.format == "json":
-        from .report import render_json
-
-        print(render_json(mapping()))
-    elif not args.quiet:
-        print("\n".join(text_lines()))
+        render = report.render_json if args.format == "json" else report.render_text
+        print(render(mapping()))
 
 
 def cmd_check(args) -> int:
     p = parse_uni(args.p)
     q = parse_uni(args.q)
     from .arrangement import check_hypotheses
-    from .report import command_mapping, hypotheses_text
+    from .report import command_mapping
 
     hypotheses = check_hypotheses(p, q)
-    _emit(
-        args,
-        lambda: command_mapping(
-            "check",
-            {"p": str(p), "q": str(q)},
-            hypotheses=hypotheses._asdict(),
-        ),
-        lambda: hypotheses_text(hypotheses),
-    )
+    _emit(args, lambda: command_mapping(
+        "check", {"p": str(p), "q": str(q)}, hypotheses=hypotheses._asdict()))
     return EXIT_OK if hypotheses.satisfied else EXIT_PRECONDITION
 
 
@@ -80,55 +67,41 @@ def cmd_betti(args) -> int:
     p = parse_uni(args.p)
     q = parse_uni(args.q)
     from .arrangement import betti
-    from .report import betti_text, command_mapping
+    from .report import command_mapping
 
     numbers = betti(p, q)
-    _emit(
-        args,
-        lambda: command_mapping(
-            "betti",
-            {"p": str(p), "q": str(q)},
-            betti=numbers._asdict(),
-        ),
-        lambda: [betti_text(numbers)],
-    )
+    _emit(args, lambda: command_mapping(
+        "betti", {"p": str(p), "q": str(q)}, betti=numbers._asdict()))
     return EXIT_OK
 
 
 def cmd_charvar(args) -> int:
-    p = parse_uni(args.p)
-    q = parse_uni(args.q)
-    from .report import build_report, render_text, report_mapping
-
-    document = build_report(p, q)
-    _emit(args, lambda: report_mapping(document), lambda: [render_text(document)])
-    return EXIT_OK
+    return _report(args, parse_uni(args.p), parse_uni(args.q))
 
 
 def cmd_zahid(args) -> int:
-    from .report import build_report, render_text, report_mapping, zahid_polynomials
+    from .report import zahid_polynomials
 
-    document = build_report(*zahid_polynomials(args.p_exponent, args.q_factors))
-    _emit(args, lambda: report_mapping(document), lambda: [render_text(document)])
+    return _report(args, *zahid_polynomials(args.p_exponent, args.q_factors))
+
+
+def _report(args, p, q) -> int:
+    """The full report of charvar, report and zahid."""
+    from .report import build_report, report_mapping
+
+    document = build_report(p, q)
+    _emit(args, lambda: report_mapping(document))
     return EXIT_OK
 
 
 def cmd_divisor(args) -> int:
     p = parse_uni(args.p)
     from .arrangement import special_fiber_divisor
-    from .report import command_mapping, divisor_mapping, divisor_text
+    from .report import command_mapping, divisor_mapping
 
     divisor = special_fiber_divisor(p)
-    _emit(
-        args,
-        lambda: command_mapping(
-            "divisor", {"p": str(p)}, divisor=divisor_mapping(divisor)
-        ),
-        lambda: [
-            f"special fiber at -1: {divisor_text(divisor)}",
-            f"divisor multiplicity: {divisor.divisor_multiplicity}",
-        ],
-    )
+    _emit(args, lambda: command_mapping(
+        "divisor", {"p": str(p)}, divisor=divisor_mapping(divisor)))
     return EXIT_OK
 
 
@@ -138,29 +111,13 @@ def cmd_decompose(args) -> int:
     from .report import command_mapping
 
     result = uni_decompose_at(p, args.inner_degree)
-
-    def mapping():
-        return command_mapping(
-            "decompose",
-            {"p": str(p)},
-            inner_degree=args.inner_degree,
-            decomposition=None
-            if result is None
-            else {
-                "outer": str(result.outer),
-                "inner": str(result.inner),
-            },
-        )
-
-    def lines():
-        if result is None:
-            return [f"no decomposition with inner degree {args.inner_degree}"]
-        return [
-            f"outer: {result.outer}",
-            f"inner: {result.inner}",
-        ]
-
-    _emit(args, mapping, lines)
+    _emit(args, lambda: command_mapping(
+        "decompose",
+        {"p": str(p)},
+        inner_degree=args.inner_degree,
+        decomposition=None if result is None
+        else {"outer": str(result.outer), "inner": str(result.inner)},
+    ))
     return EXIT_OK
 
 
@@ -178,26 +135,27 @@ def cmd_connectivity(args) -> int:
 
     certificate = connectivity_certificate(p, args.m, args.n, c)
     r_x, r_y = certificate.eliminants
-    _emit(
-        args,
-        lambda: command_mapping(
-            "connectivity",
-            {"p": str(p), "m": args.m, "n": args.n, "c": _rat(c)},
-            certificate={
-                "status": certificate.status,
-                "singular_locus_finite": certificate.singular_finite,
-                "eliminant_x": str(r_x),
-                "eliminant_y": str(r_y),
-                "notes": certificate.notes,
-            },
-        ),
-        lambda: [
-            f"status: {certificate.status}",
-            f"singular locus finite: {certificate.singular_finite}",
-            f"eliminants: {r_x} ; {r_y}",
-        ],
-    )
+    _emit(args, lambda: command_mapping(
+        "connectivity",
+        {"p": str(p), "m": args.m, "n": args.n, "c": _rat(c)},
+        certificate={
+            "status": certificate.status,
+            "singular_locus_finite": certificate.singular_finite,
+            "eliminant_x": str(r_x),
+            "eliminant_y": str(r_y),
+            "notes": certificate.notes,
+        },
+    ))
     return EXIT_OK if certificate.singular_finite else EXIT_INCONCLUSIVE
+
+
+def _integer(text: str) -> int:
+    """An optional ``-`` then ASCII digits; ``int`` would also take
+    ``1_0``, other Unicode digits, spaces and a ``+``."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
 
 
 def _format(text: str) -> str:
@@ -217,11 +175,11 @@ COMMANDS = {
     "report": (cmd_charvar, "alias of charvar", (_P, _Q), ()),
     "divisor": (cmd_divisor, "multiple-fiber divisor of the pencil at -1", (_P,), ()),
     "decompose": (cmd_decompose, "functional decomposition at a given inner degree",
-                  (_P,), (("--inner-degree", int),)),
+                  (_P,), (("--inner-degree", _integer),)),
     "connectivity": (cmd_connectivity, "connectivity certificate for the auxiliary surface",
-                     (_P,), (("--m", int), ("--n", int), ("--c", str))),
+                     (_P,), (("--m", _integer), ("--n", _integer), ("--c", str))),
     "zahid": (cmd_zahid, "report for the standard family x^a, x*(x+2)*...*(x+b)",
-              (("p_exponent", int), ("q_factors", int)), ()),
+              (("p_exponent", _integer), ("q_factors", _integer)), ()),
 }
 OPTION_HELP = {
     "--inner-degree": "degree e of the inner polynomial Q in p = H(Q)",
@@ -254,7 +212,9 @@ def _parse(argv) -> SimpleNamespace:
         name, equals, text = token.partition("=")
         if token in ("-h", "--help"):
             raise _Usage(command, None)
-        if token == "--quiet":
+        if name == "--quiet":
+            if equals:
+                raise _Usage(command, "option --quiet takes no value")
             values["quiet"] = True
         elif name in options:
             texts[name] = text if equals else next(tokens, None)

@@ -4,8 +4,7 @@ A report gathers every computed invariant of an admissible pair (p, q)
 into one document.  JSON serialization is deterministic: fixed key order,
 all rationals rendered as "numerator/denominator" strings in lowest terms,
 and never a float, so identical inputs give byte-identical output.  Text
-rendering prints the same facts with the torsion points spelled as roots
-of unity.
+rendering writes the same mapping, key for key, as indented ASCII lines.
 
 Claims the computation relies on but cannot itself check are carried in
 the notes, each marked "cited, not verified".
@@ -19,7 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .unipoly import UniPoly, X, _decimal, _make, _mul_ints
 
 if TYPE_CHECKING:
-    from .arrangement import BettiNumbers, CharVarietyReport, FiberDivisor, Hypotheses
+    from .arrangement import CharVarietyReport, FiberDivisor
 
 SCHEMA_VERSION = "1"
 
@@ -197,66 +196,53 @@ def _write_json(value, newline, out, quote):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def render_text(document: ReportDocument) -> str:
-    """Human-readable rendering of the same facts."""
-    body = document.body
-    inputs = dict(document.inputs)
-    lines = [
-        f"inputs: p = {inputs['p']}, q = {inputs['q']}",
-        f"hypotheses: {'; '.join(hypotheses_text(body.hypotheses))}",
-        f"betti numbers: {betti_text(body.betti)}",
-        f"special fiber at -1: {divisor_text(body.divisor)} "
-        f"(multiplicity gcd {body.divisor.divisor_multiplicity})",
-        f"orbifold group: Z/{body.orbifold_order}",
-        f"characteristic variety: {len(body.components)} positive-dimensional "
-        "component(s)",
-    ]
-    for j, torus in enumerate(body.components, start=1):
-        a0 = torus.torsion.a0
-        lines.append(
-            f"  W_{j} = {{exp(2πi·{a0.numerator}/{a0.denominator})}} × C*  "
-            f"[torsion ({_rat(a0)}, {_rat(torus.torsion.a1)}), "
-            f"direction {torus.direction}]"
-        )
-    lines.append(f"resonance trivial: {_yes(body.resonance_trivial)}")
-    lines.append(
-        f"irreducible: f: {_yes(body.irreducibility_flags[0])}, "
-        f"g: {_yes(body.irreducibility_flags[1])}"
-    )
-    lines.append("notes:")
-    for note in document.notes:
-        lines.append(f"  - {note}")
-    return "\n".join(lines)
+def render_text(mapping: dict) -> str:
+    """The same mapping as ``render_json``, as ASCII text for a reader.
+
+    Each scalar is a ``key: value`` line; a nested mapping goes under its
+    ``key:``, two spaces in; each mapping in a list starts with ``- ``; a
+    list of scalars is ``[a, b]`` if that line fits in 79 columns and
+    otherwise one ``- item`` line each.  Booleans are yes/no, null is none.
+    """
+    out = []
+    _write_text(mapping, "", out)
+    return "\n".join(out)
 
 
-def hypotheses_text(hypotheses: Hypotheses) -> list:
-    """The two clauses and the verdict, one phrase each."""
-    return [
-        f"common root of p and q: {_yes(hypotheses.common_root_pq)}",
-        f"no common root of p+1 and q: {_yes(hypotheses.no_common_root_p1_q)}",
-        f"admissible: {_yes(hypotheses.satisfied)}",
-    ]
+def _write_text(value, indent, out):
+    """Append the lines of the nonempty dict or list ``value`` to ``out``,
+    each after ``indent``."""
+    in_dict = isinstance(value, dict)
+    for key, item in value.items() if in_dict else enumerate(value):
+        head = f"{indent}{_inline(key)}:" if in_dict else indent + "-"
+        line = _inline(item)
+        if line is not None and (len(head) + 1 + len(line) <= 79 or not item
+                                 or not isinstance(item, (list, tuple))):
+            out.append(f"{head} {line}")
+        elif isinstance(item, dict) and not in_dict:
+            # The "- " of a list item takes the place of its first indent.
+            start = len(out)
+            _write_text(item, indent + "  ", out)
+            out[start] = head + out[start][len(head):]
+        else:
+            out.append(head)
+            _write_text(item, indent + "  ", out)
 
 
-def betti_text(numbers: BettiNumbers) -> str:
-    """The Betti numbers with s and t, as one phrase."""
-    return (
-        f"b0 = {numbers.b0}, b1 = {numbers.b1}, b2 = {numbers.b2} "
-        f"(s = {numbers.s}, t = {numbers.t})"
-    )
-
-
-def _yes(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
-def divisor_text(divisor: FiberDivisor) -> str:
-    """The fiber as unit * (factor)^multiplicity * ..., a unit of one and
-    exponents of one left out."""
-    pieces = []
-    if divisor.unit != 1:
-        pieces.append(_rat(divisor.unit))
-    for factor, multiplicity in divisor.components:
-        text = str(factor)
-        pieces.append(f"({text})^{multiplicity}" if multiplicity > 1 else f"({text})")
-    return " * ".join(pieces)
+def _inline(value):
+    """The one-line text of ``value``, or None for a nonempty dict and a
+    list that holds one."""
+    if isinstance(value, str):
+        # Escapes the backslash and all but printable ASCII, so that a
+        # value is one ASCII line.
+        return value.encode("unicode_escape").decode()
+    if value is None or isinstance(value, bool):
+        return {None: "none", True: "yes", False: "no"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        return None if value else "{}"
+    if isinstance(value, (list, tuple)):
+        parts = [_inline(item) for item in value]
+        return None if None in parts else f"[{', '.join(parts)}]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

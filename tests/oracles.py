@@ -54,10 +54,6 @@ def l_pow(a, k):
     return out
 
 
-def l_scale(a, s):
-    return l_trim([Fraction(s) * c for c in a])
-
-
 def l_eval(a, t):
     """Direct power-sum evaluation (no Horner)."""
     t = Fraction(t)
@@ -112,15 +108,6 @@ def b_pow(a, k):
     for _ in range(k):
         out = b_mul(out, a)
     return out
-
-
-def b_scale(a, s):
-    return b_trim({k: Fraction(s) * v for k, v in a.items()})
-
-
-def b_eval(a, x0, y0):
-    x0, y0 = Fraction(x0), Fraction(y0)
-    return sum((v * x0 ** i * y0 ** j for (i, j), v in a.items()), Fraction(0))
 
 
 def b_partial_x(a):

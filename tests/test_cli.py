@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -32,12 +33,22 @@ class TestExitCodes:
     def test_check_admissible(self, capsys):
         code, out, _ = run(capsys, "check", "x^2", "x*(x+2)")
         assert code == EXIT_OK
-        assert "admissible: yes" in out
+        assert out == (
+            "schema_version: 1\n"
+            "command: check\n"
+            "inputs:\n"
+            "  p: x^2\n"
+            "  q: x^2 + 2*x\n"
+            "hypotheses:\n"
+            "  common_root_pq: yes\n"
+            "  no_common_root_p1_q: yes\n"
+            "  satisfied: yes\n"
+        )
 
     def test_check_inadmissible(self, capsys):
         code, out, _ = run(capsys, "check", "x", "x+1")
         assert code == EXIT_PRECONDITION
-        assert "admissible: no" in out
+        assert "  no_common_root_p1_q: no\n  satisfied: no\n" in out
 
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "check", "x^", "x")
@@ -85,8 +96,8 @@ class TestExitCodes:
         code, out, _ = run(capsys, "connectivity", "x", "--m", "2", "--n", "2",
                            "--c", "1")
         assert code == EXIT_INCONCLUSIVE
-        assert "status: inconclusive" in out
-        assert "singular locus finite: False" in out
+        assert "  status: inconclusive\n" in out
+        assert "  singular_locus_finite: no\n" in out
 
     def test_resultant_bound_past_the_prime_table_is_a_precondition(self, capsys,
                                                                    monkeypatch):
@@ -236,6 +247,12 @@ class TestCommandLine:
         ["decompose", "x^4+1", "--inner-degree", "2.0"],       # non-integer
         ["zahid", "5", "3", "--format", "xml"],                # bad --format
         ["check", "x^2", "x", "--quiet=1"],                    # --quiet takes none
+        # Integers are an optional - and ASCII digits, which int() is not.
+        ["zahid", "1_0", "2"],                                 # underscore
+        ["zahid", "\u0663", "2"],                              # Arabic-Indic digit
+        ["zahid", " 3 ", "2"],                                 # spaces
+        ["connectivity", "x", "--m", "+2", "--n", "2", "--c", "1"],  # plus sign
+        ["decompose", "x^4+1", "--inner-degree", "-"],         # no digits
     ])
     def test_malformed_command_line_is_a_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -279,11 +296,17 @@ class TestCommandLine:
     def test_leading_minus_is_a_positional(self, capsys):
         code, out, err = run(capsys, "check", "-x^2+x", "x")
         assert (code, err) == (EXIT_OK, "")
-        assert "admissible: yes" in out
+        assert "  p: -x^2 + x\n" in out
+        assert "  satisfied: yes\n" in out
         # A negative zahid parameter is a precondition, not a usage error.
         code, out, err = run(capsys, "zahid", "-3", "2")
         assert (code, out) == (EXIT_PRECONDITION, "")
         assert err.startswith("error: ")
+
+    def test_quiet_takes_no_value(self, capsys):
+        code, out, err = run(capsys, "check", "x", "x", "--quiet=1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.splitlines()[1] == "error: option --quiet takes no value"
 
     def test_value_of_an_option_is_the_next_token(self, capsys):
         # --c takes "--quiet" as its value, which is no rational constant.
@@ -319,8 +342,14 @@ class TestOutputDiscipline:
         # A quiet text run builds neither.
         assert run(capsys, *argv, "--quiet") == (EXIT_OK, "", "")
         monkeypatch.undo()
-        monkeypatch.setattr(report, "report_mapping", other_format)
+        # A text run builds the one mapping once and writes it as text.
+        built = []
+        real = report.report_mapping
+        monkeypatch.setattr(report, "report_mapping",
+                            lambda document: built.append(None) or real(document))
         assert run(capsys, *argv, "--format", "text") == (EXIT_OK, text_out, "")
+        assert len(built) == 1
+        assert text_out == report.render_text(json.loads(json_out)) + "\n"
 
     def test_json_is_byte_identical_across_runs(self, capsys):
         _, first, _ = run(capsys, "zahid", "4", "2", "--format", "json")
@@ -343,6 +372,17 @@ def test_installed_entry_point_smoke():
     assert result.returncode == EXIT_OK
     payload = json.loads(result.stdout)
     assert payload["orbifold_order"] == 3
+
+
+def test_text_on_an_ascii_stdout():
+    # The text is ASCII, so a stdout that encodes nothing else takes it.
+    result = subprocess.run(
+        [sys.executable, "-m", "broughton.cli", "zahid", "3", "2", "--format", "text"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONIOENCODING="ascii"),
+    )
+    assert (result.returncode, result.stderr) == (EXIT_OK, "")
+    assert "  - torsion: [1/3, 0/1]\n    direction: [0, 1]\n" in result.stdout
 
 
 def test_reader_closing_early_exits_141_without_a_traceback():

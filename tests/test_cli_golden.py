@@ -108,6 +108,37 @@ def test_cli_output_is_byte_identical():
         assert run(entry["argv"]) == entry, " ".join(entry["argv"])
 
 
+WORDS = {None: "none", True: "yes", False: "no"}
+
+
+def leaves(value, key=None):
+    """(key, value) for every scalar in a JSON document; key is None in a list."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            yield from leaves(item, name)
+    elif isinstance(value, list):
+        for item in value:
+            yield from leaves(item)
+    else:
+        yield key, value
+
+
+def test_text_writes_every_leaf_of_the_json_document():
+    entries = load()
+    half = len(entries) // 2
+    for as_json, as_text in zip(entries[:half], entries[half:]):
+        assert as_text["argv"] == as_json["argv"][:-1] + ["text"]
+        text = as_text["stdout"]
+        assert text.isascii(), " ".join(as_text["argv"])
+        if not as_json["stdout"]:
+            assert text == ""
+            continue
+        for key, value in leaves(json.loads(as_json["stdout"])):
+            word = (WORDS[value] if value is None or isinstance(value, bool)
+                    else str(value))
+            assert (word if key is None else f"{key}: {word}") in text, (key, value)
+
+
 def test_script_rewrites_the_file_only_on_request():
     before = GOLDEN.read_bytes()
     env = dict(os.environ)

@@ -152,22 +152,97 @@ class TestJson:
 
 class TestText:
     def test_lines_cover_every_fact(self):
-        text = render_text(build_report(*zahid_polynomials(3, 2)))
-        assert "inputs: p = x^3, q = x^2 + 2*x" in text
-        assert "b2 = 4 (s = 2, t = 2)" in text
-        assert "orbifold group: Z/3" in text
-        assert "2 positive-dimensional component(s)" in text
-        assert "W_1 = {exp(2πi·1/3)} × C*" in text
-        assert "W_2 = {exp(2πi·2/3)} × C*" in text
-        assert "[torsion (1/3, 0/1), direction (0, 1)]" in text
-        assert "special fiber at -1: (x)^3 (multiplicity gcd 3)" in text
-        assert "resonance trivial: yes" in text
-        assert "irreducible: f: yes, g: yes" in text
-        assert "  - maps:" in text
+        mapping = report_mapping(build_report(*zahid_polynomials(3, 2)))
+        text = render_text(mapping)
+        assert text.isascii()
+        assert text.startswith(
+            "schema_version: 1\n"
+            "inputs:\n"
+            "  p: x^3\n"
+            "  q: x^2 + 2*x\n"
+            "hypotheses:\n"
+            "  common_root_pq: yes\n"
+            "  no_common_root_p1_q: yes\n"
+            "  satisfied: yes\n"
+            "betti:\n"
+            "  b0: 1\n"
+            "  b1: 2\n"
+            "  b2: 4\n"
+            "  s: 2\n"
+            "  t: 2\n"
+            "divisor:\n"
+            "  value: -1/1\n"
+            "  unit: 1/1\n"
+            "  components:\n"
+            "    - factor: x\n"
+            "      multiplicity: 3\n"
+            "  divisor_multiplicity: 3\n"
+            "orbifold_order: 3\n"
+            "components:\n"
+            "  - torsion: [1/3, 0/1]\n"
+            "    direction: [0, 1]\n"
+            "  - torsion: [2/3, 0/1]\n"
+            "    direction: [0, 1]\n"
+            "resonance_trivial: yes\n"
+            "irreducibility:\n"
+            "  f: yes\n"
+            "  g: yes\n"
+            "notes:\n"
+            "  - maps: every positive-dimensional component"
+        )
+        # Each note is longer than a line, so each gets its own.
+        notes = text.split("notes:\n", 1)[1].split("\n")
+        assert notes == [f"  - {note}" for note in mapping["notes"]]
 
     def test_divisor_text_shows_unit_and_powers(self):
-        document = build_report(F(1) * X ** 2, X)
+        text = render_text(report_mapping(build_report(F(3) * X ** 4 * (X + 1) ** 2, X)))
+        assert (
+            "divisor:\n"
+            "  value: -1/1\n"
+            "  unit: 3/1\n"
+            "  components:\n"
+            "    - factor: x + 1\n"
+            "      multiplicity: 2\n"
+            "    - factor: x\n"
+            "      multiplicity: 4\n"
+            "  divisor_multiplicity: 2\n"
+        ) in text
+
+    def test_layout_rules(self):
+        assert render_text({
+            "none": None,
+            "flags": [True, False],
+            "empty": [],
+            "nothing": {},
+            "wide": list(range(30)),
+            "rows": [{"a": 1, "b": {"c": "d"}}, {}, [2, [3]]],
+            "tuple": (1, "x"),
+        }) == "\n".join([
+            "none: none",
+            "flags: [yes, no]",
+            "empty: []",
+            "nothing: {}",
+            "wide:",
+            *(f"  - {k}" for k in range(30)),
+            "rows:",
+            "  - a: 1",
+            "    b:",
+            "      c: d",
+            "  - {}",
+            "  - [2, [3]]",
+            "tuple: [1, x]",
+        ])
+
+    def test_strings_are_escaped_to_one_ascii_line(self):
+        assert render_text({"k\u00e9y": "a\nb\u03c0"}) == "k\\xe9y: a\\nb\\u03c0"
+
+    @given(json_documents)
+    @settings(deadline=None)
+    def test_any_document_is_ascii(self, document):
         text = render_text(document)
-        assert "(x)^2" in text
-        scaled = build_report(X ** 2, F(3) * X)
-        assert "special fiber at -1: (x)^2" in render_text(scaled)
+        assert text.isascii()
+        assert len(text.splitlines()) >= len(document)
+
+    def test_writer_rejects_floats(self):
+        with pytest.raises(TypeError):
+            render_text({"value": [0.5]})
