@@ -22,20 +22,25 @@ Parsing is total: any string either yields a polynomial or raises
 :class:`ParseError` with the offset of the offending character and the
 token kinds that would have been acceptable there.  The canonical printed
 form is ``str`` of the polynomial, which parses back to an equal one.
+
+One regular expression splits the whole text into tokens: runs of ASCII
+digits, runs of ``\\w`` (``str.isalnum`` or '_'; names start with
+``str.isalpha`` or '_') and single characters other than ``\\s``
+(``str.isspace``).  They parse into a postfix program with no arithmetic,
+so every error comes first; one loop then runs it on values x**v *
+sum(ints[i] * x**i) / den, combining a sum of k terms once, over one lcm.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
+import re
 
-from .unipoly import UniPoly, X
+from .unipoly import UniPoly, _make, _mul_ints, _series_power, _x_split
 
 MAX_EXPONENT = 4096
 MAX_NAT_DIGITS = 4300
-
-# Each nesting level costs a few interpreter stack frames, so the guard
-# must trip well before CPython's default recursion limit would.
-_MAX_PAREN_DEPTH = 120
+_MAX_PAREN_DEPTH = 120  # deeper nesting is a ParseError
 
 
 class ParseError(ValueError):
@@ -55,159 +60,152 @@ class ExponentRangeError(ParseError):
     """An exponent that is not a literal natural number at most 4096."""
 
 
+_TOKEN = re.compile(r"[0-9]+|\w+|\S")  # a search, so whitespace is skipped
 _OPERATORS = "+-*/^()"
-_DIGITS = "0123456789"
+_PUSH, _POW, _MUL, _SUM = range(4)  # the ops of (op, arg) instructions
+_ZERO, _X = (0, (), 1), (1, (1,), 1)
+
+
+def _bad(token):
+    """The message that rejects ``token``, or None."""
+    if "0" <= token[0] <= "9":
+        if len(token) > MAX_NAT_DIGITS:
+            return f"natural number of {len(token)} digits exceeds the limit {MAX_NAT_DIGITS}"
+    elif not (token[0].isalpha() or token[0] == "_" or token in _OPERATORS):
+        return f"unexpected character {token[0]!r}"
+    return None
 
 
 def _tokenize(text: str):
-    """Split into (kind, value, offset) triples; kinds are 'nat', 'name',
-    single-character operators, and a final 'end'."""
-    tokens = []
-    i = 0
-    size = len(text)
-    while i < size:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            start = i
-            while i < size and text[i] in _DIGITS:
-                i += 1
-            if i - start > MAX_NAT_DIGITS:
-                raise ParseError(
-                    f"natural number of {i - start} digits exceeds the limit "
-                    f"{MAX_NAT_DIGITS}", start
-                )
-            tokens.append(("nat", int(text[start:i]), start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < size and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(("name", text[start:i], start))
-            continue
-        if ch in _OPERATORS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, size))
-    return tokens
+    """The tokens of ``text`` and "" for the end; a bad one raises."""
+    tokens = _TOKEN.findall(text)
+    if any(map(_bad, set(tokens))):
+        pos = next(pos for pos, token in enumerate(tokens) if _bad(token))
+        _fail(text, pos, _bad(tokens[pos]))
+    return tokens + [""]
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
+def _fail(text, pos, message, expected=(), error=ParseError):
+    """Raise ``error`` at the offset of token ``pos`` of ``text``."""
+    offsets = [match.start() for match in _TOKEN.finditer(text)] + [len(text)]
+    raise error(message, offsets[pos], expected)
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def advance(self):
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def fail(self, message, expected):
-        kind, _, offset = self.peek()
-        raise ParseError(message, offset, expected)
-
-    def parse(self):
-        value = self.expr()
-        if self.peek()[0] != "end":
-            self.fail("trailing input after expression", {"+", "-", "*", "^", "end"})
-        return value
-
-    def expr(self):
-        value = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            right = self.term()
-            value = value + right if op == "+" else value - right
-        return value
-
-    def term(self):
-        value = self.unary()
-        while self.peek()[0] == "*":
-            self.advance()
-            value = value * self.unary()
-        return value
-
-    def unary(self):
-        negate = False
-        while self.peek()[0] == "-":
-            self.advance()
-            negate = not negate
-        value = self.atom()
-        return -value if negate else value
-
-    def atom(self):
-        kind, value, offset = self.peek()
-        if kind == "nat":
-            self.advance()
-            base = self.number(value)
-        elif kind == "name":
-            self.advance()
-            if value != "x":
-                raise UnknownVariableError(
-                    f"unknown variable {value!r} (allowed: x)", offset
-                )
-            base = X
-        elif kind == "(":
-            self.advance()
-            self.depth += 1
-            if self.depth > _MAX_PAREN_DEPTH:
-                raise ParseError("parentheses nested too deeply", offset)
-            base = self.expr()
-            self.depth -= 1
-            if self.peek()[0] != ")":
-                self.fail("unclosed parenthesis", {")"})
-            self.advance()
-        else:
-            self.fail("expected a number, variable, or parenthesis",
+def _program(text, tokens, pos, emit, depth=0):
+    """Emit the program of the sum from token ``pos`` on and return the
+    position after it, or raise the first error in reading order.  Two or
+    more terms, or one negated term, end in one _SUM."""
+    signs, sign = [], False
+    while True:  # each term
+        factors = 0
+        while True:  # each factor
+            while tokens[pos] == "-":
+                sign, pos = not sign, pos + 1
+            token = tokens[pos]
+            if token == "(":
+                if depth == _MAX_PAREN_DEPTH:
+                    _fail(text, pos, "parentheses nested too deeply")
+                pos = _program(text, tokens, pos + 1, emit, depth + 1)
+                if tokens[pos] != ")":
+                    _fail(text, pos, "unclosed parenthesis", {")"})
+            elif token == "x":
+                emit((_PUSH, _X))
+            elif token.isdigit():
+                num, den = int(token), 1
+                if tokens[pos + 1] == "/":
+                    pos += 2
+                    if not tokens[pos].isdigit():
+                        _fail(text, pos, "expected a natural number after '/'", {"nat"})
+                    den = int(tokens[pos])
+                    if not den:
+                        _fail(text, pos, "zero denominator in rational literal")
+                common = math.gcd(num, den)
+                emit((_PUSH, (0, [num // common], den // common) if num else _ZERO))
+            elif token and token not in _OPERATORS:
+                _fail(text, pos, f"unknown variable {token!r} (allowed: x)", (),
+                      UnknownVariableError)
+            else:
+                _fail(text, pos, "expected a number, variable, or parenthesis",
                       {"nat", "name", "(", "-"})
-        return self.power(base)
+            pos += 1
+            if tokens[pos] == "^":
+                pos += 1
+                if tokens[pos] == "-":
+                    _fail(text, pos, "exponents must be nonnegative", (), ExponentRangeError)
+                if not tokens[pos].isdigit():
+                    _fail(text, pos, "expected a natural-number exponent", {"nat"})
+                exponent = int(tokens[pos])
+                if exponent > MAX_EXPONENT:
+                    _fail(text, pos, f"exponent {exponent} exceeds the limit {MAX_EXPONENT}",
+                          (), ExponentRangeError)
+                pos += 1
+                if tokens[pos] == "^":
+                    _fail(text, pos, "'^' is non-associative; parenthesize power towers",
+                          {"end"})
+                emit((_POW, exponent))
+            factors += 1
+            if factors > 1:
+                emit((_MUL, None))
+            if tokens[pos] != "*":
+                break
+            pos += 1
+        signs.append(sign)
+        if tokens[pos] != "+" and tokens[pos] != "-":
+            break
+        sign, pos = tokens[pos] == "-", pos + 1
+    if len(signs) > 1 or sign:
+        emit((_SUM, signs))
+    if not depth and tokens[pos]:
+        _fail(text, pos, "trailing input after expression", {"+", "-", "*", "^", "end"})
+    return pos
 
-    def number(self, numerator: int) -> Fraction:
-        if self.peek()[0] == "/":
-            self.advance()
-            kind, value, offset = self.peek()
-            if kind != "nat":
-                self.fail("expected a natural number after '/'", {"nat"})
-            if value == 0:
-                raise ParseError("zero denominator in rational literal", offset)
-            self.advance()
-            return Fraction(numerator, value)
-        return Fraction(numerator)
 
-    def power(self, base):
-        if self.peek()[0] != "^":
-            return base
-        self.advance()
-        kind, value, offset = self.peek()
-        if kind == "-":
-            raise ExponentRangeError("exponents must be nonnegative", offset)
-        if kind != "nat":
-            self.fail("expected a natural-number exponent", {"nat"})
-        if value > MAX_EXPONENT:
-            raise ExponentRangeError(
-                f"exponent {value} exceeds the limit {MAX_EXPONENT}", offset
-            )
-        self.advance()
-        result = base ** value
-        if self.peek()[0] == "^":
-            self.fail("'^' is non-associative; parenthesize power towers", {"end"})
-        return result
+def _evaluate(program) -> UniPoly:
+    """Run the program on values (v, ints, den); ints has nonzero ends."""
+    stack = []
+    for op, arg in program:
+        if op == _PUSH:
+            stack.append(arg)
+        elif op == _POW:  # as UniPoly.__pow__ raises the base in lowest terms
+            v, ints, den = stack[-1]
+            common = math.gcd(den, *ints)
+            ints = [c // common for c in ints]
+            if not ints or arg < 2:
+                power = ints if arg else [1]
+            elif len(ints) == 1:
+                power = [ints[0] ** arg]
+            elif arg == 2:
+                power = _mul_ints(ints, ints)
+            else:
+                power = _series_power(ints, arg, 1, arg * (len(ints) - 1) + 1)
+            stack[-1] = v * arg, power, (den // common) ** arg
+        elif op == _MUL:
+            vb, b, den_b = stack.pop()
+            va, a, den_a = stack[-1]
+            stack[-1] = (va + vb, _mul_ints(a, b), den_a * den_b) if a and b else _ZERO
+        else:  # each term, negated where arg says, scaled once over one lcm
+            terms = stack[-len(arg):]
+            del stack[-len(arg):]
+            den = math.lcm(*[d for _, _, d in terms])
+            out = [0] * max([v + len(ints) for v, ints, _ in terms])
+            for (v, ints, d), negative in zip(terms, arg):
+                scale = -(den // d) if negative else den // d
+                if len(ints) == 1:
+                    out[v] += ints[0] * scale
+                else:  # a zero term changes nothing
+                    end = v + len(ints)
+                    out[v:end] = [a + scale * c for a, c in zip(out[v:end], ints)]
+            while out and not out[-1]:
+                out.pop()
+            stack.append(_x_split(out) + (den,) if out else _ZERO)
+    v, ints, den = stack[0]
+    return _make([0] * v + list(ints), den)
 
 
 def parse_uni(text: str) -> UniPoly:
     """Parse an expression in the variable x to a UniPoly."""
     if not isinstance(text, str):
         raise TypeError("polynomial source must be a string")
-    value = _Parser(text).parse()
-    if isinstance(value, UniPoly):
-        return value
-    return UniPoly.constant(value)
-
+    program = []
+    _program(text, _tokenize(text), 0, program.append)
+    return _evaluate(program)

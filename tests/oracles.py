@@ -471,6 +471,235 @@ def l_decompose_at(coeffs, e):
     return h, q
 
 
+# -- the expression language by recursive descent ------------------------------
+#
+# A character-loop tokenizer and a recursive-descent parser that evaluates
+# as it reads, over sparse polynomials of its own.  The error classes
+# mirror broughton.parser's by name, message, offset and expected set.
+
+MAX_EXPONENT = 4096
+MAX_NAT_DIGITS = 4300
+_MAX_PAREN_DEPTH = 120
+
+
+class ParseError(ValueError):
+    def __init__(self, message: str, offset: int, expected=()):
+        self.offset = offset
+        self.expected = frozenset(expected)
+        super().__init__(f"{message} (offset {offset})")
+
+
+class UnknownVariableError(ParseError):
+    pass
+
+
+class ExponentRangeError(ParseError):
+    pass
+
+
+class Sparse:
+    """A polynomial in x as a dict {power: nonzero Fraction}; ints and
+    Fractions mix in on either side."""
+
+    def __init__(self, terms):
+        self.terms = {k: c for k, c in terms.items() if c}
+
+    @staticmethod
+    def terms_of(value):
+        return value.terms if isinstance(value, Sparse) else {0: Fraction(value)}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in Sparse.terms_of(other).items():
+            out[k] = out.get(k, 0) + c
+        return Sparse(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Sparse({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -Sparse(Sparse.terms_of(other))
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        out = {}
+        for i, a in self.terms.items():
+            for j, b in Sparse.terms_of(other).items():
+                out[i + j] = out.get(i + j, 0) + a * b
+        return Sparse(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        out = Sparse({0: Fraction(1)})
+        for _ in range(n):
+            out = out * self
+        return out
+
+
+X = Sparse({1: Fraction(1)})
+
+_OPERATORS = "+-*/^()"
+_DIGITS = "0123456789"
+
+
+def _tokenize(text: str):
+    """Split into (kind, value, offset) triples; kinds are 'nat', 'name',
+    single-character operators, and a final 'end'."""
+    tokens = []
+    i = 0
+    size = len(text)
+    while i < size:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _DIGITS:
+            start = i
+            while i < size and text[i] in _DIGITS:
+                i += 1
+            if i - start > MAX_NAT_DIGITS:
+                raise ParseError(
+                    f"natural number of {i - start} digits exceeds the limit "
+                    f"{MAX_NAT_DIGITS}", start
+                )
+            tokens.append(("nat", int(text[start:i]), start))
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < size and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            tokens.append(("name", text[start:i], start))
+            continue
+        if ch in _OPERATORS:
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", None, size))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def fail(self, message, expected):
+        kind, _, offset = self.peek()
+        raise ParseError(message, offset, expected)
+
+    def parse(self):
+        value = self.expr()
+        if self.peek()[0] != "end":
+            self.fail("trailing input after expression", {"+", "-", "*", "^", "end"})
+        return value
+
+    def expr(self):
+        value = self.term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()[0]
+            right = self.term()
+            value = value + right if op == "+" else value - right
+        return value
+
+    def term(self):
+        value = self.unary()
+        while self.peek()[0] == "*":
+            self.advance()
+            value = value * self.unary()
+        return value
+
+    def unary(self):
+        negate = False
+        while self.peek()[0] == "-":
+            self.advance()
+            negate = not negate
+        value = self.atom()
+        return -value if negate else value
+
+    def atom(self):
+        kind, value, offset = self.peek()
+        if kind == "nat":
+            self.advance()
+            base = self.number(value)
+        elif kind == "name":
+            self.advance()
+            if value != "x":
+                raise UnknownVariableError(
+                    f"unknown variable {value!r} (allowed: x)", offset
+                )
+            base = X
+        elif kind == "(":
+            self.advance()
+            self.depth += 1
+            if self.depth > _MAX_PAREN_DEPTH:
+                raise ParseError("parentheses nested too deeply", offset)
+            base = self.expr()
+            self.depth -= 1
+            if self.peek()[0] != ")":
+                self.fail("unclosed parenthesis", {")"})
+            self.advance()
+        else:
+            self.fail("expected a number, variable, or parenthesis",
+                      {"nat", "name", "(", "-"})
+        return self.power(base)
+
+    def number(self, numerator: int) -> Fraction:
+        if self.peek()[0] == "/":
+            self.advance()
+            kind, value, offset = self.peek()
+            if kind != "nat":
+                self.fail("expected a natural number after '/'", {"nat"})
+            if value == 0:
+                raise ParseError("zero denominator in rational literal", offset)
+            self.advance()
+            return Fraction(numerator, value)
+        return Fraction(numerator)
+
+    def power(self, base):
+        if self.peek()[0] != "^":
+            return base
+        self.advance()
+        kind, value, offset = self.peek()
+        if kind == "-":
+            raise ExponentRangeError("exponents must be nonnegative", offset)
+        if kind != "nat":
+            self.fail("expected a natural-number exponent", {"nat"})
+        if value > MAX_EXPONENT:
+            raise ExponentRangeError(
+                f"exponent {value} exceeds the limit {MAX_EXPONENT}", offset
+            )
+        self.advance()
+        result = base ** value
+        if self.peek()[0] == "^":
+            self.fail("'^' is non-associative; parenthesize power towers", {"end"})
+        return result
+
+
+def rd_parse(text: str) -> list:
+    """The expression ``text`` as a low-to-high list of Fractions, or the
+    first error in reading order, read by recursive descent."""
+    terms = Sparse.terms_of(_Parser(text).parse())
+    out = [Fraction(0)] * (max(terms, default=-1) + 1)
+    for k, c in terms.items():
+        out[k] = c
+    return l_trim(out)
+
+
 # -- generators ----------------------------------------------------------------
 
 def random_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from broughton import parser
 from broughton.parser import (
     MAX_EXPONENT,
     ExponentRangeError,
@@ -16,8 +17,12 @@ from broughton.parser import (
     parse_uni,
 )
 from broughton.unipoly import UniPoly, X, ZERO
+from oracles import rd_parse
 
 F = Fraction
+
+# 4096 rational monomials, 74 500 characters.
+LONG_SUM = " + ".join(f"{i + 1}/{i + 2}*x^{i}" for i in range(4096))
 
 
 def P(*coeffs):
@@ -201,3 +206,125 @@ def test_fuzz_total_behavior():
         if "x" in text:
             with pytest.raises(UnknownVariableError):
                 parse_uni(text.replace("x", "y"))
+
+
+# -- the parser against the recursive-descent oracle ---------------------------
+
+def outcome(parse, text):
+    """The coefficient list ``parse`` gives, or the error it raises."""
+    try:
+        return list(parse(text))
+    except ValueError as error:
+        return type(error).__name__, str(error), error.offset, error.expected
+
+
+def package_outcome(text):
+    return outcome(lambda text: parse_uni(text).coeffs, text)
+
+
+def expressions(depth):
+    """Texts of the grammar: sums of at most three terms of at most two
+    factors, unary minus chains, literals (unreduced, zero) and exponents
+    0-6, with parentheses nested at most ``depth`` deep."""
+    atom = st.one_of(
+        st.just("x"),
+        st.sampled_from(["0", "1", "2", "7", "2/4", "0/5", "3/6", "12/9"]),
+        st.builds("{}/{}".format, st.integers(0, 99), st.integers(1, 99)),
+    )
+    if depth:
+        atom = st.one_of(atom, expressions(depth - 1).map("({})".format))
+    factor = st.builds(
+        "{}{}{}".format,
+        st.sampled_from(["", "", "-", "--", "- -"]),
+        atom,
+        st.sampled_from([""] + [f"^{n}" for n in range(7)]),
+    )
+    term = st.lists(factor, min_size=1, max_size=2).map("*".join)
+    rest = st.lists(st.tuples(st.sampled_from([" + ", "-", " - "]), term).map("".join),
+                    max_size=2)
+    return st.builds("{}{}".format, term, rest.map("".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions(2))
+@example("0")
+@example("0/5*x - 2/4")
+@example("x - x")
+@example("(x+1)^0 - 1")
+def test_grammar_texts_agree_with_the_oracle(text):
+    assert package_outcome(text) == rd_parse(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.one_of(st.sampled_from("x0123456789+-*/^() "), st.characters()),
+               max_size=12))
+@example("x^\u00b2")
+@example("\u0663")
+@example("x\u00b2")
+@example("\u00df")
+@example("\u00a0x")
+@example("x\u2028+1")
+@example("_")
+@example("1_0")
+@example("2x")
+@example("x^-1")
+@example("x^4097")
+@example("((x)")
+@example("x^2^2")
+@example("1/0")
+@example("1" * 4301)
+def test_any_text_agrees_with_the_oracle(text):
+    assert package_outcome(text) == outcome(rd_parse, text)
+
+
+# -- the three steps -----------------------------------------------------------
+
+def test_errors_come_before_any_arithmetic(monkeypatch):
+    # The products below would run for seconds; the error at the end of
+    # the text is raised first, with no polynomial arithmetic at all.
+    def refuse(*args):
+        raise AssertionError("polynomial arithmetic before the parse ended")
+
+    monkeypatch.setattr(parser, "_mul_ints", refuse)
+    monkeypatch.setattr(parser, "_series_power", refuse)
+    with pytest.raises(ParseError) as info:
+        parse_uni("(x+1)^4096*(x-1)^4096+")
+    assert type(info.value) is ParseError
+    assert str(info.value) == "expected a number, variable, or parenthesis (offset 22)"
+    with pytest.raises(UnknownVariableError) as info:
+        parse_uni("(x+1)^4096*(x-1)^4096*y")
+    assert info.value.offset == 22
+
+
+def test_a_sum_is_combined_once(monkeypatch):
+    made = []
+    make = parser._make
+
+    def counting_make(num, den=1):
+        made.append(len(num))
+        return make(num, den)
+
+    monkeypatch.setattr(parser, "_make", counting_make)
+    assert parse_uni(LONG_SUM) == UniPoly([F(i + 1, i + 2) for i in range(4096)])
+    assert made == [4096]
+
+
+def test_a_power_raises_its_base_in_lowest_terms(monkeypatch):
+    # The outer sum is (2*x + 2)/2; it is raised as x + 1, so that no
+    # coefficient grows past the canonical form's.
+    bases = []
+    series_power = parser._series_power
+
+    def recording_series_power(a, *args):
+        bases.append(list(a))
+        return series_power(a, *args)
+
+    monkeypatch.setattr(parser, "_series_power", recording_series_power)
+    assert parse_uni("((1/2*x + 1/2) + (1/2*x + 1/2))^3") == P(1, 3, 3, 1)
+    assert bases == [[1, 1]]
+
+
+def test_large_round_trips():
+    # str of the power is 930 KB of text.
+    for poly in (parse_uni("(x-3/7)^1024"), parse_uni(LONG_SUM)):
+        assert parse_uni(str(poly)) == poly
