@@ -44,7 +44,9 @@ ZAHID = ((1, 1), (2, 3), (4, 2), (6, 4))
 DIVISORS = ("x^2", "(x+1)^4*(x-2)^2", "2*(x^2+1)^3*x^6", "x^3-x", "5",
             "(x-3/7)^40*(2*x+5)^25")
 # (p, m, n, c) for connectivity: integer and rational p and c, m, n <= 3,
-# then m = 1, which the certificate rejects.
+# then m = 1, which the certificate rejects; then a cubic over the
+# denominator 12 with a negative lead and a negative rational c, and a
+# linear p, whose two resultants have diagonal Sylvester matrices.
 CONNECTIVITY = (
     ("x", 2, 2, "1"),
     ("x^2+1", 2, 3, "-2"),
@@ -52,6 +54,8 @@ CONNECTIVITY = (
     ("x^2-x", 3, 3, "-1/3"),
     ("2*x^2", 3, 3, "5"),
     ("x", 1, 2, "1"),
+    ("1/6+2/3*x-5/4*x^3", 2, 3, "-7/3"),
+    ("3/2*x-5", 5, 4, "2/7"),
 )
 # (p, inner degree) for decompose: two hits, a miss, a degree that does
 # not divide deg p, then a rational hit with outer degree 4.
