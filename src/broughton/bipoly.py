@@ -20,13 +20,16 @@ Res_v(chi, G), where chi(v) = Res_x(p', v - p) / lc(p')**d has the
 critical values of p as roots and G(p(x), y) = h_y.  So only two small
 resultants run here, of Sylvester dimension 2d - 1 and d - 1 + m against
 2md - 1 for Res_x(h_x, h_y) itself (d = deg p, N = max(m, n) - 1; the
-formulas are in :func:`~broughton.decompose.connectivity_certificate`).
+formulas, which run on ints, the numerator A and denominator L of p and
+cn/cd = c*n, are in :func:`~broughton.decompose.connectivity_certificate`).
 Both eliminants are nonzero for every accepted input: the first since
 p' != 0, c != 0 and m >= 2, the second since each factor G(p(xi), y) of
 Res_v(chi, G) has the constant term +-m*p(xi) in y, or is c*n*y**(n - 1)
 where p(xi) = 0.
 
-Elimination is by Sylvester resultants in y, computed by evaluation and
+A side free of y is a constant on the diagonal of the Sylvester matrix, a
+closed form with no prime (both calls for a linear p).  Otherwise
+elimination is by Sylvester resultants in y, computed by evaluation and
 interpolation modulo one prime (Collins 1971; von zur Gathen and Gerhard,
 *Modern Computer Algebra*, ch. 6): denominators are cleared once, every
 coefficient of the integer resultant is bounded by the Hadamard-type bound
@@ -68,11 +71,13 @@ def resultant_y(a: BiPoly, b: BiPoly) -> UniPoly:
 
     Sylvester determinant with the a-block on top, taken over Q[x] itself.
     Vanishes identically exactly when a and b share a factor of positive
-    y-degree.  When neither input involves y the Sylvester matrix is
-    empty and the resultant is one.
+    y-degree.  A side free of y skips the modular kernel: the matrix is
+    that constant repeated on its diagonal, so Res_y(a, b) = a_0**deg_y b
+    when deg_y a = 0 and b_0**deg_y a when deg_y b = 0, and one when
+    neither input involves y.
 
-    With m = deg_y a, n = deg_y b and a = A/L_a, b = B/L_b for integer A,
-    B, Res(a, b) = Res(A, B) / (L_a**n * L_b**m).  Every entry of the
+    Otherwise, with m = deg_y a, n = deg_y b and a = A/L_a, b = B/L_b for
+    integer A, B, Res(a, b) = Res(A, B) / (L_a**n * L_b**m).  Every entry of the
     Sylvester matrix has x-degree at most deg_x a or deg_x b, n rows of
     the one and m of the other, so Res(A, B) has degree at most
     D = n*deg_x a + m*deg_x b.  On the certificate's two calls D is d - 1
@@ -87,9 +92,11 @@ def resultant_y(a: BiPoly, b: BiPoly) -> UniPoly:
     by Euclid at the formal degrees m and n, and the symmetric residues
     are its coefficients.
     """
+    m, n = len(a.coeffs) - 1, len(b.coeffs) - 1
+    if not m or not n:  # a constant repeated on the diagonal
+        return b.coeffs[0] ** m if m else a.coeffs[0] ** n
     a_ints, scale_a = _integer_columns(a.coeffs)
     b_ints, scale_b = _integer_columns(b.coeffs)
-    m, n = len(a_ints) - 1, len(b_ints) - 1
     count = n * (max(map(len, a_ints)) - 1) + m * (max(map(len, b_ints)) - 1) + 1  # D + 1
     bits = (hadamard_square(a_ints, b_ints).bit_length() + 3) // 2  # 2**bits > 2*H
     prime = (1 << mersenne_exponent(bits)) - 1

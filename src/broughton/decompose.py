@@ -38,8 +38,6 @@ from typing import NamedTuple
 
 from .unipoly import (
     UniPoly,
-    X,
-    _constants,
     _make,
     _primitive,
     _scalar,
@@ -172,6 +170,11 @@ def connectivity_certificate(
     roots xi of p', and G(v, y) = m*v*(v*y - 1)**(m - 1) + c*n*y**(n - 1)
     with h_y(x, y) = G(p(x), y).  Only the last two resultants are computed.
 
+    All of it runs on ints: p = A/L for the integer numerator A, and
+    c*n = cn/cd.  r_x is K * A'**N * A**e / (cd**(m - 1) * L**(N + e)) for
+    an int K, chi = Res_x(A', L*(v - p)) / (L**(d - 1) * (d*lc(A))**d) on
+    integer columns, and the monomial's coefficient an int over an int.
+
     Both eliminants are nonzero for every accepted input.  r_x is, because
     p' is nonzero for a nonconstant p, c is nonzero and m, n >= 2.  r_y is a
     nonzero monomial times Res_v(chi, G) = prod G(p(xi), y), and each factor
@@ -193,24 +196,29 @@ def connectivity_certificate(
 
     d = p.degree
     top = max(m, n) - 1
-    slope = p.derivative()
-    cn = scale * n
-    r_x = slope ** top * p ** ((m - 1) * (top - n + 1) + 1) * (
-        (-1) ** (m - 1) * m ** (top + 1) * cn ** (m - 1))
+    exponent = (m - 1) * (top - n + 1) + 1
+    ints, den = list(p._num), p._den  # p = A/L
+    slope = [i * a for i, a in enumerate(ints) if i]  # A'
+    lead = slope[-1]  # L*lc(p')
+    cn, cd = scale.numerator * n, scale.denominator  # c*n = cn/cd
+    power = (_make(slope) ** top * _make(ints) ** exponent)._num
+    factor = (-1) ** (m - 1) * m ** (top + 1) * cn ** (m - 1)
+    r_x = _make([factor * a for a in power], cd ** (m - 1) * den ** (top + exponent))
     # A BiPoly holds coefficients by powers of the variable resultant_y
-    # eliminates: x in p' and v - p, over Q[v]; then v in chi and G, over
-    # Q[y].  v - p has the coefficient v - p(0) at x**0.
-    v_minus_p = (X - p.coefficient(0),) + _constants(-p)[1:]
-    chi = resultant_y(BiPoly(_constants(slope)), BiPoly(v_minus_p))
-    chi = chi / slope.leading_coefficient ** d
-    g = BiPoly((UniPoly([0] * (n - 1) + [cn]), *[
-        UniPoly([0] * k + [(-1) ** (m - 1 - k) * m * math.comb(m - 1, k)])
+    # eliminates: x in L*p' and L*(v - p), over Z[v]; then v in chi and G,
+    # over Q[y].  L*(v - p) has the coefficient L*v - A_0 at x**0.
+    chi = resultant_y(BiPoly(tuple([_make([a]) for a in slope])),
+                      BiPoly((_make([-ints[0], den]), *[_make([-a]) for a in ints[1:]])))
+    chi_den = den ** (d - 1) * lead ** d
+    g = BiPoly((_make([0] * (n - 1) + [cn], cd), *[
+        _make([0] * k + [(-1) ** (m - 1 - k) * m * math.comb(m - 1, k)])
         for k in range(m)
     ]))
+    res = resultant_y(BiPoly(tuple([_make([a], chi_den) for a in chi._num])), g)
     shift = m * d + (m - 1) * (m * d + (n - 1) * d)
-    unit = (m * slope.leading_coefficient) ** (m * d) * (
-        p.leading_coefficient ** (m * d) * cn ** d) ** (m - 1)
-    r_y = UniPoly([0] * shift + [unit]) * resultant_y(BiPoly(_constants(chi)), g)
+    unit = (m * lead) ** (m * d) * (ints[-1] ** (m * d) * cn ** d) ** (m - 1)
+    r_y = _make([0] * shift + [unit * a for a in res._num],
+                den ** (m * m * d) * cd ** (d * (m - 1)) * res._den)
     finite = bool(r_x) and bool(r_y)
     if finite:
         status = CONNECTED_CERTIFIED

@@ -341,12 +341,6 @@ def _make(num, den=1) -> UniPoly:
     return poly
 
 
-def _constants(poly: UniPoly) -> tuple:
-    """The coefficients of ``poly`` as constant polynomials, low degree
-    first."""
-    return tuple([_make([c], poly._den) for c in poly._num])
-
-
 #: Integers below this in absolute value convert by ``str`` everywhere.
 _PIECE = 10 ** 2048
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from broughton import bipoly
 from broughton.bipoly import (
     MERSENNE_EXPONENTS,
     BiPoly,
@@ -279,6 +280,32 @@ def test_resultant_y_vanishes_with_oracle_on_common_factors(a, b, w):
 def test_resultant_y_matches_oracle_with_a_y_free_side(a, b):
     check_against_oracle(a, b)
     check_against_oracle(b, a)
+
+
+y_free_dicts = bi_dicts(max_x=2, max_y=0, min_size=1)
+
+
+@given(y_free_dicts, st.one_of(y_free_dicts, bi_dicts(max_x=2, max_y=3, min_size=1)))
+@example({(0, 0): F(-3, 2)}, {(1, 3): F(1, 2), (0, 0): F(2)})
+@settings(deadline=None)
+def test_y_free_side_takes_the_closed_form(free, other):
+    # Res_y(a_0, b) = a_0**deg_y b and Res_y(a, b_0) = b_0**deg_y a: the
+    # Sylvester matrix is the one constant on its diagonal.
+    for a, b in ((free, other), (other, free)):
+        got = resultant_y(bi_from_dict(a), bi_from_dict(b))
+        assert list(got.coeffs) == b_resultant_y(a, b)
+
+
+def test_y_free_side_skips_the_modular_kernel(monkeypatch):
+    def kernel(*args):
+        raise AssertionError("the modular kernel ran")
+
+    monkeypatch.setattr(bipoly, "_resultant_values", kernel)
+    a = bi(P(1, F(2, 3)))
+    b = bi(P(0, 1), 3, P(F(1, 5), 1))
+    assert resultant_y(a, b) == P(1, F(2, 3)) ** 2
+    assert resultant_y(b, a) == P(1, F(2, 3)) ** 2
+    assert connectivity_certificate(P(-5, F(3, 2)), 3, 2, 2).status == "connected-certified"
 
 
 # -- the modular kernel -------------------------------------------------------

@@ -281,6 +281,10 @@ class TestConnectivityCertificate:
     @example(([0, 0, 1], 3, 2, F(1)))  # p = x^2: critical value 0, G(0, y) = c*n*y^(n-1)
     @example(([0, 0, 0, 1], 2, 3, F(-1)))  # p = x^3: a repeated critical point
     @example(([1, F(-1, 3), F(2, 5)], 3, 2, F(-3, 2)))  # rational lc(p)
+    # L = 12, a negative lead and a negative rational c, at d = 3 and d = 2
+    @example(([F(1, 6), F(2, 3), 0, F(-5, 4)], 2, 3, F(-7, 3)))
+    @example(([F(1, 6), F(2, 3), F(-5, 4)], 3, 4, F(-7, 3)))
+    @example(([F(-5), F(3, 2)], 3, 2, 2))  # linear p and an int c
     @settings(max_examples=40, deadline=None)
     def test_whole_path_matches_bivariate_oracle(self, inputs):
         # h = (p y - 1)^m + c y^n expanded by the oracle's own ring, then

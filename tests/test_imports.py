@@ -153,7 +153,9 @@ EXPORTS = {
 # resultant_y, which also took unipoly's _integer_columns.  The Chinese
 # remainder step _crt was folded into modular's one lift, _lift, which the
 # gcd and the squarefree decomposition share.  The command line's argparse
-# builder gave way to the table broughton.cli.COMMANDS.
+# builder gave way to the table broughton.cli.COMMANDS.  unipoly's _constants
+# went once the certificate built its resultant columns from integer
+# numerators itself.
 REMOVED = {
     "arrangement": ("resonance",),
     "cli": ("_build_parser",),
@@ -173,7 +175,8 @@ REMOVED = {
     ),
     "parser": ("parse_bi", "print_canonical"),
     "squarefree": ("PowerIndex", "distinct_root_count", "power_index", "radical"),
-    "unipoly": ("resultant", "_prime", "_is_prime", "_gcd_mod", "_crt", "_integer_columns"),
+    "unipoly": ("resultant", "_prime", "_is_prime", "_gcd_mod", "_crt", "_integer_columns",
+                "_constants"),
 }
 
 
