@@ -47,24 +47,10 @@ class HypothesesViolated(ValueError):
     """The admissibility hypotheses on (p, q) fail."""
 
 
-class _Checked:
-    """Base for a named-tuple record whose fields must pass ``_check``.
-
-    Placed before the named tuple among the bases, it runs the check on
-    every construction, by position or keyword, and through ``_make`` and
-    ``_replace``; a failing check raises ValueError.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        record = super().__new__(cls, *args, **kwargs)
-        record._check()
-        return record
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+def _make_checked(cls, iterable):
+    """``_make`` of a checked record, through its checking ``__new__``;
+    the named tuple's ``_replace`` builds through ``_make``."""
+    return cls(*iterable)
 
 
 class _HypothesesFields(NamedTuple):
@@ -73,14 +59,22 @@ class _HypothesesFields(NamedTuple):
     satisfied: bool
 
 
-class Hypotheses(_Checked, _HypothesesFields):
-    """Admissibility of the pair: both clauses and their conjunction."""
+class Hypotheses(_HypothesesFields):
+    """Admissibility of the pair: both clauses and their conjunction.
+
+    Like every checked record here, it validates its fields in its own
+    ``__new__``, by position or keyword, and ``_make`` and ``_replace``
+    go through it: a failing check raises ValueError.
+    """
 
     __slots__ = ()
 
-    def _check(self):
-        if self.satisfied != (self.common_root_pq and self.no_common_root_p1_q):
+    def __new__(cls, common_root_pq, no_common_root_p1_q, satisfied):
+        if satisfied != (common_root_pq and no_common_root_p1_q):
             raise ValueError("satisfied must be the conjunction of the clauses")
+        return tuple.__new__(cls, (common_root_pq, no_common_root_p1_q, satisfied))
+
+    _make = classmethod(_make_checked)
 
 
 class BettiNumbers(NamedTuple):
@@ -110,17 +104,22 @@ class _TorsionCharacterFields(NamedTuple):
     a1: Fraction
 
 
-class TorsionCharacter(_Checked, _TorsionCharacterFields):
-    """A torsion point (exp(2*pi*i*a0), exp(2*pi*i*a1)) of the torus."""
+class TorsionCharacter(_TorsionCharacterFields):
+    """A torsion point (exp(2*pi*i*a0), exp(2*pi*i*a1)) of the torus;
+    both coordinates are Fractions in [0, 1), checked in ``__new__``."""
 
     __slots__ = ()
 
-    def _check(self):
-        for a in (self.a0, self.a1):
-            # 0 <= a < 1, read off the numerator and the positive
-            # denominator without Fraction comparisons.
-            if not isinstance(a, Fraction) or not 0 <= a.numerator < a.denominator:
-                raise ValueError("torsion coordinates live in [0, 1)")
+    def __new__(cls, a0, a1):
+        # 0 <= a < 1, read off the numerator and the positive denominator
+        # without Fraction comparisons.
+        if not (isinstance(a0, Fraction) and isinstance(a1, Fraction)
+                and 0 <= a0.numerator < a0.denominator
+                and 0 <= a1.numerator < a1.denominator):
+            raise ValueError("torsion coordinates live in [0, 1)")
+        return tuple.__new__(cls, (a0, a1))
+
+    _make = classmethod(_make_checked)
 
 
 class _TranslatedTorusFields(NamedTuple):
@@ -128,15 +127,19 @@ class _TranslatedTorusFields(NamedTuple):
     direction: tuple
 
 
-class TranslatedTorus(_Checked, _TranslatedTorusFields):
-    """A torsion translate of a one-parameter subtorus of (C*)^2."""
+class TranslatedTorus(_TranslatedTorusFields):
+    """A torsion translate of a one-parameter subtorus of (C*)^2; the
+    direction, checked in ``__new__``, is a primitive integer vector."""
 
     __slots__ = ()
 
-    def _check(self):
-        n0, n1 = self.direction
-        if (n0, n1) == (0, 0) or math.gcd(abs(n0), abs(n1)) != 1:
+    def __new__(cls, torsion, direction):
+        n0, n1 = direction
+        if math.gcd(n0, n1) != 1:  # gcd(0, 0) = 0
             raise ValueError("direction must be a primitive integer vector")
+        return tuple.__new__(cls, (torsion, direction))
+
+    _make = classmethod(_make_checked)
 
 
 class _CharVarietyReportFields(NamedTuple):
@@ -149,12 +152,20 @@ class _CharVarietyReportFields(NamedTuple):
     irreducibility_flags: tuple
 
 
-class CharVarietyReport(_Checked, _CharVarietyReportFields):
+class CharVarietyReport(_CharVarietyReportFields):
+    """Every invariant of an admissible pair; ``__new__`` checks that
+    there are orbifold_order - 1 components."""
+
     __slots__ = ()
 
-    def _check(self):
-        if len(self.components) != self.orbifold_order - 1:
+    def __new__(cls, hypotheses, betti, divisor, orbifold_order, components,
+                resonance_trivial, irreducibility_flags):
+        if len(components) != orbifold_order - 1:
             raise ValueError("component count must be orbifold order minus one")
+        return tuple.__new__(cls, (hypotheses, betti, divisor, orbifold_order, components,
+                                   resonance_trivial, irreducibility_flags))
+
+    _make = classmethod(_make_checked)
 
 
 def _require_nonconstant(value, name):
@@ -258,11 +269,9 @@ def characteristic_variety(p: UniPoly, q: UniPoly) -> CharVarietyReport:
     betti_numbers, divisor = _admissible_invariants(p, q)
     hypotheses = _ADMISSIBLE
     d = divisor.divisor_multiplicity
+    zero, direction = Fraction(0), (0, 1)
     components = tuple(
-        TranslatedTorus(
-            torsion=TorsionCharacter(a0=Fraction(j, d), a1=Fraction(0)),
-            direction=(0, 1),
-        )
+        TranslatedTorus(TorsionCharacter(Fraction(j, d), zero), direction)
         for j in range(1, d)
     )
     flags = (

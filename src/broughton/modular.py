@@ -107,12 +107,15 @@ def _yun_mod(a, p):
     a constant result.  A constant gcd(w, z) before that means no part of
     multiplicity k: w stays, and z - w' is the next z, with no quotient and
     no new derivative.  The one-part test is not repeated there, since
-    z - w' is a constant times w' only if z is.
+    z - w' is a constant times w' only if z is.  A constant gcd(a, a')
+    ends it at once: the image is squarefree, one part of multiplicity 1.
     """
     inverse = pow(a[-1], -1, p)
     w = [c * inverse % p for c in a]
     derivative = _derivative_mod(w, p)
     g = _gcd_mod(list(w), derivative, p)
+    if len(g) == 1:  # a squarefree image: one part, nothing to divide
+        return [(w, 1)]
     w = _quotient_mod(w, g, p)
     dw = _derivative_mod(w, p)
     z = _difference_mod(_quotient_mod(derivative, g, p), dw, p)

@@ -127,11 +127,8 @@ def report_mapping(document: ReportDocument) -> dict:
         "divisor": divisor_mapping(body.divisor),
         "orbifold_order": body.orbifold_order,
         "components": [
-            {
-                "torsion": [_rat(torus.torsion.a0), _rat(torus.torsion.a1)],
-                "direction": list(torus.direction),
-            }
-            for torus in body.components
+            {"torsion": [_rat(a0), _rat(a1)], "direction": list(direction)}
+            for (a0, a1), direction in body.components
         ],
         "resonance_trivial": body.resonance_trivial,
         "irreducibility": {
@@ -161,8 +158,48 @@ def render_json(mapping: dict) -> str:
 
 def _write_json(value, newline, out, quote):
     """Append the JSON text of ``value`` to the list ``out``; ``newline``
-    is a line break followed by the indent of the line ``value`` is on."""
-    if isinstance(value, str):
+    is a line break followed by the indent of the line ``value`` is on.
+
+    Exact dicts and lists are told apart by ``type`` first, and a child
+    of exact type str or int goes out in the same append as its separator,
+    without a call of its own.  Everything else (bools, None, tuples,
+    named tuples and subclasses) takes the ``isinstance`` chain that
+    ``json`` itself follows.
+    """
+    kind = type(value)
+    if kind is dict or kind is list or isinstance(value, (dict, list, tuple)):
+        if not value:
+            out.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        if isinstance(value, dict):
+            separator = "{" + inner
+            for key, item in value.items():
+                kind = type(item)
+                if kind is str:
+                    out.append(f"{separator}{quote(key)}: {quote(item)}")
+                elif kind is int:
+                    out.append(f"{separator}{quote(key)}: {int.__repr__(item)}")
+                else:
+                    out.append(f"{separator}{quote(key)}: ")
+                    _write_json(item, inner, out, quote)
+                separator = comma
+            out.append(newline + "}")
+        else:
+            separator = "[" + inner
+            for item in value:
+                kind = type(item)
+                if kind is str:
+                    out.append(separator + quote(item))
+                elif kind is int:
+                    out.append(separator + int.__repr__(item))
+                else:
+                    out.append(separator)
+                    _write_json(item, inner, out, quote)
+                separator = comma
+            out.append(newline + "]")
+    elif isinstance(value, str):
         out.append(quote(value))
     elif value is None:
         out.append("null")
@@ -172,26 +209,6 @@ def _write_json(value, newline, out, quote):
         out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
-    elif isinstance(value, (dict, list, tuple)):
-        if not value:
-            out.append("{}" if isinstance(value, dict) else "[]")
-            return
-        inner = newline + "  "
-        separator = inner
-        if isinstance(value, dict):
-            out.append("{")
-            for key, item in value.items():
-                out.append(separator + quote(key) + ": ")
-                _write_json(item, inner, out, quote)
-                separator = "," + inner
-            out.append(newline + "}")
-        else:
-            out.append("[")
-            for item in value:
-                out.append(separator)
-                _write_json(item, inner, out, quote)
-                separator = "," + inner
-            out.append(newline + "]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

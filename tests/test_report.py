@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
+from enum import IntEnum
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,15 +23,35 @@ from broughton.unipoly import UniPoly, X
 
 F = Fraction
 
+
+class Pair(NamedTuple):
+    first: object
+    second: object
+
+
+class Level(IntEnum):
+    LOW = -1
+    HIGH = 2 ** 70
+
+
+class Name(str):
+    pass
+
+
 # Every value a document can hold: strings with quotes, control and
 # non-ASCII characters, None, bools, ints of any size, and nested dicts,
-# lists and tuples, empty ones included.
+# lists and tuples, empty ones included; and values of subclasses of
+# those types, which the writer must not take for its exact types.
 json_documents = st.dictionaries(st.text(), st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(-10 ** 30, 10 ** 30), st.text()),
+    st.one_of(st.none(), st.booleans(), st.integers(-10 ** 30, 10 ** 30), st.text(),
+              st.sampled_from(Level), st.text().map(Name)),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(st.text(), children, max_size=4),
+        st.dictionaries(st.text(), children, max_size=4).map(OrderedDict),
+        st.builds(Pair, children, children),
+        st.lists(st.booleans(), max_size=4),
     ),
     max_leaves=20,
 ))
@@ -126,14 +149,15 @@ class TestJson:
                 assert int(denominator) > 0
                 assert F(int(numerator), int(denominator)) == F(entry)
 
-    def test_byte_identical_across_runs(self):
-        def render():
-            return render_json(report_mapping(build_report(*zahid_polynomials(5, 3))))
+    @pytest.mark.parametrize("a, b", [(1, 1), (6, 1), (5, 3), (120, 30), (360, 2)])
+    def test_byte_identical_across_runs(self, a, b):
+        def mapping():
+            return report_mapping(build_report(*zahid_polynomials(a, b)))
 
-        first, second = render(), render()
-        assert first == second
-        assert json.loads(first) == json.loads(second)
+        first, second = render_json(mapping()), render_json(mapping())
+        assert first == second == json.dumps(mapping(), indent=2, ensure_ascii=True)
         assert first.isascii()
+        assert len(json.loads(first)["components"]) == a - 1
 
     @given(json_documents)
     @settings(deadline=None)
@@ -141,8 +165,9 @@ class TestJson:
         assert render_json(document) == json.dumps(document, indent=2, ensure_ascii=True)
 
     def test_writer_rejects_floats(self):
-        with pytest.raises(TypeError):
-            render_json({"value": 0.5})
+        for document in ({"value": 0.5}, {"value": [1, 0.5]}, {"value": ["1/2", F(1, 2)]}):
+            with pytest.raises(TypeError):
+                render_json(document)
 
     def test_torsion_fractions_are_reduced(self):
         mapping = report_mapping(build_report(*zahid_polynomials(6, 1)))
