@@ -268,6 +268,15 @@ class TestCharacteristicVariety:
             with pytest.raises(ValueError):
                 good._replace(**change)
 
+    def test_torsion_coordinates_are_fractions_in_the_unit_interval(self):
+        # Each coordinate is checked on its own: an int 0 has numerator 0
+        # and denominator 1, yet it is not a Fraction.
+        for bad in (0, 0.5, F(1), F(-1, 2), None):
+            with pytest.raises(ValueError):
+                TorsionCharacter(F(1, 2), bad)
+            with pytest.raises(ValueError):
+                TorsionCharacter(bad, F(1, 2))
+
     def test_records_are_frozen_and_hash_by_value(self):
         p, q = X ** 2 * (X - 1) ** 2, X * (X + 2)
         first, second = characteristic_variety(p, q), characteristic_variety(p, q)

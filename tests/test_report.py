@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from enum import IntEnum
+from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -32,6 +32,10 @@ class Pair(NamedTuple):
 class Level(IntEnum):
     LOW = -1
     HIGH = 2 ** 70
+
+    # "Level.LOW", as every IntEnum's str was before Python 3.11: the JSON
+    # text of a member is int.__repr__, never its str.
+    __str__ = Enum.__str__
 
 
 class Name(str):
