@@ -3,9 +3,8 @@
 Exit codes: 0 on success, 1 when a polynomial or rational argument fails
 to parse, 2 for a malformed command line or when a precondition is
 violated (inadmissible pair, constant input, bad degree or exponent
-arguments, a resultant bound past the prime table), 3 when a connectivity
-certificate comes back inconclusive, and 141 (128 + SIGPIPE) when the
-reader closes standard output early.
+arguments), 3 when a connectivity certificate comes back inconclusive,
+and 141 (128 + SIGPIPE) when the reader closes standard output early.
 
 Each command builds one mapping, which is printed as text by default or
 as a deterministic JSON document with ``--format json``; ``--quiet``

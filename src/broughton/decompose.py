@@ -23,16 +23,14 @@ times a nonzero constant, and r_y a nonzero monomial times the product of
 G(p(xi), y) over the critical points xi of p, where G(p(x), y) = h_y.  Both
 are nonzero for every accepted input: p' != 0 for a nonconstant p, and each
 G(p(xi), y) has the constant term +-m*p(xi) in y, or is c*n*y**(n - 1)
-where p(xi) = 0.  So the verdict is always "connected-certified";
-:func:`connectivity_certificate` gives the formulas and the small
-resultants of :mod:`broughton.bipoly` that compute them.
-That function is the one public entry to the bivariate layer (``bipoly``)
-and the one place its inputs are checked.
+where p(xi) = 0.  So the verdict is always "connected-certified".
+:func:`connectivity_certificate` gives the formulas.  It is the one public
+entry to the bivariate layer (``bipoly``), which computes the one
+resultant left as a norm, and the one place its inputs are checked.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -166,14 +164,15 @@ def connectivity_certificate(
         r_y = (m*lc(p')*y)**(m*d) * ((lc(p)*y)**(m*d) * (c*n*y**(n - 1))**d)**(m - 1)
               * Res_v(chi, G),
 
-    where chi(v) = Res_x(p', v - p) / lc(p')**d = prod (v - p(xi)) over the
-    roots xi of p', and G(v, y) = m*v*(v*y - 1)**(m - 1) + c*n*y**(n - 1)
-    with h_y(x, y) = G(p(x), y).  Only the last two resultants are computed.
+    where chi(v) = prod (v - p(xi)) over the roots xi of p', with
+    multiplicity, and G(v, y) = m*v*(v*y - 1)**(m - 1) + c*n*y**(n - 1)
+    with h_y(x, y) = G(p(x), y).  Only Res_v(chi, G) = prod G(p(xi), y) is
+    computed, as a norm from Q(y)[x]/(p') by
+    :func:`broughton.bipoly.critical_norm`, and chi is never formed.
 
     All of it runs on ints: p = A/L for the integer numerator A, and
     c*n = cn/cd.  r_x is K * A'**N * A**e / (cd**(m - 1) * L**(N + e)) for
-    an int K, chi = Res_x(A', L*(v - p)) / (L**(d - 1) * (d*lc(A))**d) on
-    integer columns, and the monomial's coefficient an int over an int.
+    an int K, and the monomial's coefficient an int over an int.
 
     Both eliminants are nonzero for every accepted input.  r_x is, because
     p' is nonzero for a nonconstant p, c is nonzero and m, n >= 2.  r_y is a
@@ -192,7 +191,7 @@ def connectivity_certificate(
     if scale is None or not scale:
         raise ValueError("connectivity certificate needs a nonzero rational c")
     # Imported here so that decompose never loads the bivariate layer.
-    from .bipoly import BiPoly, resultant_y
+    from .bipoly import critical_norm
 
     d = p.degree
     top = max(m, n) - 1
@@ -204,17 +203,7 @@ def connectivity_certificate(
     power = (_make(slope) ** top * _make(ints) ** exponent)._num
     factor = (-1) ** (m - 1) * m ** (top + 1) * cn ** (m - 1)
     r_x = _make([factor * a for a in power], cd ** (m - 1) * den ** (top + exponent))
-    # A BiPoly holds coefficients by powers of the variable resultant_y
-    # eliminates: x in L*p' and L*(v - p), over Z[v]; then v in chi and G,
-    # over Q[y].  L*(v - p) has the coefficient L*v - A_0 at x**0.
-    chi = resultant_y(BiPoly(tuple([_make([a]) for a in slope])),
-                      BiPoly((_make([-ints[0], den]), *[_make([-a]) for a in ints[1:]])))
-    chi_den = den ** (d - 1) * lead ** d
-    g = BiPoly((_make([0] * (n - 1) + [cn], cd), *[
-        _make([0] * k + [(-1) ** (m - 1 - k) * m * math.comb(m - 1, k)])
-        for k in range(m)
-    ]))
-    res = resultant_y(BiPoly(tuple([_make([a], chi_den) for a in chi._num])), g)
+    res = critical_norm(ints, den, m, n, cn, cd)  # Res_v(chi, G)
     shift = m * d + (m - 1) * (m * d + (n - 1) * d)
     unit = (m * lead) ** (m * d) * (ints[-1] ** (m * d) * cn ** d) ** (m - 1)
     r_y = _make([0] * shift + [unit * a for a in res._num],

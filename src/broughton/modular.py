@@ -21,9 +21,9 @@ most calls stop there, at the first prime.
 
 Nothing here is loaded until a gcd or a squarefree decomposition runs, so
 ``decompose``, ``connectivity`` or a parse error never compiles it.
-Coefficient lists are ints, low degree first.  The resultant kernel of the
-connectivity certificate lives in :mod:`broughton.bipoly` and works modulo
-one Mersenne prime, with no lift.
+Coefficient lists are ints, low degree first.  The connectivity
+certificate needs no prime: its one resultant is a norm, the determinant
+of :mod:`broughton.bipoly` over Q[y].
 """
 
 from __future__ import annotations

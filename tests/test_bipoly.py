@@ -1,4 +1,5 @@
-"""Bivariate layer: the resultant in y and its modular kernel."""
+"""Bivariate layer: the certificate's norm, and the resultant oracles it is
+checked against."""
 
 from __future__ import annotations
 
@@ -10,19 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from broughton import bipoly
-from broughton.bipoly import (
-    MERSENNE_EXPONENTS,
-    BiPoly,
-    _euclid_resultant,
-    _interpolate,
-    _resultant_values,
-    hadamard_square,
-    mersenne_exponent,
-    resultant_y,
-)
+from broughton.bipoly import _determinant, critical_norm
 from broughton.decompose import connectivity_certificate
-from broughton.unipoly import ONE, UniPoly, ZERO
+from broughton.unipoly import UniPoly
 from oracles import (
     b_add,
     b_build_g,
@@ -38,41 +29,19 @@ from oracles import (
     integer_bareiss_determinant,
     integer_resultant_y,
     interpolate_naturals,
+    l_derivative,
     l_eval,
+    l_exact_div,
     l_from_roots,
     l_mul,
+    l_pow,
     l_resultant,
+    l_sub,
     l_trim,
     random_coeffs,
-    sylvester_rows,
 )
 
 F = Fraction
-
-
-def P(*coeffs):
-    return UniPoly(coeffs)
-
-
-def bi(*coeffs):
-    """A BiPoly from y-coefficients, low power first, each a UniPoly or a
-    rational scalar, with the trailing zeros trimmed."""
-    items = [c if isinstance(c, UniPoly) else UniPoly.constant(c) for c in coeffs]
-    while items and not items[-1]:
-        items.pop()
-    return BiPoly(tuple(items))
-
-
-def bi_from_dict(d):
-    """Glue: build a BiPoly from an oracle {(i, j): coeff} dict."""
-    if not d:
-        return bi()
-    height = max(j for _, j in d) + 1
-    width = max(i for i, _ in d) + 1
-    columns = []
-    for j in range(height):
-        columns.append(UniPoly(tuple(d.get((i, j), F(0)) for i in range(width))))
-    return bi(*columns)
 
 
 def h_dict(p, m, n, c):
@@ -82,9 +51,21 @@ def h_dict(p, m, n, c):
 
 
 def x_degree_bound(a, b):
-    """The degree bound resultant_y interpolates to: n*deg_x a + m*deg_x b."""
-    m, n = len(a.coeffs) - 1, len(b.coeffs) - 1
-    return n * max(c.degree for c in a.coeffs) + m * max(c.degree for c in b.coeffs)
+    """n*deg_x A + m*deg_x B for integer y-columns A of y-degree m and B of
+    y-degree n: no coefficient of Res_y(A, B) lies above it."""
+    m, n = len(a) - 1, len(b) - 1
+    return n * (max(map(len, a)) - 1) + m * (max(map(len, b)) - 1)
+
+
+def integer_route(a, b):
+    """Res_y(a, b) of two nonzero dicts by the integer oracle: denominators
+    cleared, integer Sylvester determinants at x = 0..D interpolated, and
+    the scale divided back out."""
+    a_ints, scale_a = clear_denominators(b_y_columns(a))
+    b_ints, scale_b = clear_denominators(b_y_columns(b))
+    exact = integer_resultant_y(a_ints, b_ints, x_degree_bound(a_ints, b_ints))
+    scale = scale_a ** (len(b_ints) - 1) * scale_b ** (len(a_ints) - 1)
+    return [F(v, scale) for v in exact]
 
 
 def random_dict(rng, max_x=3, max_y=3):
@@ -97,44 +78,55 @@ def random_dict(rng, max_x=3, max_y=3):
     return d
 
 
-Y = bi(0, 1)  # y
+def from_x(coeffs, j=0):
+    """The dict of coeffs(x) * y**j."""
+    return {(i, j): F(c) for i, c in enumerate(coeffs) if c}
 
+
+Y = {(0, 1): F(1)}  # y
+
+
+# -- the Fraction resultant oracle on its own ------------------------------
+#
+# b_resultant_y is the reference of the norm below, so its own laws are
+# checked here against the plain resultant and the product formula.
 
 class TestResultant:
     def test_fiber_curve_against_vertical_coordinate(self):
         rng = random.Random(444)
         for _ in range(20):
-            q = UniPoly(random_coeffs(rng, rng.randint(1, 4)))
-            g = bi(P(-1), q)  # q(x)*y - 1
-            assert resultant_y(g, Y) == ONE
+            q = random_coeffs(rng, rng.randint(1, 4))
+            g = b_add(from_x(q, 1), {(0, 0): F(-1)})  # q(x)*y - 1
+            assert b_resultant_y(g, Y) == [1]
 
     def test_equal_arguments_vanish(self):
-        a = bi(P(-1, -1), P(0, 0, 1))
-        assert resultant_y(a, a) == ZERO
+        a = b_add(from_x([-1, -1]), from_x([0, 0, 1], 1))
+        assert b_resultant_y(a, a) == []
 
     def test_elimination_example(self):
-        f = bi(P(-1, -1), P(0, 0, 1))  # x^2*y - (x + 1)
-        line = bi(-1, 1)  # y - 1
-        assert resultant_y(f, line) == -P(-1, -1, 1)
+        f = b_add(from_x([-1, -1]), from_x([0, 0, 1], 1))  # x^2*y - (x + 1)
+        line = {(0, 1): F(1), (0, 0): F(-1)}  # y - 1
+        assert b_resultant_y(f, line) == [1, 1, -1]
 
     def test_two_y_free_inputs_give_one(self):
         # The Sylvester matrix in y is empty, and its determinant is one.
-        assert resultant_y(bi(P(0, 1)), bi(P(1, 1))) == ONE
-        assert resultant_y(bi(P(3)), bi(P(0, 0, 2))) == ONE
+        assert b_resultant_y(from_x([0, 1]), from_x([1, 1])) == [1]
+        assert b_resultant_y(from_x([3]), from_x([0, 0, 2])) == [1]
 
     def test_degree_bound_of_the_connectivity_anchor(self):
-        # p = x^3 + x + 1 with m = 5, n = 4: the certificate's two
-        # resultants chi(v) = Res_x(p', v - p) and Res_v(chi, G) have the
-        # degrees d - 1 = 2 and (d - 1)*N = 8 that the bound interpolates to.
-        slope = bi(1, 0, 3)  # p' = 3x^2 + 1, in the eliminated variable
-        v_minus_p = bi(P(-1, 1), -1, 0, -1)
-        assert x_degree_bound(slope, v_minus_p) == 2
-        chi = resultant_y(slope, v_minus_p) / 27
-        assert chi == P(F(31, 27), -2, 1)
-        g = bi(P(0, 0, 0, 4), 5, P(0, -20), P(0, 0, 30), P(0, 0, 0, -20),
-               P(0, 0, 0, 0, 5))  # 5v(vy - 1)^4 + 4y^3
-        assert x_degree_bound(bi(*chi.coeffs), g) == 8
-        assert resultant_y(bi(*chi.coeffs), g).degree == 8
+        # p = x^3 + x + 1 with m = 5, n = 4: chi(v) = Res_x(p', v - p)/27 has
+        # degree d - 1 = 2, and the norm Res_v(chi, G) = prod G(p(xi), y)
+        # reaches the degree (d - 1)*N = 8.
+        slope = {(0, 0): F(1), (0, 2): F(3)}  # p' = 3x^2 + 1, x in the y slot
+        v_minus_p = {(1, 0): F(1), (0, 0): F(-1), (0, 1): F(-1), (0, 3): F(-1)}
+        chi = [c / 27 for c in b_resultant_y(slope, v_minus_p)]
+        assert chi == [F(31, 27), -2, 1]
+        g = {(3, 0): F(4), (0, 1): F(5), (1, 2): F(-20), (2, 3): F(30),
+             (3, 4): F(-20), (4, 5): F(5)}  # 5v(vy - 1)^4 + 4y^3, v in the y slot
+        expected = b_resultant_y(b_swap(from_x(chi)), g)
+        norm = critical_norm([1, 1, 0, 1], 1, 5, 4, 4, 1)
+        assert list(norm.coeffs) == expected
+        assert norm.degree == 8
 
     def test_vanishes_exactly_on_planted_common_factors(self):
         rng = random.Random(555)
@@ -142,11 +134,11 @@ class TestResultant:
             w = {(i, j): value
                  for j in range(2)
                  for i, value in enumerate(random_coeffs(rng, 1)) if value}
-            a = bi_from_dict(b_mul(w, random_dict(rng, max_x=2, max_y=1)))
-            b = bi_from_dict(b_mul(w, random_dict(rng, max_x=2, max_y=1)))
-            if len(a.coeffs) < 2 or len(b.coeffs) < 2:
+            a = b_mul(w, random_dict(rng, max_x=2, max_y=1))
+            b = b_mul(w, random_dict(rng, max_x=2, max_y=1))
+            if max(j for _, j in a) < 1 or max(j for _, j in b) < 1:
                 continue
-            assert resultant_y(a, b) == ZERO
+            assert b_resultant_y(a, b) == []
 
     def test_specialization_consistency(self):
         # Res_y over Q[x], evaluated at x = t, must agree with the plain
@@ -155,32 +147,35 @@ class TestResultant:
         rng = random.Random(666)
         done = 0
         while done < 40:
-            a = bi_from_dict(random_dict(rng))
-            b = bi_from_dict(random_dict(rng))
-            if len(a.coeffs) < 2 or len(b.coeffs) < 2:
+            a, b = random_dict(rng), random_dict(rng)
+            a_cols, b_cols = b_y_columns(a), b_y_columns(b)
+            if len(a_cols) < 2 or len(b_cols) < 2:
                 continue
             t = F(rng.randint(-4, 4))
-            if not a.coeffs[-1](t) or not b.coeffs[-1](t):
+            if not l_eval(a_cols[-1], t) or not l_eval(b_cols[-1], t):
                 continue
-            specialized = l_resultant([c(t) for c in a.coeffs], [c(t) for c in b.coeffs])
-            assert resultant_y(a, b)(t) == specialized
+            specialized = l_resultant([l_eval(c, t) for c in a_cols],
+                                      [l_eval(c, t) for c in b_cols])
+            assert l_eval(b_resultant_y(a, b), t) == specialized
             done += 1
 
 
 def test_resultant_y_matches_product_formula_on_y_polynomials():
     # Without x, Res_y(a, b) = lc(a)**deg(b) * prod b(alpha) over the roots
     # of a, checked on polynomials with planted rational roots.  This pins
-    # the sign convention globally, not just up to sign.
+    # the oracle's sign convention globally, not just up to sign.
     rng = random.Random(202)
     for _ in range(80):
         roots = [F(rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))]
         lead = F(rng.choice([1, 2, -3]), rng.choice([1, 2]))
         a = l_from_roots([(root, 1) for root in roots], unit=lead)
         b = random_coeffs(rng, rng.randint(0, 3))
+        if not any(b):
+            continue
         expected = lead ** (len(b) - 1)
         for root in roots:
             expected *= l_eval(b, root)
-        assert resultant_y(bi(*a), bi(*b)) == expected
+        assert b_resultant_y(b_swap(from_x(a)), b_swap(from_x(b))) == l_trim([expected])
 
 
 def fraction_determinant(rows):
@@ -221,6 +216,8 @@ def test_interpolate_naturals_recovers_integer_polynomials(coeffs, extra):
     assert interpolate_naturals(values) == l_trim(coeffs)
 
 
+# -- the integer oracle against the Fraction oracle ---------------------------
+
 nonzero_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
 
 
@@ -233,7 +230,7 @@ def bi_dicts(max_x=2, max_y=2, min_size=0):
 @st.composite
 def vanishing_lead_dicts(draw):
     """y-degree 1 or 2, with leading y-coefficient u * prod (x - r) over
-    roots r in 0..3, among the points where resultant_y evaluates x."""
+    roots r in 0..3, among the points where the integer oracle evaluates."""
     roots = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
     lead = l_from_roots([(r, 1) for r in roots], unit=draw(nonzero_rationals))
     height = draw(st.integers(1, 2))
@@ -242,13 +239,13 @@ def vanishing_lead_dicts(draw):
 
 
 def check_against_oracle(a, b):
-    """resultant_y equals the Fraction oracle on (a, b) and, where defined,
-    on the x <-> y swapped pair (the x-eliminant of the originals)."""
+    """The integer oracle equals the Fraction oracle on (a, b) and, where
+    defined, on the x <-> y swapped pair (the x-eliminant of the
+    originals)."""
     for left, right in ((a, b), (b_swap(a), b_swap(b))):
         if max(j for _, j in left) == 0 and max(j for _, j in right) == 0:
             continue
-        got = resultant_y(bi_from_dict(left), bi_from_dict(right))
-        assert list(got.coeffs) == b_resultant_y(left, right)
+        assert integer_route(left, right) == b_resultant_y(left, right)
 
 
 @given(bi_dicts(min_size=1), bi_dicts(min_size=1))
@@ -271,7 +268,7 @@ def test_resultant_y_matches_oracle_where_leading_coefficients_vanish(a, b):
 @settings(deadline=None)
 def test_resultant_y_vanishes_with_oracle_on_common_factors(a, b, w):
     a, b = b_mul(w, a), b_mul(w, b)
-    assert resultant_y(bi_from_dict(a), bi_from_dict(b)) == ZERO
+    assert b_resultant_y(a, b) == []
     check_against_oracle(a, b)
 
 
@@ -291,112 +288,19 @@ y_free_dicts = bi_dicts(max_x=2, max_y=0, min_size=1)
 def test_y_free_side_takes_the_closed_form(free, other):
     # Res_y(a_0, b) = a_0**deg_y b and Res_y(a, b_0) = b_0**deg_y a: the
     # Sylvester matrix is the one constant on its diagonal.
+    power = l_pow(b_y_columns(free)[0], len(b_y_columns(other)) - 1)
     for a, b in ((free, other), (other, free)):
-        got = resultant_y(bi_from_dict(a), bi_from_dict(b))
-        assert list(got.coeffs) == b_resultant_y(a, b)
+        assert b_resultant_y(a, b) == power
 
 
-def test_y_free_side_skips_the_modular_kernel(monkeypatch):
-    def kernel(*args):
-        raise AssertionError("the modular kernel ran")
-
-    monkeypatch.setattr(bipoly, "_resultant_values", kernel)
-    a = bi(P(1, F(2, 3)))
-    b = bi(P(0, 1), 3, P(F(1, 5), 1))
-    assert resultant_y(a, b) == P(1, F(2, 3)) ** 2
-    assert resultant_y(b, a) == P(1, F(2, 3)) ** 2
-    assert connectivity_certificate(P(-5, F(3, 2)), 3, 2, 2).status == "connected-certified"
-
-
-# -- the modular kernel -------------------------------------------------------
-
-def integer_columns(d):
-    """The integer x-coefficient lists by power of y of an integer dict."""
-    return [[int(c) for c in column] for column in b_y_columns(d)]
-
-
-def chosen_prime(a, b):
-    """The modulus resultant_y works in for integer dicts a and b."""
-    bits = (hadamard_square(integer_columns(a), integer_columns(b)).bit_length() + 3) // 2
-    return (1 << mersenne_exponent(bits)) - 1
-
-
-X_X1_X3 = l_from_roots([(0, 1), (1, 1), (3, 1)])  # x(x - 1)(x - 3)
-
-
-@st.composite
-def vanishing_x_x1_x3_pairs(draw):
-    """A leading y-coefficient with the factor x(x - 1)(x - 3), so that it
-    vanishes at three of the points x = 0..D; the other side's sometimes
-    too."""
-    def side():
-        height = draw(st.integers(1, 2))
-        cofactor = draw(st.lists(nonzero_rationals, min_size=1, max_size=2))
-        lead = l_mul(X_X1_X3, cofactor)
-        rest = draw(bi_dicts(max_y=height - 1))
-        return b_add(rest, {(i, height): c for i, c in enumerate(lead) if c})
-    a = side()
-    b = side() if draw(st.booleans()) else draw(bi_dicts(min_size=1))
-    return a, b
-
-
-@st.composite
-def multiple_of_modulus_pairs(draw):
-    """a of y-degree 1 or 2 with every coefficient a multiple of the prime
-    that resultant_y picks, and b free of y: the bound then depends on b
-    alone, and a's leading coefficient vanishes at every point."""
-    height = draw(st.integers(1, 2))
-    b = {(i, 0): F(c) for i, c in enumerate(draw(
-        st.lists(st.integers(-9, 9), min_size=1, max_size=3))) if c}
-    if not b:
-        b = {(0, 0): F(draw(st.sampled_from([-2, 1, 3])))}
-    shape = {(0, height): F(1)}  # any a of this y-degree has the same bound
-    prime = chosen_prime(shape, b)
-    keys = st.tuples(st.integers(0, 2), st.integers(0, height - 1))
-    a = draw(st.dictionaries(keys, st.integers(-3, 3).filter(bool), max_size=4))
-    a = {key: F(prime * c) for key, c in a.items()}
-    for i, c in enumerate(draw(st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=2))):
-        a[(i, height)] = F(prime * c)
-    return a, b
-
-
-@st.composite
-def common_factor_pairs(draw):
-    w = draw(bi_dicts(max_x=1, max_y=1, min_size=1).filter(lambda d: any(j for _, j in d)))
-    a = draw(bi_dicts(max_x=1, max_y=1, min_size=1))
-    b = draw(bi_dicts(max_x=1, max_y=1, min_size=1))
-    return b_mul(w, a), b_mul(w, b)
-
-
-y_free_pairs = st.tuples(bi_dicts(max_y=0, min_size=1), bi_dicts(max_y=0, min_size=1))
-
-
-@given(st.one_of(vanishing_x_x1_x3_pairs(), multiple_of_modulus_pairs(),
-                 common_factor_pairs(), y_free_pairs))
-@settings(deadline=None)
-def test_modular_resultant_y_matches_fraction_bareiss(pair):
-    a, b = pair
-    got = resultant_y(bi_from_dict(a), bi_from_dict(b))
-    assert list(got.coeffs) == b_resultant_y(a, b)
-
-
-def test_multiples_of_the_modulus_vanish_at_every_point():
-    # The property's multiple-of-the-modulus case really has a leading
-    # coefficient that is zero modulo the prime at every point.
-    b = {(0, 0): F(3), (1, 0): F(-2)}
-    prime = chosen_prime({(0, 1): F(1)}, b)
-    a = {(0, 0): F(prime), (2, 1): F(-2 * prime)}
-    assert prime == (1 << 61) - 1
-    assert resultant_y(bi_from_dict(a), bi_from_dict(b)) == UniPoly([3, -2])
-
-
-# One deterministic pair per branch of the pointwise kernel, each reached at
-# one of the points x = 0..D where resultant_y evaluates.
+# One deterministic pair per case of a Sylvester matrix whose leading
+# entries vanish, each reached at one of the points x = 0..D where the
+# integer oracle evaluates.
 KERNEL_BRANCHES = {
     # lc(b) = x - 1 vanishes at x = 1, lc(a) = 1 nowhere.
     "lead_of_b_vanishes": ({(0, 2): F(1), (1, 1): F(1), (0, 0): F(1)},
                            {(1, 1): F(1), (0, 1): F(-1), (2, 0): F(1), (0, 0): F(2)}),
-    # lc(a) = x - 2 vanishes at x = 2; equal y-degrees, so no swap comes first.
+    # lc(a) = x - 2 vanishes at x = 2; equal y-degrees.
     "lead_of_a_vanishes": ({(1, 1): F(1), (0, 1): F(-2), (0, 0): F(1)},
                            {(0, 1): F(1), (1, 0): F(1)}),
     # Both leading coefficients are multiples of x.
@@ -415,110 +319,95 @@ KERNEL_BRANCHES = {
 @pytest.mark.parametrize("a, b", KERNEL_BRANCHES.values(), ids=list(KERNEL_BRANCHES))
 def test_each_kernel_branch_matches_fraction_oracle(a, b):
     for left, right in ((a, b), (b, a)):
-        got = resultant_y(bi_from_dict(left), bi_from_dict(right))
-        assert list(got.coeffs) == b_resultant_y(left, right)
+        assert integer_route(left, right) == b_resultant_y(left, right)
 
 
-formal_lists = st.lists(st.one_of(st.just(0), st.integers(-5, 5)), min_size=1, max_size=5)
+# -- the norm -----------------------------------------------------------------
+
+@st.composite
+def poly_matrices(draw):
+    """Square matrices up to 4 x 4 of integer polynomials of degree <= 1,
+    as coefficient lists, most entries zero, so that zero pivots, row swaps
+    and singular matrices are common."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.just([]), st.just([]), st.lists(st.integers(-5, 5), max_size=2))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return [[l_trim(F(c) for c in e) for e in row] for row in rows]
 
 
-@given(formal_lists, formal_lists)
-@example([0], [0])  # empty matrix: one
-@example([0, 0], [0, 0, 1])  # zero leading entry of a
-@example([2, 0, 0], [0, 0])  # both leading entries zero
+@given(poly_matrices())
+@example([[[], [1]], [[1], []]])  # zero first pivot: one swap
+@example([[[1], [1], []], [[1], [1], [1]], [[], [1], [1]]])  # zero pivot after a step
+@example([[[], [2]], [[], [0, 1]]])  # zero column: singular
+@example([[[0, 1], [0, 2]], [[1], [2]]])  # dependent rows, no zero column
 @settings(deadline=None)
-def test_kernel_takes_the_determinant_at_formal_degrees(a, b):
-    # Zero leading entries are kept: the value is the determinant of the
-    # Sylvester matrix of the lists' own lengths, as at a point where a
-    # leading coefficient vanishes.
-    prime = (1 << 61) - 1
-    expected = fraction_determinant(sylvester_rows(a, b, 0))
-    num, den = _euclid_resultant([c % prime for c in a], [c % prime for c in b], prime)
-    assert (num - expected * den) % prime == 0
+def test_determinant_matches_fraction_oracle(rows):
+    expected = bareiss_determinant(rows, [], [F(1)], l_mul, l_sub, l_exact_div)
+    got = _determinant([[UniPoly(e) for e in row] for row in rows])
+    assert list(got.coeffs) == expected
 
 
-def integer_dict(columns):
-    """The oracle dict of integer x-coefficient lists by power of y."""
-    return {(i, j): F(c) for j, column in enumerate(columns)
-            for i, c in enumerate(column) if c}
+def norm(p, m, n, c):
+    """critical_norm for p given as a coefficient list and c*n = c * n."""
+    p, c = UniPoly(p), F(c)
+    return critical_norm(list(p._num), p._den, m, n, c.numerator * n, c.denominator)
 
 
-@given(bi_dicts(min_size=1), bi_dicts(min_size=1))
-@settings(deadline=None)
-def test_hadamard_bound_dominates_every_coefficient(a, b):
-    a_ints, _ = clear_denominators(b_y_columns(a))
-    b_ints, _ = clear_denominators(b_y_columns(b))
-    square = hadamard_square(a_ints, b_ints)
-    for c in b_resultant_y(integer_dict(a_ints), integer_dict(b_ints)):
-        assert c * c <= square
+def oracle_norm(p, m, n, c):
+    """Res_v(chi, G) in the oracle ring: chi(v) = Res_x(p', v - p)/lc(p')**d
+    by Fraction Bareiss, then its resultant with
+    G(v, y) = m*v*(v*y - 1)**(m - 1) + c*n*y**(n - 1), as a list in y."""
+    p = [F(a) for a in p]
+    d = len(p) - 1
+    slope = l_derivative(p)
+    v_minus_p = b_add({(1, 0): F(1)}, {(0, i): -a for i, a in enumerate(p) if a})
+    chi = b_resultant_y({(0, i): a for i, a in enumerate(slope) if a}, v_minus_p)
+    chi = {(0, k): a / slope[-1] ** d for k, a in enumerate(chi) if a}  # v in the y slot
+    g = b_add(b_mul({(0, 1): F(m)}, b_pow({(1, 1): F(1), (0, 0): F(-1)}, m - 1)),
+              {(n - 1, 0): F(c) * n})  # y in the x slot, v in the y slot
+    return b_resultant_y(chi, g)
 
 
-def test_hadamard_bound_is_reached_by_a_diagonal_matrix():
-    # Res_y(2y + 0, 3) = 3 and Res_y(5, y) = 5: one row each, nothing to
-    # lose in Hadamard's inequality.
-    assert hadamard_square([[], [2]], [[3]]) == 9
-    assert hadamard_square([[5]], [[], [1]]) == 25
+def planted(a, b):
+    """p with p' = (x - a)**3 * (x - b)**2 and p(0) = 1: d = 6, with a
+    critical point of multiplicity 3 and one of multiplicity 2."""
+    slope = l_mul(l_pow([-F(a), 1], 3), l_pow([-F(b), 1], 2))
+    return [F(1)] + [c / (i + 1) for i, c in enumerate(slope)]
 
 
-@pytest.mark.parametrize("index", range(len(MERSENNE_EXPONENTS)))
-def test_prime_choice_at_each_table_boundary(index):
-    e = MERSENNE_EXPONENTS[index]
-    # 2**e - 1 >= 2**bits exactly when bits < e.
-    assert mersenne_exponent(e - 1) == e
-    if index + 1 < len(MERSENNE_EXPONENTS):
-        assert mersenne_exponent(e) == MERSENNE_EXPONENTS[index + 1]
-    if not index:
-        assert mersenne_exponent(0) == e
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
-def test_prime_choice_beyond_the_table_raises():
-    # Past the largest table prime no modulus covers the bound.
-    with pytest.raises(ArithmeticError):
-        mersenne_exponent(MERSENNE_EXPONENTS[-1])
+@st.composite
+def norm_inputs(draw):
+    """(p, m, n, c): deg p from 1 to 6 with rational coefficients, often a
+    zero constant term, 2 <= m, n <= 6 and c a nonzero rational."""
+    degree = draw(st.integers(1, 6))
+    p = draw(st.lists(small_rationals, min_size=degree, max_size=degree))
+    p.append(draw(small_rationals.filter(bool)))
+    return (p, draw(st.integers(2, 6)), draw(st.integers(2, 6)),
+            draw(small_rationals.filter(bool)))
 
 
-def lucas_lehmer(e):
-    """Whether 2**e - 1 is prime, for an odd prime e."""
-    prime = (1 << e) - 1
-    s = 4
-    for _ in range(e - 2):
-        s = (s * s - 2) % prime
-    return s == 0
-
-
-def test_small_table_entries_are_mersenne_primes():
-    for e in MERSENNE_EXPONENTS:
-        if e < 5000:
-            assert lucas_lehmer(e), e
-    # The test itself rejects composites: 2**67 - 1 = 193707721 * 761838257287.
-    assert not lucas_lehmer(67)
-
-
-@given(bi_dicts(max_x=2, max_y=2, min_size=1), bi_dicts(max_x=2, max_y=2, min_size=1),
-       st.booleans())
-@settings(deadline=None)
-def test_image_modulo_a_prime_below_the_bound_is_a_residue(a, b, scale_a):
-    # Scaling one leading y-coefficient by the prime makes it vanish at
-    # every point, so every value comes from the kernel's zero-lead
-    # branches.
-    prime = (1 << 61) - 1
-    a_ints, _ = clear_denominators(b_y_columns(a))
-    b_ints, _ = clear_denominators(b_y_columns(b))
-    side = a_ints if scale_a else b_ints
-    side[-1] = [prime * c for c in side[-1]]
-    degree = x_degree_bound(bi_from_dict(a), bi_from_dict(b))
-    image = _interpolate(*_resultant_values(a_ints, b_ints, degree + 1, prime), prime)
-    exact = integer_resultant_y(a_ints, b_ints, degree)
-    width = max(len(image), len(exact))
-    image += [0] * (width - len(image))
-    exact += [0] * (width - len(exact))
-    assert all((c - d) % prime == 0 for c, d in zip(image, exact))
+@given(norm_inputs())
+@example(([F(3), F(-1, 2)], 2, 3, F(1)))  # d = 1: the empty determinant
+@example((planted(1, -2), 3, 2, F(-5, 3)))  # repeated critical points, m > n
+@example((planted(F(1, 2), 0), 2, 4, F(3, 2)))  # and m < n
+@example(([0, 0, -1, 1], 3, 4, F(-2)))  # p = x^2*(x - 1): critical value 0
+@example(([0, 0, 0, 1], 4, 2, F(1)))  # p = x^3: one double critical point
+@example(([F(-11, 3), 2, F(-3, 7), 0, 0, 1], 4, 3, F(-5, 3)))  # a rational quintic
+@example(([0, 1, 0, 0, 0, 0, 1], 2, 6, F(7, 2)))  # p = x^6 + x: beta is one monomial
+@settings(max_examples=60, deadline=None)
+def test_norm_matches_resultant_oracle(inputs):
+    p, m, n, c = inputs
+    assert list(norm(p, m, n, c).coeffs) == oracle_norm(p, m, n, c)
 
 
 @pytest.mark.parametrize("p, m, n, c", [
     ([1, 0, 1], 5, 5, 1),
     ([1, 1, 0, 1], 4, 3, F(-2)),
     ([F(1, 2), F(-3, 7), 2], 3, 4, F(3, 2)),
+    ([F(-11, 3), 2, F(-3, 7), 0, 0, 1], 2, 3, F(-5, 3)),
 ])
 def test_certificate_eliminants_match_integer_bareiss_route(p, m, n, c):
     # Both eliminants of the factored route against integer Bareiss
@@ -528,34 +417,29 @@ def test_certificate_eliminants_match_integer_bareiss_route(p, m, n, c):
     certificate = connectivity_certificate(UniPoly(p), m, n, F(c))
     for a, b, eliminant in ((hx, hy, certificate.eliminants[0]),
                             (b_swap(hx), b_swap(hy), certificate.eliminants[1])):
-        a, b = bi_from_dict(a), bi_from_dict(b)
-        a_ints, scale_a = clear_denominators([col.coeffs for col in a.coeffs])
-        b_ints, scale_b = clear_denominators([col.coeffs for col in b.coeffs])
-        exact = integer_resultant_y(a_ints, b_ints, x_degree_bound(a, b))
-        scale = scale_a ** (len(b.coeffs) - 1) * scale_b ** (len(a.coeffs) - 1)
-        expected = UniPoly([F(v, scale) for v in exact])
-        assert eliminant == expected
-        assert resultant_y(a, b) == expected
+        assert eliminant == UniPoly(integer_route(a, b))
 
 
 CIRCLE = {(2, 0): F(1), (0, 2): F(1)}  # x^2 + y^2
 
 
 def eliminants(h):
-    """Res_y and Res_x of the partials of the dict h, by resultant_y."""
+    """Res_y and Res_x of the partials of the dict h, by the Fraction
+    oracle."""
     hx, hy = b_partial_x(h), b_partial_y(h)
-    return (resultant_y(bi_from_dict(hx), bi_from_dict(hy)),
-            resultant_y(bi_from_dict(b_swap(hx)), bi_from_dict(b_swap(hy))))
+    return b_resultant_y(hx, hy), b_resultant_y(b_swap(hx), b_swap(hy))
 
 
 class TestSingularLocus:
     def test_certified_example(self):
         r_x, r_y = eliminants(h_dict([0, 1], 2, 2, 1))
         assert r_x and r_y
+        certificate = connectivity_certificate(UniPoly([0, 1]), 2, 2, F(1))
+        assert [list(r.coeffs) for r in certificate.eliminants] == [r_x, r_y]
 
     def test_nonreduced_square_is_not_certified(self):
         r_x, r_y = eliminants({(2, 2): F(1)})  # (xy)^2
-        assert r_x == ZERO and r_y == ZERO
+        assert r_x == [] and r_y == []
 
     def test_smooth_quadric(self):
         r_x, r_y = eliminants(CIRCLE)
@@ -565,5 +449,5 @@ class TestSingularLocus:
         # The eliminants must vanish at the projections of every singular
         # point: x**2 + y**2 is singular exactly at the origin.
         r_x, r_y = eliminants(CIRCLE)
-        assert r_x(0) == 0
-        assert r_y(0) == 0
+        assert l_eval(r_x, 0) == 0
+        assert l_eval(r_y, 0) == 0

@@ -83,33 +83,14 @@ class TestExitCodes:
 
     def test_inconclusive_certificate(self, capsys, monkeypatch):
         # No accepted parameters reach this branch, so the eliminant r_y is
-        # forced to vanish through its resultant Res_v(chi, G), the second
-        # resultant_y call; the real certificate then decides the verdict.
-        real = bipoly.resultant_y
-        calls = []
-
-        def second_vanishes(a, b):
-            calls.append(None)
-            return ZERO if len(calls) == 2 else real(a, b)
-
-        monkeypatch.setattr(bipoly, "resultant_y", second_vanishes)
+        # forced to vanish through its one computed factor, the norm
+        # Res_v(chi, G); the real certificate then decides the verdict.
+        monkeypatch.setattr(bipoly, "critical_norm", lambda *args: ZERO)
         code, out, _ = run(capsys, "connectivity", "x", "--m", "2", "--n", "2",
                            "--c", "1")
         assert code == EXIT_INCONCLUSIVE
         assert "  status: inconclusive\n" in out
         assert "  singular_locus_finite: no\n" in out
-
-    def test_resultant_bound_past_the_prime_table_is_a_precondition(self, capsys,
-                                                                   monkeypatch):
-        # A bound past the largest table prime raises ArithmeticError; a
-        # one-entry table stands in for the 41-million-digit coefficients
-        # that would reach it.
-        monkeypatch.setattr(bipoly, "MERSENNE_EXPONENTS", (61,))
-        code, out, err = run(capsys, "connectivity", "x^3+x+1", "--m", "16", "--n", "16",
-                             "--c", "1")
-        assert code == EXIT_PRECONDITION
-        assert out == ""
-        assert err.startswith("error: no table prime reaches 2**")
 
     def test_non_ascii_digits_are_a_parse_error(self, capsys):
         for text in ("x^\u00b2", "x^\u0661\u0662", "\u0661/\u0662*x"):

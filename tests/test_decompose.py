@@ -250,18 +250,17 @@ class TestConnectivityCertificate:
 
     def test_vanished_eliminant_is_inconclusive(self, monkeypatch):
         # No accepted input reaches this branch (see the docstring's
-        # proof), so the second resultant_y call, Res_v(chi, G), is forced
-        # to vanish, and with it r_y = Res_x(h_x, h_y).
-        real = bipoly.resultant_y
+        # proof), so the norm Res_v(chi, G), computed once per certificate,
+        # is forced to vanish, and with it r_y = Res_x(h_x, h_y).
         calls = []
 
-        def second_vanishes(a, b):
-            calls.append((a, b))
-            return ZERO if len(calls) == 2 else real(a, b)
+        def vanishes(*args):
+            calls.append(args)
+            return ZERO
 
-        monkeypatch.setattr(bipoly, "resultant_y", second_vanishes)
+        monkeypatch.setattr(bipoly, "critical_norm", vanishes)
         certificate = connectivity_certificate(P(0, 1), 2, 2, F(1))
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert certificate.status == INCONCLUSIVE
         assert certificate.singular_finite is False
         r_x, r_y = certificate.eliminants

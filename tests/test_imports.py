@@ -138,7 +138,7 @@ EXPORTS = {
 # to an invariant (CharVarietyReport.resonance_trivial; the irreducibility
 # flags of characteristic_variety; SquarefreeDecomposition.radical() and
 # .multiplicity_gcd, or orbifold_group; resultant_y), the bivariate
-# ring and its parser (a BiPoly built from its y-coefficient tuple; no
+# ring and its parser (int lists inside the certificate's norm; no
 # bivariate parser), the singular-locus wrapper (connectivity_certificate),
 # the canonical printer (str), the integer Bareiss route of resultant_y (the
 # modular kernel; the old route is an oracle in tests/oracles.py), the gcd's
@@ -155,7 +155,11 @@ EXPORTS = {
 # gcd and the squarefree decomposition share.  The command line's argparse
 # builder gave way to the table broughton.cli.COMMANDS.  unipoly's _constants
 # went once the certificate built its resultant columns from integer
-# numerators itself.
+# numerators itself.  The certificate's two general resultants in y, the
+# second one Res_v(chi, G), gave way to one norm over Q[y], with no bound,
+# prime or interpolation: the record BiPoly, resultant_y and the whole
+# Mersenne kernel went (the integer and Fraction resultants stay as oracles
+# in tests/oracles.py).
 REMOVED = {
     "arrangement": ("resonance",),
     "cli": ("_build_parser",),
@@ -165,7 +169,9 @@ REMOVED = {
         "_bareiss_determinant", "_interpolate_naturals", "_sylvester_rows",
         "_horner", "build_h", "_x_degree_bound", "_euclid_resultants", "_take",
         "_sylvester_determinant", "_resultant_by_primes", "mersenne_exponents",
-        "integer_resultant", "_resultant_modulo",
+        "integer_resultant", "_resultant_modulo", "BiPoly", "resultant_y",
+        "_integer_columns", "MERSENNE_EXPONENTS", "mersenne_exponent",
+        "hadamard_square", "_resultant_values", "_euclid_resultant", "_interpolate",
     ),
     "modular": (
         "MERSENNE_EXPONENTS", "mersenne_exponents", "hadamard_square",
@@ -202,13 +208,12 @@ def test_lazy_exports_match_the_submodules():
     assert broughton.__version__ == "0.1.0"
 
 
-# Names the package no longer exports but their module keeps: bipoly's
-# helpers check nothing, and connectivity_certificate, which checks its
-# inputs, is the one public entry to them.  The resultant kernel lives there
-# too, and modular keeps only what the gcd and the squarefree decomposition
-# call.
+# Names the package no longer exports but their module keeps: bipoly's norm
+# checks nothing, and connectivity_certificate, which checks its inputs, is
+# the one public entry to it.  modular keeps only what the gcd and the
+# squarefree decomposition call.
 INTERNAL = {
-    "bipoly": ("BiPoly", "resultant_y", "mersenne_exponent", "hadamard_square"),
+    "bipoly": ("critical_norm",),
     "modular": ("_prime", "_is_prime", "_gcd_mod", "_yun_mod", "_derivative_mod",
                 "_difference_mod", "_quotient_mod", "_lift", "_rational"),
 }
@@ -236,12 +241,14 @@ def test_removed_names_are_gone(module_name, name):
 
 
 def test_bipoly_keeps_no_calculus_of_the_surface():
-    # The certificate never builds h, so it differentiates nothing and
-    # exchanges no variables; a BiPoly is only the record resultant_y takes.
-    from broughton.bipoly import BiPoly
-    for name in ("partial_x", "partial_y", "swap_vars"):
-        assert not hasattr(BiPoly, name), name
-    assert BiPoly._fields == ("coeffs",)
+    # The certificate never builds h, so bipoly differentiates nothing,
+    # exchanges no variables and takes no general resultant: it defines one
+    # norm and the int and matrix helpers under it, and no record.
+    from broughton import bipoly
+    defined = {name for name, value in vars(bipoly).items()
+               if getattr(value, "__module__", None) == bipoly.__name__}
+    assert defined == {"critical_norm", "_norm", "_mul", "_reduce", "_determinant"}
+    assert not any("resultant" in name for name in vars(bipoly))
 
 
 def test_unipoly_has_no_composition():
