@@ -1,8 +1,10 @@
-"""Bivariate layer: the certificate's norm, and the resultant oracles it is
-checked against."""
+"""Bivariate layer: the certificate's norm, the resultant oracles it is
+checked against, and the package's one prime table, which it does not use."""
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -11,9 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from broughton import bipoly, modular
 from broughton.bipoly import _determinant, critical_norm
 from broughton.decompose import connectivity_certificate
-from broughton.unipoly import UniPoly
+from broughton.unipoly import ONE, UniPoly
 from oracles import (
     b_add,
     b_build_g,
@@ -39,6 +42,7 @@ from oracles import (
     l_sub,
     l_trim,
     random_coeffs,
+    sylvester_rows,
 )
 
 F = Fraction
@@ -347,6 +351,24 @@ def test_determinant_matches_fraction_oracle(rows):
     assert list(got.coeffs) == expected
 
 
+formal_lists = st.lists(st.one_of(st.just(0), st.integers(-5, 5)), min_size=1, max_size=5)
+
+
+@given(formal_lists, formal_lists)
+@example([0], [0])  # empty matrix: one
+@example([0, 0], [0, 0, 1])  # zero leading entry of a
+@example([2, 0, 0], [0, 0])  # both leading entries zero
+@settings(deadline=None)
+def test_kernel_takes_the_determinant_at_formal_degrees(a, b):
+    # Zero leading entries are kept: the value is the determinant of the
+    # Sylvester matrix of the lists' own lengths, whose zero pivots make
+    # _determinant swap rows.  The empty matrix is one, as _norm takes it
+    # before the kernel runs.
+    rows = sylvester_rows(a, b, 0)
+    got = _determinant([[UniPoly.constant(v) for v in row] for row in rows]) if rows else ONE
+    assert list(got.coeffs) == l_trim([fraction_determinant(rows)])
+
+
 def norm(p, m, n, c):
     """critical_norm for p given as a coefficient list and c*n = c * n."""
     p, c = UniPoly(p), F(c)
@@ -401,6 +423,97 @@ def norm_inputs(draw):
 def test_norm_matches_resultant_oracle(inputs):
     p, m, n, c = inputs
     assert list(norm(p, m, n, c).coeffs) == oracle_norm(p, m, n, c)
+
+
+@st.composite
+def split_inputs(draw):
+    """p = p(0) + x**(v + 1) * q with q(0) != 0: a critical point 0 of
+    multiplicity v, which critical_norm splits off before its matrix."""
+    v = draw(st.integers(1, 3))
+    q = draw(st.lists(small_rationals, min_size=0, max_size=2))
+    q = [draw(small_rationals.filter(bool))] + q + [draw(small_rationals.filter(bool))]
+    return l_trim([draw(small_rationals)] + [F(0)] * v + q[:6 - v])
+
+
+@st.composite
+def vanishing_critical_value_inputs(draw):
+    """p = (x - r)**2 * q: the critical point r has the critical value 0,
+    where G(p(r), y) is c*n*y**(n - 1)."""
+    r = draw(small_rationals)
+    q = draw(st.lists(small_rationals, min_size=0, max_size=3))
+    q.append(draw(small_rationals.filter(bool)))
+    return l_mul(l_pow([-r, F(1)], 2), q)
+
+
+@st.composite
+def large_inputs(draw):
+    """deg p from 2 to 4 with 30-digit numerators and denominators, so that
+    beta and s are large and share a content."""
+    big = st.fractions(min_value=-10**30, max_value=10**30, max_denominator=10**30)
+    degree = draw(st.integers(2, 4))
+    p = draw(st.lists(big, min_size=degree, max_size=degree))
+    p.append(draw(big.filter(bool)))
+    return p
+
+
+planted_inputs = st.builds(planted, small_rationals, small_rationals)
+
+
+@given(st.one_of(split_inputs(), vanishing_critical_value_inputs(), large_inputs(),
+                 planted_inputs),
+       st.integers(2, 5), st.integers(2, 5), small_rationals.filter(bool))
+@settings(max_examples=40, deadline=None)
+def test_modular_resultant_y_matches_fraction_bareiss(p, m, n, c):
+    # The norm that replaced the modular resultant, against Fraction Bareiss
+    # on the inputs where it takes its special paths: the split-off critical
+    # point 0, a critical value 0, large contents and repeated critical
+    # points.
+    assert list(norm(p, m, n, c).coeffs) == oracle_norm(p, m, n, c)
+
+
+def test_y_free_side_skips_the_modular_kernel(monkeypatch):
+    # For linear p, chi is the constant one, free of v: the norm is the
+    # empty determinant, and the kernel never runs.
+    def kernel(*args):
+        raise AssertionError("the determinant kernel ran")
+
+    monkeypatch.setattr(bipoly, "_determinant", kernel)
+    assert norm([F(-5), F(3, 2)], 3, 2, 2) == ONE
+    assert connectivity_certificate(UniPoly([-5, F(3, 2)]), 3, 2, 2).status == "connected-certified"
+
+
+# -- the package's one prime table --------------------------------------------
+#
+# The norm draws no prime; modular._prime, for the gcd and the squarefree
+# decomposition, keeps the primes below 2**30 it has found in a table that
+# grows one prime per miss.
+
+PRIME_TABLE_CASES = 44
+
+
+@functools.cache
+def primes_below_2_30(count):
+    """The first ``count`` primes below 2**30, counting down, by trial
+    division with the primes up to 2**15."""
+    small = [q for q in range(2, 1 << 15) if all(q % r for r in range(2, math.isqrt(q) + 1))]
+    found = []
+    n = (1 << 30) - 1
+    while len(found) < count:
+        if all(n % q for q in small):
+            found.append(n)
+        n -= 2
+    return found
+
+
+@pytest.mark.parametrize("index", range(PRIME_TABLE_CASES))
+def test_prime_choice_at_each_table_boundary(index, monkeypatch):
+    # With the table cut at ``index`` entries, the next draw finds exactly
+    # the next prime down, and appends it alone.
+    expected = primes_below_2_30(PRIME_TABLE_CASES)
+    table = expected[:index]
+    monkeypatch.setattr(modular, "_PRIMES", table)
+    assert modular._prime(index) == expected[index]
+    assert table == expected[:index + 1]
 
 
 @pytest.mark.parametrize("p, m, n, c", [
