@@ -19,8 +19,13 @@ within a constant factor of the last one.  An image with no parts (a
 constant gcd, a squarefree polynomial) settles the answer at once, and
 most calls stop there, at the first prime.
 
-Nothing here is loaded until a gcd or a squarefree decomposition runs, so
-``decompose``, ``connectivity`` or a parse error never compiles it.
+Nothing here is loaded until a gcd or a squarefree decomposition needs a
+prime, that is, until the integer gcd of
+:func:`broughton.unipoly._heuristic_gcd` leaves one unsettled: its
+coefficients are past that gcd's cut, its candidate fails the trial
+division, or its input is not proved squarefree.  So the paper's
+standard pairs of moderate size, ``decompose``, ``connectivity`` and a
+parse error never compile it.
 Coefficient lists are ints, low degree first.  The connectivity
 certificate needs no prime: its one resultant is a norm, the determinant
 of :mod:`broughton.bipoly` over Q[y].

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .unipoly import UniPoly, X, _decimal, _make, _mul_ints
+from .unipoly import _PIECE, UniPoly, X, _decimal, _make, _mul_ints
 
 if TYPE_CHECKING:
     from .arrangement import CharVarietyReport, FiberDivisor
@@ -90,7 +90,10 @@ def build_report(p: UniPoly, q: UniPoly) -> ReportDocument:
 
 
 def _rat(value: Fraction) -> str:
-    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+    n, d = value.numerator, value.denominator
+    if abs(n) < _PIECE and d < _PIECE:
+        return f"{n}/{d}"
+    return f"{_decimal(n)}/{_decimal(d)}"
 
 
 def command_mapping(command: str, inputs: dict, **blocks) -> dict:

@@ -19,15 +19,20 @@ multiplicity v, as x times it, or becomes a part of its own in
 multiplicity order.  So c*x**v, such as p = x**a of the paper's standard
 pair, draws no prime at all.
 
-The rest is decomposed modulo primes and lifted, never over the
+Let A be the primitive integer part of the rest.  Unless its
+coefficients are past the cut of :func:`broughton.unipoly._heuristic_gcd`,
+one integer gcd of the values of A and A' at a power of two first tries
+to prove gcd(A, A') = 1: then A is squarefree, ``p`` is its own single
+part, and no prime is drawn.  That settles the q = x*(x+2)*...*(x+b) of
+the paper's standard pair up to b = 67.  A failed test proves nothing,
+and then the rest is decomposed modulo primes and lifted, never over the
 rationals.  The parts are small even when gcd(p, p') = f2 * f3**2 * ...
 is huge, as for a high power, so only the parts are lifted:
 
 * For each prime p that exceeds deg A and does not divide the leading
-  coefficient of the primitive integer part A of ``p``, Yun's algorithm
-  runs on A modulo p (Yun 1976; von zur Gathen and Gerhard, *Modern
-  Computer Algebra*, 14.6).  It is exact there because p > deg A; a
-  prime at most deg A is skipped.
+  coefficient of A, Yun's algorithm runs on A modulo p (Yun 1976; von
+  zur Gathen and Gerhard, *Modern Computer Algebra*, 14.6).  It is exact
+  there because p > deg A; a prime at most deg A is skipped.
 * A squarefree image proves gcd(A, A') = 1, since that gcd keeps its
   degree modulo p: ``p`` is its own single part.  Otherwise the monic
   parts modulo p go to the lift of :mod:`broughton.modular`, ranked by
@@ -47,7 +52,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .unipoly import ONE, X, UniPoly, _make, _mul_ints, _polynomial, _primitive, _x_split
+from .unipoly import (ONE, X, UniPoly, _heuristic_gcd, _make, _mul_ints, _polynomial, _primitive,
+                      _x_split)
 
 
 class SquarefreeDecomposition(NamedTuple):
@@ -77,7 +83,8 @@ class SquarefreeDecomposition(NamedTuple):
 
 
 def squarefree_decompose(a) -> SquarefreeDecomposition:
-    """Squarefree decomposition, by Yun's algorithm modulo primes and a
+    """Squarefree decomposition, by one integer gcd when that proves the
+    input squarefree, else by Yun's algorithm modulo primes and a
     certified lift (see the module docstring).
 
     Returns the unit (the leading coefficient) and the list of monic
@@ -102,7 +109,11 @@ def squarefree_decompose(a) -> SquarefreeDecomposition:
 def _x_free_parts(ints):
     """The monic parts of the nonconstant integer polynomial ``ints``,
     which x does not divide, by multiplicity, from Yun's algorithm modulo
-    primes and a certified lift."""
+    primes and a certified lift, unless one integer gcd proves it
+    squarefree."""
+    derivative = [i * c for i, c in enumerate(ints) if i]
+    if _heuristic_gcd(ints, derivative, coprime_only=True) == [1]:
+        return {1: _make(list(ints), ints[-1])}
     from .modular import _lift, _yun_mod
 
     def image(p):

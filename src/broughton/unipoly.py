@@ -25,7 +25,7 @@ numerator (:func:`_x_split`) and work on the rest, whose constant term is
 nonzero: a product puts v_a + v_b zeros back in front, a power v*n and a
 gcd min(v_a, v_b).  So a power of x, such as p = x**a of the paper's
 standard pair, costs nothing in any of them, and a gcd whose x-free side
-is a constant draws no prime.  The rest of a product takes one of two
+is a constant computes nothing.  The rest of a product takes one of two
 routes:
 
 * a shorter operand of at most :data:`_SCHOOLBOOK_MAX` entries multiplies
@@ -44,8 +44,11 @@ recurrence (:func:`_series_power`, one small-by-big product per term and
 coefficient); see :meth:`UniPoly.__pow__`.
 :func:`exact_div` divides the numerator by the primitive part of the
 divisor's numerator over the integers, which Gauss's lemma makes exact
-whenever the rational division is.  :func:`gcd` lifts by
-:mod:`broughton.modular` and checks with the same integer division.
+whenever the rational division is.  :func:`gcd` reads the gcd off one
+integer gcd of the numerators' values at a power of two when their
+coefficients are small (:func:`_heuristic_gcd`), lifts it by
+:mod:`broughton.modular` otherwise, and checks either with the same
+integer division.
 """
 
 from __future__ import annotations
@@ -430,30 +433,20 @@ def exact_div(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic greatest common divisor, from gcds modulo primes below 2**30.
+    """Monic greatest common divisor, from one integer gcd when the
+    coefficients are small and from gcds modulo primes below 2**30 when
+    they are not.
 
     The lowest terms x**v_a and x**v_b come off first (:func:`_x_split`),
     and the gcd is x**min(v_a, v_b) times that of the rests, so a rest that
-    is a constant draws no prime.  Let A and B be the primitive integer
-    parts of the rests and G their gcd over the integers (Brown 1971; von
-    zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 6).  At each
-    prime p that divides neither leading coefficient, Euclid gives the
-    monic gcd g of the images a and b.  Since lc G divides lc A, G mod p
-    keeps its degree and divides g: deg g >= deg G, and a constant g
-    proves A and B coprime.  Otherwise the lift of :mod:`broughton.modular`,
-    ranked by deg a - deg g, lifts the piece of least degree among g, a/g
-    and b/g, made monic, as GCDHEU does (Char, Geddes and Gonnet 1989).  A
-    lifted g is accepted if it divides A and B over the integers; a lifted
-    cofactor C of A if A/C is exact and its primitive part divides B;
-    likewise for B.  The result divides A and B and has degree
-    deg g >= deg G, so it is G up to sign.
-
-    A cofactor makes ``gcd(p, p.derivative())`` of a high power one
-    prime's work.  G and both cofactors large and dense pay instead, since
-    rational reconstruction needs twice the bits of an integer lift: at
-    degree 5 with random 1000-bit coefficients the gcd draws 128 primes
-    where an integer lift of G drew 35, and takes 17 ms, not 3.5 ms
-    (median of 10 inputs, 2 CPUs, CPython 3.11.7).
+    is a constant needs no gcd at all.  Let A and B be the primitive
+    integer parts of the rests.  :func:`_heuristic_gcd` evaluates both at
+    one power of two, takes the gcd of the two integers and reads the gcd
+    of A and B off it, checked by division over the integers; up to its
+    cut :data:`_HEURISTIC_MAX` on the size of that power, that settles
+    coprime pairs at once and nearly every other pair.  Above the cut, or
+    when the candidate fails the division, :func:`_modular_gcd` lifts it
+    from gcds modulo primes.
 
     The gcd with zero is the other side's monic associate, and gcd(0, 0)
     is rejected.  Rational scalars stand for constant polynomials.
@@ -468,6 +461,128 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     ints_a, ints_b = _primitive(num_a), _primitive(num_b)
     if len(ints_a) == 1 or len(ints_b) == 1:
         return _make([0] * shift + [1])
+    divisor = _heuristic_gcd(ints_a, ints_b)
+    if divisor is None:
+        divisor = _modular_gcd(ints_a, ints_b)
+    return _make([0] * shift + divisor, divisor[-1])  # monic
+
+
+#: The heuristic gcd evaluates at 2**w for w at most this many bits; wider
+#: inputs go to the modular lift.  See :func:`_heuristic_gcd`.
+_HEURISTIC_MAX = 320
+
+
+def _heuristic_gcd(a, b, coprime_only=False):
+    """The gcd, with a positive leading coefficient, of the primitive
+    integer polynomials ``a`` and ``b``, both nonconstant, from one integer
+    gcd (Char, Geddes and Gonnet, GCDHEU, 1989; Geddes, Czapor and Labahn,
+    *Algorithms for Computer Algebra*, 7.7); or None when this cannot
+    settle it.  With ``coprime_only``, only the answer [1] is sought; that
+    test holds for any nonzero integer polynomials, primitive or not.
+
+    Let M = min(max|a|, max|b|) and xi = 2**w, where w is the bit length
+    of 2*M + 2 rounded up to whole bytes and at least 32, and let
+    gamma = gcd(a(xi), b(xi)).  The floor of 32 bits keeps a tiny M, as
+    for x**n + 1, from making xi so small that chance common factors of
+    the two values decide the answer.
+
+    * A common root z of a and b is a root of the side of norm M, so
+      |z| < 1 + M by Cauchy's bound, and xi > 2*M + 2 gives
+      |xi - z| > xi/2.  An integer polynomial k of degree at least 1
+      whose roots are common roots therefore has |k(xi)| > xi/2.
+    * G = gcd(a, b) over the integers divides a and b, so G(xi) divides
+      gamma, and gamma > 0 since a(xi) and b(xi) are not both zero.  So
+      2*gamma <= xi proves a and b coprime.
+    * Otherwise gamma is read off in base xi with digits in
+      [-xi/2, xi/2), the coefficients of a polynomial g with
+      g(xi) = gamma, and h is the primitive part of g with a positive
+      leading coefficient.  If h divides a and b over the integers, then
+      G = h*k, and G(xi) = h(xi)*k(xi) divides gamma = cont(g)*h(xi), so
+      k(xi) divides cont(g), and |cont(g)| <= xi/2: k is a constant, and
+      h is G.  If h does not divide both, None is returned, as SymPy's
+      ``dup_zz_heu_gcd`` falls back, and the caller takes the modular
+      route.
+
+    Above the cut :data:`_HEURISTIC_MAX` on w, None is returned at once.
+    Euclid modulo a prime costs n**2 small-int steps whatever the size of
+    the coefficients, and the integer gcd (n*w)**2 steps in C, so the
+    crossover depends on w alone.  The cut was fitted by timing :func:`gcd`
+    with the cut forced both ways on five coprime pairs of degree n with
+    random coefficients of w - 2 bits, so that w is as given: ms per gcd,
+    heuristic / modular, best of 5 (CPython 3.11.7, x86-64, 2 CPUs):
+
+    =====  ===========  ===========  ===========  ===========  ===========
+    n      w=32         w=128        w=256        w=320        w=384
+    =====  ===========  ===========  ===========  ===========  ===========
+    20     0.025/0.155  0.048/0.156  0.142/0.252  0.185/0.241  0.244/0.248
+    80     0.075/1.25   0.241/1.22   0.664/1.23   1.00/1.27    1.41/1.33
+    320    0.348/17.5   2.65/17.3    9.39/21.2    15.1/17.7    20.2/17.1
+    =====  ===========  ===========  ===========  ===========  ===========
+
+    The integer gcd wins up to w = 320 at every n and loses from 384 on
+    (at w = 1024: 0.71/0.19, 8.4/1.3 and 140/17 ms), hence the cut at
+    320.  A pair with a nontrivial gcd favours it further, since the
+    modular route then lifts over several primes.
+    """
+    norm = min(max(map(abs, a)), max(map(abs, b)))
+    size = max(((2 * norm + 2).bit_length() + 7) // 8, 4)  # w in bytes
+    w = 8 * size
+    if w > _HEURISTIC_MAX:
+        return None
+    gamma = math.gcd(_value(a, w), _value(b, w))
+    if 2 * gamma <= 1 << w:
+        return [1]
+    if coprime_only:
+        return None
+    g = _unpack(gamma, size, gamma.bit_length() // w + 2)
+    while not g[-1]:
+        g.pop()
+    h = _primitive(g)
+    if h[-1] < 0:
+        h = [-c for c in h]
+    if _exact_quotient(a, h) is None or _exact_quotient(b, h) is None:
+        return None
+    return h
+
+
+def _value(ints, w):
+    """The integer polynomial ``ints`` at 2**w.  Neighbours pair up, each
+    round halving the list and doubling the shift, so the work is about
+    n*w*log(n) bits where Horner's rule moves n**2*w."""
+    values = list(ints)
+    while len(values) > 1:
+        if len(values) & 1:
+            values.append(0)
+        values = [x + (y << w) for x, y in zip(values[::2], values[1::2])]
+        w *= 2
+    return values[0]
+
+
+def _modular_gcd(ints_a, ints_b):
+    """The gcd of the primitive integer polynomials ``ints_a`` = A and
+    ``ints_b`` = B, both nonconstant, up to sign, from gcds modulo primes
+    below 2**30.
+
+    Let G be their gcd over the integers (Brown 1971; von zur Gathen and
+    Gerhard, *Modern Computer Algebra*, ch. 6).  At each prime p that
+    divides neither leading coefficient, Euclid gives the monic gcd g of
+    the images a and b.  Since lc G divides lc A, G mod p keeps its degree
+    and divides g: deg g >= deg G, and a constant g proves A and B coprime.
+    Otherwise the lift of :mod:`broughton.modular`, ranked by
+    deg a - deg g, lifts the piece of least degree among g, a/g and b/g,
+    made monic, as GCDHEU does (Char, Geddes and Gonnet 1989).  A lifted g
+    is accepted if it divides A and B over the integers; a lifted cofactor
+    C of A if A/C is exact and its primitive part divides B; likewise for
+    B.  The result divides A and B and has degree deg g >= deg G, so it is
+    G up to sign.
+
+    A cofactor makes ``gcd(p, p.derivative())`` of a high power one
+    prime's work.  G and both cofactors large and dense pay instead, since
+    rational reconstruction needs twice the bits of an integer lift: at
+    degree 5 with random 1000-bit coefficients the gcd draws 128 primes
+    where an integer lift of G drew 35, and takes 17 ms, not 3.5 ms
+    (median of 10 inputs, 2 CPUs, CPython 3.11.7).
+    """
     from .modular import _gcd_mod, _lift, _quotient_mod
 
     def image(p):
@@ -499,8 +614,7 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
             return divisor
         return None
 
-    divisor = _lift(image, accept)
-    return _make([0] * shift + divisor, divisor[-1])  # monic
+    return _lift(image, accept)
 
 
 def _x_split(ints):
@@ -608,13 +722,7 @@ def _mul_ints(a, b):
     size = bound.bit_length() // 8 + 1  # bytes; 2**(8*size - 1) > bound
     packed_a = _pack(a, size)
     packed_b = packed_a if b is a else _pack(b, size)
-    count = len(a) + len(b) - 1
-    half = 1 << (8 * size - 1)
-    offset = int.from_bytes(half.to_bytes(size, "little") * count, "little")
-    digits = (packed_a * packed_b + offset).to_bytes(count * size, "little")
-    from_bytes = int.from_bytes
-    return [from_bytes(digits[k:k + size], "little") - half
-            for k in range(0, count * size, size)]
+    return _unpack(packed_a * packed_b, size, len(a) + len(b) - 1)
 
 
 def _series_power(a, num, den, count):
@@ -670,3 +778,15 @@ def _pack(ints, size):
     positive = b"".join([c.to_bytes(size, "little") if c > 0 else zero for c in ints])
     negative = b"".join([(-c).to_bytes(size, "little") if c < 0 else zero for c in ints])
     return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
+
+
+def _unpack(value, size, count):
+    """The ``count`` digits of ``value`` in base 256**size, each in
+    [-256**size/2, 256**size/2), low first: adding half the base at every
+    digit makes each one a byte slot of ``value``'s bytes, with no carry."""
+    half = 1 << (8 * size - 1)
+    offset = int.from_bytes(half.to_bytes(size, "little") * count, "little")
+    digits = (value + offset).to_bytes(count * size, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(digits[k:k + size], "little") - half
+            for k in range(0, count * size, size)]

@@ -78,11 +78,21 @@ def test_command_loads_only_what_it_runs(command, fmt):
         assert "broughton.squarefree" not in modules
         # Only the certificate runs bivariate code.
         assert ("broughton.bipoly" in modules) == (command == "connectivity")
-    # The gcd's modular helpers load with the first gcd, which every report
-    # command runs; the resultant kernel works modulo one prime and needs
-    # none of them.
-    assert ("broughton.modular" in modules) == (command in REPORTING)
+    # One integer gcd settles every gcd and squarefree test of these small
+    # inputs but the divisor's: (x+1)^2 is not squarefree, so Yun's
+    # algorithm modulo primes loads the modular helpers.  The certificate's
+    # norm needs no prime.
+    assert ("broughton.modular" in modules) == (command == "divisor")
     assert ("json" in modules) == (fmt == "json")
+
+
+def test_coefficients_above_the_cut_load_the_modular_helpers():
+    # The x-free part of q and its derivative both have coefficients past
+    # 2**320, beyond the integer gcd's cut, so q's squarefree decomposition
+    # runs Yun's algorithm modulo primes.
+    code, modules = loaded_by("charvar", "x^3", "x*(10^100*x+1)*(10^100*x+3)")
+    assert code == 0
+    assert "broughton.modular" in modules
 
 
 def test_powers_of_x_load_no_modular_helpers():

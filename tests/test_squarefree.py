@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from broughton import modular
+from broughton import modular, unipoly
 from broughton.arrangement import orbifold_group
 from broughton.report import zahid_polynomials
 from broughton.squarefree import squarefree_decompose
@@ -316,11 +316,19 @@ def test_power_of_x_joins_the_parts_in_order(monkeypatch, v):
     assert drawn == []
 
 
+def modular_route(monkeypatch):
+    """Skip the integer gcd's squarefree test for the rest of the test, so
+    that every decomposition draws primes."""
+    monkeypatch.setattr(unipoly, "_HEURISTIC_MAX", 0)
+
+
 def test_unlucky_prime_lowers_the_radical(monkeypatch):
     # In Y = x + 1, which x does not divide, so that no x**v is split off
     # before a prime is drawn: modulo P0, Y*(Y - P0) is Y^2 and
     # Y^2*(Y - P0)^3 is Y^5, one part of a lower radical degree, whose lift
-    # fails the certificate.
+    # fails the certificate.  Y*(Y - P0) is squarefree, so the integer gcd
+    # would prove it at once.
+    modular_route(monkeypatch)
     drawn = primes_drawn(monkeypatch)
     assert check_against_oracle(Y * (Y - P0)).parts == ((Y * (Y - P0), 1),)
     assert drawn == [P0, modular._prime(1)]
@@ -430,6 +438,7 @@ def test_squarefree_shortcut_lifts_nothing(monkeypatch):
     # modulo the first prime is squarefree, which proves q squarefree.
     # That image is returned as it is, with no quotient by the constant
     # gcd of it and its derivative.
+    modular_route(monkeypatch)
     drawn = primes_drawn(monkeypatch)
     monkeypatch.setattr(modular, "_rational", None)  # never called
     monkeypatch.setattr(modular, "_quotient_mod", None)  # never called
@@ -437,6 +446,43 @@ def test_squarefree_shortcut_lifts_nothing(monkeypatch):
     assert max(abs(c) for c in q.coeffs).numerator.bit_length() > 100
     assert check_against_oracle(q).parts == ((q, 1),)
     assert drawn == [P0]
+
+
+def test_squarefree_kernel_draws_no_prime(monkeypatch):
+    # The same q below the integer gcd's cut: gcd(A(xi), A'(xi)) <= xi/2
+    # proves it squarefree, and no prime is drawn.
+    drawn = primes_drawn(monkeypatch)
+    monkeypatch.setattr(modular, "_gcd_mod", None)  # never called
+    _, q = zahid_polynomials(1, 30)
+    assert check_against_oracle(q).parts == ((q, 1),)
+    assert drawn == []
+
+
+def sized_polys(bits, max_size=4):
+    numerators = st.integers(-2 ** bits, 2 ** bits)
+    coefficients = st.builds(Fraction, numerators, st.integers(1, 9))
+    return st.lists(coefficients, min_size=1, max_size=max_size).map(UniPoly)
+
+
+@pytest.mark.parametrize("cut", [0, 10 ** 6])
+@given(st.lists(st.tuples(st.sampled_from([2, 30, 200, 400]).flatmap(sized_polys),
+                          st.integers(1, 4)), min_size=1, max_size=3),
+       st.integers(0, 3))
+@example([(P(F(-3, 2), 1), 1), (P(1, 0, 1), 1)], 0)  # squarefree, rational lead
+@example([(P(2, -5), 3)], 2)  # a negative lead and x**2
+@settings(deadline=None, max_examples=60)
+def test_matches_yun_over_the_rationals_on_both_routes(cut, factors, v):
+    # With the cut at 0 every decomposition draws primes; past every
+    # input, the integer gcd first tests each x-free part for being
+    # squarefree.  Products of random factors are mostly squarefree when
+    # every multiplicity is 1.
+    poly = X ** v
+    for factor, multiplicity in factors:
+        poly = poly * factor ** multiplicity
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(unipoly, "_HEURISTIC_MAX", cut)
+        if poly:
+            check_against_oracle(poly)
 
 
 def test_scalars_coerce_and_other_values_are_rejected():

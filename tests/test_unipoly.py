@@ -170,6 +170,8 @@ def test_gcd_matches_fraction_euclid_on_large_planted_factors(w, a, b):
     a, b = w * a, w * b
     if a or b:
         check_gcd_against_oracle(a, b)
+        with modular_route():
+            check_gcd_against_oracle(a, b)
 
 
 @given(polys, st.one_of(st.just(ZERO), rationals.filter(bool).map(UniPoly.constant)))
@@ -202,6 +204,8 @@ def test_gcd_matches_fraction_euclid_at_unlucky_primes():
     ]
     for a, b in cases:
         check_gcd_against_oracle(a, b)
+        with modular_route():
+            check_gcd_against_oracle(a, b)
 
 
 @contextlib.contextmanager
@@ -219,12 +223,18 @@ def recorded(name):
         yield calls
 
 
+def modular_route():
+    """Within the block, every gcd and squarefree test skips the integer
+    gcd of :func:`unipoly._heuristic_gcd` and draws primes."""
+    return mock.patch.object(unipoly, "_HEURISTIC_MAX", 0)
+
+
 def test_gcd_tries_the_first_image_at_once():
     # A gcd with coefficients inside one prime's symmetric range passes
     # the trial division at the first prime, with no second one to
     # confirm the lift.
     common = 3 * X ** 2 - F(5, 7)
-    with recorded("_gcd_mod") as calls:
+    with modular_route(), recorded("_gcd_mod") as calls:
         assert gcd(common * (X + 1), common * (2 * X - 9)) == common.monic()
     assert [p for _, _, p in calls] == [_prime(0)]
 
@@ -248,7 +258,7 @@ def test_gcd_lifts_the_small_cofactor_of_a_large_gcd(w, u, v):
     a, b = w * u, w * v
     if not a or not b:
         return
-    with recorded("_gcd_mod") as calls:
+    with modular_route(), recorded("_gcd_mod") as calls:
         check_gcd_against_oracle(a, b)
     # Both orders ran; each drew one prime when a cofactor is the piece of
     # least degree, since the cofactors' coefficients are small.  The
@@ -278,7 +288,8 @@ def test_gcd_splits_off_powers_of_x(a, b, i, j):
 def test_gcd_lifts_a_small_gcd_of_large_cofactors(w, u, v):
     a, b = w * u, w * v
     if a or b:
-        check_gcd_against_oracle(a, b)
+        with modular_route():
+            check_gcd_against_oracle(a, b)
 
 
 @given(huge_polys.filter(lambda w: w.degree >= 1), huge_polys, huge_polys)
@@ -292,7 +303,7 @@ def test_gcd_of_large_pieces_tries_when_the_modulus_doubles(w, u, v):
     a, b = w * u, w * v
     if not a or not b:
         return
-    with recorded("_gcd_mod") as primes, recorded("_rational") as tries:
+    with modular_route(), recorded("_gcd_mod") as primes, recorded("_rational") as tries:
         assert gcd(a, b) == UniPoly(l_gcd(a.coeffs, b.coeffs))
     if not primes:
         assert not tries
@@ -344,9 +355,64 @@ def test_gcd_cofactor_lift_at_unlucky_primes():
         (y * w, (y + p * p2 + 3) * w),
     ]
     for a, b in cases:
-        with recorded("_gcd_mod") as calls:
+        with modular_route(), recorded("_gcd_mod") as calls:
             check_gcd_against_oracle(a, b)
         assert len(calls) > 2
+
+
+# Rational coefficients whose numerators put w below and above the
+# integer gcd's cut of 320 bits.
+def sized_polys(bits, max_size=5):
+    numerators = st.integers(-2 ** bits, 2 ** bits)
+    coefficients = st.builds(Fraction, numerators, st.integers(1, 9))
+    return st.lists(coefficients, max_size=max_size).map(UniPoly)
+
+
+mixed_polys = st.sampled_from([3, 40, 300, 400]).flatmap(sized_polys)
+
+
+@pytest.mark.parametrize("cut", [0, 10 ** 6])
+@given(mixed_polys.filter(bool), mixed_polys, mixed_polys,
+       st.integers(0, 3), st.integers(0, 3))
+@example(X + 2, X + 1, X + 3, 0, 0)  # coprime cofactors around a common factor
+@example(-F(3, 2) * X + 1, ONE, X, 2, 0)
+@settings(deadline=None, max_examples=60)
+def test_gcd_matches_fraction_euclid_on_both_routes(cut, w, u, v, i, j):
+    # The cut forced to 0 sends every gcd to the modular lift, and forced
+    # past every input, to the integer gcd (with the lift as its fallback).
+    # Random u and v are mostly coprime, so a constant w gives coprime
+    # pairs and any other w a nontrivial gcd; x**i and x**j split off.
+    a, b = w * u * X ** i, w * v * X ** j
+    with mock.patch.object(unipoly, "_HEURISTIC_MAX", cut):
+        if a or b:
+            check_gcd_against_oracle(a, b)
+
+
+def test_heuristic_gcd_falls_back_on_a_wrong_candidate():
+    # At xi = 2**32, gamma = gcd(xi + 1, (k + 1)*(xi + 1)) = xi + 1 reads
+    # off as x + 1, which does not divide B: the integer gcd gives up, and
+    # the modular route proves A and B coprime.
+    xi = 2 ** 32
+    for k in (1, 2, 6):
+        a, b = [1, 1], [1 + k * (xi + 1), 1]
+        assert unipoly._heuristic_gcd(a, b) is None
+        with recorded("_gcd_mod") as calls:
+            assert gcd(UniPoly(a), UniPoly(b)) == ONE
+        assert calls
+
+
+def test_gcd_of_a_large_gcd_with_tied_cofactors_draws_no_prime():
+    # W's 60-digit coefficients are below the cut, so one integer gcd
+    # finds W; the modular lift breaks the tie between W and the cofactor
+    # x + 1 toward W and lifts it over 16 primes.
+    w = (10 ** 59 + 7) - 3 * 10 ** 58 * X
+    a, b = w * (X + 1), w * (X + 2)
+    with recorded("_gcd_mod") as calls:
+        assert gcd(a, b) == w.monic()
+    assert calls == []
+    with modular_route(), recorded("_gcd_mod") as calls:
+        assert gcd(a, b) == w.monic()
+    assert len(calls) == 16
 
 
 def test_scalars_coerce_in_gcd_and_exact_div():
