@@ -141,7 +141,7 @@ def cmd_connectivity(args) -> int:
             "status": certificate.status,
             "singular_locus_finite": certificate.singular_finite,
             "eliminant_x": str(r_x),
-            "eliminant_y": str(r_y),
+            "eliminant_y": r_y.text("y"),
             "notes": certificate.notes,
         },
     ))

@@ -20,10 +20,12 @@ constant gcd, a squarefree polynomial) settles the answer at once, and
 most calls stop there, at the first prime.
 
 Nothing here is loaded until a gcd or a squarefree decomposition needs a
-prime, that is, until the integer gcd of
-:func:`broughton.unipoly._heuristic_gcd` leaves one unsettled: its
-coefficients are past that gcd's cut, its candidate fails the trial
-division, or its input is not proved squarefree.  So the paper's
+prime, that is, until the integer gcds of
+:func:`broughton.unipoly._heuristic_gcd` and
+:mod:`broughton.squarefree` leave one unsettled: its coefficients are
+past that gcd's cut, or a candidate fails the trial division.  A small
+input that is not squarefree, such as a high power, no longer loads it:
+its parts come from one integer gcd per multiplicity.  So the paper's
 standard pairs of moderate size, ``decompose``, ``connectivity`` and a
 parse error never compile it.
 Coefficient lists are ints, low degree first.  The connectivity

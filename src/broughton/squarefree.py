@@ -21,13 +21,33 @@ pair, draws no prime at all.
 
 Let A be the primitive integer part of the rest.  Unless its
 coefficients are past the cut of :func:`broughton.unipoly._heuristic_gcd`,
-one integer gcd of the values of A and A' at a power of two first tries
-to prove gcd(A, A') = 1: then A is squarefree, ``p`` is its own single
-part, and no prime is drawn.  That settles the q = x*(x+2)*...*(x+b) of
-the paper's standard pair up to b = 67.  A failed test proves nothing,
-and then the rest is decomposed modulo primes and lifted, never over the
-rationals.  The parts are small even when gcd(p, p') = f2 * f3**2 * ...
-is huge, as for a high power, so only the parts are lifted:
+A is decomposed over the integers first, by one integer gcd for
+gcd(A, A') and then one per multiplicity:
+
+* That gcd is read off gamma = gcd(A(xi), A'(xi)) at a power of two xi.
+  If 2*gamma <= xi, A is squarefree, ``p`` is its own single part, and
+  nothing more is done: that settles the q = x*(x+2)*...*(x+b) of the
+  paper's standard pair up to b = 67.  Otherwise the candidate h read off
+  gamma is gcd(A, A') once it divides A and A' (GCDHEU); R = A/h is
+  then the radical, up to a constant, and Y = A'/h.
+* With A = c * f1**1 * f2**2 * ..., the f_i squarefree and pairwise
+  coprime, Y = R * sum i * f_i'/f_i, so Y - k*R' = R * sum (i - k) *
+  f_i'/f_i, and gcd(R, Y - k*R') is f_k, the product of the parts of
+  multiplicity k: f_i divides each term j != i, and the term i only
+  when i = k, where it vanishes (Yun 1976).  R, R' and Y are evaluated
+  once, at a xi2 = 2**w2 chosen from max|R| by the same rule, and
+  gamma_k = gcd(R(xi2), Y(xi2) - k*R'(xi2)) for k = 1, 2, ...  A common
+  root of R and Y - k*R' is a root of R, so Cauchy's bound on R alone
+  carries the GCDHEU argument to every k: 2*gamma_k <= xi2 proves that
+  no part has multiplicity k, and otherwise the candidate read off
+  gamma_k is f_k once it divides R and Y - k*R'.  The loop stops when the
+  parts found reach deg R.
+
+So a high power of small coefficients draws no prime.  A candidate that
+fails its division proves nothing, and then, as past the cut, the rest is
+decomposed modulo primes and lifted, never over the rationals.  The parts
+are small even when gcd(p, p') = f2 * f3**2 * ... is huge, as for a high
+power, so only the parts are lifted:
 
 * For each prime p that exceeds deg A and does not divide the leading
   coefficient of A, Yun's algorithm runs on A modulo p (Yun 1976; von
@@ -52,8 +72,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .unipoly import (ONE, X, UniPoly, _heuristic_gcd, _make, _mul_ints, _polynomial, _primitive,
-                      _x_split)
+from .unipoly import (ONE, X, UniPoly, _exact_quotient, _heuristic_gcd, _make, _mul_ints,
+                      _polynomial, _primitive, _read_candidate, _value, _x_split, _xi_bytes)
 
 
 class SquarefreeDecomposition(NamedTuple):
@@ -83,9 +103,9 @@ class SquarefreeDecomposition(NamedTuple):
 
 
 def squarefree_decompose(a) -> SquarefreeDecomposition:
-    """Squarefree decomposition, by one integer gcd when that proves the
-    input squarefree, else by Yun's algorithm modulo primes and a
-    certified lift (see the module docstring).
+    """Squarefree decomposition, by integer gcds when the coefficients are
+    small, else by Yun's algorithm modulo primes and a certified lift (see
+    the module docstring).
 
     Returns the unit (the leading coefficient) and the list of monic
     squarefree factors with their multiplicities, strictly increasing and
@@ -108,12 +128,18 @@ def squarefree_decompose(a) -> SquarefreeDecomposition:
 
 def _x_free_parts(ints):
     """The monic parts of the nonconstant integer polynomial ``ints``,
-    which x does not divide, by multiplicity, from Yun's algorithm modulo
-    primes and a certified lift, unless one integer gcd proves it
-    squarefree."""
+    which x does not divide, by multiplicity: from integer gcds below the
+    cut of :func:`broughton.unipoly._heuristic_gcd`, else from Yun's
+    algorithm modulo primes and a certified lift."""
     derivative = [i * c for i, c in enumerate(ints) if i]
-    if _heuristic_gcd(ints, derivative, coprime_only=True) == [1]:
-        return {1: _make(list(ints), ints[-1])}
+    found = _heuristic_gcd(ints, derivative)
+    if found is not None:
+        h, R, Y = found
+        if h == [1]:
+            return {1: _make(list(ints), ints[-1])}
+        parts = _integer_yun(R, Y)
+        if parts is not None:
+            return parts
     from .modular import _lift, _yun_mod
 
     def image(p):
@@ -130,6 +156,31 @@ def _x_free_parts(ints):
         return {m: _make(P, P[-1]) for P, m in zip(parts or [ints], multiplicities)}
 
     return _lift(image, accept)
+
+
+def _integer_yun(R, Y):
+    """The monic parts by multiplicity of A, given R = A/h and Y = A'/h
+    for h = gcd(A, A'), from one integer gcd per multiplicity, or None
+    when a candidate fails its division (see the module docstring)."""
+    size = _xi_bytes(max(map(abs, R)))
+    if size is None:
+        return None
+    w = 8 * size
+    dR = [i * c for i, c in enumerate(R) if i]
+    r, dr, y = _value(R, w), _value(dR, w), _value(Y, w)
+    parts, left, k = {}, len(R) - 1, 0
+    while left:
+        k += 1
+        gamma = math.gcd(r, y - k * dr)
+        if 2 * gamma <= 1 << w:  # no part of multiplicity k
+            continue
+        f = _read_candidate(gamma, size)
+        if (_exact_quotient(R, f) is None
+                or _exact_quotient([a - k * b for a, b in zip(Y, dR)], f) is None):
+            return None
+        parts[k] = _make(f, f[-1])
+        left -= len(f) - 1
+    return parts
 
 
 def _certified(A, parts, multiplicities):

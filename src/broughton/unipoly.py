@@ -156,12 +156,17 @@ class UniPoly:
     def __repr__(self):
         return f"UniPoly({self})"
 
-    def __str__(self):
+    def text(self, variable="x"):
+        """The polynomial written in ``variable``, as ``str`` writes it in x.
+
+        >>> UniPoly([1, 0, -2]).text("y")
+        '-2*y^2 + 1'
+        """
         num, den = self._num, self._den
         if not num:
             return "0"
-        # Descending powers, explicit signs, no 1 in front of a power of x,
-        # and '*' between factors, so that the text parses back.
+        # Descending powers, explicit signs, no 1 in front of a power of the
+        # variable, and '*' between factors, so that the text in x parses back.
         rendered = []
         for exp in range(len(num) - 1, -1, -1):
             c = num[exp]
@@ -175,7 +180,7 @@ class UniPoly:
             if not exp:
                 body = text
             else:
-                body = "x" if exp == 1 else f"x^{exp}"
+                body = variable if exp == 1 else f"{variable}^{exp}"
                 if top != 1 or bottom != 1:
                     body = f"{text}*{body}"
             if rendered:
@@ -183,6 +188,8 @@ class UniPoly:
             else:
                 rendered.append(body if c > 0 else "-" + body)
         return " ".join(rendered)
+
+    __str__ = text
 
     # -- ring operations ---------------------------------------------------
 
@@ -461,9 +468,8 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     ints_a, ints_b = _primitive(num_a), _primitive(num_b)
     if len(ints_a) == 1 or len(ints_b) == 1:
         return _make([0] * shift + [1])
-    divisor = _heuristic_gcd(ints_a, ints_b)
-    if divisor is None:
-        divisor = _modular_gcd(ints_a, ints_b)
+    found = _heuristic_gcd(ints_a, ints_b)
+    divisor = _modular_gcd(ints_a, ints_b) if found is None else found[0]
     return _make([0] * shift + divisor, divisor[-1])  # monic
 
 
@@ -472,19 +478,18 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 _HEURISTIC_MAX = 320
 
 
-def _heuristic_gcd(a, b, coprime_only=False):
-    """The gcd, with a positive leading coefficient, of the primitive
-    integer polynomials ``a`` and ``b``, both nonconstant, from one integer
-    gcd (Char, Geddes and Gonnet, GCDHEU, 1989; Geddes, Czapor and Labahn,
-    *Algorithms for Computer Algebra*, 7.7); or None when this cannot
-    settle it.  With ``coprime_only``, only the answer [1] is sought; that
-    test holds for any nonzero integer polynomials, primitive or not.
+def _heuristic_gcd(a, b):
+    """The primitive gcd h, with a positive leading coefficient, of the
+    nonzero integer polynomials ``a`` and ``b``, with the cofactors a/h
+    and b/h, from one integer gcd (Char, Geddes and Gonnet, GCDHEU, 1989;
+    Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*, 7.7); or
+    None when this cannot settle it.
 
     Let M = min(max|a|, max|b|) and xi = 2**w, where w is the bit length
-    of 2*M + 2 rounded up to whole bytes and at least 32, and let
-    gamma = gcd(a(xi), b(xi)).  The floor of 32 bits keeps a tiny M, as
-    for x**n + 1, from making xi so small that chance common factors of
-    the two values decide the answer.
+    of 2*M + 2 rounded up to whole bytes and at least 32 (:func:`_xi_bytes`),
+    and let gamma = gcd(a(xi), b(xi)).  The floor of 32 bits keeps a tiny
+    M, as for x**n + 1, from making xi so small that chance common factors
+    of the two values decide the answer.
 
     * A common root z of a and b is a root of the side of norm M, so
       |z| < 1 + M by Cauchy's bound, and xi > 2*M + 2 gives
@@ -496,12 +501,13 @@ def _heuristic_gcd(a, b, coprime_only=False):
     * Otherwise gamma is read off in base xi with digits in
       [-xi/2, xi/2), the coefficients of a polynomial g with
       g(xi) = gamma, and h is the primitive part of g with a positive
-      leading coefficient.  If h divides a and b over the integers, then
-      G = h*k, and G(xi) = h(xi)*k(xi) divides gamma = cont(g)*h(xi), so
-      k(xi) divides cont(g), and |cont(g)| <= xi/2: k is a constant, and
-      h is G.  If h does not divide both, None is returned, as SymPy's
-      ``dup_zz_heu_gcd`` falls back, and the caller takes the modular
-      route.
+      leading coefficient (:func:`_read_candidate`).  If h divides a and b
+      over the integers, then G = c*h*k with c = cont(G), and
+      G(xi) = c*h(xi)*k(xi) divides gamma = cont(g)*h(xi), so k(xi)
+      divides cont(g), and |cont(g)| <= xi/2: k is a constant, and h is
+      the primitive part of G.  If h does not divide both, None is
+      returned, as SymPy's ``dup_zz_heu_gcd`` falls back, and the caller
+      takes the modular route.
 
     Above the cut :data:`_HEURISTIC_MAX` on w, None is returned at once.
     Euclid modulo a prime costs n**2 small-int steps whatever the size of
@@ -524,25 +530,38 @@ def _heuristic_gcd(a, b, coprime_only=False):
     320.  A pair with a nontrivial gcd favours it further, since the
     modular route then lifts over several primes.
     """
-    norm = min(max(map(abs, a)), max(map(abs, b)))
-    size = max(((2 * norm + 2).bit_length() + 7) // 8, 4)  # w in bytes
-    w = 8 * size
-    if w > _HEURISTIC_MAX:
+    size = _xi_bytes(min(max(map(abs, a)), max(map(abs, b))))
+    if size is None:
         return None
-    gamma = math.gcd(_value(a, w), _value(b, w))
-    if 2 * gamma <= 1 << w:
-        return [1]
-    if coprime_only:
+    gamma = math.gcd(_value(a, 8 * size), _value(b, 8 * size))
+    if 2 * gamma <= 1 << 8 * size:
+        return [1], a, b
+    h = _read_candidate(gamma, size)
+    cofactor_a = _exact_quotient(a, h)
+    cofactor_b = None if cofactor_a is None else _exact_quotient(b, h)
+    if cofactor_b is None:
         return None
-    g = _unpack(gamma, size, gamma.bit_length() // w + 2)
+    return h, cofactor_a, cofactor_b
+
+
+def _xi_bytes(norm):
+    """The w of xi = 2**w in bytes for the norm M = ``norm``, as
+    :func:`_heuristic_gcd` chooses it: the bit length of 2*M + 2 rounded
+    up to whole bytes and at least 32; None past the cut
+    :data:`_HEURISTIC_MAX`."""
+    size = max(((2 * norm + 2).bit_length() + 7) // 8, 4)
+    return None if 8 * size > _HEURISTIC_MAX else size
+
+
+def _read_candidate(gamma, size):
+    """The primitive part, with a positive leading coefficient, of the
+    polynomial g whose digits in base xi = 256**size, each in
+    [-xi/2, xi/2), are those of ``gamma`` > xi/2; g is not constant."""
+    g = _unpack(gamma, size, gamma.bit_length() // (8 * size) + 2)
     while not g[-1]:
         g.pop()
     h = _primitive(g)
-    if h[-1] < 0:
-        h = [-c for c in h]
-    if _exact_quotient(a, h) is None or _exact_quotient(b, h) is None:
-        return None
-    return h
+    return h if h[-1] > 0 else [-c for c in h]
 
 
 def _value(ints, w):

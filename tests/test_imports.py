@@ -78,11 +78,10 @@ def test_command_loads_only_what_it_runs(command, fmt):
         assert "broughton.squarefree" not in modules
         # Only the certificate runs bivariate code.
         assert ("broughton.bipoly" in modules) == (command == "connectivity")
-    # One integer gcd settles every gcd and squarefree test of these small
-    # inputs but the divisor's: (x+1)^2 is not squarefree, so Yun's
-    # algorithm modulo primes loads the modular helpers.  The certificate's
-    # norm needs no prime.
-    assert ("broughton.modular" in modules) == (command == "divisor")
+    # Integer gcds settle every gcd and squarefree decomposition of these
+    # small inputs, the divisor's (x+1)^2 included, so no command loads
+    # the modular helpers.  The certificate's norm needs no prime.
+    assert "broughton.modular" not in modules
     assert ("json" in modules) == (fmt == "json")
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from broughton import modular, unipoly
+from broughton import modular, squarefree, unipoly
 from broughton.arrangement import orbifold_group
 from broughton.report import zahid_polynomials
 from broughton.squarefree import squarefree_decompose
@@ -55,6 +55,12 @@ def primes_drawn(monkeypatch):
 
     monkeypatch.setattr(modular, "_yun_mod", recording_yun)
     return drawn
+
+
+def modular_route(monkeypatch):
+    """Skip the integer gcds for the rest of the test, so that every
+    decomposition that is not a power of x draws primes."""
+    monkeypatch.setattr(unipoly, "_HEURISTIC_MAX", 0)
 
 
 def planted(rng, max_roots=4, max_multiplicity=4, unit_choices=(1,)):
@@ -154,6 +160,7 @@ def test_planted_profile_recovery_and_reconstruction():
 def test_last_part_ends_the_loop_without_constant_gcds(monkeypatch):
     # Once one part is left, Yun's loop modulo p stops instead of taking
     # one gcd with a constant per remaining multiplicity level.
+    modular_route(monkeypatch)
     calls = []
     real_gcd = modular._gcd_mod
 
@@ -269,6 +276,7 @@ def test_absent_multiplicities_take_no_quotient(monkeypatch):
     # No part has multiplicity 1 to 15, so those steps of Yun's loop only
     # subtract w' from z.  The quotients are w and w' by gcd(w, w'), then
     # w and z by the part of multiplicity 16; the last part ends the loop.
+    modular_route(monkeypatch)
     drawn = primes_drawn(monkeypatch)
     quotients = []
     real_quotient = modular._quotient_mod
@@ -303,6 +311,7 @@ def test_power_of_x_joins_the_parts_in_order(monkeypatch, v):
     # x joins the part of multiplicity v, or is a part of its own below,
     # between or above A0's multiplicities 2 and 5.  A bare c*x**v draws no
     # prime.
+    modular_route(monkeypatch)
     drawn = primes_drawn(monkeypatch)
     a0 = (X - 1) ** 2 * (X ** 2 + 3) ** 5
     parts = [(X * f if m == v else f, m) for f, m in ((X - 1, 2), (X ** 2 + 3, 5))]
@@ -314,12 +323,6 @@ def test_power_of_x_joins_the_parts_in_order(monkeypatch, v):
     drawn.clear()
     assert check_against_oracle(F(-3, 2) * X ** v).parts == ((X, v),)
     assert drawn == []
-
-
-def modular_route(monkeypatch):
-    """Skip the integer gcd's squarefree test for the rest of the test, so
-    that every decomposition draws primes."""
-    monkeypatch.setattr(unipoly, "_HEURISTIC_MAX", 0)
 
 
 def test_unlucky_prime_lowers_the_radical(monkeypatch):
@@ -347,6 +350,7 @@ def test_unlucky_prime_lowers_the_radical(monkeypatch):
 
 
 def test_prime_dividing_the_leading_coefficient_is_skipped(monkeypatch):
+    modular_route(monkeypatch)
     drawn = primes_drawn(monkeypatch)
     poly = (P0 * X - 1) ** 2 * (X + 1)
     assert check_against_oracle(poly).parts == ((X + 1, 1), (X - F(1, P0), 2))
@@ -356,6 +360,7 @@ def test_prime_dividing_the_leading_coefficient_is_skipped(monkeypatch):
 def test_reconstruction_takes_a_second_prime(monkeypatch):
     # The numerator exceeds sqrt(P0/2), so one prime cannot recover the
     # root, and it and 7 are below sqrt(P0*P1/2), so two primes can.
+    modular_route(monkeypatch)
     drawn = primes_drawn(monkeypatch)
     root = F(math.isqrt(P0) + 1, 7)
     assert root.numerator > math.isqrt(P0 // 2)
@@ -368,6 +373,7 @@ def test_prime_at_most_the_degree_is_skipped(monkeypatch):
     # Modulo 5 the derivative of Y**5 vanishes, and Yun's algorithm is
     # exact only for primes above the degree.  Y = x + 1, since a power of
     # x draws no prime at all.
+    modular_route(monkeypatch)
     real_prime = modular._prime
     monkeypatch.setattr(modular, "_prime", lambda i: 5 if i == 0 else real_prime(i - 1))
     drawn = primes_drawn(monkeypatch)
@@ -456,6 +462,64 @@ def test_squarefree_kernel_draws_no_prime(monkeypatch):
     _, q = zahid_polynomials(1, 30)
     assert check_against_oracle(q).parts == ((q, 1),)
     assert drawn == []
+
+
+@pytest.mark.parametrize("poly, parts", [
+    # Multiplicities 1 to 15 are absent: each of those gcds is at most
+    # xi/2 and reads off no candidate.
+    ((X - F(2, 3)) ** 16 * (X - 2) ** 24, ((X - F(2, 3), 16), (X - 2, 24))),
+    # One part: Y - 5*R' is zero, and its gcd with R(xi) reads off R.
+    ((X ** 2 + 1) ** 5, ((X ** 2 + 1, 5),)),
+])
+def test_integer_yun_draws_no_prime(monkeypatch, poly, parts):
+    drawn = primes_drawn(monkeypatch)
+    monkeypatch.setattr(modular, "_gcd_mod", None)  # never called
+    assert check_against_oracle(poly).parts == parts
+    assert drawn == []
+
+
+@pytest.mark.parametrize("poly", [
+    F(-2, 3) * (X - 1) ** 10 * (X + F(9, 5)) ** 20,
+    F(3, 2) * (X + F(4, 5)) ** 10 * (X - 1) ** 20,
+])
+def test_integer_yun_falls_back_on_a_failed_candidate(monkeypatch, poly):
+    # A chance common factor of A(xi) and A'(xi) makes the first candidate
+    # for gcd(A, A') fail its division: the integer route gives up, and
+    # Yun's algorithm modulo primes decides.
+    _, ints = unipoly._x_split(unipoly._primitive(poly._num))
+    assert unipoly._heuristic_gcd(ints, [i * c for i, c in enumerate(ints) if i]) is None
+    drawn = primes_drawn(monkeypatch)
+    check_against_oracle(poly)
+    assert drawn == [P0]
+
+
+def test_wrong_part_candidate_falls_back(monkeypatch):
+    # Every candidate part is read as x - 2, which divides R = A/gcd(A, A')
+    # but not Y - 16*R' = 8*(3*x - 2): the division check rejects it, and
+    # the whole decomposition runs modulo primes.
+    monkeypatch.setattr(squarefree, "_read_candidate", lambda gamma, size: [-2, 1])
+    drawn = primes_drawn(monkeypatch)
+    poly = (X - F(2, 3)) ** 16 * (X - 2) ** 24
+    assert check_against_oracle(poly).parts == ((X - F(2, 3), 16), (X - 2, 24))
+    assert drawn == [P0]
+
+
+@pytest.mark.parametrize("cut", [0, 10 ** 6])
+@given(st.lists(st.tuples(irreducible_factors(), st.integers(1, 30)), min_size=1, max_size=4),
+       small_rationals.filter(bool))
+@example([(X - 1, 10), (X + F(9, 5), 20)], F(-2, 3))  # a failed candidate
+@example([(X ** 2 + 1, 5)], 1)
+@settings(deadline=None, max_examples=60)
+def test_high_powers_match_yun_over_the_rationals_on_both_routes(cut, factors, unit):
+    # With the cut at 0 every decomposition runs Yun's algorithm modulo
+    # primes; past every input, integer gcds decompose the high powers of
+    # small factors, and a failed candidate falls back to the primes.
+    poly = UniPoly.constant(unit)
+    for factor, multiplicity in factors:
+        poly = poly * factor ** multiplicity
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(unipoly, "_HEURISTIC_MAX", cut)
+        check_against_oracle(poly)
 
 
 def sized_polys(bits, max_size=4):
