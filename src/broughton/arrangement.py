@@ -113,11 +113,11 @@ class TorsionCharacter(_TorsionCharacterFields):
     def __new__(cls, a0, a1):
         # 0 <= a < 1, read off the numerator and the positive denominator
         # without Fraction comparisons.
-        if not (isinstance(a0, Fraction) and isinstance(a1, Fraction)
-                and 0 <= a0.numerator < a0.denominator
-                and 0 <= a1.numerator < a1.denominator):
-            raise ValueError("torsion coordinates live in [0, 1)")
-        return tuple.__new__(cls, (a0, a1))
+        if isinstance(a0, Fraction) and isinstance(a1, Fraction):
+            (n0, d0), (n1, d1) = a0.as_integer_ratio(), a1.as_integer_ratio()
+            if 0 <= n0 < d0 and 0 <= n1 < d1:
+                return tuple.__new__(cls, (a0, a1))
+        raise ValueError("torsion coordinates live in [0, 1)")
 
     _make = classmethod(_make_checked)
 

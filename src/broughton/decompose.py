@@ -34,14 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .unipoly import (
-    UniPoly,
-    _make,
-    _primitive,
-    _scalar,
-    _series_power,
-    exact_div,
-)
+from .unipoly import UniPoly, _exact_quotient, _make, _primitive, _scalar, _series_power
 
 CONNECTED_CERTIFIED = "connected-certified"
 INCONCLUSIVE = "inconclusive"
@@ -115,16 +108,21 @@ def uni_decompose_at(p: UniPoly, e: int):
     # of Q, so an inexact division proves that no H exists.  Each division
     # lowers the degree by e >= 2, so the loop ends, and when every one is
     # exact, p = sum digit_i * Q**i = H(Q) holds with no further check.
+    # It runs on ints: Q = x*B/b for the primitive B, b = lc B, and the
+    # k-th rest is R * b**k / D for the numerator R and p = A/D.  Taking
+    # the digit R[0] off leaves x times R[1:], and by Gauss's lemma B
+    # divides R[1:] over the rationals exactly when it does over the ints.
+    divisor = _primitive(inner._num)[1:]  # B
+    lead, scale = divisor[-1], 1  # b, b**k
     digits = []
-    rest = p
+    rest = list(p._num)
     while rest:
-        digit = rest.coefficient(0)
-        digits.append(digit)
-        try:
-            rest = exact_div(rest - digit, inner)
-        except ArithmeticError:
+        digits.append(rest[0] * scale)
+        rest = _exact_quotient(rest[1:], divisor)
+        if rest is None:
             return None
-    return Decomposition(outer=UniPoly(digits), inner=inner)
+        scale *= lead
+    return Decomposition(outer=_make(digits, p._den), inner=inner)
 
 
 def is_decomposable(p: UniPoly) -> bool:

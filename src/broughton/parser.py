@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import re
 
-from .unipoly import UniPoly, _make, _mul_ints, _series_power, _x_split
+from .unipoly import UniPoly, _make, _mul_ints, _pow_ints, _x_split
 
 MAX_EXPONENT = 4096
 MAX_NAT_DIGITS = 4300
@@ -169,16 +169,13 @@ def _evaluate(program) -> UniPoly:
         elif op == _POW:  # as UniPoly.__pow__ raises the base in lowest terms
             v, ints, den = stack[-1]
             common = math.gcd(den, *ints)
-            ints = [c // common for c in ints]
-            if not ints or arg < 2:
-                power = ints if arg else [1]
-            elif len(ints) == 1:
-                power = [ints[0] ** arg]
-            elif arg == 2:
-                power = _mul_ints(ints, ints)
-            else:
-                power = _series_power(ints, arg, 1, arg * (len(ints) - 1) + 1)
-            stack[-1] = v * arg, power, (den // common) ** arg
+            if common != 1:
+                ints, den = [c // common for c in ints], den // common
+            if not arg:
+                ints = [1]
+            elif ints and arg > 1:
+                ints = _pow_ints(ints, arg)
+            stack[-1] = v * arg, ints, den ** arg
         elif op == _MUL:
             vb, b, den_b = stack.pop()
             va, a, den_a = stack[-1]

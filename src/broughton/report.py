@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .unipoly import _PIECE, UniPoly, X, _decimal, _make, _mul_ints
+from .unipoly import _PIECE, UniPoly, X, _decimal, _make
 
 if TYPE_CHECKING:
     from .arrangement import CharVarietyReport, FiberDivisor
@@ -65,10 +65,10 @@ def zahid_polynomials(p_exponent: int, q_factors: int):
         raise ValueError("the exponent of p must be a positive integer")
     if not isinstance(q_factors, int) or isinstance(q_factors, bool) or q_factors < 1:
         raise ValueError("the factor count of q must be a positive integer")
-    q = [0, 1]
+    rest = [1]  # (x+2)*...*(x+k), low degree first
     for k in range(2, q_factors + 1):
-        q = _mul_ints(q, [k, 1])
-    return X ** p_exponent, _make(q)
+        rest = [k * c + d for c, d in zip(rest + [0], [0] + rest)]
+    return X ** p_exponent, _make([0] + rest)
 
 
 def build_report(p: UniPoly, q: UniPoly) -> ReportDocument:
@@ -90,7 +90,7 @@ def build_report(p: UniPoly, q: UniPoly) -> ReportDocument:
 
 
 def _rat(value: Fraction) -> str:
-    n, d = value.numerator, value.denominator
+    n, d = value.as_integer_ratio()
     if abs(n) < _PIECE and d < _PIECE:
         return f"{n}/{d}"
     return f"{_decimal(n)}/{_decimal(d)}"

@@ -91,8 +91,10 @@ class SquarefreeDecomposition(NamedTuple):
 
     def radical(self) -> UniPoly:
         """Monic product of the distinct factors; ONE for a constant."""
-        acc = ONE
-        for factor, _ in self.parts:
+        if not self.parts:
+            return ONE
+        acc = self.parts[0][0]
+        for factor, _ in self.parts[1:]:
             acc = acc * factor
         return acc
 
@@ -121,7 +123,7 @@ def squarefree_decompose(a) -> SquarefreeDecomposition:
     shift, num = _x_split(poly._num)
     parts = _x_free_parts(_primitive(num)) if len(num) > 1 else {}
     if shift:  # x joins the part of multiplicity shift, or is a part of its own
-        parts[shift] = X * parts.get(shift, ONE)
+        parts[shift] = X * parts[shift] if shift in parts else X
     return SquarefreeDecomposition(unit=poly.leading_coefficient,
                                    parts=tuple((f, m) for m, f in sorted(parts.items())))
 

@@ -39,9 +39,9 @@ routes:
   *Modern Computer Algebra*, 8.4; Harvey 2009).
 
 Products, squares and the parser's ``*`` multiply through
-:func:`_mul_ints`.  Higher powers raise the rest by J. C. P. Miller's
-recurrence (:func:`_series_power`, one small-by-big product per term and
-coefficient); see :meth:`UniPoly.__pow__`.
+:func:`_mul_ints`.  Higher powers, here and in the parser, raise the rest
+by J. C. P. Miller's recurrence (:func:`_series_power`, one small-by-big
+product per term and coefficient); see :func:`_pow_ints`.
 :func:`exact_div` divides the numerator by the primitive part of the
 divisor's numerator over the integers, which Gauss's lemma makes exact
 whenever the rational division is.  :func:`gcd` reads the gcd off one
@@ -172,8 +172,11 @@ class UniPoly:
             c = num[exp]
             if not c:
                 continue
-            common = math.gcd(c, den)
-            top, bottom = abs(c) // common, den // common
+            if den == 1:
+                top, bottom = abs(c), 1
+            else:
+                common = math.gcd(c, den)
+                top, bottom = abs(c) // common, den // common
             text = _decimal(top)
             if bottom != 1:
                 text += "/" + _decimal(bottom)
@@ -260,20 +263,7 @@ class UniPoly:
         the denominator as an int.
 
         The lowest term x**v of the numerator comes out first, as x**(v*n),
-        and a monomial is then one coefficient in closed form.  Otherwise
-        the rest is squared through :func:`_mul_ints` for n = 2 and raised
-        by J. C. P. Miller's recurrence (:func:`_series_power`, one
-        small-by-big product per nonzero term and coefficient) for n >= 3.
-
-        Square-and-multiply through :func:`_mul_ints` beats the recurrence
-        only for many terms and a small exponent.  Timed on bases of
-        t + 1 random entries (best of 5 ``timeit`` repeats, CPython 3.11.7,
-        x86-64, 2 CPUs), it is 11x faster at t = 64, n = 4 and 1.9x at
-        t = 16, n = 3 on 4-bit entries, 3x at t = 64, n = 3 on 1000-bit
-        ones, and no faster at t = 8, n = 3.  The package raises short
-        bases (linear factors, inner polynomials of decompositions, p of
-        the connectivity certificate), so n >= 3 always takes the
-        recurrence.
+        and the rest is raised by :func:`_pow_ints`.
         """
         if not isinstance(exponent, int) or isinstance(exponent, bool):
             return NotImplemented
@@ -287,13 +277,8 @@ class UniPoly:
         if not num:
             return ZERO
         lowest, rest = _x_split(num)
-        if len(rest) == 1:
-            power = [rest[0] ** exponent]
-        elif exponent == 2:
-            power = _mul_ints(rest, rest)
-        else:
-            power = _series_power(rest, exponent, 1, exponent * (len(rest) - 1) + 1)
-        return _make([0] * (lowest * exponent) + list(power), self._den ** exponent)
+        return _make([0] * (lowest * exponent) + _pow_ints(rest, exponent),
+                     self._den ** exponent)
 
     # -- calculus and evaluation --------------------------------------------
 
@@ -646,9 +631,9 @@ def _x_split(ints):
 
 
 def _primitive(ints):
-    """Integer coefficients divided by their content."""
+    """Integer coefficients divided by their content, as a new list."""
     content = math.gcd(*ints)
-    return [c // content for c in ints]
+    return [c // content for c in ints] if content != 1 else list(ints)
 
 
 def _exact_quotient(a, d):
@@ -742,6 +727,22 @@ def _mul_ints(a, b):
     packed_a = _pack(a, size)
     packed_b = packed_a if b is a else _pack(b, size)
     return _unpack(packed_a * packed_b, size, len(a) + len(b) - 1)
+
+
+def _pow_ints(rest, n):
+    """The integer polynomial ``rest``, with a nonzero constant term, to
+    the power n >= 2: a monomial in closed form, a square by
+    :func:`_mul_ints`, a higher power by J. C. P. Miller's recurrence
+    (:func:`_series_power`).  Square-and-multiply beats the recurrence
+    only for many terms and a small exponent: 11x at t = 64, n = 4 and
+    1.9x at t = 16, n = 3 on t + 1 random 4-bit entries, no faster at
+    t = 8, n = 3 (best of 5, CPython 3.11.7, x86-64, 2 CPUs).  The package
+    raises short bases, so n >= 3 always takes the recurrence."""
+    if len(rest) == 1:
+        return [rest[0] ** n]
+    if n == 2:
+        return _mul_ints(rest, rest)
+    return _series_power(rest, n, 1, n * (len(rest) - 1) + 1)
 
 
 def _series_power(a, num, den, count):

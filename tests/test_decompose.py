@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from broughton import bipoly, decompose
 from broughton.decompose import (
@@ -179,9 +179,10 @@ def test_late_digit_failure(monkeypatch):
     # coefficients that fix Q, and its first j digits are those of H, so
     # the division after digit j is the first inexact one.  For Q = x^e the
     # extra term is the monomial c*x^(k + e*j).
-    real = decompose.exact_div
+    real = decompose._exact_quotient
     calls = []
-    monkeypatch.setattr(decompose, "exact_div", lambda a, b: calls.append(a) or real(a, b))
+    monkeypatch.setattr(decompose, "_exact_quotient",
+                        lambda a, b: calls.append(a) or real(a, b))
     rng = random.Random(939)
     for trial in range(60):
         e = rng.choice([2, 3])
@@ -198,6 +199,40 @@ def test_late_digit_failure(monkeypatch):
         assert len(calls) == j + 1
         assert brute_decompose(coeffs, e) is None
         assert l_decompose_at(coeffs, e) is None
+
+
+@st.composite
+def scaled_planted_pairs(draw):
+    """(H, Q, c): H rational, Q monic with Q(0) = 0 and a numerator that is
+    not monic once primitive, and c a rational of up to 10**6."""
+    e, r = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    inner = [F(0)] + [draw(rationals) for _ in range(e - 1)] + [F(1)]
+    assume(any(a.denominator > 1 for a in inner))
+    outer = [draw(rationals) for _ in range(r)] + [draw(rationals.filter(bool))]
+    c = F(draw(st.integers(-10 ** 6, 10 ** 6).filter(bool)), draw(st.integers(1, 10 ** 6)))
+    return outer, inner, c
+
+
+@given(scaled_planted_pairs(), st.fractions(min_value=-5, max_value=5).filter(bool),
+       st.booleans())
+@settings(deadline=None, max_examples=80)
+def test_digits_on_ints_match_long_division(case, t, perturb):
+    # c*H(Q) decomposes as (c*H)(Q).  Adding t*x to it keeps the top e
+    # coefficients, hence Q, and leaves a difference of degree 1, which is
+    # not a polynomial in Q: no decomposition at all.
+    outer, inner, c = case
+    e = len(inner) - 1
+    coeffs = [c * a for a in l_compose(outer, inner)]
+    if perturb:
+        coeffs[1] += t
+    expected = l_decompose_at(coeffs, e)
+    result = uni_decompose_at(UniPoly(coeffs), e)
+    if perturb:
+        assert expected is None and result is None
+    else:
+        assert expected == ([c * a for a in outer], inner)
+        assert (result.outer, result.inner) == (UniPoly(expected[0]), UniPoly(inner))
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)

@@ -286,7 +286,7 @@ def test_errors_come_before_any_arithmetic(monkeypatch):
         raise AssertionError("polynomial arithmetic before the parse ended")
 
     monkeypatch.setattr(parser, "_mul_ints", refuse)
-    monkeypatch.setattr(parser, "_series_power", refuse)
+    monkeypatch.setattr(parser, "_pow_ints", refuse)
     with pytest.raises(ParseError) as info:
         parse_uni("(x+1)^4096*(x-1)^4096+")
     assert type(info.value) is ParseError
@@ -313,13 +313,13 @@ def test_a_power_raises_its_base_in_lowest_terms(monkeypatch):
     # The outer sum is (2*x + 2)/2; it is raised as x + 1, so that no
     # coefficient grows past the canonical form's.
     bases = []
-    series_power = parser._series_power
+    pow_ints = parser._pow_ints
 
-    def recording_series_power(a, *args):
+    def recording_pow_ints(a, n):
         bases.append(list(a))
-        return series_power(a, *args)
+        return pow_ints(a, n)
 
-    monkeypatch.setattr(parser, "_series_power", recording_series_power)
+    monkeypatch.setattr(parser, "_pow_ints", recording_pow_ints)
     assert parse_uni("((1/2*x + 1/2) + (1/2*x + 1/2))^3") == P(1, 3, 3, 1)
     assert bases == [[1, 1]]
 

@@ -20,6 +20,7 @@ from broughton.report import (
     zahid_polynomials,
 )
 from broughton.unipoly import UniPoly, X
+from oracles import l_mul
 
 F = Fraction
 
@@ -68,6 +69,14 @@ class TestStandardFamily:
         assert q == X * (X + 2) * (X + 3)
         p, q = zahid_polynomials(1, 1)
         assert (p, q) == (X, X)
+
+    @given(st.integers(1, 6), st.integers(1, 40))
+    @settings(deadline=None, max_examples=40)
+    def test_q_by_its_recurrence_is_the_product(self, a, b):
+        product = [F(0), F(1)]
+        for k in range(2, b + 1):
+            product = l_mul(product, [F(k), F(1)])
+        assert zahid_polynomials(a, b) == (X ** a, UniPoly(product))
 
     def test_rejects_bad_parameters(self):
         # bool is an int subclass, so True would otherwise stand for 1.

@@ -14,7 +14,7 @@ from broughton.arrangement import orbifold_group
 from broughton.report import zahid_polynomials
 from broughton.squarefree import squarefree_decompose
 from broughton.unipoly import ONE, UniPoly, X, ZERO, gcd
-from oracles import l_from_roots, l_squarefree
+from oracles import l_from_roots, l_mul, l_squarefree
 
 F = Fraction
 P0 = modular._prime(0)
@@ -270,6 +270,24 @@ def test_matches_yun_across_gaps_between_multiplicities(factors, multiplicities)
     for factor, multiplicity in zip(factors, multiplicities):
         poly = poly * factor ** multiplicity
     check_against_oracle(poly)
+
+
+@given(st.lists(st.tuples(irreducible_factors(), st.integers(1, 6)), max_size=3),
+       st.integers(0, 4), small_rationals.filter(bool))
+@settings(deadline=None, max_examples=60)
+@example([(X + 1, 3)], 0, F(2))
+@example([], 3, F(-1, 2))
+def test_radical_is_the_product_of_the_oracle_parts(factors, v, unit):
+    poly = unit * X ** v
+    for factor, multiplicity in factors:
+        poly = poly * factor ** multiplicity
+    result = squarefree_decompose(poly)
+    product = [F(1)]
+    for factor, _ in l_squarefree(poly.coeffs)[1]:
+        product = l_mul(product, factor)
+    assert result.radical() == UniPoly(product)
+    if len(result.parts) == 1:  # one part is its own radical, not a product
+        assert result.radical() is result.parts[0][0]
 
 
 def test_absent_multiplicities_take_no_quotient(monkeypatch):

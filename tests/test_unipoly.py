@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import random
 from fractions import Fraction
@@ -606,6 +607,25 @@ def test_pow_squares_at_two_and_takes_the_recurrence_from_three(monkeypatch):
         calls.clear()
         assert list((dense ** k).coeffs) == l_pow(dense.coeffs, k)
         assert calls == {1: [], 2: ["_mul_ints"]}.get(k, ["_series_power"])
+
+
+@given(st.lists(st.integers(-10 ** 20, 10 ** 20), min_size=1, max_size=8).filter(any),
+       st.integers(1, 10 ** 6), st.booleans())
+@settings(deadline=None, max_examples=80)
+@example([3, -1], 1, False)
+@example([5, 0, 7], 1, True)
+@example([3, -6], 4, True)
+def test_primitive_returns_a_new_list_over_the_content(ints, k, as_tuple):
+    # The content is 1 or not; a tuple such as a _num must come back as a
+    # list of its own, since _make pops from the list it is handed.
+    scaled = [k * c for c in ints]
+    argument = tuple(scaled) if as_tuple else scaled
+    content = functools.reduce(math.gcd, scaled, 0)
+    result = unipoly._primitive(argument)
+    assert type(result) is list and result is not argument
+    assert result == [Fraction(c, content) for c in scaled]
+    result.append(1)
+    assert list(argument) == scaled
 
 
 # Nonzero divisors with content: an integer polynomial times k/den.
