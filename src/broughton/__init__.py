@@ -30,7 +30,6 @@ _EXPORTS_BY_MODULE = {
         "betti",
         "characteristic_variety",
         "check_hypotheses",
-        "orbifold_group",
         "special_fiber_divisor",
     ),
     # Internal to connectivity_certificate, which checks its inputs.

@@ -26,11 +26,11 @@ Everything is exact; torsion characters are rational points of the
 character torus and stay rational.
 
 The report derives every invariant of an admissible pair from one
-squarefree decomposition each of p and q: the hypotheses from gcds of the
-radicals, s = deg rad q, t = deg rad p + deg rad q - deg gcd(rad p, rad q),
-and the divisor and d from the parts of p.  On admissible pairs the
-irreducibility flags follow from hypothesis 2 rather than being computed
-separately.
+squarefree decomposition each of p and q: the hypotheses from gcd(p, rad q)
+and gcd(p + 1, rad q) (``check_hypotheses`` takes the same gcds with q),
+s = deg rad q, t = deg rad p + s - deg gcd(p, rad q), and d from the parts
+of p.  The report stores only its Betti numbers and divisor; its other
+attributes are constant on admissible pairs or read off the divisor.
 """
 
 from __future__ import annotations
@@ -93,10 +93,11 @@ class FiberDivisor(NamedTuple):
     exact.  divisor_multiplicity is the gcd of the multiplicities.
     """
 
-    value: Fraction
     unit: Fraction
     components: tuple
     divisor_multiplicity: int
+
+    value = Fraction(-1)  # the special value of the pencil, for every p
 
 
 class _TorsionCharacterFields(NamedTuple):
@@ -142,35 +143,49 @@ class TranslatedTorus(_TranslatedTorusFields):
     _make = classmethod(_make_checked)
 
 
-class _CharVarietyReportFields(NamedTuple):
-    hypotheses: Hypotheses
+_ADMISSIBLE = Hypotheses(common_root_pq=True, no_common_root_p1_q=True, satisfied=True)
+
+
+class CharVarietyReport(NamedTuple):
+    """Every invariant of an admissible pair, from its Betti numbers and
+    the fiber divisor of p; the rest is constant or read off the divisor."""
+
     betti: BettiNumbers
     divisor: FiberDivisor
-    orbifold_order: int
-    components: tuple
-    resonance_trivial: bool
-    irreducibility_flags: tuple
 
+    # characteristic_variety raises on any other pair.
+    hypotheses = _ADMISSIBLE
+    # The resonance varieties vanish on every admissible pair (cited).
+    resonance_trivial = True
+    # f is irreducible iff gcd(p*q, p + 1) = gcd(q, p + 1) = 1, which is
+    # hypothesis 2; g = q*y - 1 has coprime coefficients q and -1.
+    irreducibility_flags = (True, True)
 
-class CharVarietyReport(_CharVarietyReportFields):
-    """Every invariant of an admissible pair; ``__new__`` checks that
-    there are orbifold_order - 1 components."""
+    @property
+    def orbifold_order(self) -> int:
+        """The power index d of p: the orbifold group is Z/d."""
+        return self.divisor.divisor_multiplicity
 
-    __slots__ = ()
-
-    def __new__(cls, hypotheses, betti, divisor, orbifold_order, components,
-                resonance_trivial, irreducibility_flags):
-        if len(components) != orbifold_order - 1:
-            raise ValueError("component count must be orbifold order minus one")
-        return tuple.__new__(cls, (hypotheses, betti, divisor, orbifold_order, components,
-                                   resonance_trivial, irreducibility_flags))
-
-    _make = classmethod(_make_checked)
+    @property
+    def components(self) -> tuple:
+        """The d - 1 translated tori W_j, j = 1, ..., d - 1."""
+        d = self.divisor.divisor_multiplicity
+        zero, direction = Fraction(0), (0, 1)
+        return tuple(
+            TranslatedTorus(TorsionCharacter(Fraction(j, d), zero), direction)
+            for j in range(1, d)
+        )
 
 
 def _require_nonconstant(value, name):
     if not isinstance(value, UniPoly) or value.is_constant():
         raise ValueError(f"{name} must be a nonconstant polynomial")
+
+
+def _shared_roots(p: UniPoly, r: UniPoly):
+    """gcd(p, r), and whether p + 1 and r share no root, for an r with
+    exactly the roots of q: both hypotheses are read off these two gcds."""
+    return gcd(p, r), gcd(p + 1, r).degree == 0
 
 
 def check_hypotheses(p: UniPoly, q: UniPoly) -> Hypotheses:
@@ -180,8 +195,8 @@ def check_hypotheses(p: UniPoly, q: UniPoly) -> Hypotheses:
     """
     _require_nonconstant(p, "p")
     _require_nonconstant(q, "q")
-    common = gcd(p, q).degree >= 1
-    clean_shift = gcd(p + 1, q).degree == 0
+    shared, clean_shift = _shared_roots(p, q)
+    common = shared.degree >= 1
     return Hypotheses(
         common_root_pq=common,
         no_common_root_p1_q=clean_shift,
@@ -191,38 +206,10 @@ def check_hypotheses(p: UniPoly, q: UniPoly) -> Hypotheses:
 
 def _fiber_divisor(decomposition: SquarefreeDecomposition) -> FiberDivisor:
     return FiberDivisor(
-        value=Fraction(-1),
         unit=decomposition.unit,
         components=decomposition.parts,
         divisor_multiplicity=decomposition.multiplicity_gcd,
     )
-
-
-_ADMISSIBLE = Hypotheses(common_root_pq=True, no_common_root_p1_q=True, satisfied=True)
-
-
-def _admissible_invariants(p: UniPoly, q: UniPoly):
-    """Betti numbers and fiber divisor of an admissible pair, or raise.
-
-    One squarefree decomposition each of p and q carries everything: p and
-    q share a root iff their radicals do, p + 1 and q share none iff
-    gcd(rad q, p + 1) is constant, and rad(p*q) is the lcm of the two
-    radicals, so t needs no decomposition of the product.
-    """
-    _require_nonconstant(p, "p")
-    _require_nonconstant(q, "q")
-    p_parts = squarefree_decompose(p)
-    rad_p = p_parts.radical()
-    rad_q = squarefree_decompose(q).radical()
-    shared = gcd(rad_p, rad_q).degree
-    if shared == 0 or gcd(rad_q, p + 1).degree != 0:
-        raise HypothesesViolated(
-            "the pair (p, q) is not admissible: need a common root of p and "
-            "q and no common root of p + 1 and q"
-        )
-    s = rad_q.degree
-    t = rad_p.degree + s - shared
-    return BettiNumbers(b0=1, b1=2, b2=s + t, s=s, t=t), _fiber_divisor(p_parts)
 
 
 def betti(p: UniPoly, q: UniPoly) -> BettiNumbers:
@@ -231,7 +218,7 @@ def betti(p: UniPoly, q: UniPoly) -> BettiNumbers:
     b1 counts the two curves; b2 = s + t where s is the number of distinct
     roots of q and t the number of distinct roots of p*q.
     """
-    return _admissible_invariants(p, q)[0]
+    return characteristic_variety(p, q).betti
 
 
 def special_fiber_divisor(p: UniPoly) -> FiberDivisor:
@@ -245,16 +232,6 @@ def special_fiber_divisor(p: UniPoly) -> FiberDivisor:
     return _fiber_divisor(squarefree_decompose(p))
 
 
-def orbifold_group(p: UniPoly) -> int:
-    """Order of the cyclic orbifold group of the pencil of f.
-
-    The only orbifold point is the special value -1 with multiplicity the
-    power index d of p, so the group is Z/d.
-    """
-    _require_nonconstant(p, "p")
-    return squarefree_decompose(p).multiplicity_gcd
-
-
 def characteristic_variety(p: UniPoly, q: UniPoly) -> CharVarietyReport:
     """Positive-dimensional components of the first characteristic variety.
 
@@ -263,29 +240,27 @@ def characteristic_variety(p: UniPoly, q: UniPoly) -> CharVarietyReport:
         W_j = { exp(2*pi*i*j/d) } x C*,   j = 1, ..., d - 1,
 
     of the second-coordinate subtorus, where d is the power index of p.
-    Each is stored exactly: torsion character (j/d, 0), direction (0, 1).
+    Each is read off exactly: torsion character (j/d, 0), direction (0, 1).
     For d = 1 the list is empty.
+
+    One squarefree decomposition each of p and q carries everything, or
+    HypothesesViolated is raised: gcd(p, rad q) divides the squarefree
+    rad q, so it is gcd(rad p, rad q), and rad(p*q) is the lcm of the two
+    radicals, so t needs no decomposition of the product.
     """
-    betti_numbers, divisor = _admissible_invariants(p, q)
-    hypotheses = _ADMISSIBLE
-    d = divisor.divisor_multiplicity
-    zero, direction = Fraction(0), (0, 1)
-    components = tuple(
-        TranslatedTorus(TorsionCharacter(Fraction(j, d), zero), direction)
-        for j in range(1, d)
-    )
-    flags = (
-        # f is irreducible iff gcd(p*q, p + 1) = gcd(q, p + 1) = 1: hypothesis 2.
-        hypotheses.no_common_root_p1_q,
-        # g = q*y - 1 has coprime coefficients q and -1: always irreducible.
-        True,
-    )
+    _require_nonconstant(p, "p")
+    _require_nonconstant(q, "q")
+    p_parts = squarefree_decompose(p)
+    rad_q = squarefree_decompose(q).radical()
+    shared, clean_shift = _shared_roots(p, rad_q)
+    if shared.degree == 0 or not clean_shift:
+        raise HypothesesViolated(
+            "the pair (p, q) is not admissible: need a common root of p and "
+            "q and no common root of p + 1 and q"
+        )
+    s = rad_q.degree
+    t = sum(factor.degree for factor, _ in p_parts.parts) + s - shared.degree
     return CharVarietyReport(
-        hypotheses=hypotheses,
-        betti=betti_numbers,
-        divisor=divisor,
-        orbifold_order=d,
-        components=components,
-        resonance_trivial=True,
-        irreducibility_flags=flags,
+        betti=BettiNumbers(b0=1, b1=2, b2=s + t, s=s, t=t),
+        divisor=_fiber_divisor(p_parts),
     )

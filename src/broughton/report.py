@@ -22,23 +22,17 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = "1"
 
-_NOTE_MAPS = (
+_NOTES = (
     "maps: every positive-dimensional component is pulled back from the "
     "pencil of f; the candidate maps built from other monomials in f and g "
-    "contribute none (cited, not verified)"
-)
-_NOTE_COHOMOLOGY = (
+    "contribute none (cited, not verified)",
     "cohomology: on each listed component the local systems have first "
     "twisted cohomology of dimension >= 1, with equality outside finitely "
-    "many local systems (cited, not verified)"
-)
-_NOTE_RESONANCE = (
+    "many local systems (cited, not verified)",
     "resonance: the resonance varieties of the complement vanish while the "
-    "cup product on first cohomology is nontrivial (cited, not verified)"
-)
-_NOTE_ISOLATED = (
+    "cup product on first cohomology is nontrivial (cited, not verified)",
     "scope: isolated (zero-dimensional) points of the characteristic "
-    "variety are not computed here"
+    "variety are not computed here",
 )
 _NOTE_NO_COMPONENTS = (
     "no positive-dimensional components: p is not a proper power of a "
@@ -49,10 +43,18 @@ _NOTE_NO_COMPONENTS = (
 class ReportDocument(NamedTuple):
     """Everything the charvar command reports for one admissible pair."""
 
-    schema_version: str
     inputs: tuple
     body: CharVarietyReport
-    notes: tuple
+
+    schema_version = SCHEMA_VERSION
+
+    @property
+    def notes(self) -> tuple:
+        """The cited claims and the scope, then for d = 1 why there are
+        no components."""
+        if self.body.orbifold_order == 1:
+            return _NOTES + (_NOTE_NO_COMPONENTS,)
+        return _NOTES
 
 
 def zahid_polynomials(p_exponent: int, q_factors: int):
@@ -77,15 +79,9 @@ def build_report(p: UniPoly, q: UniPoly) -> ReportDocument:
     # through this module, do not load the arrangement layer.
     from .arrangement import characteristic_variety
 
-    body = characteristic_variety(p, q)
-    notes = [_NOTE_MAPS, _NOTE_COHOMOLOGY, _NOTE_RESONANCE, _NOTE_ISOLATED]
-    if body.orbifold_order == 1:
-        notes.append(_NOTE_NO_COMPONENTS)
     return ReportDocument(
-        schema_version=SCHEMA_VERSION,
         inputs=(("p", str(p)), ("q", str(q))),
-        body=body,
-        notes=tuple(notes),
+        body=characteristic_variety(p, q),
     )
 
 

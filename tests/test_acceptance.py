@@ -19,7 +19,6 @@ from broughton.arrangement import (
     betti,
     characteristic_variety,
     check_hypotheses,
-    orbifold_group,
     special_fiber_divisor,
 )
 from broughton.decompose import (
@@ -176,7 +175,8 @@ def test_criterion_5_divisor_orbifold_consistency():
             poly = from_roots(pairs)
             d = math.gcd(*(m for _, m in pairs))
             assert special_fiber_divisor(poly).divisor_multiplicity == d
-            assert orbifold_group(poly) == d
+            # q = x - r for a root r of p is admissible: p(r) + 1 = 1.
+            assert characteristic_variety(poly, X - roots[0]).orbifold_order == d
 
 
 def test_criterion_6_decomposition_roundtrip():

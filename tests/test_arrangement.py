@@ -12,6 +12,7 @@ import pytest
 from broughton.arrangement import (
     BettiNumbers,
     CharVarietyReport,
+    FiberDivisor,
     Hypotheses,
     HypothesesViolated,
     TorsionCharacter,
@@ -19,7 +20,6 @@ from broughton.arrangement import (
     betti,
     characteristic_variety,
     check_hypotheses,
-    orbifold_group,
     special_fiber_divisor,
 )
 from broughton.unipoly import UniPoly, X, gcd
@@ -183,11 +183,17 @@ class TestFiberDivisor:
 
 
 class TestOrbifold:
+    """The orbifold order d is the divisor's multiplicity gcd, and the
+    report reads it off its divisor."""
+
     def test_frozen_orders(self):
-        assert orbifold_group(X ** 5) == 5
-        assert orbifold_group(X * (X + 1)) == 1
-        assert orbifold_group(P(0, 1, 1) ** 3) == 3
-        assert orbifold_group(F(-2) * X ** 4 * (X + 1) ** 2) == 2
+        def order(p):
+            return special_fiber_divisor(p).divisor_multiplicity
+
+        assert order(X ** 5) == 5
+        assert order(X * (X + 1)) == 1
+        assert order(P(0, 1, 1) ** 3) == 3
+        assert order(F(-2) * X ** 4 * (X + 1) ** 2) == 2
 
     def test_matches_divisor_multiplicity(self):
         rng = random.Random(434)
@@ -197,8 +203,12 @@ class TestOrbifold:
                 for _ in range(rng.randint(1, 3))
             ]
             p = from_roots(parts)
-            assert orbifold_group(p) == planted_power_index(parts)
-            assert orbifold_group(p) == special_fiber_divisor(p).divisor_multiplicity
+            d = special_fiber_divisor(p).divisor_multiplicity
+            assert d == planted_power_index(parts)
+            # q = x - r for a root r of p is admissible: p(r) + 1 = 1.
+            report = characteristic_variety(p, X - parts[0][0])
+            assert report.orbifold_order == d
+            assert len(report.components) == d - 1
 
 
 class TestCharacteristicVariety:
@@ -253,7 +263,6 @@ class TestCharacteristicVariety:
             (TorsionCharacter, torus.torsion, {"a1": F(1)}),
             (TorsionCharacter, torus.torsion, {"a0": 0}),
             (TranslatedTorus, torus, {"direction": (2, 4)}),
-            (CharVarietyReport, report, {"components": ()}),
         )
         for cls, good, change in bad_fields:
             assert cls(*good) == good
@@ -276,6 +285,20 @@ class TestCharacteristicVariety:
                 TorsionCharacter(F(1, 2), bad)
             with pytest.raises(ValueError):
                 TorsionCharacter(bad, F(1, 2))
+
+    def test_records_store_only_what_they_compute(self):
+        # The rest of the report is constant on admissible pairs or read
+        # off the divisor, so it is no field and needs no check.
+        assert CharVarietyReport._fields == ("betti", "divisor")
+        assert "value" not in FiberDivisor._fields
+        report = characteristic_variety(X ** 4 * (X - 1) ** 2, X * (X + 2))
+        assert report.divisor.value == F(-1)
+        assert report.hypotheses == Hypotheses(True, True, True)
+        assert report.resonance_trivial is True
+        assert report.irreducibility_flags == (True, True)
+        assert report.orbifold_order == report.divisor.divisor_multiplicity == 2
+        assert report.components == (TranslatedTorus(TorsionCharacter(F(1, 2), F(0)), (0, 1)),)
+        assert report == CharVarietyReport(report.betti, report.divisor)
 
     def test_records_are_frozen_and_hash_by_value(self):
         p, q = X ** 2 * (X - 1) ** 2, X * (X + 2)

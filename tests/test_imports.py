@@ -123,8 +123,7 @@ EXPORTS = {
     "arrangement": (
         "BettiNumbers", "CharVarietyReport", "FiberDivisor", "Hypotheses",
         "HypothesesViolated", "TorsionCharacter", "TranslatedTorus", "betti",
-        "characteristic_variety", "check_hypotheses", "orbifold_group",
-        "special_fiber_divisor",
+        "characteristic_variety", "check_hypotheses", "special_fiber_divisor",
     ),
     "bipoly": (),
     "decompose": (
@@ -146,7 +145,7 @@ EXPORTS = {
 # Names the package no longer has, with what replaces each: second routes
 # to an invariant (CharVarietyReport.resonance_trivial; the irreducibility
 # flags of characteristic_variety; SquarefreeDecomposition.radical() and
-# .multiplicity_gcd, or orbifold_group; resultant_y), the bivariate
+# .multiplicity_gcd; resultant_y), the bivariate
 # ring and its parser (int lists inside the certificate's norm; no
 # bivariate parser), the singular-locus wrapper (connectivity_certificate),
 # the canonical printer (str), the integer Bareiss route of resultant_y (the
@@ -168,9 +167,11 @@ EXPORTS = {
 # second one Res_v(chi, G), gave way to one norm over Q[y], with no bound,
 # prime or interpolation: the record BiPoly, resultant_y and the whole
 # Mersenne kernel went (the integer and Fraction resultants stay as oracles
-# in tests/oracles.py).
+# in tests/oracles.py).  orbifold_group, a third route to the power index
+# d, gave way to special_fiber_divisor(p).divisor_multiplicity, which the
+# report reads as its orbifold_order.
 REMOVED = {
-    "arrangement": ("resonance",),
+    "arrangement": ("resonance", "orbifold_group"),
     "cli": ("_build_parser",),
     "bipoly": (
         "build_f", "build_g", "is_irreducible_y_linear", "X", "Y", "BI_ZERO",

@@ -5,16 +5,17 @@ squarefree decomposition each of p and q.  Here they are compared, on
 random pairs with planted rational roots and multiplicities, with what
 the standalone entry points compute on their own, with the planted root
 data itself, and with the independent oracles: trial division for the
-root counts, a Euclid gcd over the rationals for the irreducibility of
-the two curves.
+root counts, a Euclid gcd over the rationals for the hypotheses and the
+irreducibility of the two curves.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from broughton.arrangement import (
     HypothesesViolated,
@@ -28,8 +29,10 @@ from oracles import (
     b_build_f,
     b_build_g,
     b_is_irreducible_y_linear,
+    l_add,
     l_eval,
     l_from_roots,
+    l_gcd,
     l_mul,
     trial_root_count,
 )
@@ -76,7 +79,13 @@ def planted_pairs(draw, kind):
     return UniPoly(p_coeffs), UniPoly(q_coeffs), p_roots, q_roots
 
 
+# q = x^3 (x + 2) repeats the root it shares with p = x^2 (x - 1), so
+# gcd(p, q) = x^2 while gcd(p, rad q) = x.
+REPEATED_SHARED = (UniPoly([0, 0, -1, 1]), UniPoly([0, 0, 0, 2, 1]))
+
+
 @settings(max_examples=120, deadline=None)
+@example(REPEATED_SHARED + ({F(0): 2, F(1): 1}, {F(0): 3, F(-2): 1}))
 @given(planted_pairs("admissible"))
 def test_pipeline_equals_separate_calls(planted):
     p, q, p_roots, q_roots = planted
@@ -138,3 +147,29 @@ def test_f_irreducible_iff_second_hypothesis(pair):
     p, q = pair
     f = b_build_f(list(p.coeffs), list(q.coeffs))
     assert b_is_irreducible_y_linear(f) is check_hypotheses(p, q).no_common_root_p1_q
+
+
+def euclid_hypotheses(p, q):
+    """Both clauses by the Euclid oracle: p and q share a root iff their
+    gcd has positive degree, p + 1 and q share none iff theirs is 1."""
+    common = len(l_gcd(p.coeffs, q.coeffs)) > 1
+    clean_shift = len(l_gcd(l_add(p.coeffs, [1]), q.coeffs)) == 1
+    return common, clean_shift
+
+
+@settings(max_examples=150, deadline=None)
+@example(REPEATED_SHARED)
+# p = x (1 - x) / 2 has p(2) = -1, and q = x^2 (x - 2)^2 repeats both the
+# root it shares with p and the root it shares with p + 1.
+@example((UniPoly([0, F(1, 2), F(-1, 2)]), UniPoly([0, 0, 4, -4, 1])))
+@given(st.one_of(any_planted, st.tuples(dense, dense)))
+def test_hypotheses_match_euclid_oracle(pair):
+    p, q = pair
+    common, clean_shift = euclid_hypotheses(p, q)
+    assert check_hypotheses(p, q) == (common, clean_shift, common and clean_shift)
+    # The report decides admissibility from gcds with rad q instead of q.
+    if common and clean_shift:
+        assert characteristic_variety(p, q).hypotheses.satisfied
+    else:
+        with pytest.raises(HypothesesViolated):
+            characteristic_variety(p, q)

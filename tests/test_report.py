@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from broughton.report import (
     SCHEMA_VERSION,
+    ReportDocument,
     build_report,
     render_json,
     render_text,
@@ -93,6 +94,9 @@ class TestDocument:
         document = build_report(*zahid_polynomials(3, 2))
         assert document.schema_version == SCHEMA_VERSION == "1"
         assert document.inputs == (("p", "x^3"), ("q", "x^2 + 2*x"))
+        # The version and the notes are no fields: one is a constant and
+        # the other follows from the body.
+        assert ReportDocument._fields == ("inputs", "body")
 
     def test_notes_carry_the_unverified_claims(self):
         document = build_report(*zahid_polynomials(3, 2))

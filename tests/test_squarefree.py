@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from broughton import modular, squarefree, unipoly
-from broughton.arrangement import orbifold_group
+from broughton.arrangement import special_fiber_divisor
 from broughton.report import zahid_polynomials
 from broughton.squarefree import squarefree_decompose
 from broughton.unipoly import ONE, UniPoly, X, ZERO, gcd
@@ -120,7 +120,7 @@ class TestErrors:
         with pytest.raises(ValueError):
             squarefree_decompose(ZERO)
         with pytest.raises(ValueError):
-            orbifold_group(ZERO)
+            special_fiber_divisor(ZERO)
 
     def test_constant_inputs(self):
         # A constant has no parts: radical one, multiplicity gcd zero, and
@@ -128,7 +128,7 @@ class TestErrors:
         assert radical(P(3)) == ONE
         assert power_index(P(3)) == 0
         with pytest.raises(ValueError):
-            orbifold_group(P(3))
+            special_fiber_divisor(P(3))
 
 
 def test_planted_profile_recovery_and_reconstruction():
