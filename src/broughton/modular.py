@@ -1,33 +1,30 @@
-"""Kernels modulo primes below 2**30 for the gcd and the squarefree
-decomposition: the primes (Miller-Rabin), Euclid and Yun's algorithm
-modulo a prime, and the one lift both share.  Such a prime and its
+"""Kernels modulo primes below 2**30 for the gcd of
+:func:`broughton.unipoly._modular_gcd`: the primes (Miller-Rabin), Euclid
+and exact division modulo a prime, and the lift.  Such a prime and its
 residues are single CPython int digits, so the kernels run on the
 interpreter's one-digit paths, not its general multi-digit division.
 
-:func:`_lift` takes a rank, a shape and monic parts modulo p from its
-caller at each prime; an unlucky prime gives a lower rank (a gcd of
-higher degree, a radical of lower degree).  A higher rank restarts the
-lift, a lower rank or another shape is dropped, and the rest are
-combined by the Chinese remainder theorem.  The lift is tried at its
-first image and then each time the modulus has doubled in bit length:
-each part is recovered by rational reconstruction (von zur Gathen and
-Gerhard, *Modern Computer Algebra*, 5.10), and the caller certifies the
-primitive integer parts over the integers, so neither the primes' luck
-nor their size matters.  A try runs Euclid on the whole modulus, so
-trying at each of k primes would cost k**3; doubling keeps the tries
-within a constant factor of the last one.  An image with no parts (a
-constant gcd, a squarefree polynomial) settles the answer at once, and
-most calls stop there, at the first prime.
+:func:`_lift` takes a rank, a shape and one monic residue list modulo p
+from the gcd at each prime; an unlucky prime gives a lower rank (a gcd
+of higher degree).  A higher rank restarts the lift, a lower rank or
+another shape is dropped, and the rest are combined by the Chinese
+remainder theorem.  The lift is tried at its first image and then each
+time the modulus has doubled in bit length: the residues are recovered
+by rational reconstruction (von zur Gathen and Gerhard, *Modern Computer
+Algebra*, 5.10), and the gcd checks the primitive integer list by
+division over the integers, so neither the primes' luck nor their size
+matters.  A try runs Euclid on the whole modulus, so trying at each of k
+primes would cost k**3; doubling keeps the tries within a constant
+factor of the last one.  A constant gcd or cofactor modulo the first
+prime lifts at once, and most calls stop there.
 
-Nothing here is loaded until a gcd or a squarefree decomposition needs a
-prime, that is, until the integer gcds of
-:func:`broughton.unipoly._heuristic_gcd` and
-:mod:`broughton.squarefree` leave one unsettled: its coefficients are
-past that gcd's cut, or a candidate fails the trial division.  A small
-input that is not squarefree, such as a high power, no longer loads it:
-its parts come from one integer gcd per multiplicity.  So the paper's
-standard pairs of moderate size, ``decompose``, ``connectivity`` and a
-parse error never compile it.
+Only the gcd draws primes: the squarefree decomposition of
+:mod:`broughton.squarefree` is Yun's loop on that gcd.  Nothing here is
+loaded until the integer gcd of :func:`broughton.unipoly._heuristic_gcd`
+leaves a gcd unsettled: its coefficients are past that gcd's cut, or a
+candidate fails the trial division.  So the paper's standard pairs of
+moderate size, a high power of small coefficients, ``decompose``,
+``connectivity`` and a parse error never compile it.
 Coefficient lists are ints, low degree first.  The connectivity
 certificate needs no prime: its one resultant is a norm, the determinant
 of :mod:`broughton.bipoly` over Q[y].
@@ -98,70 +95,6 @@ def _gcd_mod(a, b, p):
     return a
 
 
-def _yun_mod(a, p):
-    """Squarefree decomposition of ``a`` modulo the prime p by Yun's
-    algorithm: the monic parts modulo p with their multiplicities, which
-    increase.
-
-    ``a`` is reduced mod p, of degree at least 1 and below p, with a
-    nonzero leading entry.  Below p the derivative of a nonconstant
-    polynomial is nonzero and every multiplicity is a unit, so Yun's
-    algorithm is exact over the field of p elements.  The loop keeps
-    w = f_k * f_(k+1) * ... and z = sum over those parts of
-    (i - k) * f_i' * w / f_i.  The parts are coprime and squarefree, so
-    z = c * w' for a constant c exactly when one part is left, of
-    multiplicity k + c: the loop stops there instead of taking c gcds with
-    a constant result.  A constant gcd(w, z) before that means no part of
-    multiplicity k: w stays, and z - w' is the next z, with no quotient and
-    no new derivative.  The one-part test is not repeated there, since
-    z - w' is a constant times w' only if z is.  A constant gcd(a, a')
-    ends it at once: the image is squarefree, one part of multiplicity 1.
-    """
-    inverse = pow(a[-1], -1, p)
-    w = [c * inverse % p for c in a]
-    derivative = _derivative_mod(w, p)
-    g = _gcd_mod(list(w), derivative, p)
-    if len(g) == 1:  # a squarefree image: one part, nothing to divide
-        return [(w, 1)]
-    w = _quotient_mod(w, g, p)
-    dw = _derivative_mod(w, p)
-    z = _difference_mod(_quotient_mod(derivative, g, p), dw, p)
-    parts = []
-    k = 1
-    while len(w) > 1:
-        c = z[-1] * pow(dw[-1], -1, p) % p if len(z) == len(dw) else 0
-        if z == ([x * c % p for x in dw] if c else []):
-            parts.append((w, k + c))
-            break
-        f = _gcd_mod(list(w), z, p)
-        while len(f) == 1:  # no part of multiplicity k: w and w' stay
-            z = _difference_mod(z, dw, p)
-            k += 1
-            f = _gcd_mod(list(w), z, p)
-        parts.append((f, k))
-        w = _quotient_mod(w, f, p)
-        dw = _derivative_mod(w, p)
-        z = _difference_mod(_quotient_mod(z, f, p), dw, p)
-        k += 1
-    return parts
-
-
-def _derivative_mod(a, p):
-    """Derivative modulo p of ``a``, whose degree is below p."""
-    return [i * c % p for i, c in enumerate(a) if i]
-
-
-def _difference_mod(a, b, p):
-    """a - b modulo p, with no trailing zero."""
-    if len(a) < len(b):
-        a = a + [0] * (len(b) - len(a))
-    out = [(x - y) % p for x, y in zip(a, b)]
-    out.extend(a[len(b):])
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
 def _quotient_mod(a, b, p):
     """Quotient modulo p of ``a`` by the monic ``b``, which divides it."""
     rem = list(a)
@@ -177,35 +110,30 @@ def _quotient_mod(a, b, p):
 
 
 def _lift(image, accept):
-    """The first answer ``accept(shape, parts)`` gives on the primitive
-    integer parts of a lift (see the module docstring).  ``image(p)`` is
-    None for a skipped prime, else ``(rank, shape, parts)``, the parts
-    monic residue lists modulo p."""
+    """The first answer ``accept(shape, lifted)`` gives on the primitive
+    integer list ``lifted`` of a lift (see the module docstring).
+    ``image(p)`` is None for a skipped prime, else ``(rank, shape,
+    residues)``, a monic residue list modulo p whose length the rank and
+    the shape fix."""
     rank = -1
     for p in map(_prime, itertools.count()):
         found = image(p)
         if found is None:
             continue
-        image_rank, shape, parts = found
-        key = (shape, [len(part) for part in parts])
+        image_rank, shape, residues = found
         if image_rank > rank:
-            rank, lift_key, lift, modulus = image_rank, key, parts, p
-        elif image_rank < rank or key != lift_key:
+            rank, lift_shape, lift, modulus = image_rank, shape, residues, p
+        elif image_rank < rank or shape != lift_shape:
             continue
         else:
             inverse = pow(modulus, -1, p)
-            lift = [[h + modulus * ((r - h) * inverse % p) for h, r in zip(H, R)]
-                    for H, R in zip(lift, parts)]
+            lift = [h + modulus * ((r - h) * inverse % p) for h, r in zip(lift, residues)]
             modulus *= p
             if modulus.bit_length() < 2 * tried:
                 continue
-        integers = []
-        for part in lift:
-            integers.append(_rational(part, modulus))
-            if integers[-1] is None:
-                break
-        else:
-            answer = accept(shape, integers)
+        lifted = _rational(lift, modulus)
+        if lifted is not None:
+            answer = accept(shape, lifted)
             if answer is not None:
                 return answer
         tried = modulus.bit_length()

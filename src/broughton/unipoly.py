@@ -48,7 +48,8 @@ whenever the rational division is.  :func:`gcd` reads the gcd off one
 integer gcd of the numerators' values at a power of two when their
 coefficients are small (:func:`_heuristic_gcd`), lifts it by
 :mod:`broughton.modular` otherwise, and checks either with the same
-integer division.
+integer division, whose quotients are the cofactors (:func:`_gcd_ints`);
+the squarefree decomposition is Yun's loop on that gcd.
 """
 
 from __future__ import annotations
@@ -438,7 +439,8 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     cut :data:`_HEURISTIC_MAX` on the size of that power, that settles
     coprime pairs at once and nearly every other pair.  Above the cut, or
     when the candidate fails the division, :func:`_modular_gcd` lifts it
-    from gcds modulo primes.
+    from gcds modulo primes.  Both return the cofactors too
+    (:func:`_gcd_ints`), which the gcd drops.
 
     The gcd with zero is the other side's monic associate, and gcd(0, 0)
     is rejected.  Rational scalars stand for constant polynomials.
@@ -453,8 +455,7 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     ints_a, ints_b = _primitive(num_a), _primitive(num_b)
     if len(ints_a) == 1 or len(ints_b) == 1:
         return _make([0] * shift + [1])
-    found = _heuristic_gcd(ints_a, ints_b)
-    divisor = _modular_gcd(ints_a, ints_b) if found is None else found[0]
+    divisor = _gcd_ints(ints_a, ints_b)[0]
     return _make([0] * shift + divisor, divisor[-1])  # monic
 
 
@@ -529,6 +530,13 @@ def _heuristic_gcd(a, b):
     return h, cofactor_a, cofactor_b
 
 
+def _gcd_ints(a, b):
+    """The primitive gcd h of the nonzero integer polynomials ``a`` and
+    ``b``, ``a`` nonconstant, with the cofactors a/h and b/h: from
+    :func:`_heuristic_gcd`, else from :func:`_modular_gcd`."""
+    return _heuristic_gcd(a, b) or _modular_gcd(a, b)
+
+
 def _xi_bytes(norm):
     """The w of xi = 2**w in bytes for the norm M = ``norm``, as
     :func:`_heuristic_gcd` chooses it: the bit length of 2*M + 2 rounded
@@ -563,22 +571,23 @@ def _value(ints, w):
 
 
 def _modular_gcd(ints_a, ints_b):
-    """The gcd of the primitive integer polynomials ``ints_a`` = A and
-    ``ints_b`` = B, both nonconstant, up to sign, from gcds modulo primes
-    below 2**30.
+    """The primitive gcd h, up to sign, of the nonzero integer polynomials
+    ``ints_a`` = A, nonconstant, and ``ints_b`` = B, with the cofactors
+    A/h and B/h, from gcds modulo primes below 2**30.
 
-    Let G be their gcd over the integers (Brown 1971; von zur Gathen and
-    Gerhard, *Modern Computer Algebra*, ch. 6).  At each prime p that
-    divides neither leading coefficient, Euclid gives the monic gcd g of
-    the images a and b.  Since lc G divides lc A, G mod p keeps its degree
-    and divides g: deg g >= deg G, and a constant g proves A and B coprime.
-    Otherwise the lift of :mod:`broughton.modular`, ranked by
-    deg a - deg g, lifts the piece of least degree among g, a/g and b/g,
-    made monic, as GCDHEU does (Char, Geddes and Gonnet 1989).  A lifted g
-    is accepted if it divides A and B over the integers; a lifted cofactor
-    C of A if A/C is exact and its primitive part divides B; likewise for
-    B.  The result divides A and B and has degree deg g >= deg G, so it is
-    G up to sign.
+    Let G be their primitive gcd over the integers (Brown 1971; von zur
+    Gathen and Gerhard, *Modern Computer Algebra*, ch. 6).  At each prime p
+    that divides neither leading coefficient, Euclid gives the monic gcd g
+    of the images a and b.  Since lc G divides lc A, G mod p keeps its
+    degree and divides g: deg g >= deg G.  The lift of
+    :mod:`broughton.modular`, ranked by deg a - deg g, lifts the piece of
+    least degree among g, a/g and b/g, made monic, as GCDHEU does (Char,
+    Geddes and Gonnet 1989); a constant g, which proves A and B coprime,
+    is that piece.  A lifted g is accepted if it divides A and B over the
+    integers, the quotients being the cofactors; a lifted cofactor C of A
+    if A/C is exact and its primitive part h divides B, A/h then being C
+    times the content of A/C; likewise for B.  The result divides A and B
+    and has degree deg g >= deg G, so it is G up to sign.
 
     A cofactor makes ``gcd(p, p.derivative())`` of a high power one
     prime's work.  G and both cofactors large and dense pay instead, since
@@ -595,28 +604,30 @@ def _modular_gcd(ints_a, ints_b):
         images = [c % p for c in ints_a], [c % p for c in ints_b]
         g = _gcd_mod(list(images[0]), images[1], p)
         rank = len(ints_a) - len(g)  # deg a - deg g
-        if len(g) == 1:
-            return rank, 0, []  # coprime
         lengths = [len(g)] + [len(f) - len(g) + 1 for f in images]
         piece = lengths.index(min(lengths))  # g, a/g or b/g
         if piece:
             f = images[piece - 1]
             inverse = pow(f[-1], -1, p)
             g = _quotient_mod([c * inverse % p for c in f], g, p)
-        return rank, piece, [g]
+        return rank, piece, g
 
-    def accept(piece, parts):
-        if not parts:
-            return [1]
-        divisor, others = parts[0], (ints_a, ints_b)
-        if piece:  # a cofactor of A or of B; test the other input
-            quotient = _exact_quotient(others[piece - 1], divisor)
-            if quotient is None:
-                return None
-            divisor, others = _primitive(quotient), (others[2 - piece],)
-        if all(_exact_quotient(f, divisor) is not None for f in others):
-            return divisor
-        return None
+    def accept(piece, lifted):
+        if not piece:
+            cofactor_a = _exact_quotient(ints_a, lifted)
+            cofactor_b = None if cofactor_a is None else _exact_quotient(ints_b, lifted)
+            return None if cofactor_b is None else (lifted, cofactor_a, cofactor_b)
+        # A cofactor of A or of B; test the other input.
+        own, other = (ints_a, ints_b) if piece == 1 else (ints_b, ints_a)
+        quotient = _exact_quotient(own, lifted)
+        if quotient is None:
+            return None
+        divisor = _primitive(quotient)
+        other_cofactor = _exact_quotient(other, divisor)
+        if other_cofactor is None:
+            return None
+        cofactors = [c * (quotient[-1] // divisor[-1]) for c in lifted], other_cofactor
+        return divisor, *(cofactors if piece == 1 else cofactors[::-1])
 
     return _lift(image, accept)
 
@@ -642,8 +653,11 @@ def _exact_quotient(a, d):
 
     Coefficients are int lists, low to high, and ``d`` is nonzero with a
     nonzero leading entry.  For a primitive ``d`` a None also rules out
-    division over the rationals (Gauss's lemma).
+    division over the rationals (Gauss's lemma).  A quotient by 1, such as
+    the cofactor of a constant gcd, is a copy.
     """
+    if d == [1]:
+        return list(a)
     rem = list(a)
     top = len(d) - 1
     lead = d[-1]

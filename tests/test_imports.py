@@ -87,8 +87,8 @@ def test_command_loads_only_what_it_runs(command, fmt):
 
 def test_coefficients_above_the_cut_load_the_modular_helpers():
     # The x-free part of q and its derivative both have coefficients past
-    # 2**320, beyond the integer gcd's cut, so q's squarefree decomposition
-    # runs Yun's algorithm modulo primes.
+    # 2**320, beyond the integer gcd's cut, so the gcd under q's squarefree
+    # decomposition runs modulo primes.
     code, modules = loaded_by("charvar", "x^3", "x*(10^100*x+1)*(10^100*x+3)")
     assert code == 0
     assert "broughton.modular" in modules
@@ -159,9 +159,13 @@ EXPORTS = {
 # gave way to one pointwise Euclid at formal degrees modulo one prime, and
 # the two layers between resultant_y and that kernel were folded into
 # resultant_y, which also took unipoly's _integer_columns.  The Chinese
-# remainder step _crt was folded into modular's one lift, _lift, which the
-# gcd and the squarefree decomposition share.  The command line's argparse
-# builder gave way to the table broughton.cli.COMMANDS.  unipoly's _constants
+# remainder step _crt was folded into modular's one lift, _lift, which only
+# the gcd calls: the squarefree decomposition is Yun's loop on that gcd, so
+# Yun's algorithm modulo a prime (_yun_mod, with its _derivative_mod and
+# _difference_mod), the certificate of a lifted decomposition (_certified)
+# and the integer loop beside it (_integer_yun, now _yun) went.  The
+# command line's argparse builder gave way to the table
+# broughton.cli.COMMANDS.  unipoly's _constants
 # went once the certificate built its resultant columns from integer
 # numerators itself.  The certificate's two general resultants in y, the
 # second one Res_v(chi, G), gave way to one norm over Q[y], with no bound,
@@ -187,10 +191,11 @@ REMOVED = {
         "MERSENNE_EXPONENTS", "mersenne_exponents", "hadamard_square",
         "integer_resultant", "_resultant_by_primes", "_resultant_values",
         "_take", "_euclid_resultants", "_sylvester_determinant", "_interpolate",
-        "_crt",
+        "_crt", "_yun_mod", "_derivative_mod", "_difference_mod",
     ),
     "parser": ("parse_bi", "print_canonical"),
-    "squarefree": ("PowerIndex", "distinct_root_count", "power_index", "radical"),
+    "squarefree": ("PowerIndex", "distinct_root_count", "power_index", "radical",
+                   "_certified", "_integer_yun"),
     "unipoly": ("resultant", "_prime", "_is_prime", "_gcd_mod", "_crt", "_integer_columns",
                 "_constants"),
 }
@@ -220,12 +225,10 @@ def test_lazy_exports_match_the_submodules():
 
 # Names the package no longer exports but their module keeps: bipoly's norm
 # checks nothing, and connectivity_certificate, which checks its inputs, is
-# the one public entry to it.  modular keeps only what the gcd and the
-# squarefree decomposition call.
+# the one public entry to it.  modular keeps only what the gcd calls.
 INTERNAL = {
     "bipoly": ("critical_norm",),
-    "modular": ("_prime", "_is_prime", "_gcd_mod", "_yun_mod", "_derivative_mod",
-                "_difference_mod", "_quotient_mod", "_lift", "_rational"),
+    "modular": ("_prime", "_is_prime", "_gcd_mod", "_quotient_mod", "_lift", "_rational"),
 }
 
 

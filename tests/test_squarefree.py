@@ -44,17 +44,31 @@ def power_index(a):
 
 
 def primes_drawn(monkeypatch):
-    """The primes at which the decomposition runs Yun's algorithm, in
+    """The primes at which the gcds under the decomposition run Euclid, in
     order, recorded while the test runs."""
     drawn = []
-    real_yun = modular._yun_mod
+    real_gcd = modular._gcd_mod
 
-    def recording_yun(a, p):
+    def recording_gcd(a, b, p):
         drawn.append(p)
-        return real_yun(a, p)
+        return real_gcd(a, b, p)
 
-    monkeypatch.setattr(modular, "_yun_mod", recording_yun)
+    monkeypatch.setattr(modular, "_gcd_mod", recording_gcd)
     return drawn
+
+
+def gcd_ints_calls(monkeypatch):
+    """The arguments of each gcd the decomposition takes, in order,
+    recorded while the test runs."""
+    calls = []
+    real_gcd = squarefree._gcd_ints
+
+    def recording_gcd(a, b):
+        calls.append((a, b))
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(squarefree, "_gcd_ints", recording_gcd)
+    return calls
 
 
 def modular_route(monkeypatch):
@@ -158,8 +172,9 @@ def test_planted_profile_recovery_and_reconstruction():
 
 
 def test_last_part_ends_the_loop_without_constant_gcds(monkeypatch):
-    # Once one part is left, Yun's loop modulo p stops instead of taking
-    # one gcd with a constant per remaining multiplicity level.
+    # Once one part is left, Yun's loop stops instead of taking one gcd
+    # with a constant per remaining multiplicity level: Y - 120*R' is zero
+    # for Y**120, so gcd(A, A') is the only gcd.
     modular_route(monkeypatch)
     calls = []
     real_gcd = modular._gcd_mod
@@ -260,7 +275,7 @@ def test_matches_yun_over_the_rationals(factors, unit):
 
 
 # Multiplicities with gaps between them, such as 2, 9 and 16: Yun's loop
-# modulo p passes each absent multiplicity with a constant gcd.
+# passes each absent multiplicity with a constant gcd.
 @given(st.lists(irreducible_factors(), min_size=3, max_size=3),
        st.lists(st.integers(1, 20), min_size=1, max_size=3, unique=True))
 @settings(deadline=None, max_examples=40)
@@ -291,9 +306,11 @@ def test_radical_is_the_product_of_the_oracle_parts(factors, v, unit):
 
 
 def test_absent_multiplicities_take_no_quotient(monkeypatch):
-    # No part has multiplicity 1 to 15, so those steps of Yun's loop only
-    # subtract w' from z.  The quotients are w and w' by gcd(w, w'), then
-    # w and z by the part of multiplicity 16; the last part ends the loop.
+    # No part has multiplicity 1 to 15, so each of those gcds is a constant
+    # modulo the first prime, lifted at once with no quotient modulo p.
+    # The quotients are A'/gcd(A, A') modulo p, the cofactor lifted for
+    # gcd(A, A'), and the cofactor lifted for the part of multiplicity 16;
+    # the last part ends the loop.
     modular_route(monkeypatch)
     drawn = primes_drawn(monkeypatch)
     quotients = []
@@ -306,8 +323,8 @@ def test_absent_multiplicities_take_no_quotient(monkeypatch):
     monkeypatch.setattr(modular, "_quotient_mod", counting_quotient)
     poly = (X - F(2, 3)) ** 16 * (X - 2) ** 24
     assert check_against_oracle(poly).parts == ((X - F(2, 3), 16), (X - 2, 24))
-    assert drawn == [P0]
-    assert len(quotients) == 4
+    assert drawn == [P0] * 17
+    assert len(quotients) == 2
 
 
 @given(st.integers(0, 12),
@@ -327,8 +344,9 @@ def test_power_of_x_splits_off_first(v, factors, unit):
 @pytest.mark.parametrize("v", [1, 2, 3, 5, 7])
 def test_power_of_x_joins_the_parts_in_order(monkeypatch, v):
     # x joins the part of multiplicity v, or is a part of its own below,
-    # between or above A0's multiplicities 2 and 5.  A bare c*x**v draws no
-    # prime.
+    # between or above A0's multiplicities 2 and 5.  A0 takes three gcds
+    # at the first prime: gcd(A0, A0'), then k = 1 and 2, after which
+    # x^2 + 3 is the last part.  A bare c*x**v draws no prime.
     modular_route(monkeypatch)
     drawn = primes_drawn(monkeypatch)
     a0 = (X - 1) ** 2 * (X ** 2 + 3) ** 5
@@ -337,7 +355,7 @@ def test_power_of_x_joins_the_parts_in_order(monkeypatch, v):
         parts.append((X, v))
     result = check_against_oracle(X ** v * a0)
     assert result.parts == tuple(sorted(parts, key=lambda part: part[1]))
-    assert drawn == [P0]
+    assert drawn == [P0] * 3
     drawn.clear()
     assert check_against_oracle(F(-3, 2) * X ** v).parts == ((X, v),)
     assert drawn == []
@@ -346,9 +364,9 @@ def test_power_of_x_joins_the_parts_in_order(monkeypatch, v):
 def test_unlucky_prime_lowers_the_radical(monkeypatch):
     # In Y = x + 1, which x does not divide, so that no x**v is split off
     # before a prime is drawn: modulo P0, Y*(Y - P0) is Y^2 and
-    # Y^2*(Y - P0)^3 is Y^5, one part of a lower radical degree, whose lift
-    # fails the certificate.  Y*(Y - P0) is squarefree, so the integer gcd
-    # would prove it at once.
+    # Y^2*(Y - P0)^3 is Y^5, so gcd(A, A') has a higher degree there than
+    # over the integers, and its lift fails the division check.
+    # Y*(Y - P0) is squarefree, so the integer gcd would prove it at once.
     modular_route(monkeypatch)
     drawn = primes_drawn(monkeypatch)
     assert check_against_oracle(Y * (Y - P0)).parts == ((Y * (Y - P0), 1),)
@@ -356,8 +374,9 @@ def test_unlucky_prime_lowers_the_radical(monkeypatch):
     drawn.clear()
     result = check_against_oracle(Y ** 2 * (Y - P0) ** 3)
     assert result.parts == ((Y, 2), (Y - P0, 3))
-    # The true image restarts the lift; P0 needs two more primes to
-    # reconstruct, since it exceeds sqrt(q/2) for a product q of two.
+    # The true image restarts the lift of gcd(A, A'), whose cofactor of
+    # A' holds P0 and needs more primes to reconstruct, since P0 exceeds
+    # sqrt(q/2) for a product q of two.
     assert drawn[0] == P0 and len(drawn) >= 4
     # Here the unlucky image comes second, after a true one, and is
     # dropped from the lift.
@@ -377,29 +396,28 @@ def test_prime_dividing_the_leading_coefficient_is_skipped(monkeypatch):
 
 def test_reconstruction_takes_a_second_prime(monkeypatch):
     # The numerator exceeds sqrt(P0/2), so one prime cannot recover the
-    # root, and it and 7 are below sqrt(P0*P1/2), so two primes can.
+    # root in gcd(A, A'), and it and 7 are below sqrt(P0*P1/2), so two
+    # primes can.  The part x + 1 then takes one gcd at the first prime,
+    # and the root's factor is the last part.
     modular_route(monkeypatch)
     drawn = primes_drawn(monkeypatch)
     root = F(math.isqrt(P0) + 1, 7)
     assert root.numerator > math.isqrt(P0 // 2)
     result = check_against_oracle((X - root) ** 3 * (X + 1))
     assert result.parts == ((X + 1, 1), (X - root, 3))
-    assert drawn == [P0, modular._prime(1)]
+    assert drawn == [P0, modular._prime(1), P0]
 
 
-def test_prime_at_most_the_degree_is_skipped(monkeypatch):
-    # Modulo 5 the derivative of Y**5 vanishes, and Yun's algorithm is
-    # exact only for primes above the degree.  Y = x + 1, since a power of
-    # x draws no prime at all.
+def test_prime_dividing_the_lead_of_the_derivative_is_skipped(monkeypatch):
+    # With the first prime patched to 5, gcd(A, A') for Y**5 skips 5, since
+    # 5 divides lc A' = 5: the derivative would lose its degree there.
+    # Y = x + 1, since a power of x draws no prime at all.
     modular_route(monkeypatch)
     real_prime = modular._prime
     monkeypatch.setattr(modular, "_prime", lambda i: 5 if i == 0 else real_prime(i - 1))
     drawn = primes_drawn(monkeypatch)
-    assert check_against_oracle(Y ** 5 * (Y + 1)).parts == ((Y + 1, 1), (Y, 5))
-    assert drawn[0] == P0
-    drawn.clear()
-    assert check_against_oracle(Y ** 4).parts == ((Y, 4),)
-    assert drawn == [5]
+    assert check_against_oracle(Y ** 5).parts == ((Y, 5),)
+    assert drawn == [P0]
 
 
 def test_primes_are_single_digits():
@@ -435,11 +453,11 @@ def test_four_bases_decide_primality_below_two_to_the_thirty():
 
 
 def test_reconstruction_waits_for_the_modulus_to_double(monkeypatch):
-    # P**2 * Y, with P of degree 5 and coefficients of about 560 bits,
-    # needs many primes to lift.  Each failed try calls _rational once per
-    # part, Y = x + 1 first (x would be split off, not lifted), and a try
-    # waits until the modulus has doubled in bit length, so the calls grow
-    # with the log of the primes drawn.
+    # P**2 * Y, with P of degree 5 and coefficients of about 560 bits:
+    # gcd(A, A') lifts P itself over many primes (x would be split off, so
+    # Y = x + 1).  Each failed try calls _rational once, and a try waits
+    # until the modulus has doubled in bit length, so the calls grow with
+    # the log of the primes drawn; the part Y then takes one more gcd.
     drawn = primes_drawn(monkeypatch)
     calls = []
     real_rational = modular._rational
@@ -458,18 +476,26 @@ def test_reconstruction_waits_for_the_modulus_to_double(monkeypatch):
 
 
 def test_squarefree_shortcut_lifts_nothing(monkeypatch):
-    # q = x*(x+2)*...*(x+30) has coefficients past 100 bits; its image
-    # modulo the first prime is squarefree, which proves q squarefree.
-    # That image is returned as it is, with no quotient by the constant
-    # gcd of it and its derivative.
+    # q = x*(x+2)*...*(x+30) has coefficients past 100 bits; gcd(A, A')
+    # modulo the first prime is a constant, which proves q squarefree.
+    # The lift reconstructs only that constant, and no quotient modulo p
+    # is taken.
     modular_route(monkeypatch)
     drawn = primes_drawn(monkeypatch)
-    monkeypatch.setattr(modular, "_rational", None)  # never called
+    lifted = []
+    real_rational = modular._rational
+
+    def recording_rational(residues, modulus):
+        lifted.append(residues)
+        return real_rational(residues, modulus)
+
+    monkeypatch.setattr(modular, "_rational", recording_rational)
     monkeypatch.setattr(modular, "_quotient_mod", None)  # never called
     _, q = zahid_polynomials(1, 30)
     assert max(abs(c) for c in q.coeffs).numerator.bit_length() > 100
     assert check_against_oracle(q).parts == ((q, 1),)
     assert drawn == [P0]
+    assert lifted == [[1]]
 
 
 def test_squarefree_kernel_draws_no_prime(monkeypatch):
@@ -486,7 +512,7 @@ def test_squarefree_kernel_draws_no_prime(monkeypatch):
     # Multiplicities 1 to 15 are absent: each of those gcds is at most
     # xi/2 and reads off no candidate.
     ((X - F(2, 3)) ** 16 * (X - 2) ** 24, ((X - F(2, 3), 16), (X - 2, 24))),
-    # One part: Y - 5*R' is zero, and its gcd with R(xi) reads off R.
+    # One part: Y - 5*R' is zero, so the stop at the start takes R.
     ((X ** 2 + 1) ** 5, ((X ** 2 + 1, 5),)),
 ])
 def test_integer_yun_draws_no_prime(monkeypatch, poly, parts):
@@ -502,8 +528,8 @@ def test_integer_yun_draws_no_prime(monkeypatch, poly, parts):
 ])
 def test_integer_yun_falls_back_on_a_failed_candidate(monkeypatch, poly):
     # A chance common factor of A(xi) and A'(xi) makes the first candidate
-    # for gcd(A, A') fail its division: the integer route gives up, and
-    # Yun's algorithm modulo primes decides.
+    # for gcd(A, A') fail its division: that gcd is lifted at one prime,
+    # and the parts come from integer gcds of values, with no prime.
     _, ints = unipoly._x_split(unipoly._primitive(poly._num))
     assert unipoly._heuristic_gcd(ints, [i * c for i, c in enumerate(ints) if i]) is None
     drawn = primes_drawn(monkeypatch)
@@ -514,12 +540,28 @@ def test_integer_yun_falls_back_on_a_failed_candidate(monkeypatch, poly):
 def test_wrong_part_candidate_falls_back(monkeypatch):
     # Every candidate part is read as x - 2, which divides R = A/gcd(A, A')
     # but not Y - 16*R' = 8*(3*x - 2): the division check rejects it, and
-    # the whole decomposition runs modulo primes.
+    # for k = 16 alone the part comes from a gcd of polynomials, the
+    # integer gcd of the package, which draws no prime.  x - 2 is then the
+    # last part.
     monkeypatch.setattr(squarefree, "_read_candidate", lambda gamma, size: [-2, 1])
     drawn = primes_drawn(monkeypatch)
+    calls = gcd_ints_calls(monkeypatch)
     poly = (X - F(2, 3)) ** 16 * (X - 2) ** 24
     assert check_against_oracle(poly).parts == ((X - F(2, 3), 16), (X - 2, 24))
-    assert drawn == [P0]
+    assert drawn == []
+    assert len(calls) == 2  # gcd(A, A') and k = 16
+
+
+def test_one_part_left_stops_the_loop(monkeypatch):
+    # With the cut at 0 every gcd of the decomposition is a gcd of
+    # polynomials: gcd(A, A'), then k = 1, 2 and 3, which finds x - 5.
+    # W = x^2 + 3 then divides Y - 40*R', for m = 80/2 = 40, so it is the
+    # last part; the k loop alone would take 41 gcds.
+    modular_route(monkeypatch)
+    calls = gcd_ints_calls(monkeypatch)
+    poly = (X ** 2 + 3) ** 40 * (X - 5) ** 3
+    assert check_against_oracle(poly).parts == ((X - 5, 3), (X ** 2 + 3, 40))
+    assert len(calls) <= 4
 
 
 @pytest.mark.parametrize("cut", [0, 10 ** 6])
@@ -527,11 +569,15 @@ def test_wrong_part_candidate_falls_back(monkeypatch):
        small_rationals.filter(bool))
 @example([(X - 1, 10), (X + F(9, 5), 20)], F(-2, 3))  # a failed candidate
 @example([(X ** 2 + 1, 5)], 1)
+@example([(X ** 2 + 3, 40), (X - 5, 3)], 1)  # the one-part stop after k = 3
+@example([(X + 1, 200), (X - F(3, 7), 100)], 1)  # A past the cut, R under it
+@example([(X + F(7, 10 ** 100), 2), (X - 5, 3), (X + 1, 7)], F(10 ** 200))  # R past the cut
+@example([(X - 3, 1), (X - 1, 3), (X - 4, 5), (X - 2, 7)], 1)  # Y - 4*R' is a constant
 @settings(deadline=None, max_examples=60)
 def test_high_powers_match_yun_over_the_rationals_on_both_routes(cut, factors, unit):
-    # With the cut at 0 every decomposition runs Yun's algorithm modulo
-    # primes; past every input, integer gcds decompose the high powers of
-    # small factors, and a failed candidate falls back to the primes.
+    # With the cut at 0 every gcd draws primes; past every input, integer
+    # gcds of values decompose the high powers of small factors, and a
+    # failed candidate falls back to a gcd of polynomials for its k.
     poly = UniPoly.constant(unit)
     for factor, multiplicity in factors:
         poly = poly * factor ** multiplicity

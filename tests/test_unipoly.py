@@ -389,6 +389,50 @@ def test_gcd_matches_fraction_euclid_on_both_routes(cut, w, u, v, i, j):
             check_gcd_against_oracle(a, b)
 
 
+def int_polys(bits, min_size=1, max_size=4):
+    """Integer coefficient lists, low degree first, with a nonzero last
+    entry."""
+    return st.lists(st.integers(-2 ** bits, 2 ** bits), min_size=min_size,
+                    max_size=max_size).filter(lambda c: c[-1])
+
+
+def planted_pair(g, u, v):
+    return unipoly._mul_ints(g, u), unipoly._mul_ints(g, v)
+
+
+def power_and_derivative(f, k):
+    a = list((UniPoly(f) ** k)._num)
+    return a, [i * c for i, c in enumerate(a) if i]
+
+
+int_pairs = st.one_of(
+    st.tuples(int_polys(8, min_size=2), int_polys(8)),  # mostly coprime
+    # A large gcd with small cofactors: the modular lift lifts a cofactor.
+    st.builds(planted_pair, int_polys(200, min_size=2), int_polys(8), int_polys(8)),
+    # A small gcd of large dense cofactors: the modular lift lifts g.
+    st.builds(planted_pair, int_polys(8, min_size=2, max_size=3),
+              int_polys(200, min_size=4, max_size=5), int_polys(200, min_size=4, max_size=5)),
+    st.builds(power_and_derivative, int_polys(20, min_size=2, max_size=3), st.integers(2, 30)),
+)
+
+
+@pytest.mark.parametrize("cut", [0, 10 ** 6])
+@given(int_pairs)
+@example(([7, 10 ** 100], [10 ** 100]))  # a linear A against its constant derivative
+@settings(deadline=None, max_examples=60)
+def test_gcd_ints_returns_the_primitive_gcd_and_both_cofactors(cut, pair):
+    # The cut forced to 0 sends every pair to the modular lift, and forced
+    # past every input, to the integer gcd; both return the cofactors that
+    # their division check computes.
+    a, b = pair
+    with mock.patch.object(unipoly, "_HEURISTIC_MAX", cut):
+        h, cofactor_a, cofactor_b = unipoly._gcd_ints(a, b)
+    assert unipoly._mul_ints(h, cofactor_a) == a
+    assert unipoly._mul_ints(h, cofactor_b) == b
+    assert math.gcd(*h) == 1
+    assert len(h) == len(l_gcd([F(c) for c in a], [F(c) for c in b]))
+
+
 def test_heuristic_gcd_falls_back_on_a_wrong_candidate():
     # At xi = 2**32, gamma = gcd(xi + 1, (k + 1)*(xi + 1)) = xi + 1 reads
     # off as x + 1, which does not divide B: the integer gcd gives up, and
