@@ -36,7 +36,6 @@ _EXPORTS_BY_MODULE = {
     "bipoly": (),
     "decompose": (
         "CONNECTED_CERTIFIED",
-        "INCONCLUSIVE",
         "ConnectivityCertificate",
         "Decomposition",
         "connectivity_certificate",

@@ -3,8 +3,9 @@
 Exit codes: 0 on success, 1 when a polynomial or rational argument fails
 to parse, 2 for a malformed command line or when a precondition is
 violated (inadmissible pair, constant input, bad degree or exponent
-arguments), 3 when a connectivity certificate comes back inconclusive,
-and 141 (128 + SIGPIPE) when the reader closes standard output early.
+arguments), and 141 (128 + SIGPIPE) when the reader closes standard
+output early.  A connectivity certificate always certifies, so
+``connectivity`` exits 0 on every accepted input.
 
 Each command builds one mapping, which is printed as text by default or
 as a deterministic JSON document with ``--format json``; ``--quiet``
@@ -36,7 +37,6 @@ EXIT_OK = 0
 EXIT_PARSE_ERROR = 1
 EXIT_PRECONDITION = 2
 EXIT_USAGE = 2
-EXIT_INCONCLUSIVE = 3
 EXIT_BROKEN_PIPE = 141
 
 
@@ -145,7 +145,7 @@ def cmd_connectivity(args) -> int:
             "notes": certificate.notes,
         },
     ))
-    return EXIT_OK if certificate.singular_finite else EXIT_INCONCLUSIVE
+    return EXIT_OK
 
 
 def _integer(text: str) -> int:

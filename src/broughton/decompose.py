@@ -23,10 +23,11 @@ times a nonzero constant, and r_y a nonzero monomial times the product of
 G(p(xi), y) over the critical points xi of p, where G(p(x), y) = h_y.  Both
 are nonzero for every accepted input: p' != 0 for a nonconstant p, and each
 G(p(xi), y) has the constant term +-m*p(xi) in y, or is c*n*y**(n - 1)
-where p(xi) = 0.  So the verdict is always "connected-certified".
-:func:`connectivity_certificate` gives the formulas.  It is the one public
-entry to the bivariate layer (``bipoly``), which computes the one
-resultant left as a norm, and the one place its inputs are checked.
+where p(xi) = 0.  So the verdict is always "connected-certified", and
+only the eliminants are computed.  :func:`connectivity_certificate` gives
+the formulas.  It is the one public entry to the bivariate layer
+(``bipoly``), which computes the one resultant left as a norm, and the
+one place its inputs are checked.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from typing import NamedTuple
 from .unipoly import UniPoly, _exact_quotient, _make, _primitive, _scalar, _series_power
 
 CONNECTED_CERTIFIED = "connected-certified"
-INCONCLUSIVE = "inconclusive"
 
 
 class Decomposition(NamedTuple):
@@ -50,10 +50,19 @@ class Decomposition(NamedTuple):
 class ConnectivityCertificate(NamedTuple):
     """Verdict of the singular-locus route, with the eliminants as witness."""
 
-    status: str
-    singular_finite: bool
     eliminants: tuple
-    notes: str
+
+    # Both eliminants are nonzero for every accepted input (see
+    # connectivity_certificate), so the verdict is one and the same.
+    status = CONNECTED_CERTIFIED
+    # Nonzero eliminants confine the singular locus to a finite grid.
+    singular_finite = True
+    # The verdict in words; it depends on no input either.
+    notes = (
+        "both partial-derivative eliminants are nonzero, so the singular "
+        "locus of the auxiliary surface is finite and the generic fiber "
+        "is connected"
+    )
 
 
 def uni_decompose_at(p: UniPoly, e: int):
@@ -177,9 +186,8 @@ def connectivity_certificate(
     nonzero monomial times Res_v(chi, G) = prod G(p(xi), y), and each factor
     is nonzero: where p(xi) != 0 its constant term in y is
     (-1)**(m - 1) * m * p(xi), since n >= 2, and where p(xi) = 0 it is
-    c*n*y**(n - 1).  So the verdict is always "connected-certified".  The
-    one-sided reading of a vanished eliminant, "inconclusive" rather than
-    disconnected, is kept as the contract of the status field.
+    c*n*y**(n - 1).  So the verdict is always "connected-certified", and
+    the certificate's status, finiteness and notes are constants.
     """
     if not isinstance(p, UniPoly) or p.is_constant():
         raise ValueError("connectivity certificate needs a nonconstant p")
@@ -206,24 +214,4 @@ def connectivity_certificate(
     unit = (m * lead) ** (m * d) * (ints[-1] ** (m * d) * cn ** d) ** (m - 1)
     r_y = _make([0] * shift + [unit * a for a in res._num],
                 den ** (m * m * d) * cd ** (d * (m - 1)) * res._den)
-    finite = bool(r_x) and bool(r_y)
-    if finite:
-        status = CONNECTED_CERTIFIED
-        notes = (
-            "both partial-derivative eliminants are nonzero, so the singular "
-            "locus of the auxiliary surface is finite and the generic fiber "
-            "is connected"
-        )
-    else:
-        status = INCONCLUSIVE
-        notes = (
-            "an eliminant of the partial derivatives vanished identically; "
-            "the singular locus was not certified finite and nothing is "
-            "concluded either way"
-        )
-    return ConnectivityCertificate(
-        status=status,
-        singular_finite=finite,
-        eliminants=(r_x, r_y),
-        notes=notes,
-    )
+    return ConnectivityCertificate(eliminants=(r_x, r_y))

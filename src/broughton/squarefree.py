@@ -55,8 +55,9 @@ Computer Algebra*, 14.6):
   and W/f_k come from :func:`broughton.unipoly._gcd_ints` of W and the
   primitive part of Y - k*R', for that k alone.
 
-The gcd alone draws primes, and only the pieces it lifts are lifted: for
-a high power such as (1000*x + 1)**1200, the constant cofactor of A'.
+Only that gcd draws primes, in :mod:`broughton.modular`, and only the
+pieces it lifts are lifted: for (1000*x + 1)**1200, the constant cofactor
+of A'.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .unipoly import (ONE, X, UniPoly, _exact_quotient, _gcd_ints, _make, _polynomial,
-                      _primitive, _read_candidate, _value, _x_split, _xi_bytes)
+from .unipoly import (ONE, X, UniPoly, _divide_both, _exact_quotient, _gcd_ints, _make,
+                      _polynomial, _primitive, _read_candidate, _value, _x_split, _xi_bytes)
 
 
 class SquarefreeDecomposition(NamedTuple):
@@ -152,15 +153,12 @@ def _yun(R, Y, degree):
             gamma = math.gcd(wv, y - k * dr)
             if 2 * gamma <= 1 << w:  # no part of multiplicity k
                 continue
-            f = _read_candidate(gamma, size)
-            quotient = _exact_quotient(W, f)
-            if quotient is not None and _exact_quotient(_difference(Y, dR, k), f) is not None:
-                found = f, quotient
+            found = _divide_both(_read_candidate(gamma, size), W, _difference(Y, dR, k))
         if found is None:
-            found = _gcd_ints(W, _primitive(_difference(Y, dR, k)))[:2]
+            found = _gcd_ints(W, _primitive(_difference(Y, dR, k)))
             if found[0] == [1]:  # no part of multiplicity k
                 continue
-        f, W = found
+        f, W, _ = found
         parts[k] = _make(f, f[-1])
         left -= k * (len(f) - 1)
         if size is not None:

@@ -46,10 +46,11 @@ product per term and coefficient); see :func:`_pow_ints`.
 divisor's numerator over the integers, which Gauss's lemma makes exact
 whenever the rational division is.  :func:`gcd` reads the gcd off one
 integer gcd of the numerators' values at a power of two when their
-coefficients are small (:func:`_heuristic_gcd`), lifts it by
-:mod:`broughton.modular` otherwise, and checks either with the same
-integer division, whose quotients are the cofactors (:func:`_gcd_ints`);
-the squarefree decomposition is Yun's loop on that gcd.
+coefficients are small (:func:`_heuristic_gcd`) and from
+:mod:`broughton.modular`, the only code that works modulo a prime,
+otherwise, and checks either by division over the integers, whose
+quotients are the cofactors (:func:`_gcd_ints`); the squarefree
+decomposition is Yun's loop on that gcd.
 """
 
 from __future__ import annotations
@@ -438,8 +439,8 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     of A and B off it, checked by division over the integers; up to its
     cut :data:`_HEURISTIC_MAX` on the size of that power, that settles
     coprime pairs at once and nearly every other pair.  Above the cut, or
-    when the candidate fails the division, :func:`_modular_gcd` lifts it
-    from gcds modulo primes.  Both return the cofactors too
+    when the candidate fails the division, :func:`broughton.modular._gcd`
+    lifts it from gcds modulo primes.  Both return the cofactors too
     (:func:`_gcd_ints`), which the gcd drops.
 
     The gcd with zero is the other side's monic associate, and gcd(0, 0)
@@ -460,7 +461,7 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 #: The heuristic gcd evaluates at 2**w for w at most this many bits; wider
-#: inputs go to the modular lift.  See :func:`_heuristic_gcd`.
+#: inputs go to the modular gcd.  See :func:`_heuristic_gcd`.
 _HEURISTIC_MAX = 320
 
 
@@ -522,19 +523,26 @@ def _heuristic_gcd(a, b):
     gamma = math.gcd(_value(a, 8 * size), _value(b, 8 * size))
     if 2 * gamma <= 1 << 8 * size:
         return [1], a, b
-    h = _read_candidate(gamma, size)
-    cofactor_a = _exact_quotient(a, h)
-    cofactor_b = None if cofactor_a is None else _exact_quotient(b, h)
-    if cofactor_b is None:
-        return None
-    return h, cofactor_a, cofactor_b
+    return _divide_both(_read_candidate(gamma, size), a, b)
 
 
 def _gcd_ints(a, b):
     """The primitive gcd h of the nonzero integer polynomials ``a`` and
     ``b``, ``a`` nonconstant, with the cofactors a/h and b/h: from
-    :func:`_heuristic_gcd`, else from :func:`_modular_gcd`."""
-    return _heuristic_gcd(a, b) or _modular_gcd(a, b)
+    :func:`_heuristic_gcd`, else from :func:`broughton.modular._gcd`."""
+    found = _heuristic_gcd(a, b)
+    if found is None:  # modular is loaded only here
+        from .modular import _gcd
+
+        found = _gcd(a, b)
+    return found
+
+
+def _divide_both(h, a, b):
+    """``(h, a/h, b/h)`` if ``h`` divides both integer polynomials, else None."""
+    cofactor_a = _exact_quotient(a, h)
+    cofactor_b = None if cofactor_a is None else _exact_quotient(b, h)
+    return None if cofactor_b is None else (h, cofactor_a, cofactor_b)
 
 
 def _xi_bytes(norm):
@@ -568,68 +576,6 @@ def _value(ints, w):
         values = [x + (y << w) for x, y in zip(values[::2], values[1::2])]
         w *= 2
     return values[0]
-
-
-def _modular_gcd(ints_a, ints_b):
-    """The primitive gcd h, up to sign, of the nonzero integer polynomials
-    ``ints_a`` = A, nonconstant, and ``ints_b`` = B, with the cofactors
-    A/h and B/h, from gcds modulo primes below 2**30.
-
-    Let G be their primitive gcd over the integers (Brown 1971; von zur
-    Gathen and Gerhard, *Modern Computer Algebra*, ch. 6).  At each prime p
-    that divides neither leading coefficient, Euclid gives the monic gcd g
-    of the images a and b.  Since lc G divides lc A, G mod p keeps its
-    degree and divides g: deg g >= deg G.  The lift of
-    :mod:`broughton.modular`, ranked by deg a - deg g, lifts the piece of
-    least degree among g, a/g and b/g, made monic, as GCDHEU does (Char,
-    Geddes and Gonnet 1989); a constant g, which proves A and B coprime,
-    is that piece.  A lifted g is accepted if it divides A and B over the
-    integers, the quotients being the cofactors; a lifted cofactor C of A
-    if A/C is exact and its primitive part h divides B, A/h then being C
-    times the content of A/C; likewise for B.  The result divides A and B
-    and has degree deg g >= deg G, so it is G up to sign.
-
-    A cofactor makes ``gcd(p, p.derivative())`` of a high power one
-    prime's work.  G and both cofactors large and dense pay instead, since
-    rational reconstruction needs twice the bits of an integer lift: at
-    degree 5 with random 1000-bit coefficients the gcd draws 128 primes
-    where an integer lift of G drew 35, and takes 17 ms, not 3.5 ms
-    (median of 10 inputs, 2 CPUs, CPython 3.11.7).
-    """
-    from .modular import _gcd_mod, _lift, _quotient_mod
-
-    def image(p):
-        if not ints_a[-1] % p or not ints_b[-1] % p:
-            return None
-        images = [c % p for c in ints_a], [c % p for c in ints_b]
-        g = _gcd_mod(list(images[0]), images[1], p)
-        rank = len(ints_a) - len(g)  # deg a - deg g
-        lengths = [len(g)] + [len(f) - len(g) + 1 for f in images]
-        piece = lengths.index(min(lengths))  # g, a/g or b/g
-        if piece:
-            f = images[piece - 1]
-            inverse = pow(f[-1], -1, p)
-            g = _quotient_mod([c * inverse % p for c in f], g, p)
-        return rank, piece, g
-
-    def accept(piece, lifted):
-        if not piece:
-            cofactor_a = _exact_quotient(ints_a, lifted)
-            cofactor_b = None if cofactor_a is None else _exact_quotient(ints_b, lifted)
-            return None if cofactor_b is None else (lifted, cofactor_a, cofactor_b)
-        # A cofactor of A or of B; test the other input.
-        own, other = (ints_a, ints_b) if piece == 1 else (ints_b, ints_a)
-        quotient = _exact_quotient(own, lifted)
-        if quotient is None:
-            return None
-        divisor = _primitive(quotient)
-        other_cofactor = _exact_quotient(other, divisor)
-        if other_cofactor is None:
-            return None
-        cofactors = [c * (quotient[-1] // divisor[-1]) for c in lifted], other_cofactor
-        return divisor, *(cofactors if piece == 1 else cofactors[::-1])
-
-    return _lift(image, accept)
 
 
 def _x_split(ints):

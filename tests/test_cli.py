@@ -12,15 +12,13 @@ import pytest
 from broughton.cli import (
     COMMANDS,
     EXIT_BROKEN_PIPE,
-    EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_PARSE_ERROR,
     EXIT_PRECONDITION,
     EXIT_USAGE,
     main,
 )
-from broughton import bipoly, report
-from broughton.unipoly import ZERO
+from broughton import report
 
 
 def run(capsys, *argv):
@@ -80,17 +78,6 @@ class TestExitCodes:
         code, _, _ = run(capsys, "connectivity", "x", "--m", "2", "--n", "2",
                          "--c", "0")
         assert code == EXIT_PRECONDITION
-
-    def test_inconclusive_certificate(self, capsys, monkeypatch):
-        # No accepted parameters reach this branch, so the eliminant r_y is
-        # forced to vanish through its one computed factor, the norm
-        # Res_v(chi, G); the real certificate then decides the verdict.
-        monkeypatch.setattr(bipoly, "critical_norm", lambda *args: ZERO)
-        code, out, _ = run(capsys, "connectivity", "x", "--m", "2", "--n", "2",
-                           "--c", "1")
-        assert code == EXIT_INCONCLUSIVE
-        assert "  status: inconclusive\n" in out
-        assert "  singular_locus_finite: no\n" in out
 
     def test_non_ascii_digits_are_a_parse_error(self, capsys):
         for text in ("x^\u00b2", "x^\u0661\u0662", "\u0661/\u0662*x"):

@@ -127,7 +127,7 @@ EXPORTS = {
     ),
     "bipoly": (),
     "decompose": (
-        "CONNECTED_CERTIFIED", "INCONCLUSIVE", "ConnectivityCertificate",
+        "CONNECTED_CERTIFIED", "ConnectivityCertificate",
         "Decomposition", "connectivity_certificate", "is_decomposable",
         "uni_decompose_at",
     ),
@@ -159,11 +159,15 @@ EXPORTS = {
 # gave way to one pointwise Euclid at formal degrees modulo one prime, and
 # the two layers between resultant_y and that kernel were folded into
 # resultant_y, which also took unipoly's _integer_columns.  The Chinese
-# remainder step _crt was folded into modular's one lift, _lift, which only
-# the gcd calls: the squarefree decomposition is Yun's loop on that gcd, so
-# Yun's algorithm modulo a prime (_yun_mod, with its _derivative_mod and
-# _difference_mod), the certificate of a lifted decomposition (_certified)
-# and the integer loop beside it (_integer_yun, now _yun) went.  The
+# remainder step _crt was folded into modular's lift, and the squarefree
+# decomposition became Yun's loop on the gcd, so Yun's algorithm modulo a
+# prime (_yun_mod, with its _derivative_mod and _difference_mod), the
+# certificate of a lifted decomposition (_certified) and the integer loop
+# beside it (_integer_yun, now _yun) went.  The lift _lift and unipoly's
+# _modular_gcd, which drove it by callbacks, became one loop,
+# modular._gcd, with its check _accept.  The certificate's status is a
+# constant, since no accepted input has a vanishing eliminant, so
+# decompose's INCONCLUSIVE and the command line's EXIT_INCONCLUSIVE went.  The
 # command line's argparse builder gave way to the table
 # broughton.cli.COMMANDS.  unipoly's _constants
 # went once the certificate built its resultant columns from integer
@@ -176,7 +180,7 @@ EXPORTS = {
 # report reads as its orbifold_order.
 REMOVED = {
     "arrangement": ("resonance", "orbifold_group"),
-    "cli": ("_build_parser",),
+    "cli": ("_build_parser", "EXIT_INCONCLUSIVE"),
     "bipoly": (
         "build_f", "build_g", "is_irreducible_y_linear", "X", "Y", "BI_ZERO",
         "BI_ONE", "SingularLocusCheck", "singular_locus_finite", "_eliminant",
@@ -191,13 +195,14 @@ REMOVED = {
         "MERSENNE_EXPONENTS", "mersenne_exponents", "hadamard_square",
         "integer_resultant", "_resultant_by_primes", "_resultant_values",
         "_take", "_euclid_resultants", "_sylvester_determinant", "_interpolate",
-        "_crt", "_yun_mod", "_derivative_mod", "_difference_mod",
+        "_crt", "_yun_mod", "_derivative_mod", "_difference_mod", "_lift",
     ),
+    "decompose": ("INCONCLUSIVE",),
     "parser": ("parse_bi", "print_canonical"),
     "squarefree": ("PowerIndex", "distinct_root_count", "power_index", "radical",
                    "_certified", "_integer_yun"),
     "unipoly": ("resultant", "_prime", "_is_prime", "_gcd_mod", "_crt", "_integer_columns",
-                "_constants"),
+                "_constants", "_modular_gcd"),
 }
 
 
@@ -228,7 +233,8 @@ def test_lazy_exports_match_the_submodules():
 # the one public entry to it.  modular keeps only what the gcd calls.
 INTERNAL = {
     "bipoly": ("critical_norm",),
-    "modular": ("_prime", "_is_prime", "_gcd_mod", "_quotient_mod", "_lift", "_rational"),
+    "modular": ("_prime", "_is_prime", "_gcd_mod", "_quotient_mod", "_gcd", "_accept",
+                "_rational"),
 }
 
 
