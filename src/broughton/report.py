@@ -12,6 +12,7 @@ the notes, each marked "cited, not verified".
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -118,16 +119,17 @@ def divisor_mapping(divisor: FiberDivisor) -> dict:
 def report_mapping(document: ReportDocument) -> dict:
     """Flatten a document to JSON-ready primitives in a fixed key order."""
     body = document.body
+    d = body.orbifold_order
     return {
         "schema_version": document.schema_version,
         "inputs": dict(document.inputs),
         "hypotheses": body.hypotheses._asdict(),
         "betti": body.betti._asdict(),
         "divisor": divisor_mapping(body.divisor),
-        "orbifold_order": body.orbifold_order,
-        "components": [
-            {"torsion": [_rat(a0), _rat(a1)], "direction": list(direction)}
-            for (a0, a1), direction in body.components
+        "orbifold_order": d,
+        "components": [  # body.components, written from d with one gcd each
+            {"torsion": [f"{j // g}/{d // g}", "0/1"], "direction": [0, 1]}
+            for j in range(1, d) for g in (math.gcd(j, d),)
         ],
         "resonance_trivial": body.resonance_trivial,
         "irreducibility": {
@@ -249,9 +251,9 @@ def _inline(value):
     """The one-line text of ``value``, or None for a nonempty dict and a
     list that holds one."""
     if isinstance(value, str):
-        # Escapes the backslash and all but printable ASCII, so that a
-        # value is one ASCII line.
-        return value.encode("unicode_escape").decode()
+        # One ASCII line: the backslash and all but printable ASCII escaped.
+        plain = value.isascii() and value.isprintable() and "\\" not in value
+        return value if plain else value.encode("unicode_escape").decode()
     if value is None or isinstance(value, bool):
         return {None: "none", True: "yes", False: "no"}[value]
     if isinstance(value, int):

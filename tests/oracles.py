@@ -700,6 +700,22 @@ def rd_parse(text: str) -> list:
     return l_trim(out)
 
 
+# -- characteristic variety ----------------------------------------------------
+
+def torsion_components(d: int) -> list:
+    """The JSON entries of the translated tori W_j = {exp(2*pi*i*j/d)} x C*,
+    j = 1, ..., d - 1: the torsion point (j/d, 0) as reduced Fraction
+    strings and the direction (0, 1)."""
+    out = []
+    for j in range(1, d):
+        a0, a1 = Fraction(j, d), Fraction(0)
+        out.append({
+            "torsion": [f"{a0.numerator}/{a0.denominator}", f"{a1.numerator}/{a1.denominator}"],
+            "direction": [0, 1],
+        })
+    return out
+
+
 # -- generators ----------------------------------------------------------------
 
 def random_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:

@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import json
+import math
 from collections import OrderedDict
 from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from broughton.parser import parse_uni
 from broughton.report import (
     SCHEMA_VERSION,
     ReportDocument,
+    _inline,
+    _rat,
     build_report,
     render_json,
     render_text,
@@ -21,7 +25,7 @@ from broughton.report import (
     zahid_polynomials,
 )
 from broughton.unipoly import UniPoly, X
-from oracles import l_mul
+from oracles import l_mul, torsion_components
 
 F = Fraction
 
@@ -192,6 +196,66 @@ class TestJson:
         assert torsions == ["1/6", "1/3", "1/2", "2/3", "5/6"]
 
 
+roots = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+units = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def power_pairs(draw):
+    """(p text, q text, power index of p) for an admissible pair with
+    p = c*f^d: f has distinct rational roots, and maybe a factor x^2 + k
+    with no rational root, each to a power; q vanishes at a root of f and
+    maybe at one more point where p + 1 does not."""
+    f_roots = draw(st.lists(roots, min_size=1, max_size=3, unique=True))
+    powers = draw(st.lists(st.integers(1, 4), min_size=len(f_roots), max_size=len(f_roots)))
+    factors = [(f"(x-({r}))", e) for r, e in zip(f_roots, powers)]
+    k, quadratic_power = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    if quadratic_power:
+        factors.append((f"(x^2+{k})", quadratic_power))
+    c, d = draw(units), draw(st.integers(1, 6))
+    p_text = f"({c})*({'*'.join(f'{base}^{e}' for base, e in factors)})^{d}"
+    q_factors = [f"(x-({f_roots[0]}))^{draw(st.integers(1, 3))}"]
+    t = draw(roots)
+    p_at_t = c * (math.prod((t - r) ** e for r, e in zip(f_roots, powers))
+                  * (t * t + k) ** quadratic_power) ** d
+    if p_at_t != -1:
+        q_factors.append(f"(x-({t}))")
+    index = d * math.gcd(*powers, quadratic_power)
+    return p_text, f"({draw(units)})*{'*'.join(q_factors)}", index
+
+
+def typed_view(document):
+    """The components as the library's checked records give them."""
+    return [
+        {"torsion": [_rat(a0), _rat(a1)], "direction": list(direction)}
+        for (a0, a1), direction in document.body.components
+    ]
+
+
+class TestComponents:
+    """The document writes the W_j from d alone; the oracle lists them from
+    Fraction(j, d), and the checked records must say the same."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 97, 997, 12, 360, 720, 5040])
+    def test_standard_family_matches_oracle(self, d):
+        document = build_report(*zahid_polynomials(d, 3))
+        mapping = report_mapping(document)
+        assert mapping["orbifold_order"] == d
+        assert mapping["components"] == torsion_components(d)
+        assert mapping["components"] == typed_view(document)
+
+    @given(power_pairs())
+    @settings(deadline=None, max_examples=60)
+    @example(("(1/2)*((x-(0))^2*(x^2+1)^4)^3", "(1)*(x-(0))^2", 6))
+    def test_parsed_powers_match_oracle(self, pair):
+        p_text, q_text, index = pair
+        document = build_report(parse_uni(p_text), parse_uni(q_text))
+        mapping = report_mapping(document)
+        assert mapping["orbifold_order"] == index
+        assert mapping["components"] == torsion_components(index)
+        assert mapping["components"] == typed_view(document)
+
+
 class TestText:
     def test_lines_cover_every_fact(self):
         mapping = report_mapping(build_report(*zahid_polynomials(3, 2)))
@@ -277,6 +341,15 @@ class TestText:
 
     def test_strings_are_escaped_to_one_ascii_line(self):
         assert render_text({"k\u00e9y": "a\nb\u03c0"}) == "k\\xe9y: a\\nb\\u03c0"
+
+    @given(st.text(st.one_of(st.characters(), st.sampled_from("\\\x7f\t\n\x00 \"'~\u00e9\u03c0"))))
+    @example("\\")
+    @example("\x7f")
+    @example("a\tb")
+    @example("caf\u00e9")
+    @example("x^2 + 1/3*x")
+    def test_inline_string_is_its_unicode_escape(self, text):
+        assert _inline(text) == text.encode("unicode_escape").decode()
 
     @given(json_documents)
     @settings(deadline=None)
