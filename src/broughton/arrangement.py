@@ -25,12 +25,16 @@ computations on p and q alone:
 Everything is exact; torsion characters are rational points of the
 character torus and stay rational.
 
-The report derives every invariant of an admissible pair from one
-squarefree decomposition each of p and q: the hypotheses from gcd(p, rad q)
-and gcd(p + 1, rad q) (``check_hypotheses`` takes the same gcds with q),
-s = deg rad q, t = deg rad p + s - deg gcd(p, rad q), and d from the parts
-of p.  The report stores only its Betti numbers and divisor; its other
-attributes are constant on admissible pairs or read off the divisor.
+Every fact is read off the factors p and q were written as
+(:func:`broughton.unipoly._written_factors`; an expanded polynomial is
+its own one factor).  A factor f of q shares deg gcd(p, f) roots with p,
+and none with p + 1 iff gcd(p + 1, f) = 1; for a linear f both are read
+off p at its root, evaluated factor by factor, so linear factors take no
+gcd.  ``check_hypotheses`` reads q's factors as written; the report reads
+the squarefree parts of their coprime base, so s is their degree, t is
+deg rad p + s - (shared roots), and p's parts give the divisor and d.  It
+stores only its Betti numbers and divisor; its other attributes are
+constant on admissible pairs or read off the divisor.
 """
 
 from __future__ import annotations
@@ -39,8 +43,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .squarefree import SquarefreeDecomposition, squarefree_decompose
-from .unipoly import UniPoly, gcd
+from .squarefree import SquarefreeDecomposition, _squarefree_base, squarefree_decompose
+from .unipoly import (UniPoly, _make, _value, _written_factors, _written_value, _xi_bytes,
+                      gcd)
 
 
 class HypothesesViolated(ValueError):
@@ -143,6 +148,7 @@ class TranslatedTorus(_TranslatedTorusFields):
     _make = classmethod(_make_checked)
 
 
+_PRIME = (1 << 61) - 1  # see _shared_roots
 _ADMISSIBLE = Hypotheses(common_root_pq=True, no_common_root_p1_q=True, satisfied=True)
 
 
@@ -182,21 +188,44 @@ def _require_nonconstant(value, name):
         raise ValueError(f"{name} must be a nonconstant polynomial")
 
 
-def _shared_roots(p: UniPoly, r: UniPoly):
-    """gcd(p, r), and whether p + 1 and r share no root, for an r with
-    exactly the roots of q: both hypotheses are read off these two gcds."""
-    return gcd(p, r), gcd(p + 1, r).degree == 0
+def _shared_roots(p: UniPoly, pieces):
+    """The roots p shares with the int tuples ``pieces`` of factors, once
+    each, and whether p + 1 shares none (see the module docstring)."""
+    own = {f for f, _ in _written_factors(p)[1]}
+    shared, clean_shift = 0, True
+    norms = [max(map(abs, f)) for f in pieces if len(f) > 2]
+    if norms:  # xi = 2**w as gcd(p, f) would choose it, for every f at once
+        shifted, size = p + 1, _xi_bytes(max(norms))
+        w = 0 if size is None else 8 * size
+        values = w and (_value(p._num, w), _value(shifted._num, w))
+    for f in pieces:
+        if tuple(f) in own:  # a factor of p: p vanishes at each root of f
+            shared += len(f) - 1
+        elif len(f) == 2:  # p at r = -f[0]/f[1], first modulo a prime
+            top, bottom = _written_value(p, -f[0], f[1], _PRIME)
+            if top % _PRIME and (top + bottom) % _PRIME:
+                continue  # p(r) is neither 0 nor -1
+            top, bottom = _written_value(p, -f[0], f[1])
+            shared += not top
+            clean_shift = clean_shift and top != -bottom
+        else:  # each gcd screened by GCDHEU's first step at xi
+            value = w and _value(f, w)
+            if not w or 2 * math.gcd(values[0], value) > 1 << w:
+                shared += gcd(p, _make(list(f))).degree
+            if clean_shift and (not w or 2 * math.gcd(values[1], value) > 1 << w):
+                clean_shift = gcd(shifted, _make(list(f))).degree == 0
+    return shared, clean_shift
 
 
 def check_hypotheses(p: UniPoly, q: UniPoly) -> Hypotheses:
     """Admissibility of the pair: p, q share a root; p + 1, q share none.
 
-    Shared roots are read off gcd degrees, so no root is ever extracted.
+    Both are read off the pieces of q's factors; no root is extracted.
     """
     _require_nonconstant(p, "p")
     _require_nonconstant(q, "q")
-    shared, clean_shift = _shared_roots(p, q)
-    common = shared.degree >= 1
+    shared, clean_shift = _shared_roots(p, [f for f, _ in _written_factors(q)[1]])
+    common = shared > 0
     return Hypotheses(
         common_root_pq=common,
         no_common_root_p1_q=clean_shift,
@@ -243,23 +272,21 @@ def characteristic_variety(p: UniPoly, q: UniPoly) -> CharVarietyReport:
     Each is read off exactly: torsion character (j/d, 0), direction (0, 1).
     For d = 1 the list is empty.
 
-    One squarefree decomposition each of p and q carries everything, or
-    HypothesesViolated is raised: gcd(p, rad q) divides the squarefree
-    rad q, so it is gcd(rad p, rad q), and rad(p*q) is the lcm of the two
-    radicals, so t needs no decomposition of the product.
+    One squarefree decomposition of p and the squarefree parts of q's
+    coprime base carry everything, or HypothesesViolated is raised.
     """
     _require_nonconstant(p, "p")
     _require_nonconstant(q, "q")
     p_parts = squarefree_decompose(p)
-    rad_q = squarefree_decompose(q).radical()
-    shared, clean_shift = _shared_roots(p, rad_q)
-    if shared.degree == 0 or not clean_shift:
+    q_parts = [f for f, _ in _squarefree_base(q)]
+    shared, clean_shift = _shared_roots(p, q_parts)
+    if not shared or not clean_shift:
         raise HypothesesViolated(
             "the pair (p, q) is not admissible: need a common root of p and "
             "q and no common root of p + 1 and q"
         )
-    s = rad_q.degree
-    t = sum(factor.degree for factor, _ in p_parts.parts) + s - shared.degree
+    s = sum([len(f) - 1 for f in q_parts])
+    t = sum([factor.degree for factor, _ in p_parts.parts]) + s - shared
     return CharVarietyReport(
         betti=BettiNumbers(b0=1, b1=2, b2=s + t, s=s, t=t),
         divisor=_fiber_divisor(p_parts),

@@ -29,14 +29,18 @@ digits, runs of ``\\w`` (``str.isalnum`` or '_'; names start with
 (``str.isspace``).  They parse into a postfix program with no arithmetic,
 so every error comes first; one loop then runs it on values x**v *
 sum(ints[i] * x**i) / den, combining a sum of k terms once, over one lcm.
+The loop also keeps the factors of a product of powers: a power
+multiplies their exponents and a sum is one factor.  A product records
+them on the polynomial (:func:`broughton.unipoly._written_factors`).
 """
 
 from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 
-from .unipoly import UniPoly, _make, _mul_ints, _pow_ints, _x_split
+from .unipoly import UniPoly, _make, _mul_ints, _positive, _pow_ints, _primitive, _x_split
 
 MAX_EXPONENT = 4096
 MAX_NAT_DIGITS = 4300
@@ -161,13 +165,15 @@ def _program(text, tokens, pos, emit, depth=0):
 
 
 def _evaluate(program) -> UniPoly:
-    """Run the program on values (v, ints, den); ints has nonzero ends."""
-    stack = []
+    """Run the program on values (v, ints, den); ints has nonzero ends.
+    Beside each value run its (value, exponent) factors, None for one."""
+    stack, written = [], []
     for op, arg in program:
         if op == _PUSH:
             stack.append(arg)
+            written.append(None)
         elif op == _POW:  # as UniPoly.__pow__ raises the base in lowest terms
-            v, ints, den = stack[-1]
+            base = v, ints, den = stack[-1]
             common = math.gcd(den, *ints)
             if common != 1:
                 ints, den = [c // common for c in ints], den // common
@@ -176,10 +182,14 @@ def _evaluate(program) -> UniPoly:
             elif ints and arg > 1:
                 ints = _pow_ints(ints, arg)
             stack[-1] = v * arg, ints, den ** arg
+            factors = written[-1]
+            written[-1] = [(base, arg)] if factors is None else [(b, k * arg) for b, k in factors]
         elif op == _MUL:
-            vb, b, den_b = stack.pop()
-            va, a, den_a = stack[-1]
+            right = vb, b, den_b = stack.pop()
+            left = va, a, den_a = stack[-1]
             stack[-1] = (va + vb, _mul_ints(a, b), den_a * den_b) if a and b else _ZERO
+            factors = written.pop()
+            written[-1] = (written[-1] or [(left, 1)]) + (factors or [(right, 1)])
         else:  # each term, negated where arg says, scaled once over one lcm
             terms = stack[-len(arg):]
             del stack[-len(arg):]
@@ -195,8 +205,28 @@ def _evaluate(program) -> UniPoly:
             while out and not out[-1]:
                 out.pop()
             stack.append(_x_split(out) + (den,) if out else _ZERO)
+            if len(arg) > 1:  # one negated term keeps its factors
+                del written[-len(arg):]
+                written.append(None)
     v, ints, den = stack[0]
-    return _make([0] * v + list(ints), den)
+    poly = _make([0] * v + list(ints), den)
+    if poly and written[0] is not None:
+        _record(poly, written[0])
+    return poly
+
+
+def _record(poly, factors):
+    """Record the (value, exponent) ``factors`` on ``poly``: x and the
+    primitive rest of each, with nonzero exponents, and the unit."""
+    recorded, lead = [], 1
+    for (v, ints, _), k in factors:
+        if v and k:
+            recorded.append(((0, 1), v * k))
+        if len(ints) > 1 and k:
+            f = _positive(_primitive(ints))
+            recorded.append((f, k))
+            lead *= f[-1] ** k
+    poly._factors = Fraction(poly._num[-1], poly._den * lead), tuple(recorded)
 
 
 def parse_uni(text: str) -> UniPoly:

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .unipoly import _PIECE, UniPoly, X, _decimal, _make
+from .unipoly import _PIECE, UniPoly, _decimal, _make
 
 if TYPE_CHECKING:
     from .arrangement import CharVarietyReport, FiberDivisor
@@ -59,7 +59,8 @@ class ReportDocument(NamedTuple):
 
 
 def zahid_polynomials(p_exponent: int, q_factors: int):
-    """The standard family: p = x**a and q = x*(x+2)*...*(x+b).
+    """The standard family: p = x**a and q = x*(x+2)*...*(x+b), expanded,
+    with those factors recorded on them as the parser records a product.
 
     For q_factors = 1 the second polynomial is plainly x.  Both parameters
     must be positive.
@@ -71,7 +72,10 @@ def zahid_polynomials(p_exponent: int, q_factors: int):
     rest = [1]  # (x+2)*...*(x+k), low degree first
     for k in range(2, q_factors + 1):
         rest = [k * c + d for c, d in zip(rest + [0], [0] + rest)]
-    return X ** p_exponent, _make([0] + rest)
+    p, q = _make([0] * p_exponent + [1]), _make([0] + rest)
+    p._factors = 1, (((0, 1), p_exponent),)
+    q._factors = 1, tuple([((k, 1), 1) for k in range(q_factors + 1) if k != 1])
+    return p, q
 
 
 def build_report(p: UniPoly, q: UniPoly) -> ReportDocument:

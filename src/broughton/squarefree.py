@@ -13,20 +13,23 @@ p = (unit root adjusted) base**d with d maximal, and d is what drives both
 the multiple-fiber multiplicity and the orbifold group of the associated
 pencil.
 
-The power x**v that divides ``p`` comes off first.  What is left is
-prime to x and is decomposed as below; x then joins the part of
-multiplicity v, as x times it, or becomes a part of its own in
-multiplicity order.  So c*x**v, such as p = x**a of the paper's standard
-pair, draws no prime at all.
-
-Let A be the primitive integer part of the rest.  One gcd of
-:func:`broughton.unipoly._gcd_ints`, the gcd of :func:`broughton.unipoly.gcd`,
-gives h = gcd(A, A') with the cofactors R = A/h, the radical up to a
-constant, and Y = A'/h.  A constant h proves A squarefree, and ``p`` is
-its own single part: that settles the q = x*(x+2)*...*(x+b) of the
-paper's standard pair, by one integer gcd up to b = 67.  Otherwise Yun's
-loop finds the parts (Yun 1976; von zur Gathen and Gerhard, *Modern
-Computer Algebra*, 14.6):
+The decomposition is read off a coprime base of the factors ``p`` was
+written as (:func:`broughton.unipoly._written_factors`): two pieces that
+are neither equal nor coprime give way to their gcd g, with the sum of
+their exponents, and their cofactors by g, until all are pairwise coprime
+(factor refinement: Bach, Driscoll and Shallit, *J. Algorithms* 15, 1993).
+Distinct linear pieces are coprime, and so are x and the rest; GCDHEU's
+bound screens other pairs by one integer gcd of their values at the xi
+of :func:`broughton.unipoly._heuristic_gcd` for the largest norm of a
+nonlinear piece, which bounds every common root.  So c*x**v, such as p = x**a of the paper's standard
+pair, and products of powers of linear factors take no gcd.  A nonlinear
+piece A of exponent k splits into parts by Yun's loop, each of
+multiplicity m in A and m*k in ``p``.  The loop begins with one gcd of
+:func:`broughton.unipoly._gcd_ints`, the gcd of :func:`broughton.unipoly.gcd`:
+h = gcd(A, A') with the cofactors R = A/h, the radical up to a constant,
+and Y = A'/h.  A constant h proves A squarefree, and A is its own single
+part.  Otherwise the loop finds the parts (Yun 1976; von zur Gathen and
+Gerhard, *Modern Computer Algebra*, 14.6):
 
 * With A = c * f1**1 * f2**2 * ..., the f_i squarefree and pairwise
   coprime, Y = R * sum i * f_i'/f_i, so Y - k*R' = R * sum (i - k) *
@@ -64,10 +67,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import NamedTuple
 
-from .unipoly import (ONE, X, UniPoly, _divide_both, _exact_quotient, _gcd_ints, _make,
-                      _polynomial, _primitive, _read_candidate, _value, _x_split, _xi_bytes)
+from .unipoly import (ONE, UniPoly, _divide_both, _exact_quotient, _gcd_ints, _make, _mul_ints,
+                      _polynomial, _positive, _primitive, _read_candidate, _value,
+                      _written_factors, _xi_bytes)
 
 
 class SquarefreeDecomposition(NamedTuple):
@@ -99,9 +104,9 @@ class SquarefreeDecomposition(NamedTuple):
 
 
 def squarefree_decompose(a) -> SquarefreeDecomposition:
-    """Squarefree decomposition by Yun's loop on the package gcd, whose
-    gcds are integer gcds of values when the coefficients are small (see
-    the module docstring).
+    """Squarefree decomposition from the factors ``a`` was written as, by
+    Yun's loop on the package gcd, whose gcds are integer gcds of values
+    when the coefficients are small (see the module docstring).
 
     Returns the unit (the leading coefficient) and the list of monic
     squarefree factors with their multiplicities, strictly increasing and
@@ -114,25 +119,60 @@ def squarefree_decompose(a) -> SquarefreeDecomposition:
     poly = _polynomial(a)
     if not poly:
         raise ValueError("squarefree decomposition needs a nonzero polynomial")
-    shift, num = _x_split(poly._num)
-    parts = _x_free_parts(_primitive(num)) if len(num) > 1 else {}
-    if shift:  # x joins the part of multiplicity shift, or is a part of its own
-        parts[shift] = X * parts[shift] if shift in parts else X
-    return SquarefreeDecomposition(unit=poly.leading_coefficient,
-                                   parts=tuple((f, m) for m, f in sorted(parts.items())))
+    unit, parts = poly.leading_coefficient, {}
+    for f, m in _squarefree_base(poly):
+        parts.setdefault(m, []).append(f)
+    if list(parts) == [1]:  # a squarefree poly is its own part
+        return SquarefreeDecomposition(unit=unit, parts=((poly.monic(), 1),))
+    return SquarefreeDecomposition(unit=unit, parts=tuple(
+        [(_make(reduce(_mul_ints, fs, [1]), 1).monic(), m) for m, fs in sorted(parts.items())]))
 
 
-def _x_free_parts(ints):
-    """The monic parts of the nonconstant integer polynomial ``ints``,
-    which x does not divide, by multiplicity."""
-    h, R, Y = _gcd_ints(ints, [i * c for i, c in enumerate(ints) if i])
-    if h == [1]:
-        return {1: _make(list(ints), ints[-1])}
-    return _yun(R, Y, len(ints) - 1)
+def _coprime_base(poly):
+    """The pairwise coprime pieces of the written factors of the nonzero
+    ``poly``, by refinement, mapped to their exponents (see the module
+    docstring)."""
+    todo = list(_written_factors(poly)[1])
+    norms = [max(map(abs, a)) for a, _ in todo if len(a) > 2]
+    size = _xi_bytes(max(norms)) if norms else None  # None: no screen, or nothing to screen
+    w = 0 if size is None else 8 * size
+    base, groups = {}, ({}, {})  # linear pieces but x, and the others, with values at xi
+    while todo:
+        a, k = todo.pop()
+        if a in base or a == (0, 1):
+            base[a] = base.get(a, 0) + k
+            continue
+        va = w and _value(a, w)
+        for b in [b for group in groups[len(a) == 2:] for b, vb in group.items()
+                  if not w or 2 * math.gcd(va, vb) > 1 << w]:
+            g, rest_a, rest_b = _gcd_ints(list(a), list(b))
+            if len(g) > 1:
+                kb = base.pop(b)
+                del groups[len(b) > 2][b]
+                todo += [(_positive(f), e) for f, e in ((g, k + kb), (rest_a, k), (rest_b, kb))
+                         if len(f) > 1]
+                break
+        else:
+            base[a] = k
+            groups[len(a) > 2][a] = va
+    return base
+
+
+def _squarefree_base(poly):
+    """The coprime base of ``poly`` with each nonlinear piece A split into
+    its parts by Yun's loop, as (part, multiplicity in ``poly``) pairs."""
+    pieces = []
+    for a, k in _coprime_base(poly).items():
+        parts = {1: a}
+        if len(a) > 2:  # a constant gcd(A, A') proves A squarefree
+            h, R, Y = _gcd_ints(list(a), [i * c for i, c in enumerate(a) if i])
+            parts = parts if h == [1] else _yun(R, Y, len(a) - 1)
+        pieces += [(f, m * k) for m, f in parts.items()]
+    return pieces
 
 
 def _yun(R, Y, degree):
-    """The monic parts by multiplicity of a primitive integer polynomial A
+    """The primitive parts by multiplicity of a primitive integer polynomial A
     of degree ``degree``, given R = A/h and Y = A'/h for h = gcd(A, A')
     nonconstant, by Yun's loop (see the module docstring)."""
     dR = [i * c for i, c in enumerate(R) if i]
@@ -145,7 +185,7 @@ def _yun(R, Y, degree):
         m, rest = divmod(left, len(W) - 1)
         if (not rest and (size is None or not (y - m * dr) % wv)
                 and _exact_quotient(_difference(Y, dR, m), W) is not None):
-            parts[m] = _make(W, W[-1])
+            parts[m] = W
             return parts
         k += 1
         found = None
@@ -159,7 +199,7 @@ def _yun(R, Y, degree):
             if found[0] == [1]:  # no part of multiplicity k
                 continue
         f, W, _ = found
-        parts[k] = _make(f, f[-1])
+        parts[k] = f
         left -= k * (len(f) - 1)
         if size is not None:
             wv //= _value(f, w)

@@ -88,7 +88,8 @@ class UniPoly:
     True
     """
 
-    __slots__ = ("_num", "_den")
+    # _factors: see _written_factors, which reads it; _make leaves it unset.
+    __slots__ = ("_num", "_den", "_factors")
 
     def __init__(self, coeffs=()):
         items = list(coeffs)
@@ -296,13 +297,7 @@ class UniPoly:
         t = _scalar(point)
         if t is None:
             raise TypeError(f"evaluation point {point!r} is not rational")
-        n, d = t.numerator, t.denominator
-        num = self._num
-        acc = num[-1] if num else 0
-        power = 1
-        for c in num[-2::-1]:
-            power *= d
-            acc = acc * n + c * power
+        acc, power = _homogeneous(self._num, t.numerator, t.denominator)
         return Fraction(acc, self._den * power)
 
     def monic(self) -> "UniPoly":
@@ -314,6 +309,16 @@ class UniPoly:
         if lead == self._den:
             return self
         return _make(list(self._num), lead)
+
+
+def _homogeneous(num, n, d):
+    """(d**k * sum(num[i] * (n/d)**i), d**k) for k = len(num) - 1, as ints."""
+    acc = num[-1] if num else 0
+    power = 1
+    for c in num[-2::-1]:
+        power *= d
+        acc = acc * n + c * power
+    return acc, power
 
 
 def _make(num, den=1) -> UniPoly:
@@ -392,6 +397,31 @@ def _polynomial(value) -> UniPoly:
     if poly is None:
         raise TypeError(f"{value!r} is not a polynomial or rational scalar")
     return poly
+
+
+def _written_factors(poly):
+    """(unit, ((f, k), ...)) with unit * prod(f**k) = ``poly`` != 0, each f
+    the int tuple of x or of a primitive polynomial prime to x, ending > 0:
+    as the parser or the standard family recorded them, or from _num."""
+    try:
+        return poly._factors
+    except AttributeError:
+        shift, rest = _x_split(poly._num)
+        rest = _positive(_primitive(rest))
+        factors = [((0, 1), shift)] * bool(shift) + [(rest, 1)] * (len(rest) > 1)
+        return Fraction(poly._num[-1], poly._den * rest[-1]), factors
+
+
+def _written_value(poly, n, d, modulus=None):
+    """(top, bottom) with bottom != 0 and poly(n/d) = top/bottom, from the
+    written factors of ``poly``; with a ``modulus``, each power is taken
+    modulo it, so top and bottom are only congruent to those."""
+    unit, factors = _written_factors(poly)
+    top, bottom = unit.numerator, unit.denominator
+    for f, k in factors:
+        acc, power = _homogeneous(f, n, d)
+        top, bottom = top * pow(acc, k, modulus), bottom * pow(power, k, modulus)
+    return top, bottom
 
 
 ZERO = _make([])
@@ -585,6 +615,11 @@ def _x_split(ints):
     while not ints[v]:
         v += 1
     return v, ints[v:] if v else ints
+
+
+def _positive(ints):
+    """The int sequence ``ints`` as a tuple, negated if it ends below 0."""
+    return tuple(ints) if ints[-1] > 0 else tuple([-c for c in ints])
 
 
 def _primitive(ints):

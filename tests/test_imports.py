@@ -86,12 +86,16 @@ def test_command_loads_only_what_it_runs(command, fmt):
 
 
 def test_coefficients_above_the_cut_load_the_modular_helpers():
-    # The x-free part of q and its derivative both have coefficients past
-    # 2**320, beyond the integer gcd's cut, so the gcd under q's squarefree
-    # decomposition runs modulo primes.
-    code, modules = loaded_by("charvar", "x^3", "x*(10^100*x+1)*(10^100*x+3)")
+    # The x-free part of q, written as a sum, and its derivative both have
+    # coefficients past 2**320, beyond the integer gcd's cut, so the gcd
+    # under q's squarefree decomposition runs modulo primes.
+    code, modules = loaded_by("charvar", "x^3", "10^200*x^3+4*10^100*x^2+3*x")
     assert code == 0
     assert "broughton.modular" in modules
+    # Written as a product of linear factors, q needs no gcd at all.
+    code, modules = loaded_by("charvar", "x^3", "x*(10^100*x+1)*(10^100*x+3)")
+    assert code == 0
+    assert "broughton.modular" not in modules
 
 
 def test_powers_of_x_load_no_modular_helpers():

@@ -491,7 +491,8 @@ def test_squarefree_shortcut_lifts_nothing(monkeypatch):
 
     monkeypatch.setattr(modular, "_rational", recording_rational)
     monkeypatch.setattr(modular, "_quotient_mod", None)  # never called
-    _, q = zahid_polynomials(1, 30)
+    # The expansion: written as x*(x+2)*...*(x+30), q would take no gcd.
+    q = UniPoly(zahid_polynomials(1, 30)[1].coeffs)
     assert max(abs(c) for c in q.coeffs).numerator.bit_length() > 100
     assert check_against_oracle(q).parts == ((q, 1),)
     assert drawn == [P0]
@@ -503,7 +504,7 @@ def test_squarefree_kernel_draws_no_prime(monkeypatch):
     # proves it squarefree, and no prime is drawn.
     drawn = primes_drawn(monkeypatch)
     monkeypatch.setattr(modular, "_gcd_mod", None)  # never called
-    _, q = zahid_polynomials(1, 30)
+    q = UniPoly(zahid_polynomials(1, 30)[1].coeffs)  # expanded, as above
     assert check_against_oracle(q).parts == ((q, 1),)
     assert drawn == []
 
