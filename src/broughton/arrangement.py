@@ -29,12 +29,10 @@ Every fact is read off the factors p and q were written as
 (:func:`broughton.unipoly._written_factors`; an expanded polynomial is
 its own one factor).  A factor f of q shares deg gcd(p, f) roots with p,
 and none with p + 1 iff gcd(p + 1, f) = 1; for a linear f both are read
-off p at its root, evaluated factor by factor, so linear factors take no
-gcd.  ``check_hypotheses`` reads q's factors as written; the report reads
-the squarefree parts of their coprime base, so s is their degree, t is
-deg rad p + s - (shared roots), and p's parts give the divisor and d.  It
-stores only its Betti numbers and divisor; its other attributes are
-constant on admissible pairs or read off the divisor.
+off p at its root, factor by factor, with no gcd.  ``check_hypotheses``
+reads q's factors as written, the report the squarefree parts of their
+coprime base: s is their degree, t = deg rad p + s - (shared roots), and
+p's parts give the divisor and d (:class:`CharVarietyReport`).
 """
 
 from __future__ import annotations
@@ -44,8 +42,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .squarefree import SquarefreeDecomposition, _squarefree_base, squarefree_decompose
-from .unipoly import (UniPoly, _make, _value, _written_factors, _written_value, _xi_bytes,
-                      gcd)
+from .unipoly import UniPoly, _make, _written_factors, _written_value, gcd
 
 
 class HypothesesViolated(ValueError):
@@ -191,29 +188,23 @@ def _require_nonconstant(value, name):
 def _shared_roots(p: UniPoly, pieces):
     """The roots p shares with the int tuples ``pieces`` of factors, once
     each, and whether p + 1 shares none (see the module docstring)."""
-    own = {f for f, _ in _written_factors(p)[1]}
+    written = _written_factors(p)
+    own = {f for f, _ in written[1]}
     shared, clean_shift = 0, True
-    norms = [max(map(abs, f)) for f in pieces if len(f) > 2]
-    if norms:  # xi = 2**w as gcd(p, f) would choose it, for every f at once
-        shifted, size = p + 1, _xi_bytes(max(norms))
-        w = 0 if size is None else 8 * size
-        values = w and (_value(p._num, w), _value(shifted._num, w))
     for f in pieces:
         if tuple(f) in own:  # a factor of p: p vanishes at each root of f
             shared += len(f) - 1
         elif len(f) == 2:  # p at r = -f[0]/f[1], first modulo a prime
-            top, bottom = _written_value(p, -f[0], f[1], _PRIME)
+            top, bottom = _written_value(written, -f[0], f[1], _PRIME)
             if top % _PRIME and (top + bottom) % _PRIME:
                 continue  # p(r) is neither 0 nor -1
-            top, bottom = _written_value(p, -f[0], f[1])
+            top, bottom = _written_value(written, -f[0], f[1])
             shared += not top
             clean_shift = clean_shift and top != -bottom
-        else:  # each gcd screened by GCDHEU's first step at xi
-            value = w and _value(f, w)
-            if not w or 2 * math.gcd(values[0], value) > 1 << w:
-                shared += gcd(p, _make(list(f))).degree
-            if clean_shift and (not w or 2 * math.gcd(values[1], value) > 1 << w):
-                clean_shift = gcd(shifted, _make(list(f))).degree == 0
+        else:
+            f = _make(list(f))
+            shared += gcd(p, f).degree
+            clean_shift = clean_shift and gcd(p + 1, f).degree == 0
     return shared, clean_shift
 
 

@@ -29,9 +29,8 @@ digits, runs of ``\\w`` (``str.isalnum`` or '_'; names start with
 (``str.isspace``).  They parse into a postfix program with no arithmetic,
 so every error comes first; one loop then runs it on values x**v *
 sum(ints[i] * x**i) / den, combining a sum of k terms once, over one lcm.
-The loop also keeps the factors of a product of powers: a power
-multiplies their exponents and a sum is one factor.  A product records
-them on the polynomial (:func:`broughton.unipoly._written_factors`).
+The loop also keeps the factors of a product of powers, a sum as one,
+and records them on the result (:func:`broughton.unipoly._written_factors`).
 """
 
 from __future__ import annotations
@@ -206,8 +205,7 @@ def _evaluate(program) -> UniPoly:
                 out.pop()
             stack.append(_x_split(out) + (den,) if out else _ZERO)
             if len(arg) > 1:  # one negated term keeps its factors
-                del written[-len(arg):]
-                written.append(None)
+                written[-len(arg):] = [None]
     v, ints, den = stack[0]
     poly = _make([0] * v + list(ints), den)
     if poly and written[0] is not None:
@@ -216,8 +214,7 @@ def _evaluate(program) -> UniPoly:
 
 
 def _record(poly, factors):
-    """Record the (value, exponent) ``factors`` on ``poly``: x and the
-    primitive rest of each, with nonzero exponents, and the unit."""
+    """Record x and the primitive rest of each nonzero power, and the unit."""
     recorded, lead = [], 1
     for (v, ints, _), k in factors:
         if v and k:

@@ -15,21 +15,20 @@ pencil.
 
 The decomposition is read off a coprime base of the factors ``p`` was
 written as (:func:`broughton.unipoly._written_factors`): two pieces that
-are neither equal nor coprime give way to their gcd g, with the sum of
-their exponents, and their cofactors by g, until all are pairwise coprime
+are neither equal nor coprime give way to their gcd, with the sum of
+their exponents, and their cofactors, until all are pairwise coprime
 (factor refinement: Bach, Driscoll and Shallit, *J. Algorithms* 15, 1993).
-Distinct linear pieces are coprime, and so are x and the rest; GCDHEU's
-bound screens other pairs by one integer gcd of their values at the xi
-of :func:`broughton.unipoly._heuristic_gcd` for the largest norm of a
-nonlinear piece, which bounds every common root.  So c*x**v, such as p = x**a of the paper's standard
-pair, and products of powers of linear factors take no gcd.  A nonlinear
-piece A of exponent k splits into parts by Yun's loop, each of
-multiplicity m in A and m*k in ``p``.  The loop begins with one gcd of
-:func:`broughton.unipoly._gcd_ints`, the gcd of :func:`broughton.unipoly.gcd`:
-h = gcd(A, A') with the cofactors R = A/h, the radical up to a constant,
-and Y = A'/h.  A constant h proves A squarefree, and A is its own single
-part.  Otherwise the loop finds the parts (Yun 1976; von zur Gathen and
-Gerhard, *Modern Computer Algebra*, 14.6):
+Distinct linear pieces are coprime, and so are x and the rest; other
+pairs are screened by GCDHEU's first step (:func:`broughton.unipoly._heuristic_gcd`)
+at the xi of the largest norm of a nonlinear piece, which bounds every
+common root.  So c*x**v and products of linear factors, as in the
+paper's pairs, take no gcd.  Yun's loop splits a nonlinear piece A of
+exponent k into parts of multiplicity m in A, m*k in ``p``.  It begins
+with h = gcd(A, A') by :func:`broughton.unipoly._gcd_ints`, the gcd of
+:func:`broughton.unipoly.gcd`, with the cofactors R = A/h, the radical
+up to a constant, and Y = A'/h.  A constant h proves A squarefree, its
+own single part.  Otherwise the loop finds the parts (Yun 1976; von zur
+Gathen and Gerhard, *Modern Computer Algebra*, 14.6):
 
 * With A = c * f1**1 * f2**2 * ..., the f_i squarefree and pairwise
   coprime, Y = R * sum i * f_i'/f_i, so Y - k*R' = R * sum (i - k) *
@@ -129,13 +128,11 @@ def squarefree_decompose(a) -> SquarefreeDecomposition:
 
 
 def _coprime_base(poly):
-    """The pairwise coprime pieces of the written factors of the nonzero
-    ``poly``, by refinement, mapped to their exponents (see the module
-    docstring)."""
+    """The written factors of the nonzero ``poly`` refined into pairwise
+    coprime pieces, mapped to their exponents (see the module docstring)."""
     todo = list(_written_factors(poly)[1])
     norms = [max(map(abs, a)) for a, _ in todo if len(a) > 2]
-    size = _xi_bytes(max(norms)) if norms else None  # None: no screen, or nothing to screen
-    w = 0 if size is None else 8 * size
+    w = 8 * (norms and _xi_bytes(max(norms)) or 0)  # 0: nothing to screen, or no screen
     base, groups = {}, ({}, {})  # linear pieces but x, and the others, with values at xi
     while todo:
         a, k = todo.pop()

@@ -313,8 +313,7 @@ class UniPoly:
 
 def _homogeneous(num, n, d):
     """(d**k * sum(num[i] * (n/d)**i), d**k) for k = len(num) - 1, as ints."""
-    acc = num[-1] if num else 0
-    power = 1
+    acc, power = num[-1] if num else 0, 1
     for c in num[-2::-1]:
         power *= d
         acc = acc * n + c * power
@@ -412,11 +411,10 @@ def _written_factors(poly):
         return Fraction(poly._num[-1], poly._den * rest[-1]), factors
 
 
-def _written_value(poly, n, d, modulus=None):
-    """(top, bottom) with bottom != 0 and poly(n/d) = top/bottom, from the
-    written factors of ``poly``; with a ``modulus``, each power is taken
-    modulo it, so top and bottom are only congruent to those."""
-    unit, factors = _written_factors(poly)
+def _written_value(written, n, d, modulus=None):
+    """(top, bottom), bottom != 0, with p(n/d) = top/bottom for the
+    ``written`` factors of p; with a ``modulus``, each only modulo it."""
+    unit, factors = written
     top, bottom = unit.numerator, unit.denominator
     for f, k in factors:
         acc, power = _homogeneous(f, n, d)
@@ -624,7 +622,7 @@ def _positive(ints):
 
 def _primitive(ints):
     """Integer coefficients divided by their content, as a new list."""
-    content = math.gcd(*ints)
+    content = math.gcd(*reversed(ints))  # the lead first: a monic one takes no gcd
     return [c // content for c in ints] if content != 1 else list(ints)
 
 

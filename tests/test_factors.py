@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from broughton import unipoly
+from broughton import squarefree, unipoly
 from broughton.arrangement import (
     HypothesesViolated,
     characteristic_variety,
@@ -86,21 +86,42 @@ def test_refinement_splits_written_factors_that_share_roots():
         (X ** 2 - X, 2), (X + 1, 3))
 
 
+def record_gcds(monkeypatch):
+    """The (a, b) int tuple pairs of every integer gcd taken from now on:
+    those of unipoly.gcd and those squarefree takes itself."""
+    calls, real = [], unipoly._gcd_ints
+
+    def recording(a, b):
+        calls.append((tuple(a), tuple(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(unipoly, "_gcd_ints", recording)
+    monkeypatch.setattr(squarefree, "_gcd_ints", recording)
+    return calls
+
+
 def test_check_reads_only_the_factors_of_q(monkeypatch):
     # p is a product of 128 pairwise coprime quadratics.  The hypotheses
-    # take no gcd between the factors of p; a factor of q that is one of
-    # p's needs none, and the values at xi prove x^2 + 200 prime to p and
-    # to p + 1.
+    # take no gcd between the factors of p, and a factor of q that is one
+    # of p's needs none; x^2 + 200 takes gcd(p, q) and gcd(p + 1, q), as
+    # with the expanded p.
     p = parse_uni("*".join(f"(x^2+{k})" for k in range(1, 129)))
-    monkeypatch.setattr(unipoly, "_gcd_ints", None)  # never called
+    calls = record_gcds(monkeypatch)
     assert check_hypotheses(p, parse_uni("x^2+1")).satisfied
     assert check_hypotheses(p, p).satisfied
+    assert calls == []
     assert check_hypotheses(p, parse_uni("x^2+200")) == (False, True, False)
+    assert [b for _, b in calls] == [(200, 0, 1)] * 2
+    # The report takes Yun's gcd(A, A') on each quadratic of p and of q,
+    # and none between two of them: the screen proves each pair coprime.
+    calls.clear()
     assert characteristic_variety(p, parse_uni("(x^2+1)*(x^2+7)")).betti.s == 4
+    assert len(calls) == 128 + 2
+    assert all(b == (0, 2) and a[1:] == (0, 1) for a, b in calls)
 
 
 def test_linear_factors_take_no_gcd(monkeypatch):
-    monkeypatch.setattr(unipoly, "_gcd_ints", None)  # never called
+    calls = record_gcds(monkeypatch)
     p = parse_uni("-3/7*(x-1)^4*(x+2/3)^2*(2*x+5)^6")
     q = parse_uni("(x-1)*(x+3)^2*x")
     assert check_hypotheses(p, q).satisfied
@@ -108,6 +129,7 @@ def test_linear_factors_take_no_gcd(monkeypatch):
     assert report.betti == (1, 2, 3 + 5, 3, 5)
     assert report.divisor.divisor_multiplicity == 2
     assert characteristic_variety(*zahid_polynomials(30, 12)).orbifold_order == 30
+    assert calls == []
 
 
 @pytest.mark.parametrize("p_text, q_text, expected", [
