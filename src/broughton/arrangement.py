@@ -37,7 +37,6 @@ p's parts give the divisor and d (:class:`CharVarietyReport`).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -49,34 +48,12 @@ class HypothesesViolated(ValueError):
     """The admissibility hypotheses on (p, q) fail."""
 
 
-def _make_checked(cls, iterable):
-    """``_make`` of a checked record, through its checking ``__new__``;
-    the named tuple's ``_replace`` builds through ``_make``."""
-    return cls(*iterable)
+class Hypotheses(NamedTuple):
+    """Admissibility of the pair: both clauses and their conjunction."""
 
-
-class _HypothesesFields(NamedTuple):
     common_root_pq: bool
     no_common_root_p1_q: bool
     satisfied: bool
-
-
-class Hypotheses(_HypothesesFields):
-    """Admissibility of the pair: both clauses and their conjunction.
-
-    Like every checked record here, it validates its fields in its own
-    ``__new__``, by position or keyword, and ``_make`` and ``_replace``
-    go through it: a failing check raises ValueError.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, common_root_pq, no_common_root_p1_q, satisfied):
-        if satisfied != (common_root_pq and no_common_root_p1_q):
-            raise ValueError("satisfied must be the conjunction of the clauses")
-        return tuple.__new__(cls, (common_root_pq, no_common_root_p1_q, satisfied))
-
-    _make = classmethod(_make_checked)
 
 
 class BettiNumbers(NamedTuple):
@@ -102,47 +79,20 @@ class FiberDivisor(NamedTuple):
     value = Fraction(-1)  # the special value of the pencil, for every p
 
 
-class _TorsionCharacterFields(NamedTuple):
+class TorsionCharacter(NamedTuple):
+    """A torsion point (exp(2*pi*i*a0), exp(2*pi*i*a1)) of the torus,
+    both coordinates Fractions in [0, 1)."""
+
     a0: Fraction
     a1: Fraction
 
 
-class TorsionCharacter(_TorsionCharacterFields):
-    """A torsion point (exp(2*pi*i*a0), exp(2*pi*i*a1)) of the torus;
-    both coordinates are Fractions in [0, 1), checked in ``__new__``."""
+class TranslatedTorus(NamedTuple):
+    """A torsion translate of a one-parameter subtorus of (C*)^2 with a
+    primitive integer direction."""
 
-    __slots__ = ()
-
-    def __new__(cls, a0, a1):
-        # 0 <= a < 1, read off the numerator and the positive denominator
-        # without Fraction comparisons.
-        if isinstance(a0, Fraction) and isinstance(a1, Fraction):
-            (n0, d0), (n1, d1) = a0.as_integer_ratio(), a1.as_integer_ratio()
-            if 0 <= n0 < d0 and 0 <= n1 < d1:
-                return tuple.__new__(cls, (a0, a1))
-        raise ValueError("torsion coordinates live in [0, 1)")
-
-    _make = classmethod(_make_checked)
-
-
-class _TranslatedTorusFields(NamedTuple):
     torsion: TorsionCharacter
     direction: tuple
-
-
-class TranslatedTorus(_TranslatedTorusFields):
-    """A torsion translate of a one-parameter subtorus of (C*)^2; the
-    direction, checked in ``__new__``, is a primitive integer vector."""
-
-    __slots__ = ()
-
-    def __new__(cls, torsion, direction):
-        n0, n1 = direction
-        if math.gcd(n0, n1) != 1:  # gcd(0, 0) = 0
-            raise ValueError("direction must be a primitive integer vector")
-        return tuple.__new__(cls, (torsion, direction))
-
-    _make = classmethod(_make_checked)
 
 
 _PRIME = (1 << 61) - 1  # see _shared_roots

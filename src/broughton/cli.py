@@ -199,7 +199,9 @@ def _parse(argv) -> SimpleNamespace:
     """The namespace the ``cmd_*`` functions read.  A token that begins with
     ``--`` is an option, and the token after a value-taking option is its
     value whatever it looks like (``--c -3/2``); the others are positionals."""
-    command, *tokens = argv or [""]
+    if not argv:
+        raise _Usage(None, "missing command")
+    command, *tokens = argv
     if command not in COMMANDS:
         help_asked = command in ("-h", "--help")
         raise _Usage(None, None if help_asked else f"unknown command {command!r}")

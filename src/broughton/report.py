@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .unipoly import _PIECE, UniPoly, _decimal, _make
+from .unipoly import UniPoly, _decimal, _make
 
 if TYPE_CHECKING:
     from .arrangement import CharVarietyReport, FiberDivisor
@@ -92,8 +92,6 @@ def build_report(p: UniPoly, q: UniPoly) -> ReportDocument:
 
 def _rat(value: Fraction) -> str:
     n, d = value.as_integer_ratio()
-    if abs(n) < _PIECE and d < _PIECE:
-        return f"{n}/{d}"
     return f"{_decimal(n)}/{_decimal(d)}"
 
 

@@ -90,10 +90,6 @@ class TestHypotheses:
         assert tangled.no_common_root_p1_q is False
         assert tangled.satisfied is False
 
-    def test_consistency_field_is_enforced(self):
-        with pytest.raises(ValueError):
-            Hypotheses(common_root_pq=True, no_common_root_p1_q=True, satisfied=False)
-
     def test_rejects_constants(self):
         with pytest.raises(ValueError):
             check_hypotheses(P(3), X)
@@ -243,48 +239,6 @@ class TestCharacteristicVariety:
             assert report.divisor == special_fiber_divisor(p)
             assert report.hypotheses.satisfied is True
             assert report.irreducibility_flags[1] is True
-
-    def test_torsion_validation(self):
-        with pytest.raises(ValueError):
-            TorsionCharacter(F(3, 2), F(0))
-        with pytest.raises(ValueError):
-            TorsionCharacter(F(-1, 3), F(0))
-        with pytest.raises(ValueError):
-            TranslatedTorus(TorsionCharacter(F(0), F(0)), (0, 2))
-        with pytest.raises(ValueError):
-            TranslatedTorus(TorsionCharacter(F(0), F(0)), (0, 0))
-
-        # Every validated record checks its fields however it is built:
-        # by position, by keyword, and through _make and _replace.
-        report = characteristic_variety(X ** 3, X)
-        torus = report.components[0]
-        bad_fields = (
-            (Hypotheses, report.hypotheses, {"satisfied": False}),
-            (TorsionCharacter, torus.torsion, {"a1": F(1)}),
-            (TorsionCharacter, torus.torsion, {"a0": 0}),
-            (TranslatedTorus, torus, {"direction": (2, 4)}),
-        )
-        for cls, good, change in bad_fields:
-            assert cls(*good) == good
-            assert cls(**good._asdict()) == good
-            fields = {**good._asdict(), **change}
-            with pytest.raises(ValueError):
-                cls(*fields.values())
-            with pytest.raises(ValueError):
-                cls(**fields)
-            with pytest.raises(ValueError):
-                cls._make(fields.values())
-            with pytest.raises(ValueError):
-                good._replace(**change)
-
-    def test_torsion_coordinates_are_fractions_in_the_unit_interval(self):
-        # Each coordinate is checked on its own: an int 0 has numerator 0
-        # and denominator 1, yet it is not a Fraction.
-        for bad in (0, 0.5, F(1), F(-1, 2), None):
-            with pytest.raises(ValueError):
-                TorsionCharacter(F(1, 2), bad)
-            with pytest.raises(ValueError):
-                TorsionCharacter(bad, F(1, 2))
 
     def test_records_store_only_what_they_compute(self):
         # The rest of the report is constant on admissible pairs or read

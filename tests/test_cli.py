@@ -229,6 +229,8 @@ class TestCommandLine:
         usage, error = err.splitlines()
         assert usage.startswith("usage: broughton")
         assert error.startswith("error: ")
+        if not argv:
+            assert error == "error: missing command"
 
     @pytest.mark.parametrize("command", [None, *COMMANDS])
     @pytest.mark.parametrize("flag", ["-h", "--help"])

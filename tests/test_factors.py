@@ -254,6 +254,8 @@ def test_written_and_expanded_routes_agree(texts, modular):
         pc, qc = list(p.coeffs), list(q.coeffs)
         common = len(l_gcd(pc, qc)) > 1
         clean = len(l_gcd(l_add(pc, [F(1)]), qc)) == 1
+        # The record is built without a check: its conjunction is tested here.
+        assert hypotheses.satisfied == (hypotheses.common_root_pq and hypotheses.no_common_root_p1_q)
         assert hypotheses == (common, clean, common and clean)
         assert (report is HypothesesViolated) == (not (common and clean))
         if report is not HypothesesViolated:

@@ -225,7 +225,7 @@ def power_pairs(draw):
 
 
 def typed_view(document):
-    """The components as the library's checked records give them."""
+    """The components as the library's typed records give them."""
     return [
         {"torsion": [_rat(a0), _rat(a1)], "direction": list(direction)}
         for (a0, a1), direction in document.body.components
@@ -234,7 +234,7 @@ def typed_view(document):
 
 class TestComponents:
     """The document writes the W_j from d alone; the oracle lists them from
-    Fraction(j, d), and the checked records must say the same."""
+    Fraction(j, d), and the library's typed records must say the same."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 97, 997, 12, 360, 720, 5040])
     def test_standard_family_matches_oracle(self, d):
@@ -254,6 +254,10 @@ class TestComponents:
         assert mapping["orbifold_order"] == index
         assert mapping["components"] == torsion_components(index)
         assert mapping["components"] == typed_view(document)
+        # The records are built without a check: their invariants are tested here.
+        for torsion, direction in document.body.components:
+            assert all(type(a) is Fraction and 0 <= a < 1 for a in torsion)
+            assert direction == (0, 1)
 
 
 class TestText:
