@@ -85,11 +85,14 @@ def cmd_zahid(args) -> int:
 
 
 def _report(args, p, q) -> int:
-    """The full report of charvar, report and zahid."""
-    from .report import build_report, report_mapping
+    """The full report of charvar, report and zahid: the body at once, so an
+    inadmissible pair exits 2 when quiet too, p and q written only when printed."""
+    from .arrangement import characteristic_variety
+    from .report import ReportDocument, report_mapping
 
-    document = build_report(p, q)
-    _emit(args, lambda: report_mapping(document))
+    body = characteristic_variety(p, q)
+    _emit(args, lambda: report_mapping(
+        ReportDocument(inputs=(("p", str(p)), ("q", str(q))), body=body)))
     return EXIT_OK
 
 

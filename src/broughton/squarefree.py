@@ -44,22 +44,12 @@ Gathen and Gerhard, *Modern Computer Algebra*, 14.6):
   with a constant result follows the last part.  Y - k*R' is zero only
   when every part has multiplicity k, a pure power, so the loop never
   meets a zero one.
-* If max|R| is within the cut of :func:`broughton.unipoly._heuristic_gcd`,
-  R, R' and Y are evaluated once, at a xi = 2**w chosen from max|R| by
-  the same rule, and gamma_k = gcd(W(xi), Y(xi) - k*R'(xi)).  A common
-  root of W and Y - k*R' is a root of R, so Cauchy's bound on R alone
-  carries the GCDHEU argument to every k: 2*gamma_k <= xi proves that no
-  part has multiplicity k, and otherwise the candidate read off gamma_k
-  is f_k once it divides W and Y - k*R'.  The stop divides only when
-  W(xi) divides Y(xi) - m*R'(xi).  So a high power of small coefficients
-  draws no prime.
-* Otherwise, past the cut or when the candidate fails its division, f_k
-  and W/f_k come from :func:`broughton.unipoly._gcd_ints` of W and the
-  primitive part of Y - k*R', for that k alone.
 
-Only that gcd draws primes, in :mod:`broughton.modular`, and only the
-pieces it lifts are lifted: for (1000*x + 1)**1200, the constant cofactor
-of A'.
+Each k takes :func:`broughton.unipoly._gcd_ints` of W and the primitive
+part of Y - k*R'; a constant gcd means no part has multiplicity k.  Only
+that gcd draws primes, in :mod:`broughton.modular`, and only the pieces
+it lifts are lifted: for (1000*x + 1)**1200 expanded, the constant
+cofactor of A' (written as that power, it takes no gcd).
 """
 
 from __future__ import annotations
@@ -69,9 +59,8 @@ from fractions import Fraction
 from functools import reduce
 from typing import NamedTuple
 
-from .unipoly import (ONE, UniPoly, _divide_both, _exact_quotient, _gcd_ints, _make, _mul_ints,
-                      _polynomial, _positive, _primitive, _read_candidate, _value,
-                      _written_factors, _xi_bytes)
+from .unipoly import (ONE, UniPoly, _exact_quotient, _gcd_ints, _make, _mul_ints, _polynomial,
+                      _positive, _primitive, _value, _written_factors, _xi_bytes)
 
 
 class SquarefreeDecomposition(NamedTuple):
@@ -104,8 +93,7 @@ class SquarefreeDecomposition(NamedTuple):
 
 def squarefree_decompose(a) -> SquarefreeDecomposition:
     """Squarefree decomposition from the factors ``a`` was written as, by
-    Yun's loop on the package gcd, whose gcds are integer gcds of values
-    when the coefficients are small (see the module docstring).
+    Yun's loop on the package gcd (see the module docstring).
 
     Returns the unit (the leading coefficient) and the list of monic
     squarefree factors with their multiplicities, strictly increasing and
@@ -173,33 +161,18 @@ def _yun(R, Y, degree):
     of degree ``degree``, given R = A/h and Y = A'/h for h = gcd(A, A')
     nonconstant, by Yun's loop (see the module docstring)."""
     dR = [i * c for i, c in enumerate(R) if i]
-    size = _xi_bytes(max(map(abs, R)))
-    if size is not None:
-        w = 8 * size
-        wv, dr, y = _value(R, w), _value(dR, w), _value(Y, w)
     parts, W, left, k = {}, R, degree, 0
     while True:
         m, rest = divmod(left, len(W) - 1)
-        if (not rest and (size is None or not (y - m * dr) % wv)
-                and _exact_quotient(_difference(Y, dR, m), W) is not None):
+        if not rest and _exact_quotient(_difference(Y, dR, m), W) is not None:
             parts[m] = W
             return parts
-        k += 1
-        found = None
-        if size is not None:
-            gamma = math.gcd(wv, y - k * dr)
-            if 2 * gamma <= 1 << w:  # no part of multiplicity k
-                continue
-            found = _divide_both(_read_candidate(gamma, size), W, _difference(Y, dR, k))
-        if found is None:
-            found = _gcd_ints(W, _primitive(_difference(Y, dR, k)))
-            if found[0] == [1]:  # no part of multiplicity k
-                continue
-        f, W, _ = found
+        f = [1]
+        while f == [1]:  # a constant gcd: no part of multiplicity k
+            k += 1
+            f, W, _ = _gcd_ints(W, _primitive(_difference(Y, dR, k)))
         parts[k] = f
         left -= k * (len(f) - 1)
-        if size is not None:
-            wv //= _value(f, w)
 
 
 def _difference(Y, dR, k):

@@ -19,6 +19,7 @@ from broughton.cli import (
     main,
 )
 from broughton import report
+from broughton.unipoly import UniPoly
 
 
 def run(capsys, *argv):
@@ -320,6 +321,21 @@ class TestOutputDiscipline:
         assert run(capsys, *argv, "--format", "text") == (EXIT_OK, text_out, "")
         assert len(built) == 1
         assert text_out == report.render_text(json.loads(json_out)) + "\n"
+
+    @pytest.mark.parametrize("argv, code", [
+        (("charvar", "x^3", "x*(x+2)"), EXIT_OK),
+        (("charvar", "x", "x+1"), EXIT_PRECONDITION),  # inadmissible
+        (("zahid", "10", "3"), EXIT_OK),
+    ])
+    def test_quiet_report_renders_no_polynomial(self, capsys, monkeypatch, argv, code):
+        # The body is computed, so an inadmissible pair still exits 2, but
+        # neither p nor q is written.
+        def text(*_):
+            raise AssertionError("rendered a polynomial in a quiet run")
+
+        monkeypatch.setattr(UniPoly, "text", text)
+        monkeypatch.setattr(UniPoly, "__str__", text)
+        assert run(capsys, *argv, "--quiet")[:2] == (code, "")
 
     def test_json_is_byte_identical_across_runs(self, capsys):
         _, first, _ = run(capsys, "zahid", "4", "2", "--format", "json")

@@ -510,8 +510,8 @@ def test_squarefree_kernel_draws_no_prime(monkeypatch):
 
 
 @pytest.mark.parametrize("poly, parts", [
-    # Multiplicities 1 to 15 are absent: each of those gcds is at most
-    # xi/2 and reads off no candidate.
+    # Multiplicities 1 to 15 are absent: the package gcd proves each of
+    # those pairs coprime from one integer gcd of values.
     ((X - F(2, 3)) ** 16 * (X - 2) ** 24, ((X - F(2, 3), 16), (X - 2, 24))),
     # One part: Y - 5*R' is zero, so the stop at the start takes R.
     ((X ** 2 + 1) ** 5, ((X ** 2 + 1, 5),)),
@@ -530,7 +530,7 @@ def test_integer_yun_draws_no_prime(monkeypatch, poly, parts):
 def test_integer_yun_falls_back_on_a_failed_candidate(monkeypatch, poly):
     # A chance common factor of A(xi) and A'(xi) makes the first candidate
     # for gcd(A, A') fail its division: that gcd is lifted at one prime,
-    # and the parts come from integer gcds of values, with no prime.
+    # and the parts come from the package gcd, which draws no prime here.
     _, ints = unipoly._x_split(unipoly._primitive(poly._num))
     assert unipoly._heuristic_gcd(ints, [i * c for i, c in enumerate(ints) if i]) is None
     drawn = primes_drawn(monkeypatch)
@@ -538,19 +538,16 @@ def test_integer_yun_falls_back_on_a_failed_candidate(monkeypatch, poly):
     assert drawn == [P0]
 
 
-def test_wrong_part_candidate_falls_back(monkeypatch):
-    # Every candidate part is read as x - 2, which divides R = A/gcd(A, A')
-    # but not Y - 16*R' = 8*(3*x - 2): the division check rejects it, and
-    # for k = 16 alone the part comes from a gcd of polynomials, the
-    # integer gcd of the package, which draws no prime.  x - 2 is then the
-    # last part.
-    monkeypatch.setattr(squarefree, "_read_candidate", lambda gamma, size: [-2, 1])
+def test_each_multiplicity_takes_the_package_gcd(monkeypatch):
+    # Expanded, R = A/gcd(A, A') is (3*x - 2)*(x - 2): each k from 1 to 16
+    # takes one integer gcd of W and Y - k*R', constant below 16, and
+    # x - 2 is then the last part.  None of them draws a prime.
     drawn = primes_drawn(monkeypatch)
     calls = gcd_ints_calls(monkeypatch)
     poly = (X - F(2, 3)) ** 16 * (X - 2) ** 24
     assert check_against_oracle(poly).parts == ((X - F(2, 3), 16), (X - 2, 24))
     assert drawn == []
-    assert len(calls) == 2  # gcd(A, A') and k = 16
+    assert len(calls) == 17  # gcd(A, A') and k = 1 to 16
 
 
 def test_one_part_left_stops_the_loop(monkeypatch):
@@ -576,9 +573,10 @@ def test_one_part_left_stops_the_loop(monkeypatch):
 @example([(X - 3, 1), (X - 1, 3), (X - 4, 5), (X - 2, 7)], 1)  # Y - 4*R' is a constant
 @settings(deadline=None, max_examples=60)
 def test_high_powers_match_yun_over_the_rationals_on_both_routes(cut, factors, unit):
-    # With the cut at 0 every gcd draws primes; past every input, integer
-    # gcds of values decompose the high powers of small factors, and a
-    # failed candidate falls back to a gcd of polynomials for its k.
+    # With the cut at 0 every gcd draws primes; past every input, the
+    # package gcd settles the high powers of small factors from integer
+    # gcds of values, and a failed candidate falls back to primes for
+    # that gcd alone.
     poly = UniPoly.constant(unit)
     for factor, multiplicity in factors:
         poly = poly * factor ** multiplicity
